@@ -3,7 +3,7 @@
 from .graph import (Cut, Graph, INFINITE, Infinite, VertexMeasure, connected_components,
                     cut_weight, induced_subgraph, is_connected, mu_expansion_of_cut)
 from .spectral import (ActiveState, StochasticMatching, WalkOperator, apply_normalized_matching,
-                       apply_projection, apply_walk, default_delta, dense_flow_matrix,
+                       apply_projection, default_delta, dense_flow_matrix,
                        dense_walk_and_potential, projections, sample_unit_vector)
 from .cutplayer import WeightedBipartition, check_bipartition, rst_partition
 from .flow import FlowNetwork, FlowSolution, PathDecomposition, decompose_paths, max_flow

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .decompose import DecomposeConfig, decompose, balanced_or_expander, OutcomeKind
-from .errors import GraphInputError, InvariantViolation
+from .errors import GraphInputError
 from .game import GameParams
 from .graph import Graph, Infinite, VertexMeasure, is_connected
 from .spectral import DENSE_LIMIT
@@ -270,13 +270,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphInputError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # GraphInputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvariantViolation, AssertionError) as exc:
+    except AssertionError as exc:  # InvariantViolation is an AssertionError
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
 

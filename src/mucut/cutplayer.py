@@ -47,17 +47,6 @@ class WeightedBipartition:
     def target_mass(self) -> float:
         return float(sum(w for _, w in self.targets))
 
-    def translate(self, id_map) -> "WeightedBipartition":
-        """Same bipartition with vertex ids remapped (e.g. to subgraph ids)."""
-        return WeightedBipartition(
-            sources=tuple((id_map[v], w) for v, w in self.sources),
-            targets=tuple((id_map[v], w) for v, w in self.targets),
-            eta=self.eta,
-            case_two=self.case_two,
-            flipped=self.flipped,
-            partial_vertex=None if self.partial_vertex is None else id_map[self.partial_vertex],
-        )
-
 
 def _mass_prefix(ids, mu, u, order, target_mass):
     """Scan vertices in `order`, taking full weights until `target_mass` is

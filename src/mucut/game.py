@@ -2,8 +2,9 @@
 
 Each round samples a random unit vector, projects it through the implicit
 walk operator, turns the projections into weighted sources and targets,
-and asks the matching player to route the source mass in the active
-subgraph.  Failures to route remove a sparse cut from the active set.
+and asks the matching player to route the source mass inside the active
+set.  Failures to route remove a sparse cut from the active set.  Every
+id, in the rounds and in their records, is an id of the graph passed in.
 The run ends when the removed measure passes its threshold or the round
 budget is spent, and is classified as a certified expander, a balanced
 cut, or a small cut whose complement is a near-expander.
@@ -20,8 +21,9 @@ import numpy as np
 
 from .cutplayer import rst_partition
 from .errors import InvariantViolation
-from .graph import (EPS, Cut, Graph, VertexMeasure, induced_subgraph, is_connected,
-                    mu_expansion_of_cut)
+from .graph import EPS, Cut, Graph, VertexMeasure, is_connected, mu_expansion_of_cut
+# not called here; bench/spans.py wraps this name and reports it missing if it goes
+from .graph import induced_subgraph  # noqa: F401
 from .matching import solve_matching_round
 from .spectral import (DENSE_LIMIT, ActiveState, StochasticMatching, WalkOperator,
                        default_delta, dense_walk_and_potential, is_power_of_two,
@@ -41,7 +43,6 @@ class GameParams:
     capacity_c: int
     delta: int
     stop_threshold: float
-    rng_seed: Optional[int] = None
     trace_psi: bool = False
     dense_limit: int = DENSE_LIMIT
 
@@ -57,8 +58,7 @@ class GameParams:
 
     @staticmethod
     def for_graph(g: Graph, mu: VertexMeasure, phi: float, *, t_factor: float = 2.0,
-                  c_factor: float = 1.0, delta: Optional[int] = None,
-                  rng_seed: Optional[int] = None, trace_psi: bool = False,
+                  c_factor: float = 1.0, delta: Optional[int] = None, trace_psi: bool = False,
                   dense_limit: int = DENSE_LIMIT) -> "GameParams":
         """T = ceil(t_factor * log2(n)^2), c = max(1, round(c_factor / (phi ln n)))."""
         if phi <= 0:
@@ -74,7 +74,6 @@ class GameParams:
             capacity_c=cap,
             delta=default_delta(n) if delta is None else int(delta),
             stop_threshold=mu.total * cap * phi / 70.0,
-            rng_seed=rng_seed,
             trace_psi=trace_psi,
             dense_limit=dense_limit,
         )
@@ -152,43 +151,20 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         r = sample_unit_vector(n, rng)
         u = projections(walk, r)
         bip = rst_partition(state, u)
-
-        if not bip.sources:
-            # legal no-progress round: diagonal matching, nothing removed
-            matching = StochasticMatching.from_pairs(mu.values, [], t)
-            removed: frozenset = frozenset()
-            paths_global: tuple = ()
-            matched_weight = 0.0
-            round_expansion = None
-        else:
-            g_sub, to_global = induced_subgraph(g, active)
-            to_local = {v: i for i, v in enumerate(to_global)}
-            local_bip = bip.translate(to_local)
-            local_mu = mu.restrict(to_global)
-            result = solve_matching_round(g_sub, local_bip, float(params.capacity_c),
-                                          local_mu, round_index=t)
-            removed = frozenset(to_global[v] for v in result.removed)
-            pairs_global = [(to_global[a], to_global[b], w)
-                            for a, b, w in result.matching.off_diagonal]
-            matching = StochasticMatching.from_pairs(mu.values, pairs_global, t)
-            paths_global = tuple(
-                (to_global[a], to_global[b], w, tuple(to_global[x] for x in seq))
-                for a, b, w, seq in result.paths)
-            matched_weight = result.matched_weight
-            round_expansion = result.cut_expansion
+        result = solve_matching_round(g, state, bip, float(params.capacity_c), round_index=t)
 
         records.append(RoundRecord(
             index=t,
             active_before=tuple(sorted(active)),
-            removed=removed,
-            matching=matching,
-            paths=paths_global,
-            matched_weight=matched_weight,
-            cut_expansion=round_expansion,
+            removed=result.removed,
+            matching=result.matching,
+            paths=result.paths.paths,
+            matched_weight=result.matched_weight,
+            cut_expansion=result.cut_expansion,
         ))
-        matchings.append(matching)
-        active = active - removed
-        removed_all = removed_all | removed
+        matchings.append(result.matching)
+        active = active - result.removed
+        removed_all = removed_all | result.removed
         t += 1
 
         psi = None
@@ -197,7 +173,7 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
             _, psi = dense_walk_and_potential(post, limit=params.dense_limit)
         trace.append(TraceRow(t=t - 1, active_size=len(active),
                               mu_removed=mu.of(removed_all),
-                              matching_weight=matched_weight, psi=psi))
+                              matching_weight=result.matched_weight, psi=psi))
 
     final_walk = WalkOperator(matchings, params.delta, ActiveState(active, mu))
     mu_removed = mu.of(removed_all)

@@ -1,13 +1,15 @@
 """One matching-player round: route source mass or expose a sparse cut.
 
-Builds the auxiliary flow problem on the active subgraph (super-source to
-sources at their weights, targets to super-sink at theirs, every graph
-edge at capacity c times its weight), solves it exactly, and either
-reports full saturation (no cut) or returns the source side of the min
-cut together with the surviving flow.  Path endpoints become the round's
-matching, completed on the diagonal to be measure-stochastic.
+Builds the auxiliary flow problem on the active set A of the caller's
+graph (super-source to sources at their weights, targets to super-sink at
+theirs, every edge inside A at capacity c times its weight), solves it
+exactly, and either reports full saturation (no cut) or returns the
+source side of the min cut together with the surviving flow.  Path
+endpoints become the round's matching, completed on the diagonal to be
+measure-stochastic.
 
-All ids here are local to the active subgraph.
+All ids here are the caller's graph ids: vertices outside A stay in the
+network as isolated nodes, so nothing is relabeled.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from dataclasses import dataclass
 from .cutplayer import WeightedBipartition
 from .errors import InvariantViolation
 from .flow import FlowNetwork, PathDecomposition, decompose_paths, max_flow
-from .graph import EPS, Graph, VertexMeasure, cut_weight
-from .spectral import StochasticMatching
+from .graph import EPS, Graph
+from .spectral import ActiveState, StochasticMatching
 
 
 @dataclass(frozen=True)
 class MatchingRoundResult:
-    """Outcome of a single round on the active subgraph."""
+    """Outcome of a single round on the active set."""
 
     removed: frozenset
     matching: StochasticMatching
@@ -33,35 +35,43 @@ class MatchingRoundResult:
     feasible: bool
 
 
-def build_pi_problem(g_active: Graph, bip: WeightedBipartition, c: float,
-                     mu: VertexMeasure | None = None) -> FlowNetwork:
-    """Auxiliary network: source arcs at m_v, sink arcs at mbar_v, edges at c*w."""
+def build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipartition,
+                     c: float) -> FlowNetwork:
+    """Auxiliary network on g's ids plus source n and sink n + 1.
+
+    Source arcs at m_v, sink arcs at mbar_v, and every edge of g with both
+    endpoints active at c*w, in g.edges order.
+    """
     if c <= 0:
         raise ValueError("edge capacity factor c must be positive")
-    if mu is not None:
-        if bip.target_mass < mu.total / 2.0 - EPS * max(1.0, mu.total):
-            raise ValueError("target mass below half the active measure")
-        if bip.source_mass > mu.total / 8.0 + EPS * max(1.0, mu.total):
-            raise ValueError("source mass above an eighth of the active measure")
-    n = g_active.vertex_count
+    total = state.mu_active_total
+    if bip.target_mass < total / 2.0 - EPS * max(1.0, total):
+        raise ValueError("target mass below half the active measure")
+    if bip.source_mass > total / 8.0 + EPS * max(1.0, total):
+        raise ValueError("source mass above an eighth of the active measure")
+    n = g.vertex_count
+    active = state.active
     net = FlowNetwork(n + 2, source=n, sink=n + 1)
     for v, m in bip.sources:
         net.add_arc(n, v, m)
     for v, mb in bip.targets:
         net.add_arc(v, n + 1, mb)
-    for u, v, w in g_active.edges:
-        net.add_undirected_edge(u, v, c * w)
+    for u, v, w in g.edges:
+        if u in active and v in active:
+            net.add_undirected_edge(u, v, c * w)
     return net
 
 
-def solve_matching_round(g_active: Graph, bip: WeightedBipartition, c: float,
-                         mu: VertexMeasure, round_index: int = 0) -> MatchingRoundResult:
+def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition, c: float,
+                         round_index: int = 0) -> MatchingRoundResult:
     """Solve the round's flow problem and assemble the stochastic matching.
 
     Exactly one of the two outcomes holds: every source arc is saturated
-    (removed empty), or removed is nonempty with expansion at most 7/c and
-    at least a third of the active measure surviving.
+    (removed empty), or removed is a nonempty subset of the active set
+    with expansion at most 7/c inside it and at least a third of the
+    active measure surviving.
     """
+    mu = state.measure
     if not bip.sources:
         # nothing to route; the matching degenerates to the diagonal
         return MatchingRoundResult(
@@ -73,7 +83,7 @@ def solve_matching_round(g_active: Graph, bip: WeightedBipartition, c: float,
             feasible=True,
         )
 
-    net = build_pi_problem(g_active, bip, c, mu)
+    net = build_pi_problem(g, state, bip, c)
     sol = max_flow(net)
     source_total = bip.source_mass
     tol = EPS * max(1.0, source_total)
@@ -120,9 +130,15 @@ def solve_matching_round(g_active: Graph, bip: WeightedBipartition, c: float,
 
     cut_expansion = None
     if removed:
-        rest = [v for v in range(g_active.vertex_count) if v not in removed]
-        crossing = cut_weight(g_active, removed)
-        mu_rest = mu.of(rest)
+        active = state.active
+        # edges into vertices removed in earlier rounds are not part of
+        # this round's cut, so only active-active edges count
+        crossing = 0.0
+        for u, v, w in g.edges:
+            if u in active and v in active and (u in removed) != (v in removed):
+                crossing += w
+        total = state.mu_active_total
+        mu_rest = mu.of(active - removed)
         mu_removed = mu.of(removed)
         denom = min(mu_removed, mu_rest)
         if denom <= 0.0:
@@ -131,9 +147,9 @@ def solve_matching_round(g_active: Graph, bip: WeightedBipartition, c: float,
         if cut_expansion > 7.0 / c + EPS * max(1.0, 7.0 / c):
             raise InvariantViolation(
                 f"round cut expansion {cut_expansion} exceeds 7/c = {7.0 / c}")
-        if mu_rest < mu.total / 3.0 - EPS * max(1.0, mu.total):
+        if mu_rest < total / 3.0 - EPS * max(1.0, total):
             raise InvariantViolation(
-                f"surviving measure {mu_rest} below a third of {mu.total}")
+                f"surviving measure {mu_rest} below a third of {total}")
 
     return MatchingRoundResult(
         removed=removed,

@@ -84,7 +84,9 @@ class StochasticMatching:
         """Build the completed matrix from raw endpoint pairs.
 
         Self-pairs are dropped: they add equal amounts to a row sum and to
-        the diagonal, so the completion mu - rowsum reproduces them.
+        the diagonal, so the completion mu - rowsum reproduces them.  Row
+        sums accumulate in sorted pair order, the order of the stored
+        off-diagonal.
         """
         mu_values = np.asarray(mu_values, dtype=float)
         merged: dict[tuple[int, int], float] = {}
@@ -95,7 +97,7 @@ class StochasticMatching:
             key = (min(u, v), max(u, v))
             merged[key] = merged.get(key, 0.0) + w
         row = np.zeros(len(mu_values))
-        for (u, v), w in merged.items():
+        for (u, v), w in sorted(merged.items()):
             row[u] += w
             row[v] += w
         slack = mu_values - row
@@ -223,10 +225,6 @@ class WalkOperator:
                 y = apply_normalized_matching(m, self.measure, self.delta, y)
             y = apply_projection(self.state, y)
         return y
-
-
-def apply_walk(w: WalkOperator, x) -> np.ndarray:
-    return w.apply(x)
 
 
 def projections(w: WalkOperator, r) -> np.ndarray:

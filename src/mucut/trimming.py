@@ -45,26 +45,23 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
         raise ValueError(
             f"trim precondition failed: boundary weight {boundary} > phi*mu(A)/9 = {limit}")
 
-    order = sorted(a_set)
-    local = {v: i for i, v in enumerate(order)}
-    k = len(order)
-    s, t = k, k + 1
-    net = FlowNetwork(k + 2, source=s, sink=t)
+    # the network keeps g's ids: vertices outside A are isolated nodes
+    n = g.vertex_count
+    s, t = n, n + 1
+    net = FlowNetwork(n + 2, source=s, sink=t)
     cap_edge = 3.0 / phi
     for u, v, w in g.edges:
-        iu = local.get(u)
-        iv = local.get(v)
-        if iu is not None and iv is not None:
-            net.add_undirected_edge(iu, iv, cap_edge * w)
-        elif iu is not None:
-            net.add_arc(s, iu, cap_edge * w)
-        elif iv is not None:
-            net.add_arc(s, iv, cap_edge * w)
-    for i, v in enumerate(order):
-        net.add_arc(i, t, mu.values[v])
+        if u in a_set and v in a_set:
+            net.add_undirected_edge(u, v, cap_edge * w)
+        elif u in a_set:
+            net.add_arc(s, u, cap_edge * w)
+        elif v in a_set:
+            net.add_arc(s, v, cap_edge * w)
+    for v in sorted(a_set):
+        net.add_arc(v, t, mu.values[v])
 
     sol = max_flow(net)
-    trimmed = frozenset(order[i] for i in range(k) if i not in sol.min_cut_side)
+    trimmed = a_set - sol.min_cut_side
     if not trimmed:
         raise InvariantViolation("trimming removed the whole set despite the precondition")
 

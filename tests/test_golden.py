@@ -1,0 +1,146 @@
+"""Exact outputs pinned on small seeded instances.
+
+Each instance pins a SHA-256 of its ``decompose`` clusters and of the full
+round records of one ``run_cut_matching`` game: active sets, removed sets,
+matching off-diagonals (float bits), diagonal bytes, paths, matched
+weights and round cut expansions.  A refactor that keeps the arithmetic
+keeps every digest; a change that moves numerics must say why and pin the
+new values.
+
+The instances cover a planted three-block graph whose game removes a
+balanced cut, a grid with zero-measure vertices, a grid with two terminals
+whose game has a round without sources, and an expander with a light
+whisker: its game removes the whisker and plays on with active vertices
+adjacent to removed ones, and its decomposition trims.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from mucut import GameParams, Graph, VertexMeasure, decompose, run_cut_matching
+
+
+def planted_blocks():
+    rng = np.random.default_rng(5)
+    edges = {}
+    for base in (0, 16, 32):
+        for i in range(base, base + 16):
+            for j in range(i + 1, base + 16):
+                if rng.random() < 0.5:
+                    edges[(i, j)] = float(rng.uniform(0.5, 2.0))
+    for u, v in ((3, 20), (18, 40), (7, 45)):
+        edges[(u, v)] = 1.0
+    g = Graph(48, [(u, v, w) for (u, v), w in sorted(edges.items())])
+    return g, VertexMeasure.from_degrees(g), 0.05, 11
+
+
+def grid(rows, cols, rng):
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1, float(rng.uniform(0.5, 2.0))))
+            if i + 1 < rows:
+                edges.append((v, v + cols, float(rng.uniform(0.5, 2.0))))
+    return Graph(rows * cols, edges)
+
+
+def terminal_grid():
+    rng = np.random.default_rng(5)
+    g = grid(6, 8, rng)
+    vals = np.where(rng.random(48) < 0.3, rng.uniform(0.5, 3.0, 48), 0.0)
+    return g, VertexMeasure(vals), 0.1, 11
+
+
+def two_terminal_grid():
+    g = Graph(24, [(v, v + 1, 1.0) for v in range(24) if v % 6 < 5]
+              + [(v, v + 6, 1.0) for v in range(18)])
+    rng = np.random.default_rng(2)
+    terminals = rng.choice(24, 2, replace=False)
+    vals = np.zeros(24)
+    vals[terminals] = rng.uniform(1.0, 3.0, 2)
+    return g, VertexMeasure(vals), 0.1, 0
+
+
+def light_whisker():
+    # 8-regular multigraph on 56 vertices, plus a 3-vertex path hung off one
+    # vertex by a 0.05 edge; the path vertices carry measure 0.1 each
+    rng = np.random.default_rng(0)
+    edges = {}
+    for _ in range(4):
+        order = rng.permutation(56).tolist()
+        for i in range(56):
+            u, v = order[i], order[(i + 1) % 56]
+            key = (min(u, v), max(u, v))
+            edges[key] = edges.get(key, 0.0) + 1.0
+    anchor = int(rng.integers(56))
+    edges[(anchor, 56)] = 0.05
+    edges[(56, 57)] = 1.0
+    edges[(57, 58)] = 1.0
+    g = Graph(59, [(u, v, w) for (u, v), w in sorted(edges.items())])
+    vals = np.array(g.weighted_degrees())
+    vals[56:] = 0.1
+    return g, VertexMeasure(vals), 0.05, 0
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def hexf(x):
+    return None if x is None else float(x).hex()
+
+
+def clusters_digest(clusters) -> str:
+    return digest(sorted(sorted(int(v) for v in c) for c in clusters))
+
+
+def game_digest(out) -> str:
+    rounds = []
+    for rec in out.rounds:
+        rounds.append({
+            "index": rec.index,
+            "active_before": list(rec.active_before),
+            "removed": sorted(rec.removed),
+            "off_diagonal": [[u, v, hexf(w)] for u, v, w in rec.matching.off_diagonal],
+            "diagonal": rec.matching.diagonal.tobytes().hex(),
+            "paths": [[a, b, hexf(w), list(seq)] for a, b, w, seq in rec.paths],
+            "matched_weight": hexf(rec.matched_weight),
+            "cut_expansion": hexf(rec.cut_expansion),
+        })
+    return digest({"variant": out.variant.value, "a_side": sorted(out.a_side),
+                   "r_side": sorted(out.r_side), "rounds": rounds})
+
+
+# instance -> (clusters digest, game digest, rounds, rounds that remove a cut,
+#              rounds without sources)
+GOLDEN = {
+    planted_blocks: (
+        "895ed137d83fdeb4104649d7579603c30514695f91c8d59c86740d4dff75c4d3",
+        "045cb181510d5d0e606712e5cd137f758f995d38ea77e3db19d65d359195bd20", 9, 1, 0),
+    terminal_grid: (
+        "d26fc37e6fcf876c23fa0db6826bff407cc0c52519985856a36ad551970ab01e",
+        "436eff863e6a976f0b813059d183f072382857a46e8627ffc40c655d733fcec9", 63, 0, 0),
+    two_terminal_grid: (
+        "94f3cf6134b64acc1f2129fdcd2d47181bf7d3201ef5c129bfd854b1c3a22d7b",
+        "3654be53b938d8ba4db15c49442c0fef7debc0ca50b789263ce4b4a5e3ceb82d", 43, 0, 1),
+    light_whisker: (
+        "23594f26c1225d1e2f4ec9fc84a7b4c62d13aa946f4c03b2434bfbea3306d63d",
+        "0968759022a0976c1f4c95b6fde2f5b7754d5c33df9a2ee666af6c6806b0db5f", 70, 1, 0),
+}
+
+
+@pytest.mark.parametrize("make", list(GOLDEN), ids=lambda f: f.__name__)
+def test_pinned_outputs(make):
+    g, mu, phi, seed = make()
+    want_clusters, want_game, want_rounds, want_cuts, want_idle = GOLDEN[make]
+    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, phi), np.random.default_rng(seed))
+    assert len(out.rounds) == want_rounds
+    assert sum(1 for rec in out.rounds if rec.removed) == want_cuts
+    assert sum(1 for rec in out.rounds if not rec.removed and not rec.paths) == want_idle
+    assert game_digest(out) == want_game
+    assert clusters_digest(decompose(g, mu, phi, rng=seed).clusters) == want_clusters

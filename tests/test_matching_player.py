@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mucut import Graph, VertexMeasure
+from mucut import Graph, VertexMeasure, induced_subgraph
 from mucut.cutplayer import WeightedBipartition, rst_partition
 from mucut.matching import build_pi_problem, solve_matching_round
 from mucut.spectral import ActiveState
@@ -18,8 +18,9 @@ def manual_bip(sources, targets, eta=0.0, case_two=False):
 
 def test_build_pi_arc_arithmetic():
     g = Graph(4, clique_edges(range(4)))
+    mu = VertexMeasure([1.0] * 4)
     bip = manual_bip([(0, 0.5)], [(1, 1.0), (2, 1.0), (3, 1.0)])
-    net = build_pi_problem(g, bip, c=1.0)
+    net = build_pi_problem(g, ActiveState(range(4), mu), bip, c=1.0)
     capacity_arcs = [a for a in net.arcs() if a[2] > 0]
     assert len(capacity_arcs) == 1 + 3 + 2 * 6
     source_caps = [c for (u, v, c) in net.arcs() if u == net.source]
@@ -31,17 +32,17 @@ def test_build_pi_respects_mass_preconditions():
     mu = VertexMeasure([1.0] * 4)
     light_targets = manual_bip([(0, 0.5)], [(1, 1.0)])
     with pytest.raises(ValueError):
-        build_pi_problem(g, light_targets, c=1.0, mu=mu)
+        build_pi_problem(g, ActiveState(range(4), mu), light_targets, c=1.0)
     heavy_sources = manual_bip([(0, 1.0)], [(1, 1.0), (2, 1.0), (3, 1.0)])
     with pytest.raises(ValueError):
-        build_pi_problem(g, heavy_sources, c=1.0, mu=mu)
+        build_pi_problem(g, ActiveState(range(4), mu), heavy_sources, c=1.0)
 
 
 def test_empty_sources_round_is_trivially_feasible():
     g = Graph(4, clique_edges(range(4)))
     mu = VertexMeasure([1.0] * 4)
     bip = manual_bip([], [(v, 1.0) for v in range(4)])
-    res = solve_matching_round(g, bip, c=2.0, mu=mu)
+    res = solve_matching_round(g, ActiveState(range(4), mu), bip, c=2.0)
     assert res.feasible
     assert res.removed == frozenset()
     assert res.matched_weight == 0.0
@@ -53,7 +54,7 @@ def test_expander_round_fully_matches():
     g = Graph(8, clique_edges(range(8)))
     mu = VertexMeasure([1.0] * 8)
     bip = manual_bip([(0, 0.5), (1, 0.5)], [(v, 1.0) for v in range(2, 8)])
-    res = solve_matching_round(g, bip, c=8.0, mu=mu)
+    res = solve_matching_round(g, ActiveState(range(8), mu), bip, c=8.0)
     assert res.feasible and not res.removed
     assert res.matched_weight == pytest.approx(1.0)
     sent = {}
@@ -70,7 +71,7 @@ def test_disconnected_sources_yield_zero_expansion_cut():
     g = Graph(6, edges)
     mu = VertexMeasure([1.0] * 6)
     bip = manual_bip([(0, 0.4)], [(v, 1.0) for v in (3, 4, 5)])
-    res = solve_matching_round(g, bip, c=1.0, mu=mu)
+    res = solve_matching_round(g, ActiveState(range(6), mu), bip, c=1.0)
     assert not res.feasible
     assert res.removed
     assert res.cut_expansion == 0.0
@@ -82,7 +83,7 @@ def test_self_pairs_fold_into_the_diagonal():
     g = Graph(2, [(0, 1, 1.0)])
     mu = VertexMeasure([1.0, 1.0])
     bip = manual_bip([(0, 0.25)], [(0, 0.5), (1, 1.0)])
-    res = solve_matching_round(g, bip, c=2.0, mu=mu)
+    res = solve_matching_round(g, ActiveState(range(2), mu), bip, c=2.0)
     assert res.feasible
     assert np.allclose(res.matching.row_sums(), mu.values, atol=1e-9)
 
@@ -100,7 +101,7 @@ def test_random_round_contract(seed):
         if not bip.sources:
             continue
         c = float(rng.integers(1, 5))
-        res = solve_matching_round(g, bip, c, mu)
+        res = solve_matching_round(g, state, bip, c)
 
         # feasibility dichotomy
         assert res.feasible == (len(res.removed) == 0)
@@ -131,3 +132,60 @@ def test_random_round_contract(seed):
         # per-round embedding congestion at most c
         congestion = check_embedding_congestion(g, res.paths)
         assert congestion <= c * (1 + 1e-9)
+
+
+def round_on_induced_subgraph(g, state, bip, c, round_index):
+    """The round solved on G[A] with local ids, mapped back to g's ids."""
+    sub, order = induced_subgraph(g, state.active)
+    local = {v: i for i, v in enumerate(order)}
+    sub_mu = VertexMeasure(state.measure.values[list(order)])
+    sub_bip = manual_bip([(local[v], w) for v, w in bip.sources],
+                         [(local[v], w) for v, w in bip.targets])
+    res = solve_matching_round(sub, ActiveState(range(len(order)), sub_mu), sub_bip, c,
+                               round_index)
+    diagonal = state.measure.values.copy()
+    diagonal[list(order)] = res.matching.diagonal
+    return {
+        "removed": frozenset(order[v] for v in res.removed),
+        "paths": tuple((order[a], order[b], w, tuple(order[x] for x in seq))
+                       for a, b, w, seq in res.paths),
+        "matched_weight": res.matched_weight,
+        "off_diagonal": tuple((order[a], order[b], w) for a, b, w in res.matching.off_diagonal),
+        "diagonal": diagonal,
+        "cut_expansion": res.cut_expansion,
+        "feasible": res.feasible,
+    }
+
+
+def test_active_subset_round_equals_induced_subgraph_round():
+    # the round on a strict active subset of g, whose vertices have edges to
+    # inactive ones, is bit-for-bit the round on G[A] with ids mapped back
+    rng = np.random.default_rng(900)
+    outcomes = []
+    for _ in range(30):
+        n = int(rng.integers(8, 16))
+        g = random_connected_graph(rng, n, extra=float(rng.uniform(0.5, 3.0)), weighted=True)
+        mu = random_measure(rng, n, zero_frac=0.2)
+        active = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.7))
+        state = ActiveState(active, mu)
+        if len(active) == n or np.count_nonzero(state.mask) < 2:
+            continue
+        assert any((u in active) != (v in active) for u, v, _ in g.edges)
+        u = orthogonalized_projection(rng, VertexMeasure(np.where(state.mask, mu.values, 0.0)))
+        bip = rst_partition(state, u)
+        if not bip.sources:
+            continue
+        c = float(rng.integers(1, 5))
+        res = solve_matching_round(g, state, bip, c, round_index=3)
+        want = round_on_induced_subgraph(g, state, bip, c, 3)
+        assert res.removed == want["removed"]
+        assert res.paths.paths == want["paths"]
+        assert res.matched_weight == want["matched_weight"]
+        assert res.matching.off_diagonal == want["off_diagonal"]
+        assert np.array_equal(res.matching.diagonal, want["diagonal"])
+        assert res.cut_expansion == want["cut_expansion"]
+        assert res.feasible == want["feasible"]
+        assert res.removed <= active
+        outcomes.append(res.feasible)
+    # both a fully routed round and one that removes a cut were compared
+    assert set(outcomes) == {True, False}

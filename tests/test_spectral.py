@@ -131,6 +131,16 @@ def test_matching_row_sums_equal_measure():
         assert np.abs(m.row_sums() - mu.values).max() < 1e-9
 
 
+def test_matching_diagonal_independent_of_pair_order():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit; the row
+    # sums run in sorted pair order, so the diagonal bytes do not
+    mu = VertexMeasure([1.0] * 4)
+    pairs = [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3)]
+    forward = StochasticMatching.from_pairs(mu.values, pairs, 0)
+    backward = StochasticMatching.from_pairs(mu.values, pairs[::-1], 0)
+    assert forward.diagonal.tobytes() == backward.diagonal.tobytes()
+
+
 def test_matching_rejects_overfull_rows():
     mu = VertexMeasure([1.0, 1.0])
     with pytest.raises(InvariantViolation):
