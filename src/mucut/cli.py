@@ -6,23 +6,25 @@ defaults to 1.0), '#' starts a comment, and an optional first line
 without one the measure defaults to weighted degrees, and vertices absent
 from the file get measure zero.
 
-Exit codes: 0 success, 2 malformed input, 3 internal assertion failure.
-Identical flags and seed produce byte-identical JSON.
+Exit codes: 0 success, 2 malformed input (flags or files), 3 internal
+failure.  Identical flags and seed produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from .decompose import DecomposeConfig, decompose, balanced_or_expander, OutcomeKind
 from .errors import GraphInputError
 from .game import GameParams
-from .graph import Graph, Infinite, VertexMeasure, is_connected
-from .spectral import DENSE_LIMIT
+from .graph import Cut, Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
+from .spectral import DENSE_LIMIT, is_power_of_two
 from .verify import brute_force_expansion, validate_partition, MAX_ENUM_N
 
 
@@ -114,8 +116,27 @@ def _write_trace(path: str, rows) -> None:
             fh.write(f"{row.t},{row.active_size},{row.mu_removed!r},{row.matching_weight!r},{psi}\n")
 
 
-def _config_from_args(args) -> DecomposeConfig:
-    return DecomposeConfig(
+def _check_args(args) -> None:
+    """Reject flag values the algorithms cannot run with as malformed input."""
+    for flag, value, ok, want in (
+            ("--phi", args.phi, args.phi is None or 0.0 < args.phi < math.inf, "positive, finite"),
+            ("--log-base", args.log_base, args.log_base > 1.0, "greater than 1"),
+            ("--delta", args.delta, args.delta is None or is_power_of_two(args.delta),
+             "a power of two"),
+            ("--verify-max-n", args.verify_max_n, 1 <= args.verify_max_n <= MAX_ENUM_N,
+             f"in [1, {MAX_ENUM_N}]"),
+            ("--seed", args.seed, args.seed >= 0, "non-negative"),
+            ("--t-factor", args.t_factor, math.isfinite(args.t_factor), "finite"),
+            ("--c-factor", args.c_factor, math.isfinite(args.c_factor), "finite")):
+        if not ok:
+            raise GraphInputError(f"{flag} must be {want}, got {value}")
+
+
+def cmd_decompose(args) -> int:
+    g = load_graph(args.graph)
+    mu = load_measure(args.mu, g)
+    trace_rows: list = []
+    cfg = DecomposeConfig(
         t_factor=args.t_factor,
         c_factor=args.c_factor,
         delta=args.delta,
@@ -123,16 +144,8 @@ def _config_from_args(args) -> DecomposeConfig:
         dense_limit=args.dense_limit,
         trace_psi=args.trace is not None,
         verify_max_n=args.verify_max_n,
+        trace_hook=trace_rows.extend if args.trace is not None else None,
     )
-
-
-def cmd_decompose(args) -> int:
-    g = load_graph(args.graph)
-    mu = load_measure(args.mu, g)
-    trace_rows: list = []
-    cfg = _config_from_args(args)
-    if args.trace is not None:
-        cfg = DecomposeConfig(**{**cfg.__dict__, "trace_hook": trace_rows.extend})
     result = decompose(g, mu, args.phi, cfg, rng=args.seed)
     payload = {
         "clusters": [list(c) for c in result.clusters],
@@ -166,7 +179,6 @@ def cmd_sparse_cut(args) -> int:
     if outcome.kind is OutcomeKind.CERTIFIED:
         expansion = None
     else:
-        from .graph import Cut, mu_expansion_of_cut
         expansion = mu_expansion_of_cut(g, mu, Cut(outcome.rest))
     payload = {
         "case": outcome.kind.value,
@@ -198,19 +210,25 @@ def cmd_verify(args) -> int:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise GraphInputError(f"cannot read partition file {args.partition}: {exc}") from exc
-
-        class _Loaded:
-            clusters = [tuple(c) for c in data["clusters"]]
-            inter_cluster_edge_weight = float(data["inter_cluster_edge_weight"])
-
-        phi = args.phi if args.phi is not None else float(data.get("phi", 0.1))
-        report = validate_partition(g, mu, _Loaded, phi, check_level=args.check_level,
+        clusters = data.get("clusters") if isinstance(data, dict) else None
+        if not (isinstance(clusters, list) and all(
+                isinstance(c, list) and c and all(type(v) is int for v in c) for c in clusters)):
+            raise GraphInputError(f"{args.partition}: 'clusters' must be lists of vertex ids")
+        weight = data.get("inter_cluster_edge_weight")
+        if type(weight) not in (int, float):
+            raise GraphInputError(f"{args.partition}: 'inter_cluster_edge_weight' must be a number")
+        phi = args.phi if args.phi is not None else data.get("phi", 0.1)
+        if type(phi) not in (int, float) or not 0.0 < phi < math.inf:
+            raise GraphInputError(f"{args.partition}: 'phi' must be positive and finite")
+        loaded = SimpleNamespace(clusters=[tuple(c) for c in clusters],
+                                 inter_cluster_edge_weight=float(weight))
+        report = validate_partition(g, mu, loaded, phi, check_level=args.check_level,
                                     max_n=args.verify_max_n)
         _emit_json(report.to_dict(), args.json_out)
         return 0
-    if g.vertex_count > MAX_ENUM_N:
+    if not 2 <= g.vertex_count <= MAX_ENUM_N:
         raise GraphInputError(
-            f"brute-force expansion is capped at n = {MAX_ENUM_N}; got {g.vertex_count}")
+            f"brute-force expansion needs 2 <= n <= {MAX_ENUM_N}; got {g.vertex_count}")
     value, witness = brute_force_expansion(g, mu)
     payload = {
         "expansion": value,
@@ -269,11 +287,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
-    except (OSError, ValueError) as exc:  # GraphInputError is a ValueError
+    except (OSError, GraphInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:  # InvariantViolation is an AssertionError
+    except (ValueError, AssertionError) as exc:  # InvariantViolation is an AssertionError
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
 

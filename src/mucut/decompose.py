@@ -2,10 +2,11 @@
 
 One step runs the game and, when the removed side is small, trims the
 large side into a certified expander before reclassifying by balance.
-The decomposition recurses: certified components become clusters,
-balanced cuts recurse on both sides, unbalanced ones keep the trimmed
-expander as a cluster and recurse on the rest.  Edges are charged to the
-level at which their endpoints first separate.
+The decomposition works through a depth-first worklist of connected
+components: certified components become clusters, balanced cuts push the
+pieces of both sides, unbalanced ones keep the trimmed expander as a
+cluster and push the pieces of the rest.  Edges are charged to the level
+at which their endpoints first separate.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ class BalanceOutcome:
 def balanced_or_expander(g: Graph, mu: VertexMeasure, params: GameParams,
                          rng: np.random.Generator, *, log_base: float = 2.0) -> BalanceOutcome:
     """Run the game; trim and reclassify when the removed side is small."""
+    if not log_base > 1.0:
+        raise ValueError(f"log_base must exceed 1, got {log_base}")
     out = run_cut_matching(g, mu, params, rng)
     everything = frozenset(range(g.vertex_count))
     if out.variant is Variant.CERTIFIED_EXPANDER:
@@ -119,8 +122,11 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
               rng=None) -> DecompositionResult:
     """Partition the vertex set into measure-expander clusters.
 
-    Splits into connected components, then recurses per the
-    balanced-or-expander step.  `rng` may be a seed or a numpy Generator.
+    One balanced-or-expander step per component of a depth-first worklist,
+    every set kept in g's ids.  All games draw from one generator, so the
+    visiting order is part of the output contract: a cut's pieces (the
+    expander side's, then the rest's, each by smallest vertex) are visited
+    in turn, each with its whole subtree.  `rng` may be a seed or a Generator.
     """
     if phi <= 0:
         raise ValueError("phi must be positive")
@@ -133,28 +139,26 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     if depth_limit is None:
         depth_limit = int(4 * math.log2(max(2, n)) ** 2 + 8)
 
-    clusters: list[tuple[int, ...]] = []
-    certificates: list[ClusterCertificate] = []
+    found: list[tuple[tuple[int, ...], str]] = []  # (cluster, certificate kind)
     charged = 0.0
     max_depth = 0
-
-    def handle(component: tuple[int, ...], depth: int) -> None:
-        # `component` is connected in g and sorted
-        nonlocal charged, max_depth
+    # LIFO worklist of (component, depth); each component is connected in g
+    # and sorted.  Children are pushed in reverse so that they pop in order.
+    stack = [(comp, 0) for comp in reversed(connected_components(g))]
+    while stack:
+        component, depth = stack.pop()
         max_depth = max(max_depth, depth)
         if depth > depth_limit:
             raise InvariantViolation(
                 f"recursion depth {depth} exceeded the limit {depth_limit}; no progress")
         if len(component) == 1:
-            clusters.append(component)
-            certificates.append(_certificate(g, mu, component, "singleton", cfg.verify_max_n))
-            return
+            found.append((component, "singleton"))
+            continue
         mu_c = mu.restrict(component)
         if mu_c.total <= 0.0:
             # no positive-measure cuts exist inside: the component is one cluster
-            clusters.append(component)
-            certificates.append(_certificate(g, mu, component, "zero-measure", cfg.verify_max_n))
-            return
+            found.append((component, "zero-measure"))
+            continue
         sub, to_global = induced_subgraph(g, component)
         params = GameParams.for_graph(sub, mu_c, phi, t_factor=cfg.t_factor,
                                       c_factor=cfg.c_factor, delta=cfg.delta,
@@ -163,45 +167,27 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
         if cfg.trace_hook is not None:
             cfg.trace_hook(outcome.game.trace)
         if outcome.kind is OutcomeKind.CERTIFIED:
-            clusters.append(component)
-            certificates.append(_certificate(g, mu, component, "certified-by-game",
-                                             cfg.verify_max_n))
-            return
-
-        side_a = outcome.expander_side
-        side_b = outcome.rest
-        if min(mu_c.of(side_a), mu_c.of(side_b)) <= 0.0:
+            found.append((component, "certified-by-game"))
+            continue
+        if min(mu_c.of(outcome.expander_side), mu_c.of(outcome.rest)) <= 0.0:
             # degenerate measure: cutting would not progress measure-wise;
             # keep the component whole and flag it
-            clusters.append(component)
-            certificates.append(_certificate(g, mu, component, "zero-measure",
-                                             cfg.verify_max_n))
-            return
-        charged += cut_weight(sub, Cut(side_a))
-
+            found.append((component, "zero-measure"))
+            continue
+        charged += cut_weight(sub, Cut(outcome.expander_side))
+        side_a = [to_global[v] for v in outcome.expander_side]
+        side_b = [to_global[v] for v in outcome.rest]
         if outcome.kind is OutcomeKind.UNBALANCED_EXPANDER_CUT:
             # a trimmed set is normally connected; if its certificate ever
             # fails to that extent, its components are only better expanders
-            kept = sorted(to_global[v] for v in side_a)
-            kept_sub, kept_order = induced_subgraph(g, kept)
-            for comp in connected_components(kept_sub):
-                cluster = tuple(kept_order[v] for v in comp)
-                clusters.append(cluster)
-                certificates.append(_certificate(g, mu, cluster, "certified-by-trim",
-                                                 cfg.verify_max_n))
-            recurse_sides = [side_b]
+            found.extend((comp, "certified-by-trim") for comp in connected_components(g, side_a))
+            children = connected_components(g, side_b)
         else:
-            recurse_sides = [side_a, side_b]
+            children = connected_components(g, side_a) + connected_components(g, side_b)
+        stack.extend((comp, depth + 1) for comp in reversed(children))
 
-        for side in recurse_sides:
-            global_side = sorted(to_global[v] for v in side)
-            side_sub, side_order = induced_subgraph(g, global_side)
-            for comp in connected_components(side_sub):
-                handle(tuple(side_order[v] for v in comp), depth + 1)
-
-    for comp in connected_components(g):
-        handle(comp, 0)
-
+    found.sort()  # clusters are disjoint, so the order is by cluster alone
+    clusters = tuple(cl for cl, _ in found)
     # exactness and accounting checks on the assembled partition
     flat = [v for cl in clusters for v in cl]
     if len(flat) != n or set(flat) != set(range(n)):
@@ -219,11 +205,10 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     denom = phi * mu.total * log2n * log2n
     ratio = recount / denom if denom > 0 else None
 
-    order = sorted(range(len(clusters)), key=lambda i: clusters[i])
     return DecompositionResult(
-        clusters=tuple(clusters[i] for i in order),
+        clusters=clusters,
         inter_cluster_edge_weight=recount,
-        per_cluster=tuple(certificates[i] for i in order),
+        per_cluster=tuple(_certificate(g, mu, cl, kind, cfg.verify_max_n) for cl, kind in found),
         recursion_depth=max_depth,
         params={
             "phi": phi,

@@ -62,9 +62,6 @@ class FlowNetwork:
     def arc_count(self) -> int:
         return len(self.to)
 
-    def tail(self, arc: int) -> int:
-        return self.to[arc ^ 1]
-
     def arcs(self):
         """(tail, head, capacity) for every stored arc slot, twins included."""
         return [(self.to[i ^ 1], self.to[i], self.cap[i]) for i in range(len(self.to))]

@@ -83,14 +83,13 @@ class Cut:
 class Graph:
     """Undirected weighted graph on dense vertex ids 0..n-1.
 
-    Parallel edges are merged by weight summation at construction.  Input
-    graphs reject self-loops; graphs built internally by the game may carry
-    them (``allow_self_loops=True``).
+    Parallel edges are merged by weight summation at construction;
+    self-loops are rejected.
     """
 
     __slots__ = ("vertex_count", "edges", "adjacency", "_pair_index", "_degrees")
 
-    def __init__(self, vertex_count: int, edges: Iterable[Sequence], *, allow_self_loops: bool = False):
+    def __init__(self, vertex_count: int, edges: Iterable[Sequence]):
         n = int(vertex_count)
         if n < 0:
             raise GraphInputError("vertex_count must be non-negative")
@@ -99,7 +98,7 @@ class Graph:
             u, v, w = (int(e[0]), int(e[1]), float(e[2])) if len(e) == 3 else (int(e[0]), int(e[1]), 1.0)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphInputError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v and not allow_self_loops:
+            if u == v:
                 raise GraphInputError(f"self-loop at vertex {u} rejected")
             if not (w > 0.0) or not np.isfinite(w):
                 raise GraphInputError(f"edge ({u},{v}) has non-positive weight {w}")
@@ -110,10 +109,9 @@ class Graph:
         degrees = np.zeros(n)
         for idx, (u, v, w) in enumerate(edge_list):
             adjacency[u].append((v, w, idx))
-            if v != u:
-                adjacency[v].append((u, w, idx))
-                degrees[u] += w
-                degrees[v] += w
+            adjacency[v].append((u, w, idx))
+            degrees[u] += w
+            degrees[v] += w
         self.vertex_count = n
         self.edges = edge_list
         self.adjacency = tuple(tuple(a) for a in adjacency)
@@ -125,12 +123,8 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def total_edge_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
-
     def weighted_degrees(self) -> np.ndarray:
-        """Per-vertex sum of incident edge weights; self-loops do not count."""
+        """Per-vertex sum of incident edge weights."""
         return self._degrees
 
     def edge_weight(self, u: int, v: int) -> float | None:
@@ -252,21 +246,24 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(to_global), sub_edges), to_global
 
 
-def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Components as sorted vertex tuples, ordered by smallest member."""
-    seen = [False] * g.vertex_count
+def connected_components(g: Graph, vertices: Iterable[int] | None = None
+                         ) -> tuple[tuple[int, ...], ...]:
+    """Components of G[vertices] (default: all of g) as sorted tuples of g's
+    ids, ordered by smallest member; no subgraph is built."""
+    inside = range(g.vertex_count) if vertices is None else frozenset(int(v) for v in vertices)
+    seen = set()
     comps = []
-    for start in range(g.vertex_count):
-        if seen[start]:
+    for start in sorted(inside):
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         comp = [start]
         queue = deque([start])
         while queue:
             x = queue.popleft()
             for y, _, _ in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
+                if y in inside and y not in seen:
+                    seen.add(y)
                     comp.append(y)
                     queue.append(y)
         comps.append(tuple(sorted(comp)))

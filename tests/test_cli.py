@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from mucut import cli
 from mucut.cli import load_graph, load_measure, main
 from mucut.errors import GraphInputError
 
@@ -87,6 +88,33 @@ def test_bad_phi_exits_2(k8_file):
     assert main(["decompose", "--graph", k8_file, "--phi", "-1.0"]) == 2
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("decompose", ["--phi", "0"]),
+    ("decompose", ["--phi", "nan"]),
+    ("decompose", ["--phi", "0.1", "--log-base", "1"]),
+    ("sparse-cut", ["--phi", "0.1", "--log-base", "0.5"]),
+    ("decompose", ["--phi", "0.1", "--delta", "3"]),
+    ("decompose", ["--phi", "0.1", "--verify-max-n", "0"]),
+    ("decompose", ["--phi", "0.1", "--verify-max-n", "21"]),
+    ("sparse-cut", ["--phi", "0.1", "--seed", "-1"]),
+    ("decompose", ["--phi", "0.1", "--t-factor", "inf"]),
+    ("decompose", ["--phi", "0.1", "--c-factor", "nan"]),
+    ("verify", ["--phi", "-0.1"]),
+])
+def test_bad_flag_values_exit_2(k8_file, capsys, command, flags):
+    assert main([command, "--graph", k8_file] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_value_error_exits_3(k8_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("solver bug")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    assert main(["decompose", "--graph", k8_file, "--phi", "0.1"]) == 3
+    assert "internal check failed: solver bug" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(dumbbell_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -150,6 +178,29 @@ def test_verify_size_cap_exits_2(tmp_path):
     p = tmp_path / "big.txt"
     p.write_text("\n".join(f"{i} {i + 1}" for i in range(25)) + "\n")
     assert main(["verify", "--graph", str(p)]) == 2
+
+
+def test_verify_single_vertex_exits_2(tmp_path):
+    p = tmp_path / "one.txt"
+    p.write_text("p 1 0\n")
+    assert main(["verify", "--graph", str(p)]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    {"inter_cluster_edge_weight": 1.0},
+    {"clusters": [[0, 1]]},
+    {"clusters": "0 1", "inter_cluster_edge_weight": 0.0},
+    {"clusters": [[0, "1"]], "inter_cluster_edge_weight": 0.0},
+    {"clusters": [[0], []], "inter_cluster_edge_weight": 0.0},
+    {"clusters": [[0, 1.5]], "inter_cluster_edge_weight": 0.0},
+    {"clusters": [list(range(8))], "inter_cluster_edge_weight": "0"},
+    {"clusters": [list(range(8))], "inter_cluster_edge_weight": 0.0, "phi": -1},
+    [[0, 1]],
+])
+def test_verify_malformed_partition_exits_2(k8_file, tmp_path, content):
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(content))
+    assert main(["verify", "--graph", k8_file, "--partition", str(part)]) == 2
 
 
 def test_console_entry_point(k8_file):

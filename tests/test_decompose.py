@@ -1,9 +1,12 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
 from mucut import (Cut, GameParams, Graph, VertexMeasure, cut_weight, decompose,
                    induced_subgraph, mu_expansion_of_cut)
-from mucut.decompose import DecomposeConfig, OutcomeKind, balanced_or_expander
+from mucut.decompose import BalanceOutcome, DecomposeConfig, OutcomeKind, balanced_or_expander
 from mucut.errors import InvariantViolation
 from mucut.graph import Infinite
 from mucut.verify import brute_force_expansion, validate_partition
@@ -32,6 +35,15 @@ def test_balanced_or_expander_on_dumbbell(seed):
     # either way the returned cut is sparse: at most twice the round bound
     value = mu_expansion_of_cut(g, mu, Cut(out.rest))
     assert value <= 2 * 7.0 / params.capacity_c + 1e-9
+
+
+@pytest.mark.parametrize("log_base", [1.0, 0.5, float("nan")])
+def test_balanced_or_expander_rejects_log_base_at_most_one(log_base):
+    g = dumbbell_graph(4)
+    mu = VertexMeasure.from_degrees(g)
+    params = GameParams.for_graph(g, mu, 0.3)
+    with pytest.raises(ValueError, match="log_base"):
+        balanced_or_expander(g, mu, params, np.random.default_rng(0), log_base=log_base)
 
 
 def test_single_vertex_certifies():
@@ -154,3 +166,27 @@ def test_params_echo():
     res = decompose(g, mu, 0.1, rng=0)
     for key in ("phi", "t_factor", "c_factor", "log_base", "n", "mu_total", "mu_spread"):
         assert key in res.params
+
+
+def test_deep_recursion_needs_no_call_stack(monkeypatch):
+    # a step that peels only the smallest vertex drives the recursion as deep
+    # as the path is long; the driver must not spend a Python frame per level
+    driver = importlib.import_module("mucut.decompose")
+
+    def peel_first(g, mu, params, rng, *, log_base=2.0):
+        rest = frozenset(range(1, g.vertex_count))
+        return BalanceOutcome(OutcomeKind.BALANCED_CUT, frozenset({0}), rest, None, False)
+
+    monkeypatch.setattr(driver, "balanced_or_expander", peel_first)
+    g = Graph(400, [(v, v + 1, 1.0) for v in range(399)])
+    mu = VertexMeasure.from_degrees(g)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        res = decompose(g, mu, 0.1, DecomposeConfig(depth_limit=400), rng=0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.clusters == tuple((v,) for v in range(400))
+    assert all(c.kind == "singleton" for c in res.per_cluster)
+    assert res.recursion_depth == 399
+    assert res.inter_cluster_edge_weight == 399.0

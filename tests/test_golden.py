@@ -3,7 +3,12 @@
 Each instance pins a SHA-256 of its ``decompose`` clusters and of the full
 round records of one ``run_cut_matching`` game: active sets, removed sets,
 matching off-diagonals (float bits), diagonal bytes, paths, matched
-weights and round cut expansions.  A refactor that keeps the arithmetic
+weights and round cut expansions.  Two more digests pin the whole
+``DecompositionResult`` (per-cluster certificate kind and expansion bits,
+recursion depth, inter-cluster weight and charge ratio bits, params) and
+the trace rows ``DecomposeConfig.trace_hook`` receives, in the order the
+games are played: every game draws from one generator, so a change in the
+order the driver visits its components shows up here.  A refactor that keeps the arithmetic
 keeps every digest; a change that moves numerics must say why and pin the
 new values.
 
@@ -20,7 +25,8 @@ import json
 import numpy as np
 import pytest
 
-from mucut import GameParams, Graph, VertexMeasure, decompose, run_cut_matching
+from mucut import (DecomposeConfig, GameParams, Graph, Infinite, VertexMeasure, decompose,
+                   run_cut_matching)
 
 
 def planted_blocks():
@@ -116,6 +122,27 @@ def game_digest(out) -> str:
                    "r_side": sorted(out.r_side), "rounds": rounds})
 
 
+def expansion_key(x):
+    return "infinite" if isinstance(x, Infinite) else hexf(x)
+
+
+def result_digest(res) -> str:
+    return digest({
+        "clusters": [list(c) for c in res.clusters],
+        "certificates": [[c.kind, expansion_key(c.expansion)] for c in res.per_cluster],
+        "recursion_depth": res.recursion_depth,
+        "inter_cluster_edge_weight": hexf(res.inter_cluster_edge_weight),
+        "charge_ratio": hexf(res.charge_ratio),
+        "params": {k: hexf(v) if isinstance(v, float) else v
+                   for k, v in sorted(res.params.items())},
+    })
+
+
+def trace_digest(games) -> str:
+    return digest([[[row.t, row.active_size, hexf(row.mu_removed), hexf(row.matching_weight),
+                     hexf(row.psi)] for row in rows] for rows in games])
+
+
 # instance -> (clusters digest, game digest, rounds, rounds that remove a cut,
 #              rounds without sources)
 GOLDEN = {
@@ -144,3 +171,31 @@ def test_pinned_outputs(make):
     assert sum(1 for rec in out.rounds if not rec.removed and not rec.paths) == want_idle
     assert game_digest(out) == want_game
     assert clusters_digest(decompose(g, mu, phi, rng=seed).clusters) == want_clusters
+
+
+# instance -> (result digest, trace digest, games played by decompose)
+DECOMPOSE_GOLDEN = {
+    planted_blocks: (
+        "eaf8feda7bf0b35e4a7f5a92e98277cf0742bff779658e541121519872cc61b8",
+        "828c5b2384fef8879fdda0936e51c169e3d8141c76838e2a07ffbc8fe41410de", 5),
+    terminal_grid: (
+        "f44afe571c2cc1edd2d701f711ba4ffc452f60c43b30dcfe388e8f8589cfd3cf",
+        "f9e4cbde6fa9beb2ade514ec060a6e3b3cf7a9795c3d9d98ac97269cc80b4e3c", 1),
+    two_terminal_grid: (
+        "8e8c6cbe0e9c78d4fac7e6b49b0ccd558c352613e8d732a547303ebca77012cd",
+        "8314da639804e1f170bcf550861d2db43ee0fb2efb0e2e91c3c4f4f906fbc2c4", 1),
+    light_whisker: (
+        "4d02c85258336f010a3742ac2df8a7cf70426351d13ded909660f5c0d7a49156",
+        "41dc453f03c119b35bb3847b1f4b168955e4c2fedac5f473719bf6cfe5b168d8", 2),
+}
+
+
+@pytest.mark.parametrize("make", list(DECOMPOSE_GOLDEN), ids=lambda f: f.__name__)
+def test_pinned_decomposition(make):
+    g, mu, phi, seed = make()
+    want_result, want_trace, want_games = DECOMPOSE_GOLDEN[make]
+    games = []
+    res = decompose(g, mu, phi, DecomposeConfig(trace_hook=games.append), rng=seed)
+    assert len(games) == want_games
+    assert trace_digest(games) == want_trace
+    assert result_digest(res) == want_result

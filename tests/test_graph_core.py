@@ -75,14 +75,6 @@ def test_graph_rejects_self_loops_and_bad_weights():
     assert g.edges[0][2] == pytest.approx(3.5)
 
 
-def test_game_internal_graphs_may_keep_self_loops():
-    g = Graph(2, [(0, 0, 1.0), (0, 1, 2.0)], allow_self_loops=True)
-    assert g.edge_count == 2
-    # self-loops never cross a cut and do not count toward degrees
-    assert cut_weight(g, Cut({0})) == 2.0
-    assert g.weighted_degrees()[0] == pytest.approx(2.0)
-
-
 def test_induced_subgraph_identity_and_pair():
     g = Graph(4, clique_edges(range(4)))
     whole, order = induced_subgraph(g, range(4))
@@ -157,3 +149,15 @@ def test_degree_measure_matches_conductance_formula():
 def test_connected_components_ordering():
     g = Graph(5, [(3, 4, 1.0), (0, 2, 1.0)])
     assert connected_components(g) == ((0, 2), (1,), (3, 4))
+
+
+def test_connected_components_of_subset_match_induced_subgraph():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        g = random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0)))
+        subset = {int(v) for v in rng.integers(0, n, size=int(rng.integers(1, n + 1)))}
+        sub, order = induced_subgraph(g, subset)
+        expected = tuple(tuple(order[v] for v in comp) for comp in connected_components(sub))
+        assert connected_components(g, subset) == expected
+        assert connected_components(g, sorted(subset, reverse=True)) == expected
