@@ -6,10 +6,9 @@ from .spectral import (ActiveState, StochasticMatching, WalkOperator, apply_norm
                        apply_projection, default_delta, dense_flow_matrix,
                        dense_walk_and_potential, projections, sample_unit_vector)
 from .cutplayer import WeightedBipartition, check_bipartition, rst_partition
-from .flow import FlowNetwork, FlowSolution, PathDecomposition, decompose_paths, max_flow
-from .matching import MatchingRoundResult, build_pi_problem, solve_matching_round
-from .game import (CutMatchingOutcome, GameParams, RoundRecord, TraceRow, Variant,
-                   run_cut_matching)
+from .flow import FlowNetwork, FlowSolution, decompose_paths, max_flow
+from .matching import RoundRecord, build_pi_problem, solve_matching_round
+from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
 from .trimming import trim
 from .decompose import (BalanceOutcome, ClusterCertificate, DecomposeConfig,
                         DecompositionResult, OutcomeKind, balanced_or_expander, decompose)

@@ -6,6 +6,10 @@ defaults to 1.0), '#' starts a comment, and an optional first line
 without one the measure defaults to weighted degrees, and vertices absent
 from the file get measure zero.
 
+``--trace`` writes one CSV line per game round, computed after the run
+from the games' round records; ``--dense-limit`` only decides for which
+games the potential column is filled.
+
 Exit codes: 0 success, 2 malformed input (flags or files), 3 internal
 failure.  Identical flags and seed produce byte-identical JSON.
 """
@@ -24,7 +28,8 @@ from .decompose import DecomposeConfig, decompose, balanced_or_expander, Outcome
 from .errors import GraphInputError
 from .game import GameParams
 from .graph import Cut, Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
-from .spectral import DENSE_LIMIT, is_power_of_two
+from .spectral import (DENSE_LIMIT, ActiveState, WalkOperator, dense_walk_and_potential,
+                       is_power_of_two)
 from .verify import brute_force_expansion, validate_partition, MAX_ENUM_N
 
 
@@ -108,12 +113,34 @@ def _emit_json(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_trace(path: str, rows) -> None:
+def _trace_lines(game, dense_limit: int) -> list[str]:
+    """One CSV line per round of a game, read off its round records.
+
+    mu_R is the measure removed so far; psi, the potential after the
+    round, needs the dense walk and is left empty for games on more than
+    dense_limit vertices.
+    """
+    if not game.rounds:  # a single vertex or terminal: no walk was built
+        return []
+    mu, delta = game.walk.measure, game.walk.delta
+    lines = []
+    removed: frozenset = frozenset()
+    for i, rec in enumerate(game.rounds):
+        removed = removed | rec.removed
+        psi = ""
+        if len(mu.values) <= dense_limit:
+            post = WalkOperator([r.matching for r in game.rounds[:i + 1]], delta,
+                                ActiveState(frozenset(rec.active_before) - rec.removed, mu))
+            psi = repr(dense_walk_and_potential(post, limit=dense_limit)[1])
+        lines.append(f"{rec.index},{len(rec.active_before) - len(rec.removed)},"
+                     f"{mu.of(removed)!r},{rec.matched_weight!r},{psi}\n")
+    return lines
+
+
+def _write_trace(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,active_size,mu_R,matching_weight,psi\n")
-        for row in rows:
-            psi = "" if row.psi is None else repr(row.psi)
-            fh.write(f"{row.t},{row.active_size},{row.mu_removed!r},{row.matching_weight!r},{psi}\n")
+        fh.writelines(lines)
 
 
 def _check_args(args) -> None:
@@ -135,16 +162,16 @@ def _check_args(args) -> None:
 def cmd_decompose(args) -> int:
     g = load_graph(args.graph)
     mu = load_measure(args.mu, g)
-    trace_rows: list = []
+    trace_lines: list[str] = []
     cfg = DecomposeConfig(
         t_factor=args.t_factor,
         c_factor=args.c_factor,
         delta=args.delta,
         log_base=args.log_base,
-        dense_limit=args.dense_limit,
-        trace_psi=args.trace is not None,
         verify_max_n=args.verify_max_n,
-        trace_hook=trace_rows.extend if args.trace is not None else None,
+        # each game becomes CSV lines as it ends, so no game is kept
+        trace_hook=(lambda game: trace_lines.extend(_trace_lines(game, args.dense_limit)))
+        if args.trace is not None else None,
     )
     result = decompose(g, mu, args.phi, cfg, rng=args.seed)
     payload = {
@@ -152,7 +179,7 @@ def cmd_decompose(args) -> int:
         "inter_cluster_edge_weight": result.inter_cluster_edge_weight,
         "phi": args.phi,
         "seed": args.seed,
-        "params": result.params,
+        "params": {**result.params, "dense_limit": args.dense_limit},
         "certificates": [
             {"kind": c.kind, "expansion": c.expansion} for c in result.per_cluster
         ],
@@ -161,7 +188,7 @@ def cmd_decompose(args) -> int:
     }
     _emit_json(payload, args.json_out)
     if args.trace is not None:
-        _write_trace(args.trace, trace_rows)
+        _write_trace(args.trace, trace_lines)
     return 0
 
 
@@ -171,9 +198,7 @@ def cmd_sparse_cut(args) -> int:
     if not is_connected(g):
         raise GraphInputError("sparse-cut needs a connected graph; run decompose instead")
     params = GameParams.for_graph(g, mu, args.phi, t_factor=args.t_factor,
-                                  c_factor=args.c_factor, delta=args.delta,
-                                  trace_psi=args.trace is not None,
-                                  dense_limit=args.dense_limit)
+                                  c_factor=args.c_factor, delta=args.delta)
     rng = np.random.default_rng(args.seed)
     outcome = balanced_or_expander(g, mu, params, rng, log_base=args.log_base)
     if outcome.kind is OutcomeKind.CERTIFIED:
@@ -197,7 +222,7 @@ def cmd_sparse_cut(args) -> int:
     }
     _emit_json(payload, args.json_out)
     if args.trace is not None:
-        _write_trace(args.trace, outcome.game.trace)
+        _write_trace(args.trace, _trace_lines(outcome.game, args.dense_limit))
     return 0
 
 
@@ -253,7 +278,7 @@ def _add_common(p: argparse.ArgumentParser, *, needs_phi: bool) -> None:
     p.add_argument("--log-base", type=float, default=2.0, dest="log_base",
                    help="log base for the balance threshold")
     p.add_argument("--dense-limit", type=int, default=DENSE_LIMIT, dest="dense_limit",
-                   help="max n for dense potential tracing")
+                   help="max game size n for which the trace CSV fills psi")
     p.add_argument("--trace", default=None, help="write per-round CSV here")
     p.add_argument("--json-out", default=None, dest="json_out", help="write JSON here (default stdout)")
     p.add_argument("--verify-max-n", type=int, default=16, dest="verify_max_n",

@@ -48,7 +48,7 @@ class WeightedBipartition:
         return float(sum(w for _, w in self.targets))
 
 
-def _mass_prefix(ids, mu, u, order, target_mass):
+def _mass_prefix(ids, mu, order, target_mass):
     """Scan vertices in `order`, taking full weights until `target_mass` is
     reached; the last vertex may be taken partially.  Returns (picks, partial_id)."""
     picks = []
@@ -99,37 +99,31 @@ def rst_partition(state: ActiveState, u, *, check: bool = True) -> WeightedBipar
     p_all = float(energy.sum())
     p_left = float(energy[w < 0].sum())
 
-    eighth = total / 8.0
-    if p_left >= p_all / 20.0:
+    case_two = not p_left >= p_all / 20.0  # a NaN energy lands in case two
+    if not case_two:
         # negative side carries enough energy: eta = 0, targets = whole
-        # non-negative side, sources = most negative prefix
-        case_two = False
+        # non-negative side, sources = most negative first
         eta_w = 0.0
         tgt_idx = np.flatnonzero(w >= 0)
-        targets = [(int(ids[k]), float(mu_t[k])) for k in tgt_idx]
-        left_idx = np.flatnonzero(w < 0)
-        partial = None
-        if float(mu_t[left_idx].sum()) <= eighth:
-            sources = [(int(ids[k]), float(mu_t[k])) for k in left_idx]
-        else:
-            order = left_idx[np.lexsort((ids[left_idx], w[left_idx]))]
-            sources, partial = _mass_prefix(ids, mu_t, w, order, eighth)
+        src_idx = np.flatnonzero(w < 0)
+        key = w
     else:
         # energy concentrated far right: separate at 4*Delta/M and source
-        # from the tail at 6*Delta/M and beyond
-        case_two = True
+        # from the tail at 6*Delta/M and beyond, largest first
         delta_sum = float((mu_t * np.abs(w)).sum())
         eta_w = 4.0 * delta_sum / total
-        far = 6.0 * delta_sum / total
         tgt_idx = np.flatnonzero(w <= eta_w)
-        targets = [(int(ids[k]), float(mu_t[k])) for k in tgt_idx]
-        tail_idx = np.flatnonzero(w >= far)
-        partial = None
-        if float(mu_t[tail_idx].sum()) <= eighth:
-            sources = [(int(ids[k]), float(mu_t[k])) for k in tail_idx]
-        else:
-            order = tail_idx[np.lexsort((ids[tail_idx], -w[tail_idx]))]
-            sources, partial = _mass_prefix(ids, mu_t, w, order, eighth)
+        src_idx = np.flatnonzero(w >= 6.0 * delta_sum / total)
+        key = -w
+    targets = [(int(ids[k]), float(mu_t[k])) for k in tgt_idx]
+    eighth = total / 8.0
+    partial = None
+    if float(mu_t[src_idx].sum()) <= eighth:
+        sources = [(int(ids[k]), float(mu_t[k])) for k in src_idx]
+    else:
+        # up to an eighth of the active measure, ties broken by vertex id
+        order = src_idx[np.lexsort((ids[src_idx], key[src_idx]))]
+        sources, partial = _mass_prefix(ids, mu_t, order, eighth)
 
     bip = WeightedBipartition(
         sources=tuple(sorted((v, wt) for v, wt in sources if wt > 0.0)),

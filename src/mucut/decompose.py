@@ -22,7 +22,6 @@ from .errors import InvariantViolation
 from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
 from .graph import (EPS, Cut, Graph, INFINITE, VertexMeasure, connected_components,
                     cut_weight, induced_subgraph)
-from .spectral import DENSE_LIMIT
 from .trimming import trim
 from .verify import brute_force_expansion
 
@@ -98,11 +97,9 @@ class DecomposeConfig:
     c_factor: float = 1.0
     delta: Optional[int] = None
     log_base: float = 2.0
-    dense_limit: int = DENSE_LIMIT
-    trace_psi: bool = False
     depth_limit: Optional[int] = None
     verify_max_n: int = 16
-    trace_hook: Optional[object] = None  # callable fed each game's trace tuple
+    trace_hook: Optional[object] = None  # callable fed each game's CutMatchingOutcome
 
 
 def _certificate(g: Graph, mu: VertexMeasure, cluster: tuple[int, ...], kind: str,
@@ -161,11 +158,10 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
             continue
         sub, to_global = induced_subgraph(g, component)
         params = GameParams.for_graph(sub, mu_c, phi, t_factor=cfg.t_factor,
-                                      c_factor=cfg.c_factor, delta=cfg.delta,
-                                      trace_psi=cfg.trace_psi, dense_limit=cfg.dense_limit)
+                                      c_factor=cfg.c_factor, delta=cfg.delta)
         outcome = balanced_or_expander(sub, mu_c, params, rng, log_base=cfg.log_base)
         if cfg.trace_hook is not None:
-            cfg.trace_hook(outcome.game.trace)
+            cfg.trace_hook(outcome.game)
         if outcome.kind is OutcomeKind.CERTIFIED:
             found.append((component, "certified-by-game"))
             continue
@@ -216,7 +212,6 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
             "c_factor": cfg.c_factor,
             "delta": cfg.delta,
             "log_base": cfg.log_base,
-            "dense_limit": cfg.dense_limit,
             "verify_max_n": cfg.verify_max_n,
             "depth_limit": depth_limit,
             "n": n,

@@ -76,23 +76,6 @@ class FlowSolution:
     min_cut_side: frozenset
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
-    """Weighted paths (endpoint_u, endpoint_v, weight, vertex sequence)."""
-
-    paths: tuple[tuple[int, int, float, tuple[int, ...]], ...]
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(p[2] for p in self.paths))
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-
 def max_flow(net: FlowNetwork) -> FlowSolution:
     """Exact maximum flow; min cut recovered from residual reachability."""
     n = net.node_count
@@ -164,8 +147,10 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     return FlowSolution(value=total, arc_flows=flows, min_cut_side=frozenset(reachable))
 
 
-def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> PathDecomposition:
+def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
     """Strip the flow into source-to-sink paths; cycles are cancelled, not emitted.
+
+    Returns (source, sink, weight, vertex sequence) tuples.
 
     Walks the positive-flow arcs from the source; whenever the walk revisits
     a vertex the enclosed cycle is cancelled.  Emits at most one path per
@@ -229,4 +214,4 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> PathDecomposition:
     if abs(total - sol.value) > 1e-9 * max(1.0, abs(sol.value)):
         raise InvariantViolation(
             f"path decomposition total {total} does not match flow value {sol.value}")
-    return PathDecomposition(tuple(paths))
+    return tuple(paths)

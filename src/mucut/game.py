@@ -3,11 +3,14 @@
 Each round samples a random unit vector, projects it through the implicit
 walk operator, turns the projections into weighted sources and targets,
 and asks the matching player to route the source mass inside the active
-set.  Failures to route remove a sparse cut from the active set.  Every
-id, in the rounds and in their records, is an id of the graph passed in.
-The run ends when the removed measure passes its threshold or the round
-budget is spent, and is classified as a certified expander, a balanced
-cut, or a small cut whose complement is a near-expander.
+set.  Failures to route remove a sparse cut from the active set.  The
+outcome keeps each round's :class:`RoundRecord` as the matching player
+returned it; every view of a round (the CLI's trace CSV, its potential)
+is computed from those records.  Every id, in the rounds and in their
+records, is an id of the graph passed in.  The run ends when the removed
+measure passes its threshold or the round budget is spent, and is
+classified as a certified expander, a balanced cut, or a small cut whose
+complement is a near-expander.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from .errors import InvariantViolation
 from .graph import EPS, Cut, Graph, VertexMeasure, is_connected, mu_expansion_of_cut
 # not called here; bench/spans.py wraps this name and reports it missing if it goes
 from .graph import induced_subgraph  # noqa: F401
-from .matching import solve_matching_round
-from .spectral import (DENSE_LIMIT, ActiveState, StochasticMatching, WalkOperator,
-                       default_delta, dense_walk_and_potential, is_power_of_two,
-                       projections, sample_unit_vector)
+from .matching import RoundRecord, solve_matching_round
+from .spectral import (ActiveState, StochasticMatching, WalkOperator, default_delta,
+                       is_power_of_two, projections, sample_unit_vector)
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,8 @@ class GameParams:
     """Knobs of one game run; build with :meth:`for_graph` for the defaults.
 
     stop_threshold is mu(V) * c * phi / 70: the run stops once the removed
-    measure exceeds it.
+    measure exceeds it.  Nothing here concerns tracing: the potential is
+    computed from the outcome's round records, outside the game.
     """
 
     phi: float
@@ -43,8 +46,6 @@ class GameParams:
     capacity_c: int
     delta: int
     stop_threshold: float
-    trace_psi: bool = False
-    dense_limit: int = DENSE_LIMIT
 
     def __post_init__(self):
         if self.phi <= 0:
@@ -58,8 +59,7 @@ class GameParams:
 
     @staticmethod
     def for_graph(g: Graph, mu: VertexMeasure, phi: float, *, t_factor: float = 2.0,
-                  c_factor: float = 1.0, delta: Optional[int] = None, trace_psi: bool = False,
-                  dense_limit: int = DENSE_LIMIT) -> "GameParams":
+                  c_factor: float = 1.0, delta: Optional[int] = None) -> "GameParams":
         """T = ceil(t_factor * log2(n)^2), c = max(1, round(c_factor / (phi ln n)))."""
         if phi <= 0:
             raise ValueError("phi must be positive")
@@ -74,8 +74,6 @@ class GameParams:
             capacity_c=cap,
             delta=default_delta(n) if delta is None else int(delta),
             stop_threshold=mu.total * cap * phi / 70.0,
-            trace_psi=trace_psi,
-            dense_limit=dense_limit,
         )
 
 
@@ -86,35 +84,10 @@ class Variant(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    """Post-round snapshot: sizes, removed measure, routed weight, potential."""
-
-    t: int
-    active_size: int
-    mu_removed: float
-    matching_weight: float
-    psi: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Everything needed to re-derive a round offline (global ids)."""
-
-    index: int
-    active_before: tuple[int, ...]
-    removed: frozenset
-    matching: StochasticMatching
-    paths: tuple[tuple[int, int, float, tuple[int, ...]], ...]
-    matched_weight: float
-    cut_expansion: Optional[float]
-
-
-@dataclass(frozen=True)
 class CutMatchingOutcome:
     variant: Variant
     a_side: frozenset
     r_side: frozenset
-    trace: tuple[TraceRow, ...]
     rounds: tuple[RoundRecord, ...]
     walk: Optional[WalkOperator]
     note: Optional[str] = None
@@ -130,18 +103,17 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         raise ValueError("graph must be connected; split components first")
     if n == 1:
         return CutMatchingOutcome(Variant.CERTIFIED_EXPANDER, frozenset({0}), frozenset(),
-                                  (), (), None, note="single vertex: no proper cuts")
+                                  (), None, note="single vertex: no proper cuts")
     if len(mu.support) <= 1:
         # covers zero-measure graphs too: every proper cut has a
         # zero-measure side, so expansion is vacuously infinite
         return CutMatchingOutcome(Variant.CERTIFIED_EXPANDER, frozenset(range(n)), frozenset(),
-                                  (), (), None,
+                                  (), None,
                                   note="at most one terminal: every proper cut has zero-measure side")
 
     active = frozenset(range(n))
     removed_all: frozenset = frozenset()
     matchings: list[StochasticMatching] = []
-    trace: list[TraceRow] = []
     records: list[RoundRecord] = []
     t = 0
 
@@ -151,29 +123,12 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         r = sample_unit_vector(n, rng)
         u = projections(walk, r)
         bip = rst_partition(state, u)
-        result = solve_matching_round(g, state, bip, float(params.capacity_c), round_index=t)
-
-        records.append(RoundRecord(
-            index=t,
-            active_before=tuple(sorted(active)),
-            removed=result.removed,
-            matching=result.matching,
-            paths=result.paths.paths,
-            matched_weight=result.matched_weight,
-            cut_expansion=result.cut_expansion,
-        ))
-        matchings.append(result.matching)
-        active = active - result.removed
-        removed_all = removed_all | result.removed
+        rec = solve_matching_round(g, state, bip, float(params.capacity_c), round_index=t)
+        records.append(rec)
+        matchings.append(rec.matching)
+        active = active - rec.removed
+        removed_all = removed_all | rec.removed
         t += 1
-
-        psi = None
-        if params.trace_psi and n <= params.dense_limit:
-            post = WalkOperator(matchings, params.delta, ActiveState(active, mu))
-            _, psi = dense_walk_and_potential(post, limit=params.dense_limit)
-        trace.append(TraceRow(t=t - 1, active_size=len(active),
-                              mu_removed=mu.of(removed_all),
-                              matching_weight=result.matched_weight, psi=psi))
 
     final_walk = WalkOperator(matchings, params.delta, ActiveState(active, mu))
     mu_removed = mu.of(removed_all)
@@ -196,7 +151,6 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         variant=variant,
         a_side=active,
         r_side=removed_all,
-        trace=tuple(trace),
         rounds=tuple(records),
         walk=final_walk,
     )

@@ -6,7 +6,8 @@ theirs, every edge inside A at capacity c times its weight), solves it
 exactly, and either reports full saturation (no cut) or returns the
 source side of the min cut together with the surviving flow.  Path
 endpoints become the round's matching, completed on the diagonal to be
-measure-stochastic.
+measure-stochastic.  The round comes back as its one record,
+:class:`RoundRecord`, which the game stores as it is.
 
 All ids here are the caller's graph ids: vertices outside A stay in the
 network as isolated nodes, so nothing is relabeled.
@@ -18,21 +19,31 @@ from dataclasses import dataclass
 
 from .cutplayer import WeightedBipartition
 from .errors import InvariantViolation
-from .flow import FlowNetwork, PathDecomposition, decompose_paths, max_flow
+from .flow import FlowNetwork, decompose_paths, max_flow
 from .graph import EPS, Graph
 from .spectral import ActiveState, StochasticMatching
 
 
 @dataclass(frozen=True)
-class MatchingRoundResult:
-    """Outcome of a single round on the active set."""
+class RoundRecord:
+    """Everything needed to re-derive a round offline (the caller's graph ids).
 
+    paths are (source, target, weight, vertex sequence) with the network's
+    super-source and super-sink stripped.
+    """
+
+    index: int
+    active_before: tuple[int, ...]
     removed: frozenset
     matching: StochasticMatching
-    cut_expansion: float | None
-    paths: PathDecomposition
+    paths: tuple[tuple[int, int, float, tuple[int, ...]], ...]
     matched_weight: float
-    feasible: bool
+    cut_expansion: float | None
+
+    @property
+    def feasible(self) -> bool:
+        """Every source arc saturated: a round that fails to route removes a cut."""
+        return not self.removed
 
 
 def build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipartition,
@@ -63,7 +74,7 @@ def build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipartition,
 
 
 def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition, c: float,
-                         round_index: int = 0) -> MatchingRoundResult:
+                         round_index: int = 0) -> RoundRecord:
     """Solve the round's flow problem and assemble the stochastic matching.
 
     Exactly one of the two outcomes holds: every source arc is saturated
@@ -72,24 +83,18 @@ def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition,
     active measure surviving.
     """
     mu = state.measure
+    active_before = tuple(sorted(state.active))
     if not bip.sources:
         # nothing to route; the matching degenerates to the diagonal
-        return MatchingRoundResult(
-            removed=frozenset(),
-            matching=StochasticMatching.from_pairs(mu.values, [], round_index),
-            cut_expansion=None,
-            paths=PathDecomposition(()),
-            matched_weight=0.0,
-            feasible=True,
-        )
+        return RoundRecord(round_index, active_before, frozenset(),
+                           StochasticMatching.from_pairs(mu.values, [], round_index),
+                           (), 0.0, None)
 
     net = build_pi_problem(g, state, bip, c)
     sol = max_flow(net)
     source_total = bip.source_mass
     tol = EPS * max(1.0, source_total)
-    feasible = sol.value >= source_total - tol
-
-    if feasible:
+    if sol.value >= source_total - tol:
         removed: frozenset = frozenset()
     else:
         removed = frozenset(v for v in sol.min_cut_side if v != net.source)
@@ -151,11 +156,12 @@ def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition,
             raise InvariantViolation(
                 f"surviving measure {mu_rest} below a third of {total}")
 
-    return MatchingRoundResult(
+    return RoundRecord(
+        index=round_index,
+        active_before=active_before,
         removed=removed,
         matching=matching,
-        cut_expansion=cut_expansion,
-        paths=PathDecomposition(tuple(kept)),
+        paths=tuple(kept),
         matched_weight=matched_weight,
-        feasible=feasible,
+        cut_expansion=cut_expansion,
     )

@@ -148,10 +148,6 @@ class ActiveState:
         self.sqrt_mu = sq
         self.mu_active_total = float(measure.values[mask].sum())
 
-    @property
-    def n(self) -> int:
-        return len(self.measure.values)
-
     def __repr__(self):
         return f"ActiveState(active={len(self.active)}, mu={self.mu_active_total:g})"
 

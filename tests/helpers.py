@@ -13,6 +13,7 @@ import numpy as np
 
 from mucut import Graph, VertexMeasure
 from mucut.flow import FlowNetwork, FlowSolution
+from mucut.spectral import ActiveState, WalkOperator, dense_walk_and_potential
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 1.0,
@@ -54,6 +55,20 @@ def dumbbell_graph(k: int = 8, bridges: int = 1) -> Graph:
     for b in range(bridges):
         edges.append((b % k, k + (b % k), 1.0))
     return Graph(2 * k, edges)
+
+
+def write_graph(path, g: Graph) -> str:
+    """Edge-list file the CLI reads back to the same graph (weights by repr)."""
+    lines = [f"p {g.vertex_count} {g.edge_count}"]
+    lines += [f"{u} {v} {w!r}" for u, v, w in g.edges]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def write_measure(path, mu: VertexMeasure) -> str:
+    """Measure file with every vertex's value (by repr)."""
+    path.write_text("".join(f"{v} {float(x)!r}\n" for v, x in enumerate(mu.values)))
+    return str(path)
 
 
 def adjacency_recount_cut(g: Graph, side) -> float:
@@ -130,6 +145,21 @@ def conservation_errors(net: FlowNetwork, sol: FlowSolution) -> float:
             continue
         worst = max(worst, abs(balance[v]))
     return worst
+
+
+def psi_sequence(g: Graph, mu: VertexMeasure, out, delta: int) -> list:
+    """Recompute psi(0..T) offline from a game's round records."""
+    values = []
+    active = frozenset(range(g.vertex_count))
+    stack = []
+    _, psi = dense_walk_and_potential(WalkOperator(stack, delta, ActiveState(active, mu)))
+    values.append(psi)
+    for rec in out.rounds:
+        stack = stack + [rec.matching]
+        active = active - rec.removed
+        _, psi = dense_walk_and_potential(WalkOperator(stack, delta, ActiveState(active, mu)))
+        values.append(psi)
+    return values
 
 
 def orthogonalized_projection(rng: np.random.Generator, mu: VertexMeasure,

@@ -23,8 +23,8 @@ from mucut.verify import (brute_force_expansion, brute_force_near_expansion,
                           check_embedding_congestion)
 
 from helpers import (assert_fair, clique_edges, conductance_enumerator, dumbbell_graph,
-                     enumerate_min_cut, orthogonalized_projection, random_connected_graph,
-                     random_measure)
+                     enumerate_min_cut, orthogonalized_projection, psi_sequence,
+                     random_connected_graph, random_measure)
 
 from test_flow import random_network
 
@@ -93,8 +93,7 @@ def test_criterion_04_potential_startpoint_and_decrease():
     inst_rng = np.random.default_rng(4242)
     g = random_connected_graph(inst_rng, 16, extra=2.0)
     mu = VertexMeasure.from_degrees(g)
-    base = GameParams.for_graph(g, mu, phi=0.1)
-    params = GameParams(**{**base.__dict__, "trace_psi": True})
+    params = GameParams.for_graph(g, mu, phi=0.1)
 
     state0 = ActiveState(range(16), mu)
     _, psi0 = dense_walk_and_potential(WalkOperator([], params.delta, state0))
@@ -103,11 +102,10 @@ def test_criterion_04_potential_startpoint_and_decrease():
     drops: dict[int, list] = {}
     for seed in range(100):
         out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
-        prev = psi0
-        for rec, row in zip(out.rounds, out.trace):
+        psis = psi_sequence(g, mu, out, params.delta)
+        for rec, prev, psi in zip(out.rounds, psis, psis[1:]):
             if rec.matching.off_diagonal_weight > 0:
-                drops.setdefault(rec.index, []).append(row.psi - prev)
-            prev = row.psi
+                drops.setdefault(rec.index, []).append(psi - prev)
     assert drops
     for t, deltas in sorted(drops.items()):
         assert float(np.mean(deltas)) <= 1e-9, f"round {t} mean potential change positive"

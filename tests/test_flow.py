@@ -117,7 +117,7 @@ def test_decompose_single_path():
     sol = max_flow(net)
     dec = decompose_paths(net, sol)
     assert len(dec) == 1
-    u, v, w, seq = dec.paths[0]
+    u, v, w, seq = dec[0]
     assert (u, v, w, seq) == (0, 2, 2.0, (0, 1, 2))
 
 
@@ -135,7 +135,7 @@ def test_decompose_conserves_value_and_support():
         net = random_network(rng)
         sol = max_flow(net)
         dec = decompose_paths(net, sol)
-        assert dec.total_weight == pytest.approx(sol.value, abs=1e-9)
+        assert sum(p[2] for p in dec) == pytest.approx(sol.value, abs=1e-9)
         assert len(dec) <= net.arc_count
         # per-arc usage stays within the solved flow
         used = [0.0] * net.arc_count
@@ -172,7 +172,7 @@ def test_decompose_cancels_cycles():
     doctored = type(sol)(value=sol.value, arc_flows=tuple(flows),
                          min_cut_side=sol.min_cut_side)
     dec = decompose_paths(net, doctored)
-    assert dec.total_weight == pytest.approx(1.0)
+    assert sum(p[2] for p in dec) == pytest.approx(1.0)
     for _, _, _, seq in dec:
         assert len(set(seq)) == len(seq)  # simple paths only
 

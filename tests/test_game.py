@@ -3,10 +3,12 @@ import pytest
 
 from mucut import (Cut, Graph, GameParams, Variant, VertexMeasure, cut_weight,
                    induced_subgraph, mu_expansion_of_cut, run_cut_matching)
-from mucut.spectral import ActiveState, WalkOperator, dense_walk_and_potential
+from mucut.cli import main
+from mucut.spectral import dense_walk_and_potential
 from mucut.verify import check_embedding_congestion
 
-from helpers import clique_edges, dumbbell_graph, random_connected_graph, random_measure
+from helpers import (clique_edges, dumbbell_graph, psi_sequence, random_connected_graph,
+                     random_measure, write_graph)
 
 
 def test_params_defaults():
@@ -130,16 +132,15 @@ def test_evolution_invariants(seed):
     active = set(range(n))
     removed = set()
     prev_mu_r = 0.0
-    for rec, row in zip(out.rounds, out.trace):
+    for rec in out.rounds:
         assert set(rec.active_before) == active
         assert rec.removed <= active
         active -= rec.removed
         removed |= rec.removed
         assert active.isdisjoint(removed)
         assert active | removed == set(range(n))
-        assert row.active_size == len(active)
-        assert row.mu_removed >= prev_mu_r - 1e-12  # monotone removal measure
-        prev_mu_r = row.mu_removed
+        assert mu.of(removed) >= prev_mu_r - 1e-12  # monotone removal measure
+        prev_mu_r = mu.of(removed)
     assert out.a_side == frozenset(active)
     assert out.r_side == frozenset(removed)
 
@@ -177,21 +178,6 @@ def test_cumulative_congestion_and_cut(seed):
             <= 7.0 / params.capacity_c + 1e-9
 
 
-def psi_sequence(g, mu, out, delta):
-    """Recompute psi(0..T) offline from the round records."""
-    values = []
-    active = frozenset(range(g.vertex_count))
-    stack = []
-    _, psi = dense_walk_and_potential(WalkOperator(stack, delta, ActiveState(active, mu)))
-    values.append(psi)
-    for rec in out.rounds:
-        stack = stack + [rec.matching]
-        active = active - rec.removed
-        _, psi = dense_walk_and_potential(WalkOperator(stack, delta, ActiveState(active, mu)))
-        values.append(psi)
-    return values
-
-
 def test_psi_starts_at_terminal_count_minus_one():
     g, mu, params, out = run_game(4242, n=12)
     seq = psi_sequence(g, mu, out, params.delta)
@@ -205,15 +191,22 @@ def test_psi_nonincreasing_within_one_run():
         assert b <= a + 1e-9
 
 
-def test_trace_psi_matches_offline_recompute():
+def test_trace_psi_matches_offline_recompute(tmp_path):
+    # the psi column of `sparse-cut --trace` against psi recomputed from the
+    # records of the same game (the CLI's measure is the weighted degrees)
     g = dumbbell_graph(6)
     mu = VertexMeasure.from_degrees(g)
     params = GameParams.for_graph(g, mu, 0.05)
-    params = GameParams(**{**params.__dict__, "trace_psi": True})
     out = run_cut_matching(g, mu, params, np.random.default_rng(8))
     seq = psi_sequence(g, mu, out, params.delta)
-    for row, expected in zip(out.trace, seq[1:]):
-        assert row.psi == pytest.approx(expected, abs=1e-9)
+    trace = tmp_path / "trace.csv"
+    assert main(["sparse-cut", "--graph", write_graph(tmp_path / "g.txt", g), "--phi", "0.05",
+                 "--seed", "8", "--json-out", str(tmp_path / "out.json"),
+                 "--trace", str(trace)]) == 0
+    psis = [float(line.split(",")[4]) for line in trace.read_text().splitlines()[1:]]
+    assert len(psis) == len(out.rounds)
+    for psi, expected in zip(psis, seq[1:]):
+        assert psi == pytest.approx(expected, abs=1e-9)
 
 
 def test_same_seed_reproduces_run():

@@ -6,11 +6,12 @@ matching off-diagonals (float bits), diagonal bytes, paths, matched
 weights and round cut expansions.  Two more digests pin the whole
 ``DecompositionResult`` (per-cluster certificate kind and expansion bits,
 recursion depth, inter-cluster weight and charge ratio bits, params) and
-the trace rows ``DecomposeConfig.trace_hook`` receives, in the order the
-games are played: every game draws from one generator, so a change in the
-order the driver visits its components shows up here.  A refactor that keeps the arithmetic
-keeps every digest; a change that moves numerics must say why and pin the
-new values.
+the per-round rows of the games ``DecomposeConfig.trace_hook`` receives, in
+the order they are played: every game draws from one generator, so a
+change in the order the driver visits its components shows up here.  A
+last set pins the bytes of the CLI's JSON and ``--trace`` CSV, potential
+column included.  A refactor that keeps the arithmetic keeps every
+digest; a change that moves numerics must say why and pin the new values.
 
 The instances cover a planted three-block graph whose game removes a
 balanced cut, a grid with zero-measure vertices, a grid with two terminals
@@ -27,6 +28,9 @@ import pytest
 
 from mucut import (DecomposeConfig, GameParams, Graph, Infinite, VertexMeasure, decompose,
                    run_cut_matching)
+from mucut.cli import main
+
+from helpers import write_graph, write_measure
 
 
 def planted_blocks():
@@ -139,8 +143,20 @@ def result_digest(res) -> str:
 
 
 def trace_digest(games) -> str:
-    return digest([[[row.t, row.active_size, hexf(row.mu_removed), hexf(row.matching_weight),
-                     hexf(row.psi)] for row in rows] for rows in games])
+    """Per game, one row per round read off its records: index, active size
+    after the round, measure removed so far, matched weight, and an empty
+    potential (the library computes none)."""
+    rows = []
+    for game in games:
+        removed: frozenset = frozenset()
+        game_rows = []
+        for rec in game.rounds:
+            removed = removed | rec.removed
+            game_rows.append([rec.index, len(rec.active_before) - len(rec.removed),
+                              hexf(game.walk.measure.of(removed)), hexf(rec.matched_weight),
+                              None])
+        rows.append(game_rows)
+    return digest(rows)
 
 
 # instance -> (clusters digest, game digest, rounds, rounds that remove a cut,
@@ -173,19 +189,20 @@ def test_pinned_outputs(make):
     assert clusters_digest(decompose(g, mu, phi, rng=seed).clusters) == want_clusters
 
 
-# instance -> (result digest, trace digest, games played by decompose)
+# instance -> (result digest, trace digest, games played by decompose); the result
+# params carry no dense_limit, which only the CLI reads
 DECOMPOSE_GOLDEN = {
     planted_blocks: (
-        "eaf8feda7bf0b35e4a7f5a92e98277cf0742bff779658e541121519872cc61b8",
+        "928486fdf3b50c20feaa2fc9413885bc4c5bff97fb6a7b0788672c3066188d82",
         "828c5b2384fef8879fdda0936e51c169e3d8141c76838e2a07ffbc8fe41410de", 5),
     terminal_grid: (
-        "f44afe571c2cc1edd2d701f711ba4ffc452f60c43b30dcfe388e8f8589cfd3cf",
+        "9482c7cdffe7dda65f126f8a2cd204fab246a336eb8e870eb7b69ff04cdbd275",
         "f9e4cbde6fa9beb2ade514ec060a6e3b3cf7a9795c3d9d98ac97269cc80b4e3c", 1),
     two_terminal_grid: (
-        "8e8c6cbe0e9c78d4fac7e6b49b0ccd558c352613e8d732a547303ebca77012cd",
+        "5c3e9a5da03bc70d3f94a0d38e9466ac5510c3941ee5cae4607e62311180e704",
         "8314da639804e1f170bcf550861d2db43ee0fb2efb0e2e91c3c4f4f906fbc2c4", 1),
     light_whisker: (
-        "4d02c85258336f010a3742ac2df8a7cf70426351d13ded909660f5c0d7a49156",
+        "a059e2d6b796ca09634514c1d37b1d58c1a03ac8bded2d1f2032be784100ac42",
         "41dc453f03c119b35bb3847b1f4b168955e4c2fedac5f473719bf6cfe5b168d8", 2),
 }
 
@@ -199,3 +216,41 @@ def test_pinned_decomposition(make):
     assert len(games) == want_games
     assert trace_digest(games) == want_trace
     assert result_digest(res) == want_result
+
+
+# (instance, command, flags) -> (JSON SHA-256, trace CSV SHA-256); light_whisker
+# reads its measure file, planted_blocks the default measure (weighted degrees)
+CLI_GOLDEN = {
+    (light_whisker, "decompose", ("--mu",)): (
+        "82ab4761f1f799c4e512106c70e5951ef3cd477fa2027970dae25ad53b7231f8",
+        "106066b0ef2eca75ac706daf216907e0564d92e2aaedd63dd9ddd43c3a79c9df"),
+    (light_whisker, "sparse-cut", ("--mu",)): (
+        "2373ea6fbc3003e0ccaaf86e72e67c60b8134b5e83a46a363d8b9f6674bf8416",
+        "96ebbc4f289a1f1c5bc4ebc1055dd336d1c4cb879384ef7a57c4147649a419a1"),
+    (planted_blocks, "decompose", ("--dense-limit", "50")): (
+        "25ee900dbc6ae128b8c45ff92eb4e99a4f6f91c99c4340548c850a37828e2d3c",
+        "afda30f579a2a160896d85c7680001e0acc9fbff6b07b251d406e5f74eecb9a1"),
+    (planted_blocks, "sparse-cut", ("--dense-limit", "50")): (
+        "17077ba34eee6ccff6c89c6f5ea68790a9c69c4f628516e5de0e2883c1f3bbd7",
+        "00605a3a6efcbdae199de7d78bcff567a76186ca6b77b73638244ac954b67407"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_GOLDEN),
+                         ids=lambda c: f"{c[0].__name__}-{c[1]}")
+def test_pinned_cli_bytes(case, tmp_path):
+    make, command, flags = case
+    g, mu, phi, seed = make()
+    out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+    argv = [command, "--graph", write_graph(tmp_path / "g.txt", g), "--phi", repr(phi),
+            "--seed", str(seed), "--json-out", str(out), "--trace", str(trace)]
+    if flags == ("--mu",):
+        argv += ["--mu", write_measure(tmp_path / "mu.txt", mu)]
+    else:
+        argv += list(flags)
+    assert main(argv) == 0
+    rows = trace.read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[4] for row in rows)  # every game small enough for psi
+    sha = (hashlib.sha256(out.read_bytes()).hexdigest(),
+           hashlib.sha256(trace.read_bytes()).hexdigest())
+    assert sha == CLI_GOLDEN[case]

@@ -177,9 +177,10 @@ def test_active_subset_round_equals_induced_subgraph_round():
             continue
         c = float(rng.integers(1, 5))
         res = solve_matching_round(g, state, bip, c, round_index=3)
+        assert res.index == 3 and res.active_before == tuple(sorted(active))
         want = round_on_induced_subgraph(g, state, bip, c, 3)
         assert res.removed == want["removed"]
-        assert res.paths.paths == want["paths"]
+        assert res.paths == want["paths"]
         assert res.matched_weight == want["matched_weight"]
         assert res.matching.off_diagonal == want["off_diagonal"]
         assert np.array_equal(res.matching.diagonal, want["diagonal"])
