@@ -145,9 +145,12 @@ def _write_trace(path: str, lines) -> None:
 
 def _check_args(args) -> None:
     """Reject flag values the algorithms cannot run with as malformed input."""
+    check_level = getattr(args, "check_level", None)  # verify's flag only
     for flag, value, ok, want in (
             ("--phi", args.phi, args.phi is None or 0.0 < args.phi < math.inf, "positive, finite"),
-            ("--log-base", args.log_base, args.log_base > 1.0, "greater than 1"),
+            ("--log-base", args.log_base, 1.0 < args.log_base < math.inf, "greater than 1, finite"),
+            ("--check-level", check_level, check_level is None or 0.0 < check_level < math.inf,
+             "positive, finite"),
             ("--delta", args.delta, args.delta is None or is_power_of_two(args.delta),
              "a power of two"),
             ("--verify-max-n", args.verify_max_n, 1 <= args.verify_max_n <= MAX_ENUM_N,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
+from .graph import EPS, tolerance
 from .spectral import ActiveState
 
 
@@ -56,19 +57,17 @@ def _mass_prefix(ids, mu, order, target_mass):
     acc = 0.0
     for k in order:
         remaining = target_mass - acc
-        if remaining <= 1e-15 * max(1.0, target_mass):
+        if remaining <= tolerance(target_mass):
             break
         take = min(float(mu[k]), remaining)
-        if take <= 0.0:
-            continue
         picks.append((int(ids[k]), take))
-        if take < float(mu[k]) - 1e-12 * max(1.0, float(mu[k])):
+        if take < float(mu[k]):
             partial = int(ids[k])
         acc += take
     return picks, partial
 
 
-def rst_partition(state: ActiveState, u, *, check: bool = True) -> WeightedBipartition:
+def rst_partition(state: ActiveState, u) -> WeightedBipartition:
     """Partition the active set into weighted sources and targets.
 
     Preconditions: the measure-weighted sum of u over the active set is
@@ -80,11 +79,11 @@ def rst_partition(state: ActiveState, u, *, check: bool = True) -> WeightedBipar
         raise ValueError("active set carries no measure")
     mu_vals = state.measure.values
     stray = np.where(state.mask, 0.0, u)
-    if float(np.abs(stray).max(initial=0.0)) > 1e-9:
+    if float(np.abs(stray).max(initial=0.0)) > EPS:
         raise ValueError("projection vector has support outside the active terminals")
     scale = float(np.abs(mu_vals * u).sum())
     balance = float((mu_vals * u).sum())
-    if abs(balance) > 1e-7 * max(1.0, scale):
+    if abs(balance) > tolerance(max(scale, np.sqrt(state.mu_active_total))):
         raise ValueError(f"projection vector is not measure-balanced: sum mu*u = {balance}")
 
     ids = np.flatnonzero(state.mask)
@@ -133,24 +132,23 @@ def rst_partition(state: ActiveState, u, *, check: bool = True) -> WeightedBipar
         flipped=flipped,
         partial_vertex=partial,
     )
-    if check:
-        check_bipartition(state, u, bip)
+    check_bipartition(state, u, bip)
     return bip
 
 
-def check_bipartition(state: ActiveState, u, bip: WeightedBipartition, tol: float = 1e-9) -> None:
+def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
     """Assert the five output properties; raises InvariantViolation naming
-    the first one that fails."""
+    the first one that fails.  Projections keep the absolute EPS (their
+    energy has no units, see the graph module); masses use tolerance."""
     u = np.asarray(u, dtype=float)
     mu_vals = state.measure.values
     total = state.mu_active_total
-    slack = tol * max(1.0, total)
 
     if bip.sources and bip.targets:
         src_u = [u[v] for v, _ in bip.sources]
         tgt_u = [u[v] for v, _ in bip.targets]
-        below = max(src_u) <= bip.eta + tol and bip.eta <= min(tgt_u) + tol
-        above = min(src_u) >= bip.eta - tol and bip.eta >= max(tgt_u) - tol
+        below = max(src_u) <= bip.eta + EPS and bip.eta <= min(tgt_u) + EPS
+        above = min(src_u) >= bip.eta - EPS and bip.eta >= max(tgt_u) - EPS
         if not (below or above):
             raise InvariantViolation("separation: eta does not separate sources from targets")
 
@@ -160,22 +158,22 @@ def check_bipartition(state: ActiveState, u, bip: WeightedBipartition, tol: floa
     for v, wt in bip.targets:
         combined[v] = combined.get(v, 0.0) + wt
     for v, wt in combined.items():
-        if wt > mu_vals[v] + tol * max(1.0, mu_vals[v]):
+        if wt > mu_vals[v] + tolerance(mu_vals[v]):
             raise InvariantViolation(f"capacity: combined weight at {v} exceeds its measure")
 
-    if bip.target_mass < total / 2.0 - slack:
+    if bip.target_mass < total / 2.0 - tolerance(total):
         raise InvariantViolation("mass: target weight below half the active measure")
-    if bip.source_mass > total / 8.0 + slack:
+    if bip.source_mass > total / 8.0 + tolerance(total):
         raise InvariantViolation("mass: source weight above an eighth of the active measure")
 
     for v, _ in bip.sources:
         gap = (u[v] - bip.eta) ** 2
-        if gap < u[v] ** 2 / 9.0 - tol * max(1.0, u[v] ** 2):
+        if gap < u[v] ** 2 / 9.0 - EPS:
             raise InvariantViolation(f"margin: source {v} sits too close to eta")
 
     ids = np.flatnonzero(state.mask)
     p_all = float((mu_vals[ids] * u[ids] ** 2).sum())
     captured = float(sum(wt * u[v] ** 2 for v, wt in bip.sources))
-    if captured < p_all / 80.0 - tol * max(1.0, p_all):
+    if captured < p_all / 80.0 - EPS:
         raise InvariantViolation(
             f"energy: sources capture {captured:g} < {p_all / 80.0:g} of the projection energy")

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
-from .graph import (EPS, Cut, Graph, INFINITE, VertexMeasure, connected_components,
-                    cut_weight, induced_subgraph)
+from .graph import (Cut, Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
+                    induced_subgraph, tolerance)
 from .trimming import trim
 from .verify import brute_force_expansion
 
@@ -46,8 +46,8 @@ class BalanceOutcome:
 def balanced_or_expander(g: Graph, mu: VertexMeasure, params: GameParams,
                          rng: np.random.Generator, *, log_base: float = 2.0) -> BalanceOutcome:
     """Run the game; trim and reclassify when the removed side is small."""
-    if not log_base > 1.0:
-        raise ValueError(f"log_base must exceed 1, got {log_base}")
+    if not 1.0 < log_base < math.inf:
+        raise ValueError(f"log_base must exceed 1 and be finite, got {log_base}")
     out = run_cut_matching(g, mu, params, rng)
     everything = frozenset(range(g.vertex_count))
     if out.variant is Variant.CERTIFIED_EXPANDER:
@@ -59,13 +59,12 @@ def balanced_or_expander(g: Graph, mu: VertexMeasure, params: GameParams,
     a = out.a_side
     boundary = cut_weight(g, Cut(a))
     limit = params.phi * mu.of(a) / 9.0
-    if boundary > limit + EPS * max(1.0, limit):
+    if boundary > limit + tolerance(limit):
         raise InvariantViolation(
             f"trim precondition {boundary} <= {limit} failed after the game; constants bug")
     trimmed = trim(g, mu, a, params.phi)
     rest = everything - trimmed
     logn = math.log(g.vertex_count, log_base) if g.vertex_count >= 2 else 1.0
-    logn = max(logn, 1e-12)
     if mu.of(rest) <= mu.total / logn:
         return BalanceOutcome(OutcomeKind.UNBALANCED_EXPANDER_CUT, trimmed, rest, out, True)
     return BalanceOutcome(OutcomeKind.BALANCED_CUT, trimmed, rest, out, True)
@@ -193,7 +192,7 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
         for v in cl:
             owner[v] = i
     recount = float(sum(w for u, v, w in g.edges if owner[u] != owner[v]))
-    if abs(recount - charged) > 1e-6 * max(1.0, recount):
+    if abs(recount - charged) > tolerance(sum(w for _, _, w in g.edges)):
         raise InvariantViolation(
             f"inter-cluster accounting drifted: charged {charged}, recount {recount}")
 

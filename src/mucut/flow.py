@@ -13,8 +13,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
+from .graph import tolerance
 
-#: Residual capacities at or below this are treated as exhausted.
+#: Flow at or below FLOW_ZERO times the network's largest capacity is rounding residue.
 FLOW_ZERO = 1e-12
 
 
@@ -62,6 +63,10 @@ class FlowNetwork:
     def arc_count(self) -> int:
         return len(self.to)
 
+    @property
+    def zero(self) -> float:
+        return FLOW_ZERO * max(self.cap, default=0.0)
+
     def arcs(self):
         """(tail, head, capacity) for every stored arc slot, twins included."""
         return [(self.to[i ^ 1], self.to[i], self.cap[i]) for i in range(len(self.to))]
@@ -83,6 +88,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     resid = list(net.cap)
     to = net.to
     adj = net.adj
+    zero = net.zero
     total = 0.0
 
     while True:
@@ -93,7 +99,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
             x = queue.popleft()
             for a in adj[x]:
                 y = to[a]
-                if resid[a] > FLOW_ZERO and level[y] < 0:
+                if resid[a] > zero and level[y] < 0:
                     level[y] = level[x] + 1
                     queue.append(y)
         if level[t] < 0:
@@ -112,7 +118,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
                 while it[u] < len(adj[u]):
                     a = adj[u][it[u]]
                     v = to[a]
-                    if resid[a] > FLOW_ZERO and level[v] == level[u] + 1:
+                    if resid[a] > zero and level[v] == level[u] + 1:
                         path.append(a)
                         u = v
                         moved = True
@@ -140,7 +146,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
         x = queue.popleft()
         for a in adj[x]:
             y = to[a]
-            if resid[a] > FLOW_ZERO and y not in reachable:
+            if resid[a] > zero and y not in reachable:
                 reachable.add(y)
                 queue.append(y)
     flows = tuple(max(0.0, net.cap[i] - resid[i]) for i in range(len(resid)))
@@ -159,12 +165,13 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
     s, t = net.source, net.sink
     to = net.to
     adj = net.adj
-    flow = [f if f > FLOW_ZERO else 0.0 for f in sol.arc_flows]
+    zero = net.zero
+    flow = list(sol.arc_flows)  # arcs at or below zero are never walked
     paths = []
 
     def first_out(u: int) -> int | None:
         for a in adj[u]:
-            if flow[a] > FLOW_ZERO:
+            if flow[a] > zero:
                 return a
         return None
 
@@ -180,8 +187,6 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
                 push = min(flow[a] for a in walk_arcs)
                 for a in walk_arcs:
                     flow[a] -= push
-                    if flow[a] <= FLOW_ZERO:
-                        flow[a] = 0.0
                 paths.append((s, t, push, tuple(walk_nodes)))
                 break
             a = first_out(u)
@@ -195,8 +200,6 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
                 push = min(flow[c] for c in cycle)
                 for c in cycle:
                     flow[c] -= push
-                    if flow[c] <= FLOW_ZERO:
-                        flow[c] = 0.0
                 for node in walk_nodes[k + 1:]:
                     del pos[node]
                 del walk_arcs[k:]
@@ -211,7 +214,7 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
     if len(paths) > net.arc_count:
         raise InvariantViolation("path decomposition emitted more paths than arcs")
     total = sum(p[2] for p in paths)
-    if abs(total - sol.value) > 1e-9 * max(1.0, abs(sol.value)):
+    if abs(total - sol.value) > tolerance(sol.value):
         raise InvariantViolation(
             f"path decomposition total {total} does not match flow value {sol.value}")
     return tuple(paths)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cutplayer import rst_partition
 from .errors import InvariantViolation
-from .graph import EPS, Cut, Graph, VertexMeasure, is_connected, mu_expansion_of_cut
+from .graph import Cut, Graph, VertexMeasure, is_connected, mu_expansion_of_cut, tolerance
 # not called here; bench/spans.py wraps this name and reports it missing if it goes
 from .graph import induced_subgraph  # noqa: F401
 from .matching import RoundRecord, solve_matching_round
@@ -143,7 +143,7 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         # recompute the cumulative cut quality rather than trusting the rounds
         expansion = mu_expansion_of_cut(g, mu, Cut(removed_all))
         bound = 7.0 / params.capacity_c
-        if not expansion <= bound + EPS * max(1.0, bound):
+        if not expansion <= bound + tolerance(bound):
             raise InvariantViolation(
                 f"cumulative cut expansion {expansion} exceeds 7/c = {bound}")
 

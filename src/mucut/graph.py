@@ -6,6 +6,12 @@ conventions live here: edge weights are strictly positive reals, parallel
 edges merge by weight summation, and the expansion of a cut whose lighter
 side carries no measure is the ``INFINITE`` sentinel rather than a float
 infinity.  All types are immutable after construction.
+
+Weights, measures, capacities and masses compare up to :func:`tolerance`,
+EPS relative to their scale, and flow at or below ``flow.FLOW_ZERO`` of the
+largest capacity is zero, so scaling weights and mu together keeps the
+partition.  Projection energies (sum mu*u^2 <= 1) have no units and keep
+an absolute EPS, which accepts projections that are rounding noise.
 """
 
 from __future__ import annotations
@@ -17,8 +23,13 @@ import numpy as np
 
 from .errors import GraphInputError
 
-#: Global tolerance for equality comparisons on weights and measures.
+#: Relative tolerance for equality comparisons on weights and measures.
 EPS = 1e-9
+
+
+def tolerance(scale: float) -> float:
+    """Largest difference that is rounding between quantities of size `scale`."""
+    return EPS * abs(scale)
 
 
 class Infinite:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .cutplayer import WeightedBipartition
 from .errors import InvariantViolation
 from .flow import FlowNetwork, decompose_paths, max_flow
-from .graph import EPS, Graph
+from .graph import Graph, tolerance
 from .spectral import ActiveState, StochasticMatching
 
 
@@ -56,9 +56,9 @@ def build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipartition,
     if c <= 0:
         raise ValueError("edge capacity factor c must be positive")
     total = state.mu_active_total
-    if bip.target_mass < total / 2.0 - EPS * max(1.0, total):
+    if bip.target_mass < total / 2.0 - tolerance(total):
         raise ValueError("target mass below half the active measure")
-    if bip.source_mass > total / 8.0 + EPS * max(1.0, total):
+    if bip.source_mass > total / 8.0 + tolerance(total):
         raise ValueError("source mass above an eighth of the active measure")
     n = g.vertex_count
     active = state.active
@@ -87,14 +87,13 @@ def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition,
     if not bip.sources:
         # nothing to route; the matching degenerates to the diagonal
         return RoundRecord(round_index, active_before, frozenset(),
-                           StochasticMatching.from_pairs(mu.values, [], round_index),
+                           StochasticMatching.from_pairs(mu.values, []),
                            (), 0.0, None)
 
     net = build_pi_problem(g, state, bip, c)
     sol = max_flow(net)
     source_total = bip.source_mass
-    tol = EPS * max(1.0, source_total)
-    if sol.value >= source_total - tol:
+    if sol.value >= source_total - tolerance(source_total):
         removed: frozenset = frozenset()
     else:
         removed = frozenset(v for v in sol.min_cut_side if v != net.source)
@@ -126,12 +125,12 @@ def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition,
         if v in removed:
             continue
         got = sent.get(v, 0.0)
-        if abs(got - m) > EPS * max(1.0, m):
+        # flow rounds at the scale of the round's source mass, even for a light source
+        if abs(got - m) > tolerance(source_total):
             raise InvariantViolation(f"source {v} routed {got} instead of {m}")
 
     matched_weight = float(sum(w for _, _, w, _ in kept))
-    matching = StochasticMatching.from_pairs(
-        mu.values, [(a, b, w) for a, b, w, _ in kept], round_index)
+    matching = StochasticMatching.from_pairs(mu.values, [(a, b, w) for a, b, w, _ in kept])
 
     cut_expansion = None
     if removed:
@@ -149,10 +148,10 @@ def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition,
         if denom <= 0.0:
             raise InvariantViolation("cut side with zero measure returned by the flow step")
         cut_expansion = crossing / denom
-        if cut_expansion > 7.0 / c + EPS * max(1.0, 7.0 / c):
+        if cut_expansion > 7.0 / c + tolerance(7.0 / c):
             raise InvariantViolation(
                 f"round cut expansion {cut_expansion} exceeds 7/c = {7.0 / c}")
-        if mu_rest < total / 3.0 - EPS * max(1.0, total):
+        if mu_rest < total / 3.0 - tolerance(total):
             raise InvariantViolation(
                 f"surviving measure {mu_rest} below a third of {total}")
 

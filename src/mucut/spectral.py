@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import EPS, VertexMeasure
+from .graph import VertexMeasure, tolerance
 
 #: Largest vertex count for which dense materialization is permitted.
 DENSE_LIMIT = 64
@@ -56,9 +56,9 @@ class StochasticMatching:
     stored explicitly.
     """
 
-    __slots__ = ("off_diagonal", "diagonal", "round_index", "_us", "_vs", "_ws")
+    __slots__ = ("off_diagonal", "diagonal", "_us", "_vs", "_ws")
 
-    def __init__(self, off_diagonal: Iterable[Sequence], diagonal, round_index: int = 0):
+    def __init__(self, off_diagonal: Iterable[Sequence], diagonal):
         pairs = []
         for u, v, w in off_diagonal:
             u, v, w = int(u), int(v), float(w)
@@ -69,24 +69,22 @@ class StochasticMatching:
             pairs.append((min(u, v), max(u, v), w))
         self.off_diagonal = tuple(sorted(pairs))
         diag = np.array(diagonal, dtype=float)
-        if diag.min(initial=0.0) < -EPS:
+        if diag.min(initial=0.0) < 0.0:
             raise InvariantViolation(f"negative diagonal completion: {diag.min()}")
-        diag = np.maximum(diag, 0.0)
         diag.setflags(write=False)
         self.diagonal = diag
-        self.round_index = int(round_index)
         self._us = np.array([p[0] for p in self.off_diagonal], dtype=np.intp)
         self._vs = np.array([p[1] for p in self.off_diagonal], dtype=np.intp)
         self._ws = np.array([p[2] for p in self.off_diagonal], dtype=float)
 
     @classmethod
-    def from_pairs(cls, mu_values, pairs: Iterable[Sequence], round_index: int = 0) -> "StochasticMatching":
+    def from_pairs(cls, mu_values, pairs: Iterable[Sequence]) -> "StochasticMatching":
         """Build the completed matrix from raw endpoint pairs.
 
         Self-pairs are dropped: they add equal amounts to a row sum and to
         the diagonal, so the completion mu - rowsum reproduces them.  Row
         sums accumulate in sorted pair order, the order of the stored
-        off-diagonal.
+        off-diagonal.  A completion below zero by rounding is clipped to 0.
         """
         mu_values = np.asarray(mu_values, dtype=float)
         merged: dict[tuple[int, int], float] = {}
@@ -101,10 +99,10 @@ class StochasticMatching:
             row[u] += w
             row[v] += w
         slack = mu_values - row
-        if slack.min(initial=0.0) < -EPS * max(1.0, float(mu_values.max(initial=1.0))):
+        if slack.min(initial=0.0) < -tolerance(mu_values.max(initial=0.0)):
             raise InvariantViolation(
                 f"matched weight exceeds the measure at some vertex by {-slack.min()}")
-        return cls([(u, v, w) for (u, v), w in merged.items()], np.maximum(slack, 0.0), round_index)
+        return cls([(u, v, w) for (u, v), w in merged.items()], np.maximum(slack, 0.0))
 
     @property
     def off_diagonal_weight(self) -> float:
@@ -125,7 +123,7 @@ class StochasticMatching:
         return m
 
     def __repr__(self):
-        return (f"StochasticMatching(round={self.round_index}, pairs={len(self.off_diagonal)}, "
+        return (f"StochasticMatching(pairs={len(self.off_diagonal)}, "
                 f"weight={self.off_diagonal_weight:g})")
 
 
@@ -226,13 +224,13 @@ class WalkOperator:
 def projections(w: WalkOperator, r) -> np.ndarray:
     """Per-vertex projections u = inv_sqrt(mu) * (W r), zero off the active support.
 
-    The measure-weighted sum of u vanishes identically; a residual above
-    1e-7 signals a broken operator.
+    The measure-weighted sum of u vanishes identically; a residual beyond
+    rounding at sqrt(mu(A)) * ||r|| (W never expands) signals a broken operator.
     """
     u = w.measure.inv_sqrt * w.apply(r)
     u = np.where(w.state.mask, u, 0.0)
     balance = float((w.measure.values * u).sum())
-    if abs(balance) > 1e-7:
+    if abs(balance) > tolerance(math.sqrt(w.state.mu_active_total) * np.linalg.norm(r)):
         raise InvariantViolation(f"projection balance {balance} exceeds tolerance")
     return u
 

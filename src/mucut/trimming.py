@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import InvariantViolation
 from .flow import FlowNetwork, max_flow
-from .graph import EPS, Cut, Graph, VertexMeasure, cut_weight
+from .graph import Cut, Graph, VertexMeasure, cut_weight, tolerance
 
 
 def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset:
@@ -41,7 +41,7 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
 
     mu_a = mu.of(a_set)
     limit = phi * mu_a / 9.0
-    if boundary > limit + EPS * max(1.0, limit):
+    if boundary > limit + tolerance(limit):
         raise ValueError(
             f"trim precondition failed: boundary weight {boundary} > phi*mu(A)/9 = {limit}")
 
@@ -67,11 +67,11 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
 
     mu_trimmed = mu.of(trimmed)
     floor = mu_a - 4.0 * boundary / phi
-    if mu_trimmed < floor - EPS * max(1.0, abs(floor)):
+    if mu_trimmed < floor - tolerance(mu_a):
         raise InvariantViolation(
             f"trimmed measure {mu_trimmed} below the floor {floor}")
     new_boundary = cut_weight(g, Cut(trimmed)) if len(trimmed) < g.vertex_count else 0.0
-    if new_boundary > 2.0 * boundary + EPS * max(1.0, boundary):
+    if new_boundary > 2.0 * boundary + tolerance(boundary):
         raise InvariantViolation(
             f"trimmed boundary {new_boundary} exceeds twice the original {boundary}")
     return trimmed

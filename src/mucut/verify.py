@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .graph import (Cut, Graph, Infinite, INFINITE, VertexMeasure, induced_subgraph,
-                    mu_expansion_of_cut)
+                    mu_expansion_of_cut, tolerance)
 
 MAX_ENUM_N = 20
 _CHUNK = 1 << 16
@@ -215,7 +215,7 @@ def validate_partition(g: Graph, mu: VertexMeasure, result, phi: float,
             owner[v] = i
     recount = float(sum(w for u, v, w in g.edges if exact and owner[u] != owner[v]))
     reported = float(result.inter_cluster_edge_weight)
-    weight_ok = abs(recount - reported) <= 1e-9 * max(1.0, recount)
+    weight_ok = abs(recount - reported) <= tolerance(sum(w for _, _, w in g.edges))
 
     checks = []
     all_ok = exact and weight_ok

@@ -56,7 +56,7 @@ def test_criterion_02_source_target_selection_properties():
         u = orthogonalized_projection(rng, mu, quantize=bool(trial % 7 == 0))
         if trial % 50 == 0:
             u = np.zeros(n)
-        bip = rst_partition(state, u, check=False)
+        bip = rst_partition(state, u)
         check_bipartition(state, u, bip)  # all five properties, incl. 1/80 energy
     report(2, "all five selection properties on 500 random inputs up to n=200", started, 5)
 

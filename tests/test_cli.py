@@ -100,10 +100,14 @@ def test_bad_phi_exits_2(k8_file):
     ("decompose", ["--phi", "0.1", "--t-factor", "inf"]),
     ("decompose", ["--phi", "0.1", "--c-factor", "nan"]),
     ("verify", ["--phi", "-0.1"]),
+    ("verify", ["--partition", "p.json", "--check-level", "nan"]),
+    ("verify", ["--partition", "p.json", "--check-level", "-1"]),
+    ("decompose", ["--phi", "0.1", "--log-base", "inf"]),
 ])
 def test_bad_flag_values_exit_2(k8_file, capsys, command, flags):
     assert main([command, "--graph", k8_file] + flags) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[-2]} must be ")  # rejected before any file is read
 
 
 def test_internal_value_error_exits_3(k8_file, monkeypatch, capsys):

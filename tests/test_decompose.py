@@ -37,7 +37,7 @@ def test_balanced_or_expander_on_dumbbell(seed):
     assert value <= 2 * 7.0 / params.capacity_c + 1e-9
 
 
-@pytest.mark.parametrize("log_base", [1.0, 0.5, float("nan")])
+@pytest.mark.parametrize("log_base", [1.0, 0.5, float("nan"), float("inf")])
 def test_balanced_or_expander_rejects_log_base_at_most_one(log_base):
     g = dumbbell_graph(4)
     mu = VertexMeasure.from_degrees(g)

@@ -30,6 +30,22 @@ def random_network(rng, directed_bias=0.5):
     return net
 
 
+def fractional_arcs(rng):
+    """Random small network as (n, arcs of (u, v, capacity, undirected)),
+    capacities uniform in [0.1, 5)."""
+    n = int(rng.integers(4, 11))
+    arcs = [(u, v, float(rng.uniform(0.1, 5.0)), bool(rng.random() < 0.5))
+            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+    return n, arcs or [(0, n - 1, 1.0, False)]
+
+
+def scaled_network(n, arcs, scale):
+    net = FlowNetwork(n, 0, n - 1)
+    for u, v, c, undirected in arcs:
+        (net.add_undirected_edge if undirected else net.add_arc)(u, v, scale * c)
+    return net
+
+
 def test_single_arc():
     net = FlowNetwork(2, 0, 1)
     net.add_arc(0, 1, 2.0)
@@ -185,3 +201,20 @@ def test_source_sink_validation():
     net = FlowNetwork(3, 0, 2)
     with pytest.raises(ValueError):
         net.add_arc(0, 1, -1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+def test_scaled_capacities_keep_the_cut_and_the_paths(scale):
+    # flow counts as zero relative to the largest capacity, so a change of
+    # units changes neither the min cut nor the path decomposition
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n, arcs = fractional_arcs(rng)
+        base = max_flow(scaled_network(n, arcs, 1.0))
+        net = scaled_network(n, arcs, scale)
+        sol = max_flow(net)
+        assert sol.min_cut_side == base.min_cut_side
+        assert sol.value == pytest.approx(scale * base.value, rel=1e-9)
+        assert conservation_errors(net, sol) <= 1e-9 * sol.value
+        dec = decompose_paths(net, sol)
+        assert sum(p[2] for p in dec) == pytest.approx(sol.value, rel=1e-9)

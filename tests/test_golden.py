@@ -12,6 +12,9 @@ change in the order the driver visits its components shows up here.  A
 last set pins the bytes of the CLI's JSON and ``--trace`` CSV, potential
 column included.  A refactor that keeps the arithmetic keeps every
 digest; a change that moves numerics must say why and pin the new values.
+The same instances, with random weighted graphs and a dumbbell, also
+check that scaling edge weights and the measure by one factor leaves the
+clusters unchanged: the mu-expansion has no units.
 
 The instances cover a planted three-block graph whose game removes a
 balanced cut, a grid with zero-measure vertices, a grid with two terminals
@@ -30,7 +33,7 @@ from mucut import (DecomposeConfig, GameParams, Graph, Infinite, VertexMeasure, 
                    run_cut_matching)
 from mucut.cli import main
 
-from helpers import write_graph, write_measure
+from helpers import dumbbell_graph, random_connected_graph, write_graph, write_measure
 
 
 def planted_blocks():
@@ -254,3 +257,23 @@ def test_pinned_cli_bytes(case, tmp_path):
     sha = (hashlib.sha256(out.read_bytes()).hexdigest(),
            hashlib.sha256(trace.read_bytes()).hexdigest())
     assert sha == CLI_GOLDEN[case]
+
+
+def unit_cases():
+    """(graph, measure, phi, seed): the golden instances, 30 random weighted
+    graphs on 14 vertices and the K8-K8 dumbbell at two levels."""
+    cases = [make() for make in GOLDEN]
+    rng = np.random.default_rng(2024)
+    for seed in range(30):
+        g = random_connected_graph(rng, 14, extra=1.0, weighted=True)
+        cases.append((g, VertexMeasure.from_degrees(g), 0.05, seed))
+    db = dumbbell_graph(8)
+    return cases + [(db, VertexMeasure.from_degrees(db), phi, 0) for phi in (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+def test_clusters_independent_of_units(scale):
+    for g, mu, phi, seed in unit_cases():
+        want = decompose(g, mu, phi, rng=seed).clusters
+        scaled = Graph(g.vertex_count, [(u, v, scale * w) for u, v, w in g.edges])
+        assert decompose(scaled, VertexMeasure(scale * mu.values), phi, rng=seed).clusters == want

@@ -21,7 +21,7 @@ def synthetic_matchings(rng, mu, rounds=3, delta=1):
     """Random feasibly-weighted matchings among the terminals (no game)."""
     support = sorted(mu.support)
     out = []
-    for t in range(rounds):
+    for _ in range(rounds):
         pairs = []
         budget = {v: mu.values[v] for v in support}
         perm = rng.permutation(support)
@@ -32,7 +32,7 @@ def synthetic_matchings(rng, mu, rounds=3, delta=1):
                 pairs.append((u, v, w))
                 budget[u] -= w
                 budget[v] -= w
-        out.append(StochasticMatching.from_pairs(mu.values, pairs, t))
+        out.append(StochasticMatching.from_pairs(mu.values, pairs))
     return out
 
 
@@ -96,7 +96,7 @@ def test_projection_errors_on_zero_measure():
 
 def test_normalized_matching_diagonal_is_support_identity():
     mu = VertexMeasure([1.0, 2.0, 0.0, 0.5])
-    m = StochasticMatching.from_pairs(mu.values, [], 0)
+    m = StochasticMatching.from_pairs(mu.values, [])
     x = np.array([1.0, -2.0, 3.0, 4.0])
     for delta in (1, 2, 4):
         y = apply_normalized_matching(m, mu, delta, x)
@@ -136,15 +136,15 @@ def test_matching_diagonal_independent_of_pair_order():
     # sums run in sorted pair order, so the diagonal bytes do not
     mu = VertexMeasure([1.0] * 4)
     pairs = [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3)]
-    forward = StochasticMatching.from_pairs(mu.values, pairs, 0)
-    backward = StochasticMatching.from_pairs(mu.values, pairs[::-1], 0)
+    forward = StochasticMatching.from_pairs(mu.values, pairs)
+    backward = StochasticMatching.from_pairs(mu.values, pairs[::-1])
     assert forward.diagonal.tobytes() == backward.diagonal.tobytes()
 
 
 def test_matching_rejects_overfull_rows():
     mu = VertexMeasure([1.0, 1.0])
     with pytest.raises(InvariantViolation):
-        StochasticMatching.from_pairs(mu.values, [(0, 1, 2.0)], 0)
+        StochasticMatching.from_pairs(mu.values, [(0, 1, 2.0)])
 
 
 def test_walk_t0_is_projection():
@@ -256,7 +256,7 @@ def test_psi_drops_after_perfect_matching_round():
     # the drop strict
     mu = VertexMeasure([1.0] * 4)
     state = ActiveState(range(4), mu)
-    m = StochasticMatching.from_pairs(mu.values, [(0, 1, 1.0), (2, 3, 1.0)], 0)
+    m = StochasticMatching.from_pairs(mu.values, [(0, 1, 1.0), (2, 3, 1.0)])
     _, psi0_lazy = dense_walk_and_potential(WalkOperator([], 2, state))
     _, psi1_lazy = dense_walk_and_potential(WalkOperator([m], 2, state))
     assert psi1_lazy < psi0_lazy

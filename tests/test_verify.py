@@ -143,6 +143,19 @@ def test_validate_partition_flags_bad_weight():
     assert not report.weight_matches
 
 
+def test_validate_partition_weight_check_is_relative():
+    # two 4-cliques joined by two edges, every weight 1e-10: the recount is
+    # 2e-10, and a reported 0 is wrong in any units
+    edges = clique_edges(range(4)) + clique_edges(range(4, 8)) + [(0, 4, 1.0), (1, 5, 1.0)]
+    g = Graph(8, [(u, v, 1e-10 * w) for u, v, w in edges])
+    mu = VertexMeasure.from_degrees(g)
+    clusters = [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert validate_partition(g, mu, FakeResult(clusters, 2e-10), phi=0.05).weight_matches
+    report = validate_partition(g, mu, FakeResult(clusters, 0.0), phi=0.05)
+    assert not report.weight_matches
+    assert not report.all_passed
+
+
 def test_validate_partition_serializes():
     g = Graph(4, clique_edges(range(4)))
     mu = VertexMeasure.from_degrees(g)
