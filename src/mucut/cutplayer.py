@@ -79,7 +79,7 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
         raise ValueError("active set carries no measure")
     mu_vals = state.measure.values
     stray = np.where(state.mask, 0.0, u)
-    if float(np.abs(stray).max(initial=0.0)) > EPS:
+    if float(np.abs(stray).max(initial=0.0)) * np.sqrt(state.mu_active_total) > EPS:
         raise ValueError("projection vector has support outside the active terminals")
     scale = float(np.abs(mu_vals * u).sum())
     balance = float((mu_vals * u).sum())
@@ -138,8 +138,9 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
 
 def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
     """Assert the five output properties; raises InvariantViolation naming
-    the first one that fails.  Projections keep the absolute EPS (their
-    energy has no units, see the graph module); masses use tolerance."""
+    the first one that fails.  Projections scale as mu^(-1/2), so they are
+    compared in the unitless forms sqrt(mu) * u and mu * u^2 against the
+    absolute EPS (see the graph module); masses use tolerance."""
     u = np.asarray(u, dtype=float)
     mu_vals = state.measure.values
     total = state.mu_active_total
@@ -147,8 +148,9 @@ def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
     if bip.sources and bip.targets:
         src_u = [u[v] for v, _ in bip.sources]
         tgt_u = [u[v] for v, _ in bip.targets]
-        below = max(src_u) <= bip.eta + EPS and bip.eta <= min(tgt_u) + EPS
-        above = min(src_u) >= bip.eta - EPS and bip.eta >= max(tgt_u) - EPS
+        root = np.sqrt(total)
+        below = root * (max(src_u) - bip.eta) <= EPS and root * (bip.eta - min(tgt_u)) <= EPS
+        above = root * (bip.eta - min(src_u)) <= EPS and root * (max(tgt_u) - bip.eta) <= EPS
         if not (below or above):
             raise InvariantViolation("separation: eta does not separate sources from targets")
 
@@ -168,7 +170,7 @@ def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
 
     for v, _ in bip.sources:
         gap = (u[v] - bip.eta) ** 2
-        if gap < u[v] ** 2 / 9.0 - EPS:
+        if mu_vals[v] * gap < mu_vals[v] * u[v] ** 2 / 9.0 - EPS:
             raise InvariantViolation(f"margin: source {v} sits too close to eta")
 
     ids = np.flatnonzero(state.mask)

@@ -192,7 +192,7 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
         for v in cl:
             owner[v] = i
     recount = float(sum(w for u, v, w in g.edges if owner[u] != owner[v]))
-    if abs(recount - charged) > tolerance(sum(w for _, _, w in g.edges)):
+    if abs(recount - charged) > tolerance(recount):
         raise InvariantViolation(
             f"inter-cluster accounting drifted: charged {charged}, recount {recount}")
 

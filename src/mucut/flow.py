@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .errors import InvariantViolation
 from .graph import tolerance
 
-#: Flow at or below FLOW_ZERO times the network's largest capacity is rounding residue.
+#: Flow at or below FLOW_ZERO times the network's largest capacity, capped at
+#: FlowNetwork.cap_limit, is rounding residue.
 FLOW_ZERO = 1e-12
 
 
@@ -64,8 +65,15 @@ class FlowNetwork:
         return len(self.to)
 
     @property
+    def cap_limit(self) -> float:
+        """EPS / FLOW_ZERO times the source's outgoing capacity.  No arc needs
+        more than the source can send, so capping arcs here keeps the flow
+        value and the min cut, and keeps `zero` within tolerance of it."""
+        return tolerance(sum(self.cap[a] for a in self.adj[self.source])) / FLOW_ZERO
+
+    @property
     def zero(self) -> float:
-        return FLOW_ZERO * max(self.cap, default=0.0)
+        return FLOW_ZERO * min(max(self.cap, default=0.0), self.cap_limit)
 
     def arcs(self):
         """(tail, head, capacity) for every stored arc slot, twins included."""
@@ -85,7 +93,11 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     """Exact maximum flow; min cut recovered from residual reachability."""
     n = net.node_count
     s, t = net.source, net.sink
-    resid = list(net.cap)
+    limit = net.cap_limit
+    cap = net.cap
+    if max(cap, default=0.0) > limit:
+        cap = [min(c, limit) for c in cap]
+    resid = list(cap)
     to = net.to
     adj = net.adj
     zero = net.zero
@@ -149,7 +161,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
             if resid[a] > zero and y not in reachable:
                 reachable.add(y)
                 queue.append(y)
-    flows = tuple(max(0.0, net.cap[i] - resid[i]) for i in range(len(resid)))
+    flows = tuple(max(0.0, cap[i] - resid[i]) for i in range(len(resid)))
     return FlowSolution(value=total, arc_flows=flows, min_cut_side=frozenset(reachable))
 
 

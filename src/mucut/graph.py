@@ -9,9 +9,10 @@ infinity.  All types are immutable after construction.
 
 Weights, measures, capacities and masses compare up to :func:`tolerance`,
 EPS relative to their scale, and flow at or below ``flow.FLOW_ZERO`` of the
-largest capacity is zero, so scaling weights and mu together keeps the
-partition.  Projection energies (sum mu*u^2 <= 1) have no units and keep
-an absolute EPS, which accepts projections that are rounding noise.
+largest (capped) capacity is zero, so scaling weights and mu together keeps
+the partition.  Projections are tested in unitless forms (sqrt(mu) * u and
+energies mu * u^2 <= 1) against an absolute EPS, which accepts projections
+that are rounding noise.
 """
 
 from __future__ import annotations

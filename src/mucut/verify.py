@@ -215,7 +215,7 @@ def validate_partition(g: Graph, mu: VertexMeasure, result, phi: float,
             owner[v] = i
     recount = float(sum(w for u, v, w in g.edges if exact and owner[u] != owner[v]))
     reported = float(result.inter_cluster_edge_weight)
-    weight_ok = abs(recount - reported) <= tolerance(sum(w for _, _, w in g.edges))
+    weight_ok = abs(recount - reported) <= tolerance(recount)
 
     checks = []
     all_ok = exact and weight_ok

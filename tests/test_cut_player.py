@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mucut import VertexMeasure
-from mucut.cutplayer import check_bipartition, rst_partition
+from mucut.cutplayer import WeightedBipartition, check_bipartition, rst_partition
+from mucut.errors import InvariantViolation
 from mucut.spectral import ActiveState
 
 from helpers import orthogonalized_projection, random_measure
@@ -133,6 +134,31 @@ def test_random_inputs_satisfy_all_five_properties(seed):
         mu_left = float(mu.values[ids][w < 0].sum())
         if not bip.case_two and mu_left > state.mu_active_total / 8.0 + 1e-9:
             assert bip.source_mass == pytest.approx(state.mu_active_total / 8.0, rel=1e-9)
+
+
+def _one_source_bipartition(scale, source_u, eta):
+    # eight vertices of measure `scale`: vertex 0 is the source, the rest
+    # are targets at +1; projections scale as scale^(-1/2)
+    state = make_state([scale] * 8)
+    root = np.sqrt(scale)
+    u = np.array([source_u] + [1.0] * 7) / root
+    bip = WeightedBipartition(sources=((0, scale),), targets=tuple((v, scale) for v in range(1, 8)),
+                              eta=eta / root, case_two=False, flipped=False, partial_vertex=None)
+    return state, u, bip
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_projection_checks_hold_in_any_units(scale):
+    # a projection of 1e-5 off the support, a source 1e-5 on the wrong side
+    # of eta, and a source at distance 0.1 from eta where a third of |u| = 1
+    # is needed, fail at every scale
+    with pytest.raises(ValueError, match="support"):
+        rst_partition(make_state([scale, 0.0, scale]), np.array([-1.0, 1e-5, 1.0]) / np.sqrt(scale))
+    with pytest.raises(InvariantViolation, match="separation"):
+        check_bipartition(*_one_source_bipartition(scale, -1.0, -1.0 - 1e-5))
+    with pytest.raises(InvariantViolation, match="margin"):
+        check_bipartition(*_one_source_bipartition(scale, -1.0, -0.9))
+    check_bipartition(*_one_source_bipartition(scale, -1.0, 0.0))
 
 
 def test_partial_weight_vertex_is_unique_and_recorded():

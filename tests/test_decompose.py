@@ -190,3 +190,26 @@ def test_deep_recursion_needs_no_call_stack(monkeypatch):
     assert all(c.kind == "singleton" for c in res.per_cluster)
     assert res.recursion_depth == 399
     assert res.inter_cluster_edge_weight == 399.0
+
+
+def test_accounting_drift_is_judged_at_the_recount(monkeypatch):
+    # two 4-cliques of weight 1e9 joined by two edges of weight 0.5, split
+    # between them: the heavy edges set no scale for a recount of 1.0, so a
+    # charge that misses the whole crossing weight is a drift
+    driver = importlib.import_module("mucut.decompose")
+
+    def split_blocks(g, mu, params, rng, *, log_base=2.0):
+        everything = frozenset(range(g.vertex_count))
+        if g.vertex_count == 4:
+            return BalanceOutcome(OutcomeKind.CERTIFIED, everything, frozenset(), None, False)
+        return BalanceOutcome(OutcomeKind.BALANCED_CUT, frozenset(range(4)),
+                              everything - frozenset(range(4)), None, False)
+
+    monkeypatch.setattr(driver, "balanced_or_expander", split_blocks)
+    edges = clique_edges(range(4)) + clique_edges(range(4, 8))
+    g = Graph(8, [(u, v, 1e9 * w) for u, v, w in edges] + [(0, 4, 0.5), (1, 5, 0.5)])
+    mu = VertexMeasure.from_degrees(g)
+    assert decompose(g, mu, 0.05, rng=0).inter_cluster_edge_weight == 1.0
+    monkeypatch.setattr(driver, "cut_weight", lambda g, cut: 0.0)
+    with pytest.raises(InvariantViolation, match="drifted"):
+        decompose(g, mu, 0.05, rng=0)

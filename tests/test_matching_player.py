@@ -88,6 +88,24 @@ def test_self_pairs_fold_into_the_diagonal():
     assert np.allclose(res.matching.row_sums(), mu.values, atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_tiny_partial_source_is_routed_beside_heavy_edges(scale):
+    # edge capacities c*w are 1e4 times the source mass, and source 1 is a
+    # partial pick of 8e-9 of that mass: above the round's feasibility
+    # rounding, so the flow must route it
+    g = Graph(8, [(u, v, scale * w) for u, v, w in clique_edges(range(8))])
+    mu = VertexMeasure([scale] * 8)
+    bip = manual_bip([(0, 0.5 * scale), (1, 4e-9 * scale)],
+                     [(v, scale) for v in range(4, 8)])
+    res = solve_matching_round(g, ActiveState(range(8), mu), bip, c=1e4 * bip.source_mass / scale)
+    assert res.feasible and not res.removed
+    sent = {}
+    for a, _, w, _ in res.paths:
+        sent[a] = sent.get(a, 0.0) + w
+    assert sent[1] == pytest.approx(4e-9 * scale)
+    assert res.matched_weight == pytest.approx(bip.source_mass)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_round_contract(seed):
     rng = np.random.default_rng(300 + seed)

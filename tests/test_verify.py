@@ -156,6 +156,19 @@ def test_validate_partition_weight_check_is_relative():
     assert not report.all_passed
 
 
+def test_validate_partition_weight_check_ignores_heavy_cluster_edges():
+    # two 4-cliques of weight 1e9 joined by two edges of weight 0.5: the
+    # heavy edges inside the clusters set no scale for the recount of 1.0
+    edges = clique_edges(range(4)) + clique_edges(range(4, 8))
+    g = Graph(8, [(u, v, 1e9 * w) for u, v, w in edges] + [(0, 4, 0.5), (1, 5, 0.5)])
+    mu = VertexMeasure.from_degrees(g)
+    clusters = [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert validate_partition(g, mu, FakeResult(clusters, 1.0), phi=0.05).weight_matches
+    report = validate_partition(g, mu, FakeResult(clusters, 0.0), phi=0.05)
+    assert not report.weight_matches
+    assert not report.all_passed
+
+
 def test_validate_partition_serializes():
     g = Graph(4, clique_edges(range(4)))
     mu = VertexMeasure.from_degrees(g)
