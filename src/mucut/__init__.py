@@ -2,7 +2,7 @@
 
 from .graph import (Cut, Graph, INFINITE, Infinite, VertexMeasure, connected_components,
                     cut_weight, induced_subgraph, is_connected, mu_expansion_of_cut)
-from .spectral import (ActiveState, StochasticMatching, WalkOperator, apply_normalized_matching,
+from .spectral import (ActiveState, StochasticMatching, WalkOperator,
                        apply_projection, default_delta, dense_flow_matrix,
                        dense_walk_and_potential, projections, sample_unit_vector)
 from .cutplayer import WeightedBipartition, check_bipartition, rst_partition

@@ -124,8 +124,8 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     expander side's, then the rest's, each by smallest vertex) are visited
     in turn, each with its whole subtree.  `rng` may be a seed or a Generator.
     """
-    if phi <= 0:
-        raise ValueError("phi must be positive")
+    if not 0.0 < phi < math.inf:
+        raise ValueError(f"phi must be positive and finite, got {phi}")
     if len(mu.values) != g.vertex_count:
         raise ValueError("measure length does not match the graph")
     cfg = config or DecomposeConfig()
@@ -142,6 +142,7 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     # and sorted.  Children are pushed in reverse so that they pop in order.
     stack = [(comp, 0) for comp in reversed(connected_components(g))]
     while stack:
+        outcome = None  # the last game's records and walk go before the next game plays
         component, depth = stack.pop()
         max_depth = max(max_depth, depth)
         if depth > depth_limit:

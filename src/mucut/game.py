@@ -28,8 +28,8 @@ from .graph import Cut, Graph, VertexMeasure, is_connected, mu_expansion_of_cut,
 # not called here; bench/spans.py wraps this name and reports it missing if it goes
 from .graph import induced_subgraph  # noqa: F401
 from .matching import RoundRecord, solve_matching_round
-from .spectral import (ActiveState, StochasticMatching, WalkOperator, default_delta,
-                       is_power_of_two, projections, sample_unit_vector)
+from .spectral import (ActiveState, WalkOperator, default_delta, is_power_of_two, projections,
+                       sample_unit_vector)
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class GameParams:
     stop_threshold: float
 
     def __post_init__(self):
-        if self.phi <= 0:
-            raise ValueError("phi must be positive")
+        if not 0.0 < self.phi < math.inf:
+            raise ValueError(f"phi must be positive and finite, got {self.phi}")
         if self.rounds_T < 1:
             raise ValueError("rounds_T must be at least 1")
         if self.capacity_c < 1:
@@ -61,8 +61,8 @@ class GameParams:
     def for_graph(g: Graph, mu: VertexMeasure, phi: float, *, t_factor: float = 2.0,
                   c_factor: float = 1.0, delta: Optional[int] = None) -> "GameParams":
         """T = ceil(t_factor * log2(n)^2), c = max(1, round(c_factor / (phi ln n)))."""
-        if phi <= 0:
-            raise ValueError("phi must be positive")
+        if not 0.0 < phi < math.inf:
+            raise ValueError(f"phi must be positive and finite, got {phi}")
         n = g.vertex_count
         log2n = math.log2(n) if n >= 2 else 1.0
         lnn = math.log(n) if n >= 2 else 1.0
@@ -113,24 +113,24 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
 
     active = frozenset(range(n))
     removed_all: frozenset = frozenset()
-    matchings: list[StochasticMatching] = []
     records: list[RoundRecord] = []
+    state = ActiveState(active, mu)
+    walk = WalkOperator([], params.delta, state)
     t = 0
 
     while mu.of(removed_all) <= params.stop_threshold and t < params.rounds_T:
-        state = ActiveState(active, mu)
-        walk = WalkOperator(matchings, params.delta, state)
         r = sample_unit_vector(n, rng)
         u = projections(walk, r)
         bip = rst_partition(state, u)
         rec = solve_matching_round(g, state, bip, float(params.capacity_c), round_index=t)
         records.append(rec)
-        matchings.append(rec.matching)
-        active = active - rec.removed
-        removed_all = removed_all | rec.removed
+        walk.extend(rec.matching)
+        if rec.removed:
+            active = active - rec.removed
+            removed_all = removed_all | rec.removed
+            state = walk.state = ActiveState(active, mu)
         t += 1
 
-    final_walk = WalkOperator(matchings, params.delta, ActiveState(active, mu))
     mu_removed = mu.of(removed_all)
     if t == params.rounds_T and not removed_all:
         variant = Variant.CERTIFIED_EXPANDER
@@ -152,5 +152,5 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         a_side=active,
         r_side=removed_all,
         rounds=tuple(records),
-        walk=final_walk,
+        walk=walk,
     )

@@ -83,7 +83,7 @@ def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition,
     active measure surviving.
     """
     mu = state.measure
-    active_before = tuple(sorted(state.active))
+    active_before = state.order
     if not bip.sources:
         # nothing to route; the matching degenerates to the diagonal
         return RoundRecord(round_index, active_before, frozenset(),

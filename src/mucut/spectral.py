@@ -9,11 +9,15 @@ measure, the walk after t rounds is
     W = (P . Nbar_{t-1} ... Nbar_0 . I_supp . Nbar_0 ... Nbar_{t-1} . P)^delta
 
 where I_supp restricts to the measure's support.  The operator is only
-ever applied to vectors; every factor is a sparse matvec or a rank-one
-projection update, so one evaluation costs O(delta * t * (pairs + n)).
-Dense materialization of the flow matrix and of the potential trace exist
-as oracles for small instances and are never used by the algorithm
-itself.
+ever applied to vectors, and it runs in the support's coordinates: every
+factor is zero off the support, so a vector of length k = |supp mu| is
+carried through and scattered back to all n vertices once, at the end.
+Each matching's normalized lazy factor is fused once, when the matching is
+added to the walk, into a diagonal plus symmetric pair triples; applying it
+is one product and one ``np.bincount``.  One evaluation therefore costs
+O(delta * t * (pairs + |supp mu|)).  Dense materialization of the flow
+matrix and of the potential trace exist as oracles for small instances and
+are never used by the algorithm itself.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class StochasticMatching:
     stored explicitly.
     """
 
-    __slots__ = ("off_diagonal", "diagonal", "_us", "_vs", "_ws")
+    __slots__ = ("diagonal", "_us", "_vs", "_ws")
 
     def __init__(self, off_diagonal: Iterable[Sequence], diagonal):
         pairs = []
@@ -67,15 +71,16 @@ class StochasticMatching:
             if w <= 0:
                 raise ValueError("matching weights must be positive")
             pairs.append((min(u, v), max(u, v), w))
-        self.off_diagonal = tuple(sorted(pairs))
+        pairs.sort()
         diag = np.array(diagonal, dtype=float)
         if diag.min(initial=0.0) < 0.0:
             raise InvariantViolation(f"negative diagonal completion: {diag.min()}")
-        diag.setflags(write=False)
         self.diagonal = diag
-        self._us = np.array([p[0] for p in self.off_diagonal], dtype=np.intp)
-        self._vs = np.array([p[1] for p in self.off_diagonal], dtype=np.intp)
-        self._ws = np.array([p[2] for p in self.off_diagonal], dtype=float)
+        self._us = np.array([p[0] for p in pairs], dtype=np.intp)
+        self._vs = np.array([p[1] for p in pairs], dtype=np.intp)
+        self._ws = np.array([p[2] for p in pairs], dtype=float)
+        for arr in (self.diagonal, self._us, self._vs, self._ws):
+            arr.setflags(write=False)
 
     @classmethod
     def from_pairs(cls, mu_values, pairs: Iterable[Sequence]) -> "StochasticMatching":
@@ -105,6 +110,11 @@ class StochasticMatching:
         return cls([(u, v, w) for (u, v), w in merged.items()], np.maximum(slack, 0.0))
 
     @property
+    def off_diagonal(self) -> tuple:
+        """The strict pairs as (u, v, w) with u < v, in sorted order."""
+        return tuple(zip(self._us.tolist(), self._vs.tolist(), self._ws.tolist()))
+
+    @property
     def off_diagonal_weight(self) -> float:
         return float(self._ws.sum())
 
@@ -123,21 +133,25 @@ class StochasticMatching:
         return m
 
     def __repr__(self):
-        return (f"StochasticMatching(pairs={len(self.off_diagonal)}, "
+        return (f"StochasticMatching(pairs={len(self._ws)}, "
                 f"weight={self.off_diagonal_weight:g})")
 
 
 class ActiveState:
-    """The surviving vertex set of the game plus its measure restriction."""
+    """The surviving vertex set of the game plus its measure restriction.
 
-    __slots__ = ("active", "measure", "mask", "sqrt_mu", "mu_active_total")
+    ``order`` lists the active vertices in increasing order; the game builds
+    one state per active set, so its round records share that tuple.
+    """
+
+    __slots__ = ("active", "order", "measure", "mask", "sqrt_mu", "mu_active_total")
 
     def __init__(self, active: Iterable[int], measure: VertexMeasure):
         self.active = frozenset(int(v) for v in active)
+        self.order = tuple(sorted(self.active))
         self.measure = measure
         mask = np.zeros(len(measure.values), dtype=bool)
-        for v in self.active:
-            mask[v] = True
+        mask[list(self.order)] = True
         mask &= measure.support_mask
         mask.setflags(write=False)
         self.mask = mask
@@ -167,58 +181,95 @@ def apply_projection(state: ActiveState, x) -> np.ndarray:
     Coordinates outside the active support are zeroed first; the map is
     idempotent.
     """
-    if state.mu_active_total <= 0.0:
+    return _project(state.mask, state.sqrt_mu, state.mu_active_total, np.asarray(x, dtype=float))
+
+
+def _project(mask, sqrt_mu, total, x) -> np.ndarray:
+    if total <= 0.0:
         raise ValueError("active set carries no measure; projection undefined")
-    x = np.asarray(x, dtype=float)
-    restricted = np.where(state.mask, x, 0.0)
-    coeff = float(state.sqrt_mu @ restricted) / state.mu_active_total
-    return restricted - coeff * state.sqrt_mu
+    restricted = np.where(mask, x, 0.0)
+    coeff = float(sqrt_mu @ restricted) / total
+    return restricted - coeff * sqrt_mu
 
 
-def apply_normalized_matching(m: StochasticMatching, mu: VertexMeasure, delta: int, x) -> np.ndarray:
-    """Apply the normalized lazy matching: ((delta-1)/delta) I_supp + (1/delta) Mbar.
+class LazyFactor:
+    """One matching's normalized lazy factor, fused in support coordinates.
 
-    Mbar is the matching conjugated by the measure's inverse square root
-    (pseudo-inverse: zero off the support).
+    Nbar = ((delta-1)/delta) I_supp + D^{-1/2} M D^{-1/2} / delta vanishes
+    off the measure's support, so it is stored on the k support vertices
+    (in increasing vertex order) as a diagonal ``dg`` plus the pair entries
+    ``(rows, cols, vals)``, each pair in both orientations.  Pairs with an
+    endpoint off the support meet a zero of the pseudo-inverse and are
+    dropped.
     """
-    x = np.asarray(x, dtype=float)
-    z = mu.inv_sqrt * x
-    mz = m.diagonal * z
-    if m._us.size:
-        np.add.at(mz, m._us, m._ws * z[m._vs])
-        np.add.at(mz, m._vs, m._ws * z[m._us])
-    lazy = (delta - 1.0) / delta
-    return lazy * np.where(mu.support_mask, x, 0.0) + (mu.inv_sqrt * mz) / delta
+
+    __slots__ = ("dg", "rows", "cols", "vals")
+
+    def __init__(self, m: StochasticMatching, mu: VertexMeasure, delta: int):
+        support = np.flatnonzero(mu.support_mask)
+        pos = np.full(len(mu.values), -1, dtype=np.intp)
+        pos[support] = np.arange(len(support))
+        self.dg = (delta - 1.0) / delta + m.diagonal[support] * mu.pseudo_inv[support] / delta
+        keep = mu.support_mask[m._us] & mu.support_mask[m._vs]
+        us, vs = m._us[keep], m._vs[keep]
+        vals = m._ws[keep] * mu.inv_sqrt[us] * mu.inv_sqrt[vs] / delta
+        self.rows = np.concatenate((pos[us], pos[vs]))
+        self.cols = np.concatenate((pos[vs], pos[us]))
+        self.vals = np.concatenate((vals, vals))
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Nbar y for a vector y of length k in support coordinates."""
+        out = self.dg * y
+        if self.rows.size:
+            out += np.bincount(self.rows, self.vals * y[self.cols], len(y))
+        return out
 
 
 class WalkOperator:
-    """Implicit delta-powered projected walk over a stack of matchings."""
+    """Implicit delta-powered projected walk over a stack of matchings.
 
-    __slots__ = ("matchings", "delta", "state", "measure")
+    Each matching's :class:`LazyFactor` is built once, by the constructor or
+    by :meth:`extend`; the game extends one walk round by round and swaps in
+    a new ``state`` when its active set shrinks.
+    """
+
+    __slots__ = ("matchings", "factors", "delta", "state", "measure", "support")
 
     def __init__(self, matchings: Sequence[StochasticMatching], delta: int, state: ActiveState):
         if not is_power_of_two(int(delta)):
             raise ValueError(f"delta must be a power of two, got {delta}")
-        self.matchings = tuple(matchings)
         self.delta = int(delta)
         self.state = state
         self.measure = state.measure
+        self.support = np.flatnonzero(self.measure.support_mask)
+        self.matchings: list[StochasticMatching] = []
+        self.factors: list[LazyFactor] = []
+        for m in matchings:
+            self.extend(m)
 
     @property
     def rounds(self) -> int:
         return len(self.matchings)
 
+    def extend(self, m: StochasticMatching) -> None:
+        """Append one round's matching; its factor becomes the outermost, next to P."""
+        self.matchings.append(m)
+        self.factors.append(LazyFactor(m, self.measure, self.delta))
+
     def apply(self, x) -> np.ndarray:
-        y = np.asarray(x, dtype=float)
+        state, sup = self.state, self.support
+        mask, sqrt_mu, total = state.mask[sup], state.sqrt_mu[sup], state.mu_active_total
+        y = np.asarray(x, dtype=float)[sup]
         for _ in range(self.delta):
-            y = apply_projection(self.state, y)
-            for m in reversed(self.matchings):
-                y = apply_normalized_matching(m, self.measure, self.delta, y)
-            y = np.where(self.measure.support_mask, y, 0.0)
-            for m in self.matchings:
-                y = apply_normalized_matching(m, self.measure, self.delta, y)
-            y = apply_projection(self.state, y)
-        return y
+            y = _project(mask, sqrt_mu, total, y)
+            for f in reversed(self.factors):
+                y = f.apply(y)
+            for f in self.factors:
+                y = f.apply(y)
+            y = _project(mask, sqrt_mu, total, y)
+        out = np.zeros(len(self.measure.values))
+        out[sup] = y
+        return out
 
 
 def projections(w: WalkOperator, r) -> np.ndarray:

@@ -7,6 +7,7 @@ seconds.  Nothing here shares code with the algorithms it validates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -202,9 +203,12 @@ def validate_partition(g: Graph, mu: VertexMeasure, result, phi: float,
 
     Exactness of the partition, the inter-cluster weight recount, and a
     brute-forced expansion for every cluster small enough; clusters are
-    held to `check_level` (phi/6 by default, the trimming certificate).
+    held to `check_level` (phi/6 by default, the trimming certificate), which
+    must be positive and finite.
     """
     level = phi / 6.0 if check_level is None else check_level
+    if not 0.0 < level < math.inf:
+        raise ValueError(f"check_level must be positive and finite, got {level}")
     clusters = [tuple(c) for c in result.clusters]
     flat = [v for cl in clusters for v in cl]
     exact = len(flat) == g.vertex_count and set(flat) == set(range(g.vertex_count))

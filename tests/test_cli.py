@@ -207,6 +207,16 @@ def test_verify_malformed_partition_exits_2(k8_file, tmp_path, content):
     assert main(["verify", "--graph", k8_file, "--partition", str(part)]) == 2
 
 
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency: importing scipy.sparse alone
+    # adds about 22 MB of resident memory to every run
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, mucut, mucut.cli; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_entry_point(k8_file):
     proc = subprocess.run([sys.executable, "-m", "mucut.cli", "verify",
                            "--graph", k8_file], capture_output=True, text=True)

@@ -37,6 +37,13 @@ def test_balanced_or_expander_on_dumbbell(seed):
     assert value <= 2 * 7.0 / params.capacity_c + 1e-9
 
 
+@pytest.mark.parametrize("phi", [0.0, -0.1, float("inf"), float("nan")])
+def test_decompose_rejects_phi_not_positive_and_finite(phi):
+    g = Graph(4, clique_edges(range(4)))
+    with pytest.raises(ValueError, match="phi"):
+        decompose(g, VertexMeasure.from_degrees(g), phi, rng=0)
+
+
 @pytest.mark.parametrize("log_base", [1.0, 0.5, float("nan"), float("inf")])
 def test_balanced_or_expander_rejects_log_base_at_most_one(log_base):
     g = dumbbell_graph(4)

@@ -22,8 +22,13 @@ def test_params_defaults():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        GameParams(phi=0.0, rounds_T=1, capacity_c=1, delta=1, stop_threshold=0.0)
+    g = Graph(8, clique_edges(range(8)))
+    mu = VertexMeasure.from_degrees(g)
+    for phi in (0.0, -0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="phi"):
+            GameParams(phi=phi, rounds_T=1, capacity_c=1, delta=1, stop_threshold=0.0)
+        with pytest.raises(ValueError, match="phi"):
+            GameParams.for_graph(g, mu, phi)
     with pytest.raises(ValueError):
         GameParams(phi=0.1, rounds_T=1, capacity_c=1, delta=3, stop_threshold=0.0)
 

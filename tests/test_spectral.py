@@ -3,8 +3,8 @@ import pytest
 
 from mucut import Graph, VertexMeasure
 from mucut.errors import InvariantViolation
-from mucut.spectral import (ActiveState, StochasticMatching, WalkOperator,
-                            apply_normalized_matching, apply_projection, default_delta,
+from mucut.spectral import (ActiveState, LazyFactor, StochasticMatching, WalkOperator,
+                            apply_projection, default_delta,
                             dense_flow_matrix, dense_projection_matrix,
                             dense_walk_and_potential, is_power_of_two, projections,
                             sample_unit_vector)
@@ -94,34 +94,58 @@ def test_projection_errors_on_zero_measure():
         apply_projection(state, np.ones(3))
 
 
+def dense_nbar(m, mu, delta):
+    """The normalized lazy matching on all n vertices, from m.dense()."""
+    s = np.diag(mu.inv_sqrt)
+    return ((delta - 1.0) / delta * np.diag(mu.support_mask.astype(float))
+            + s @ m.dense() @ s / delta)
+
+
+def apply_factor(m, mu, delta, x):
+    """LazyFactor applied to x's support coordinates, scattered back to all n."""
+    support = np.flatnonzero(mu.support_mask)
+    y = np.zeros(len(x))
+    y[support] = LazyFactor(m, mu, delta).apply(np.asarray(x, dtype=float)[support])
+    return y
+
+
 def test_normalized_matching_diagonal_is_support_identity():
     mu = VertexMeasure([1.0, 2.0, 0.0, 0.5])
     m = StochasticMatching.from_pairs(mu.values, [])
     x = np.array([1.0, -2.0, 3.0, 4.0])
     for delta in (1, 2, 4):
-        y = apply_normalized_matching(m, mu, delta, x)
+        assert LazyFactor(m, mu, delta).rows.size == 0
+        y = apply_factor(m, mu, delta, x)
         assert np.allclose(y, np.where(mu.support_mask, x, 0.0), atol=1e-12)
+        assert np.allclose(y, dense_nbar(m, mu, delta) @ x, atol=1e-12)
 
 
 def test_normalized_matching_fixes_sqrt_mu():
     rng = np.random.default_rng(7)
     mu = random_measure(rng, 12, zero_frac=0.25)
     for m in synthetic_matchings(rng, mu, rounds=4):
-        y = apply_normalized_matching(m, mu, 2, mu.sqrt)
-        assert np.allclose(y, mu.sqrt, atol=1e-9)
+        for delta in (1, 2, 4):
+            assert np.allclose(apply_factor(m, mu, delta, mu.sqrt), mu.sqrt, atol=1e-9)
+            assert np.allclose(dense_nbar(m, mu, delta) @ mu.sqrt, mu.sqrt, atol=1e-9)
 
 
 def test_normalized_matching_agrees_with_dense():
     rng = np.random.default_rng(8)
     mu = random_measure(rng, 9, zero_frac=0.2)
-    s = np.diag(mu.inv_sqrt)
-    for delta in (1, 2):
-        for m in synthetic_matchings(rng, mu, rounds=3, delta=delta):
-            nbar = (delta - 1.0) / delta * np.diag(mu.support_mask.astype(float)) \
-                + s @ m.dense() @ s / delta
+    support = np.flatnonzero(mu.support_mask)
+    off = int(np.flatnonzero(~mu.support_mask)[0])
+    # a pair with an endpoint off the support meets a zero of the pseudo-inverse
+    stray = StochasticMatching([(off, int(support[0]), 0.1)], mu.values)
+    for delta in (1, 2, 4):
+        for m in synthetic_matchings(rng, mu, rounds=3) + [stray]:
+            nbar = dense_nbar(m, mu, delta)
+            f = LazyFactor(m, mu, delta)
+            fused = np.diag(f.dg)
+            np.add.at(fused, (f.rows, f.cols), f.vals)
+            assert np.abs(fused - nbar[np.ix_(support, support)]).max() < 1e-12
             for _ in range(5):
                 x = rng.standard_normal(9)
-                assert np.abs(apply_normalized_matching(m, mu, delta, x) - nbar @ x).max() < 1e-9
+                assert np.abs(apply_factor(m, mu, delta, x) - nbar @ x).max() < 1e-9
 
 
 def test_matching_row_sums_equal_measure():
@@ -165,19 +189,27 @@ def test_walk_kills_sqrt_mu():
 
 
 def test_walk_agrees_with_dense_materialization():
+    # zero-measure vertices, strict active subsets (0, 2 or 4 vertices
+    # dropped) and delta 1, 2 and 4; the walk is exactly 0 off the active support
     rng = np.random.default_rng(4)
-    for trial in range(6):
-        mu = random_measure(rng, 8, zero_frac=0.2)
-        active = set(range(8)) - ({int(rng.integers(0, 8))} if trial % 2 else set())
-        state = ActiveState(active, mu)
+    checked = 0
+    for trial in range(12):
+        mu = random_measure(rng, 9, zero_frac=0.3)
+        dropped = rng.choice(9, size=2 * (trial % 3), replace=False).tolist()
+        state = ActiveState(set(range(9)) - set(dropped), mu)
         if state.mu_active_total <= 0:
             continue
-        delta = int(rng.choice([1, 2, 4]))
-        w = WalkOperator(synthetic_matchings(rng, mu, rounds=3), delta, state)
-        dense_w, _ = dense_walk_and_potential(w)
-        for _ in range(4):
-            x = rng.standard_normal(8)
-            assert np.abs(w.apply(x) - dense_w @ x).max() < 1e-8
+        matchings = synthetic_matchings(rng, mu, rounds=3)
+        for delta in (1, 2, 4):
+            w = WalkOperator(matchings, delta, state)
+            dense_w, _ = dense_walk_and_potential(w)
+            for _ in range(4):
+                x = rng.standard_normal(9)
+                y = w.apply(x)
+                assert np.abs(y - dense_w @ x).max() < 1e-8
+                assert np.all(y[~state.mask] == 0.0)
+                checked += 1
+    assert checked >= 100
 
 
 def test_walk_is_symmetric_operator():

@@ -143,6 +143,16 @@ def test_validate_partition_flags_bad_weight():
     assert not report.weight_matches
 
 
+@pytest.mark.parametrize("check_level", [0.0, -1.0, float("inf"), float("nan")])
+def test_validate_partition_rejects_check_level_not_positive_and_finite(check_level):
+    # on K4, -1 would pass every cluster and nan would fail every one
+    g = Graph(4, clique_edges(range(4)))
+    mu = VertexMeasure.from_degrees(g)
+    with pytest.raises(ValueError, match="check_level"):
+        validate_partition(g, mu, FakeResult([(0, 1), (2, 3)], 4.0), phi=0.05,
+                           check_level=check_level)
+
+
 def test_validate_partition_weight_check_is_relative():
     # two 4-cliques joined by two edges, every weight 1e-10: the recount is
     # 2e-10, and a reported 0 is wrong in any units
