@@ -1,15 +1,19 @@
 """Exact max-flow / min-cut over real capacities, with path stripping.
 
-Level-graph augmentation (BFS phases, DFS blocking flow) on an arc list
-with residual pairing: arc i and arc i^1 are reverse twins.  Undirected
-edges are a twin pair with equal capacities.  The min cut returned is the
-source-reachable set of the final residual network, so every outward cut
-arc is saturated by construction: the cut is 1-fair.
+Level-graph augmentation (Dinic: BFS phases, DFS blocking flow) on an arc
+list with residual pairing: arc i and arc i^1 are reverse twins.  Undirected
+edges are a twin pair with equal capacities.  Each phase's BFS stops at the
+sink's level, since no shortest augmenting path goes deeper, and the DFS
+walks current-arc pointers.  The min cut returned is the source-reachable
+set of the final residual network, read off the last phase's BFS (the one
+that cannot reach the sink, so searched everything), so every outward cut
+arc is saturated by construction: the cut is 1-fair.  Path stripping keeps
+a current-arc pointer per vertex as well.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
@@ -46,16 +50,16 @@ class FlowNetwork:
 
     def add_arc(self, u: int, v: int, capacity: float) -> int:
         """Directed arc u -> v; its twin carries zero capacity."""
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
+        if not 0 <= capacity < math.inf:
+            raise ValueError(f"capacity must be non-negative and finite, got {capacity}")
         idx = self._push(u, v, capacity)
         self._push(v, u, 0.0)
         return idx
 
     def add_undirected_edge(self, u: int, v: int, capacity: float) -> int:
         """Undirected edge: twin arcs each carrying the full capacity."""
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
+        if not 0 <= capacity < math.inf:
+            raise ValueError(f"capacity must be non-negative and finite, got {capacity}")
         idx = self._push(u, v, capacity)
         self._push(v, u, capacity)
         return idx
@@ -90,7 +94,16 @@ class FlowSolution:
 
 
 def max_flow(net: FlowNetwork) -> FlowSolution:
-    """Exact maximum flow; min cut recovered from residual reachability."""
+    """Exact maximum flow; the min cut is the last phase's BFS tree.
+
+    Each phase levels the residual network by BFS and stops once the sink
+    has a level d; vertices found at level d other than the sink are
+    unlevelled again, since no path to the sink runs through them.  The
+    DFS follows current-arc pointers through the level graph, and after
+    each augmentation retreats to the tail of the first saturated arc on
+    the path.  The phase that cannot level the sink has searched the whole
+    residual network, so its levelled vertices are the min cut's side.
+    """
     n = net.node_count
     s, t = net.source, net.sink
     limit = net.cap_limit
@@ -106,63 +119,63 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     while True:
         level = [-1] * n
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for a in adj[x]:
-                y = to[a]
-                if resid[a] > zero and level[y] < 0:
-                    level[y] = level[x] + 1
-                    queue.append(y)
+        frontier = [s]
+        depth = 0
+        while frontier and level[t] < 0:
+            depth += 1
+            found = []
+            for x in frontier:
+                for a in adj[x]:
+                    y = to[a]
+                    if level[y] < 0 and resid[a] > zero:
+                        level[y] = depth
+                        found.append(y)
+            frontier = found
         if level[t] < 0:
             break
-        it = [0] * n
-        while True:
-            # one augmenting path in the level graph, via pointer DFS
-            path: list[int] = []
-            u = s
-            reached = False
-            while True:
-                if u == t:
-                    reached = True
-                    break
-                moved = False
-                while it[u] < len(adj[u]):
-                    a = adj[u][it[u]]
-                    v = to[a]
-                    if resid[a] > zero and level[v] == level[u] + 1:
-                        path.append(a)
-                        u = v
-                        moved = True
-                        break
-                    it[u] += 1
-                if moved:
-                    continue
-                if u == s:
-                    break
-                level[u] = -1  # dead end in this phase
-                last = path.pop()
-                u = to[last ^ 1]
-                it[u] += 1
-            if not reached:
-                break
-            push = min(resid[a] for a in path)
-            for a in path:
-                resid[a] -= push
-                resid[a ^ 1] += push
-            total += push
+        for y in frontier:
+            level[y] = -1
+        level[t] = depth
 
-    reachable = {s}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for a in adj[x]:
-            y = to[a]
-            if resid[a] > zero and y not in reachable:
-                reachable.add(y)
-                queue.append(y)
-    flows = tuple(max(0.0, cap[i] - resid[i]) for i in range(len(resid)))
-    return FlowSolution(value=total, arc_flows=flows, min_cut_side=frozenset(reachable))
+        it = [0] * n
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                push = min(resid[a] for a in path)
+                for a in path:
+                    resid[a] -= push
+                    resid[a ^ 1] += push
+                total += push
+                # the bottleneck is now at 0, so some arc on the path is spent
+                for k, a in enumerate(path):
+                    if resid[a] <= zero:
+                        break
+                del path[k:]
+                u = to[a ^ 1]
+                continue
+            arcs = adj[u]
+            i = it[u]
+            step = level[u] + 1
+            while i < len(arcs):
+                a = arcs[i]
+                if level[to[a]] == step and resid[a] > zero:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(a)
+                u = to[a]
+            elif u == s:
+                break
+            else:
+                level[u] = -1  # dead end in this phase
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+
+    flows = tuple([c - r if c > r else 0.0 for c, r in zip(cap, resid)])
+    side = frozenset([v for v, d in enumerate(level) if d >= 0])
+    return FlowSolution(value=total, arc_flows=flows, min_cut_side=side)
 
 
 def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
@@ -172,19 +185,28 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
 
     Walks the positive-flow arcs from the source; whenever the walk revisits
     a vertex the enclosed cycle is cancelled.  Emits at most one path per
-    arc and conserves the source-to-sink value.
+    arc and conserves the source-to-sink value.  Each vertex keeps a pointer
+    to its first arc that may still carry flow: flows only fall, so an arc
+    at or below zero is passed over once and never scanned again.
     """
     s, t = net.source, net.sink
     to = net.to
     adj = net.adj
     zero = net.zero
     flow = list(sol.arc_flows)  # arcs at or below zero are never walked
+    ptr = [0] * net.node_count
     paths = []
 
     def first_out(u: int) -> int | None:
-        for a in adj[u]:
+        arcs = adj[u]
+        i = ptr[u]
+        while i < len(arcs):
+            a = arcs[i]
             if flow[a] > zero:
+                ptr[u] = i
                 return a
+            i += 1
+        ptr[u] = i
         return None
 
     while True:

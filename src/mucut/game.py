@@ -63,6 +63,9 @@ class GameParams:
         """T = ceil(t_factor * log2(n)^2), c = max(1, round(c_factor / (phi ln n)))."""
         if not 0.0 < phi < math.inf:
             raise ValueError(f"phi must be positive and finite, got {phi}")
+        for name, factor in (("t_factor", t_factor), ("c_factor", c_factor)):
+            if not math.isfinite(factor):
+                raise ValueError(f"{name} must be finite, got {factor}")
         n = g.vertex_count
         log2n = math.log2(n) if n >= 2 else 1.0
         lnn = math.log(n) if n >= 2 else 1.0

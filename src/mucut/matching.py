@@ -15,6 +15,7 @@ network as isolated nodes, so nothing is relabeled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cutplayer import WeightedBipartition
@@ -53,8 +54,8 @@ def build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipartition,
     Source arcs at m_v, sink arcs at mbar_v, and every edge of g with both
     endpoints active at c*w, in g.edges order.
     """
-    if c <= 0:
-        raise ValueError("edge capacity factor c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
     total = state.mu_active_total
     if bip.target_mass < total / 2.0 - tolerance(total):
         raise ValueError("target mass below half the active measure")

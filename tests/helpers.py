@@ -3,16 +3,22 @@
 The oracles here deliberately avoid the library's own code paths: the cut
 recount walks adjacency lists, the min-cut enumerator sums arc capacities
 over explicit subsets, and the conductance enumerator is plain Python.
+`reference_max_flow` and `reference_decompose_paths` are the flow solver
+and path stripper as they were before phases stopped at the sink's level:
+the library's must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 
 from mucut import Graph, VertexMeasure
+from mucut.errors import InvariantViolation
 from mucut.flow import FlowNetwork, FlowSolution
+from mucut.graph import tolerance
 from mucut.spectral import ActiveState, WalkOperator, dense_walk_and_potential
 
 
@@ -95,6 +101,152 @@ def enumerate_min_cut(net: FlowNetwork) -> float:
             if best is None or cap < best:
                 best = cap
     return best
+
+
+def reference_max_flow(net: FlowNetwork) -> FlowSolution:
+    """The former `max_flow`, kept verbatim as an oracle: full BFS phases, a
+    DFS restarted at the source after every augmentation, and a separate
+    residual-reachability BFS for the min cut."""
+    n = net.node_count
+    s, t = net.source, net.sink
+    limit = net.cap_limit
+    cap = net.cap
+    if max(cap, default=0.0) > limit:
+        cap = [min(c, limit) for c in cap]
+    resid = list(cap)
+    to = net.to
+    adj = net.adj
+    zero = net.zero
+    total = 0.0
+
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for a in adj[x]:
+                y = to[a]
+                if resid[a] > zero and level[y] < 0:
+                    level[y] = level[x] + 1
+                    queue.append(y)
+        if level[t] < 0:
+            break
+        it = [0] * n
+        while True:
+            # one augmenting path in the level graph, via pointer DFS
+            path: list[int] = []
+            u = s
+            reached = False
+            while True:
+                if u == t:
+                    reached = True
+                    break
+                moved = False
+                while it[u] < len(adj[u]):
+                    a = adj[u][it[u]]
+                    v = to[a]
+                    if resid[a] > zero and level[v] == level[u] + 1:
+                        path.append(a)
+                        u = v
+                        moved = True
+                        break
+                    it[u] += 1
+                if moved:
+                    continue
+                if u == s:
+                    break
+                level[u] = -1  # dead end in this phase
+                last = path.pop()
+                u = to[last ^ 1]
+                it[u] += 1
+            if not reached:
+                break
+            push = min(resid[a] for a in path)
+            for a in path:
+                resid[a] -= push
+                resid[a ^ 1] += push
+            total += push
+
+    reachable = {s}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for a in adj[x]:
+            y = to[a]
+            if resid[a] > zero and y not in reachable:
+                reachable.add(y)
+                queue.append(y)
+    flows = tuple(max(0.0, cap[i] - resid[i]) for i in range(len(resid)))
+    return FlowSolution(value=total, arc_flows=flows, min_cut_side=frozenset(reachable))
+
+
+def reference_decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
+    """The former `decompose_paths`, kept verbatim as an oracle: each step
+    rescans the vertex's arcs from the first.
+
+    Returns (source, sink, weight, vertex sequence) tuples.
+
+    Walks the positive-flow arcs from the source; whenever the walk revisits
+    a vertex the enclosed cycle is cancelled.  Emits at most one path per
+    arc and conserves the source-to-sink value.
+    """
+    s, t = net.source, net.sink
+    to = net.to
+    adj = net.adj
+    zero = net.zero
+    flow = list(sol.arc_flows)  # arcs at or below zero are never walked
+    paths = []
+
+    def first_out(u: int) -> int | None:
+        for a in adj[u]:
+            if flow[a] > zero:
+                return a
+        return None
+
+    while True:
+        if first_out(s) is None:
+            break
+        walk_arcs: list[int] = []
+        walk_nodes = [s]
+        pos = {s: 0}
+        u = s
+        while True:
+            if u == t:
+                push = min(flow[a] for a in walk_arcs)
+                for a in walk_arcs:
+                    flow[a] -= push
+                paths.append((s, t, push, tuple(walk_nodes)))
+                break
+            a = first_out(u)
+            if a is None:
+                raise InvariantViolation(f"flow conservation broken at vertex {u}")
+            v = to[a]
+            if v in pos:
+                # cancel the cycle closed by arc a
+                k = pos[v]
+                cycle = walk_arcs[k:] + [a]
+                push = min(flow[c] for c in cycle)
+                for c in cycle:
+                    flow[c] -= push
+                for node in walk_nodes[k + 1:]:
+                    del pos[node]
+                del walk_arcs[k:]
+                del walk_nodes[k + 1:]
+                u = v
+                continue
+            walk_arcs.append(a)
+            walk_nodes.append(v)
+            pos[v] = len(walk_nodes) - 1
+            u = v
+
+    if len(paths) > net.arc_count:
+        raise InvariantViolation("path decomposition emitted more paths than arcs")
+    total = sum(p[2] for p in paths)
+    if abs(total - sol.value) > tolerance(sol.value):
+        raise InvariantViolation(
+            f"path decomposition total {total} does not match flow value {sol.value}")
+    return tuple(paths)
 
 
 def assert_fair(net: FlowNetwork, sol: FlowSolution, tol: float = 1e-9):

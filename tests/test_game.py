@@ -29,6 +29,10 @@ def test_params_validation():
             GameParams(phi=phi, rounds_T=1, capacity_c=1, delta=1, stop_threshold=0.0)
         with pytest.raises(ValueError, match="phi"):
             GameParams.for_graph(g, mu, phi)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        for name in ("t_factor", "c_factor"):
+            with pytest.raises(ValueError, match=name):
+                GameParams.for_graph(g, mu, 0.1, **{name: bad})
     with pytest.raises(ValueError):
         GameParams(phi=0.1, rounds_T=1, capacity_c=1, delta=3, stop_threshold=0.0)
 

@@ -38,6 +38,15 @@ def test_build_pi_respects_mass_preconditions():
         build_pi_problem(g, ActiveState(range(4), mu), heavy_sources, c=1.0)
 
 
+def test_build_pi_rejects_bad_capacity_factor():
+    g = Graph(4, clique_edges(range(4)))
+    mu = VertexMeasure([1.0] * 4)
+    bip = manual_bip([(0, 0.5)], [(1, 1.0), (2, 1.0), (3, 1.0)])
+    for c in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="capacity factor"):
+            build_pi_problem(g, ActiveState(range(4), mu), bip, c=c)
+
+
 def test_empty_sources_round_is_trivially_feasible():
     g = Graph(4, clique_edges(range(4)))
     mu = VertexMeasure([1.0] * 4)
