@@ -7,7 +7,7 @@ from .spectral import (ActiveState, StochasticMatching, WalkOperator,
                        dense_walk_and_potential, projections, sample_unit_vector)
 from .cutplayer import WeightedBipartition, check_bipartition, rst_partition
 from .flow import FlowNetwork, FlowSolution, decompose_paths, max_flow
-from .matching import RoundRecord, build_pi_problem, solve_matching_round
+from .matching import RoundRecord, build_pi_problem, edge_network, solve_matching_round
 from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
 from .trimming import trim
 from .decompose import (BalanceOutcome, ClusterCertificate, DecomposeConfig,

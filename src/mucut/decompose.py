@@ -102,13 +102,22 @@ class DecomposeConfig:
 
 
 def _certificate(g: Graph, mu: VertexMeasure, cluster: tuple[int, ...], kind: str,
-                 max_n: int) -> ClusterCertificate:
+                 max_n: int, phi: float) -> ClusterCertificate:
+    """Brute-force the expansion of a cluster of at most max_n vertices.
+
+    A cluster the game certified must expand by at least phi/6; one that
+    falls short is a broken guarantee, not an answer.
+    """
     if len(cluster) == 1 or kind in ("singleton", "zero-measure"):
         # no proper positive-measure split exists
         return ClusterCertificate(kind, INFINITE)
     if 2 <= len(cluster) <= max_n:
         sub, order = induced_subgraph(g, cluster)
         value, _ = brute_force_expansion(sub, mu.restrict(order))
+        floor = phi / 6.0
+        if kind == "certified-by-game" and value < floor - tolerance(floor):
+            raise InvariantViolation(
+                f"game-certified cluster {cluster} has expansion {value} below phi/6 = {floor}")
         return ClusterCertificate(kind, value)
     return ClusterCertificate(kind, None)
 
@@ -204,7 +213,8 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     return DecompositionResult(
         clusters=clusters,
         inter_cluster_edge_weight=recount,
-        per_cluster=tuple(_certificate(g, mu, cl, kind, cfg.verify_max_n) for cl, kind in found),
+        per_cluster=tuple(_certificate(g, mu, cl, kind, cfg.verify_max_n, phi)
+                          for cl, kind in found),
         recursion_depth=max_depth,
         params={
             "phi": phi,

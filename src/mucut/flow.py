@@ -9,10 +9,18 @@ set of the final residual network, read off the last phase's BFS (the one
 that cannot reach the sink, so searched everything), so every outward cut
 arc is saturated by construction: the cut is 1-fair.  Path stripping keeps
 a current-arc pointer per vertex as well.
+
+A network that many solves share (the matching player's edge arcs, built
+once per active set) is never changed: :meth:`FlowNetwork.with_arcs_first`
+returns a new network with a round's own arcs ahead of the shared ones in
+every adjacency list.  Arc ids are therefore not stable between such
+networks, while each vertex's adjacency order is, and the solver and the
+path stripper read arcs only in adjacency order.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -24,8 +32,13 @@ from .graph import tolerance
 FLOW_ZERO = 1e-12
 
 
+def _check_capacity(capacity: float) -> None:
+    if not 0 <= capacity < math.inf:
+        raise ValueError(f"capacity must be non-negative and finite, got {capacity}")
+
+
 class FlowNetwork:
-    """Directed arc-list network with residual twins; single use per solve."""
+    """Directed arc-list network with residual twins; solves never change it."""
 
     __slots__ = ("node_count", "source", "sink", "to", "cap", "adj")
 
@@ -50,19 +63,46 @@ class FlowNetwork:
 
     def add_arc(self, u: int, v: int, capacity: float) -> int:
         """Directed arc u -> v; its twin carries zero capacity."""
-        if not 0 <= capacity < math.inf:
-            raise ValueError(f"capacity must be non-negative and finite, got {capacity}")
+        _check_capacity(capacity)
         idx = self._push(u, v, capacity)
         self._push(v, u, 0.0)
         return idx
 
     def add_undirected_edge(self, u: int, v: int, capacity: float) -> int:
         """Undirected edge: twin arcs each carrying the full capacity."""
-        if not 0 <= capacity < math.inf:
-            raise ValueError(f"capacity must be non-negative and finite, got {capacity}")
+        _check_capacity(capacity)
         idx = self._push(u, v, capacity)
         self._push(v, u, capacity)
         return idx
+
+    def with_arcs_first(self, arcs) -> "FlowNetwork":
+        """A new network: these directed (tail, head, capacity) arcs, then this one's.
+
+        Every vertex's adjacency is the one :meth:`add_arc` would give for
+        these arcs followed by this network's arcs in their order: a vertex
+        lists its new arcs and twins, in the order given, ahead of its old
+        ones.  The new arcs take the ids after this network's, and this
+        network is not changed: its lists are copied (``adj`` shallowly,
+        with a new list only for the vertices the new arcs touch).
+        """
+        base = len(self.to)
+        to: list[int] = []
+        cap: list[float] = []
+        first: dict[int, list[int]] = {}
+        for u, v, c in arcs:
+            _check_capacity(c)
+            idx = base + len(to)
+            to += (v, u)
+            cap += (float(c), 0.0)
+            first.setdefault(u, []).append(idx)
+            first.setdefault(v, []).append(idx + 1)
+        net = copy.copy(self)
+        net.to = self.to + to
+        net.cap = self.cap + cap
+        net.adj = self.adj.copy()
+        for x, ids in first.items():
+            net.adj[x] = ids + self.adj[x]
+        return net
 
     @property
     def arc_count(self) -> int:

@@ -27,7 +27,7 @@ from .errors import InvariantViolation
 from .graph import Cut, Graph, VertexMeasure, is_connected, mu_expansion_of_cut, tolerance
 # not called here; bench/spans.py wraps this name and reports it missing if it goes
 from .graph import induced_subgraph  # noqa: F401
-from .matching import RoundRecord, solve_matching_round
+from .matching import RoundRecord, edge_network, solve_matching_round
 from .spectral import (ActiveState, WalkOperator, default_delta, is_power_of_two, projections,
                        sample_unit_vector)
 
@@ -119,19 +119,24 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
     records: list[RoundRecord] = []
     state = ActiveState(active, mu)
     walk = WalkOperator([], params.delta, state)
+    c = float(params.capacity_c)
+    edges = None  # the active set's edge arcs, built by the first round that needs them
     t = 0
 
     while mu.of(removed_all) <= params.stop_threshold and t < params.rounds_T:
         r = sample_unit_vector(n, rng)
         u = projections(walk, r)
         bip = rst_partition(state, u)
-        rec = solve_matching_round(g, state, bip, float(params.capacity_c), round_index=t)
+        if edges is None:
+            edges = edge_network(g, state, c)
+        rec = solve_matching_round(g, state, edges, bip, c, round_index=t)
         records.append(rec)
         walk.extend(rec.matching)
         if rec.removed:
             active = active - rec.removed
             removed_all = removed_all | rec.removed
             state = walk.state = ActiveState(active, mu)
+            edges = None
         t += 1
 
     mu_removed = mu.of(removed_all)

@@ -1,6 +1,6 @@
 """One matching-player round: route source mass or expose a sparse cut.
 
-Builds the auxiliary flow problem on the active set A of the caller's
+Poses the auxiliary flow problem on the active set A of the caller's
 graph (super-source to sources at their weights, targets to super-sink at
 theirs, every edge inside A at capacity c times its weight), solves it
 exactly, and either reports full saturation (no cut) or returns the
@@ -8,6 +8,15 @@ source side of the min cut together with the surviving flow.  Path
 endpoints become the round's matching, completed on the diagonal to be
 measure-stochastic.  The round comes back as its one record,
 :class:`RoundRecord`, which the game stores as it is.
+
+Only the terminal arcs change from round to round, and the edge arcs only
+when a cut shrinks A.  So the game builds the edge arcs once per active
+set, with :func:`edge_network`, and each round's :func:`build_pi_problem`
+adds just its source and sink arcs, ahead of the edge arcs in every
+terminal's adjacency.  The network is then the one an arc-by-arc build
+(terminal arcs first, then the edges in g.edges order) gives, up to arc
+ids: every vertex lists the same arcs in the same order, so the flow, the
+cut and the paths are the same bits.
 
 All ids here are the caller's graph ids: vertices outside A stay in the
 network as isolated nodes, so nothing is relabeled.
@@ -47,36 +56,47 @@ class RoundRecord:
         return not self.removed
 
 
-def build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipartition,
-                     c: float) -> FlowNetwork:
-    """Auxiliary network on g's ids plus source n and sink n + 1.
-
-    Source arcs at m_v, sink arcs at mbar_v, and every edge of g with both
-    endpoints active at c*w, in g.edges order.
-    """
+def edge_network(g: Graph, state: ActiveState, c: float) -> FlowNetwork:
+    """The edge arcs of every round on this active set: g's ids plus source n
+    and sink n + 1, and every edge of g with both endpoints active at c*w, in
+    g.edges order.  Rounds never change it."""
     if not 0 < c < math.inf:
         raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
-    total = state.mu_active_total
-    if bip.target_mass < total / 2.0 - tolerance(total):
-        raise ValueError("target mass below half the active measure")
-    if bip.source_mass > total / 8.0 + tolerance(total):
-        raise ValueError("source mass above an eighth of the active measure")
     n = g.vertex_count
     active = state.active
     net = FlowNetwork(n + 2, source=n, sink=n + 1)
-    for v, m in bip.sources:
-        net.add_arc(n, v, m)
-    for v, mb in bip.targets:
-        net.add_arc(v, n + 1, mb)
     for u, v, w in g.edges:
         if u in active and v in active:
             net.add_undirected_edge(u, v, c * w)
     return net
 
 
-def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition, c: float,
+def build_pi_problem(edges: FlowNetwork, state: ActiveState,
+                     bip: WeightedBipartition) -> FlowNetwork:
+    """The round's network: source arcs at m_v (in bip.sources order), then sink
+    arcs at mbar_v (in bip.targets order), then the edge arcs of `edges`.
+
+    `edges` comes from :func:`edge_network` on the same active set and is
+    left as it is.  A terminal lists its source twins, then its sink arcs,
+    then its edge arcs; arc ids are not those of an arc-by-arc build, but
+    every adjacency order is.
+    """
+    total = state.mu_active_total
+    if bip.target_mass < total / 2.0 - tolerance(total):
+        raise ValueError("target mass below half the active measure")
+    if bip.source_mass > total / 8.0 + tolerance(total):
+        raise ValueError("source mass above an eighth of the active measure")
+    s, t = edges.source, edges.sink
+    return edges.with_arcs_first([(s, v, m) for v, m in bip.sources]
+                                 + [(v, t, mb) for v, mb in bip.targets])
+
+
+def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
+                         bip: WeightedBipartition, c: float,
                          round_index: int = 0) -> RoundRecord:
     """Solve the round's flow problem and assemble the stochastic matching.
+
+    `edges` is :func:`edge_network` of (g, state, c).
 
     Exactly one of the two outcomes holds: every source arc is saturated
     (removed empty), or removed is a nonempty subset of the active set
@@ -91,7 +111,7 @@ def solve_matching_round(g: Graph, state: ActiveState, bip: WeightedBipartition,
                            StochasticMatching.from_pairs(mu.values, []),
                            (), 0.0, None)
 
-    net = build_pi_problem(g, state, bip, c)
+    net = build_pi_problem(edges, state, bip)
     sol = max_flow(net)
     source_total = bip.source_mass
     if sol.value >= source_total - tolerance(source_total):

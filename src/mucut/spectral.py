@@ -57,29 +57,35 @@ class StochasticMatching:
     Off-diagonal entries are symmetric pair weights between active
     terminals; the diagonal completion tops every row up to the measure.
     Self-pairs cancel against the completion, so only strict pairs are
-    stored explicitly.
+    stored explicitly.  The pairs come as arrays (us, vs, ws) with u < v,
+    merged and sorted by (u, v).  Only the nonzero entries of the diagonal
+    are stored; :attr:`diagonal` rebuilds the dense vector on access.
     """
 
-    __slots__ = ("diagonal", "_us", "_vs", "_ws")
+    __slots__ = ("size", "_us", "_vs", "_ws", "_di", "_dw")
 
-    def __init__(self, off_diagonal: Iterable[Sequence], diagonal):
-        pairs = []
-        for u, v, w in off_diagonal:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise ValueError("off-diagonal entries must connect distinct vertices")
-            if w <= 0:
-                raise ValueError("matching weights must be positive")
-            pairs.append((min(u, v), max(u, v), w))
-        pairs.sort()
-        diag = np.array(diagonal, dtype=float)
+    def __init__(self, us, vs, ws, diagonal):
+        us = np.asarray(us, dtype=np.intp)
+        vs = np.asarray(vs, dtype=np.intp)
+        ws = np.asarray(ws, dtype=float)
+        if not (ws.ndim == 1 and us.shape == vs.shape == ws.shape):
+            raise ValueError("pair arrays must be flat and of equal length")
+        if np.any(us >= vs):
+            raise ValueError("off-diagonal entries must connect distinct vertices, u < v")
+        if np.any(us[1:] < us[:-1]) or np.any((us[1:] == us[:-1]) & (vs[1:] <= vs[:-1])):
+            raise ValueError("pairs must be merged and sorted by (u, v)")
+        if np.any(ws <= 0):
+            raise ValueError("matching weights must be positive")
+        diag = np.asarray(diagonal, dtype=float)
         if diag.min(initial=0.0) < 0.0:
             raise InvariantViolation(f"negative diagonal completion: {diag.min()}")
-        self.diagonal = diag
-        self._us = np.array([p[0] for p in pairs], dtype=np.intp)
-        self._vs = np.array([p[1] for p in pairs], dtype=np.intp)
-        self._ws = np.array([p[2] for p in pairs], dtype=float)
-        for arr in (self.diagonal, self._us, self._vs, self._ws):
+        self.size = len(diag)
+        # indices in the smallest type that holds them, so that a diagonal
+        # nonzero on every vertex costs little more than the dense vector
+        self._di = np.flatnonzero(diag).astype(np.min_scalar_type(self.size))
+        self._dw = diag[self._di]
+        self._us, self._vs, self._ws = us, vs, ws
+        for arr in (self._us, self._vs, self._ws, self._di, self._dw):
             arr.setflags(write=False)
 
     @classmethod
@@ -99,15 +105,26 @@ class StochasticMatching:
                 continue
             key = (min(u, v), max(u, v))
             merged[key] = merged.get(key, 0.0) + w
-        row = np.zeros(len(mu_values))
-        for (u, v), w in sorted(merged.items()):
-            row[u] += w
-            row[v] += w
+        keys = sorted(merged)
+        us = np.array([u for u, _ in keys], dtype=np.intp)
+        vs = np.array([v for _, v in keys], dtype=np.intp)
+        ws = np.array([merged[k] for k in keys], dtype=float)
+        # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the pairs
+        ends = np.column_stack((us, vs)).ravel()
+        row = np.bincount(ends, np.repeat(ws, 2), minlength=len(mu_values))
         slack = mu_values - row
         if slack.min(initial=0.0) < -tolerance(mu_values.max(initial=0.0)):
             raise InvariantViolation(
                 f"matched weight exceeds the measure at some vertex by {-slack.min()}")
-        return cls([(u, v, w) for (u, v), w in merged.items()], np.maximum(slack, 0.0))
+        return cls(us, vs, ws, np.maximum(slack, 0.0))
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The dense diagonal completion, rebuilt (read-only) on each access."""
+        diag = np.zeros(self.size)
+        diag[self._di] = self._dw
+        diag.setflags(write=False)
+        return diag
 
     @property
     def off_diagonal(self) -> tuple:
@@ -125,7 +142,6 @@ class StochasticMatching:
         return sums
 
     def dense(self) -> np.ndarray:
-        n = len(self.diagonal)
         m = np.diag(self.diagonal)
         for u, v, w in self.off_diagonal:
             m[u, v] += w
@@ -209,7 +225,11 @@ class LazyFactor:
         support = np.flatnonzero(mu.support_mask)
         pos = np.full(len(mu.values), -1, dtype=np.intp)
         pos[support] = np.arange(len(support))
-        self.dg = (delta - 1.0) / delta + m.diagonal[support] * mu.pseudo_inv[support] / delta
+        lazy = (delta - 1.0) / delta
+        on = mu.support_mask[m._di]
+        di = m._di[on]
+        self.dg = np.full(len(support), lazy)
+        self.dg[pos[di]] = lazy + m._dw[on] * mu.pseudo_inv[di] / delta
         keep = mu.support_mask[m._us] & mu.support_mask[m._vs]
         us, vs = m._us[keep], m._vs[keep]
         vals = m._ws[keep] * mu.inv_sqrt[us] * mu.inv_sqrt[vs] / delta

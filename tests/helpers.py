@@ -5,17 +5,22 @@ recount walks adjacency lists, the min-cut enumerator sums arc capacities
 over explicit subsets, and the conductance enumerator is plain Python.
 `reference_max_flow` and `reference_decompose_paths` are the flow solver
 and path stripper as they were before phases stopped at the sink's level:
-the library's must match them bit for bit.
+the library's must match them bit for bit.  `reference_build_pi_problem`
+is the matching round's network built arc by arc, as it was before the
+edge arcs were built once per active set: the library's network must list
+the same arcs in every vertex's adjacency.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
 
 from mucut import Graph, VertexMeasure
+from mucut.cutplayer import WeightedBipartition
 from mucut.errors import InvariantViolation
 from mucut.flow import FlowNetwork, FlowSolution
 from mucut.graph import tolerance
@@ -101,6 +106,31 @@ def enumerate_min_cut(net: FlowNetwork) -> float:
             if best is None or cap < best:
                 best = cap
     return best
+
+
+def reference_build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipartition,
+                               c: float) -> FlowNetwork:
+    """The former `build_pi_problem`, kept verbatim as an oracle: source n and
+    sink n + 1, source arcs, then sink arcs, then every edge with both
+    endpoints active at c*w, in g.edges order, each added arc by arc."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
+    total = state.mu_active_total
+    if bip.target_mass < total / 2.0 - tolerance(total):
+        raise ValueError("target mass below half the active measure")
+    if bip.source_mass > total / 8.0 + tolerance(total):
+        raise ValueError("source mass above an eighth of the active measure")
+    n = g.vertex_count
+    active = state.active
+    net = FlowNetwork(n + 2, source=n, sink=n + 1)
+    for v, m in bip.sources:
+        net.add_arc(n, v, m)
+    for v, mb in bip.targets:
+        net.add_arc(v, n + 1, mb)
+    for u, v, w in g.edges:
+        if u in active and v in active:
+            net.add_undirected_edge(u, v, c * w)
+    return net
 
 
 def reference_max_flow(net: FlowNetwork) -> FlowSolution:

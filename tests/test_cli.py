@@ -119,6 +119,17 @@ def test_internal_value_error_exits_3(k8_file, monkeypatch, capsys):
     assert "internal check failed: solver bug" in capsys.readouterr().err
 
 
+def test_under_certified_cluster_exits_3(tmp_path, capsys):
+    # two 4-cliques joined by two light edges: the game certifies the whole
+    # graph at seed 0, but its brute-forced expansion is below phi/6
+    path = tmp_path / "cliques.txt"
+    lines = [f"{u} {v}" for block in (range(4), range(4, 8))
+             for u in block for v in block if u < v]
+    path.write_text("\n".join(lines + ["0 4 0.05", "1 5 0.05"]) + "\n")
+    assert main(["decompose", "--graph", str(path), "--phi", "0.05", "--seed", "0"]) == 3
+    assert "below phi/6" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(dumbbell_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -220,3 +220,22 @@ def test_accounting_drift_is_judged_at_the_recount(monkeypatch):
     monkeypatch.setattr(driver, "cut_weight", lambda g, cut: 0.0)
     with pytest.raises(InvariantViolation, match="drifted"):
         decompose(g, mu, 0.05, rng=0)
+
+
+def two_weakly_joined_cliques():
+    """Two 4-cliques joined by two edges of weight 0.05, measured by degree:
+    the split between the cliques has expansion 0.1/12.1 < 0.05/6."""
+    g = Graph(8, clique_edges(range(4)) + clique_edges(range(4, 8))
+              + [(0, 4, 0.05), (1, 5, 0.05)])
+    return g, VertexMeasure.from_degrees(g)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4])
+def test_game_certified_cluster_below_phi_over_six_is_a_violation(seed):
+    # the game certifies the whole graph at these seeds; the brute-forced
+    # certificate must expose it rather than return it as a cluster
+    g, mu = two_weakly_joined_cliques()
+    value, _ = brute_force_expansion(g, mu)
+    assert value < 0.05 / 6
+    with pytest.raises(InvariantViolation, match="below phi/6"):
+        decompose(g, mu, 0.05, rng=seed)

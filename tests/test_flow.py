@@ -207,6 +207,8 @@ def test_source_sink_validation():
             net.add_arc(0, 1, bad)
         with pytest.raises(ValueError, match="capacity"):
             net.add_undirected_edge(0, 1, bad)
+        with pytest.raises(ValueError, match="capacity"):
+            net.with_arcs_first([(0, 1, 1.0), (1, 2, bad)])
         assert net.arc_count == 0
 
 

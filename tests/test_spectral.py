@@ -135,7 +135,7 @@ def test_normalized_matching_agrees_with_dense():
     support = np.flatnonzero(mu.support_mask)
     off = int(np.flatnonzero(~mu.support_mask)[0])
     # a pair with an endpoint off the support meets a zero of the pseudo-inverse
-    stray = StochasticMatching([(off, int(support[0]), 0.1)], mu.values)
+    stray = StochasticMatching([min(off, support[0])], [max(off, support[0])], [0.1], mu.values)
     for delta in (1, 2, 4):
         for m in synthetic_matchings(rng, mu, rounds=3) + [stray]:
             nbar = dense_nbar(m, mu, delta)
@@ -163,6 +163,24 @@ def test_matching_diagonal_independent_of_pair_order():
     forward = StochasticMatching.from_pairs(mu.values, pairs)
     backward = StochasticMatching.from_pairs(mu.values, pairs[::-1])
     assert forward.diagonal.tobytes() == backward.diagonal.tobytes()
+
+
+def test_matching_constructor_takes_sorted_pair_arrays():
+    diag = [0.5, 0.0, 0.25, 0.0]
+    m = StochasticMatching([0, 1], [2, 3], [0.5, 1.0], diag)
+    assert m.off_diagonal == ((0, 2, 0.5), (1, 3, 1.0))
+    assert m.diagonal.tobytes() == np.array(diag).tobytes()
+    assert not m.diagonal.flags.writeable
+    for us, vs, ws in (([2], [0], [0.5]),             # u > v
+                       ([1], [1], [0.5]),             # self-pair
+                       ([1, 0], [3, 2], [1.0, 0.5]),  # unsorted
+                       ([0, 0], [2, 2], [0.5, 0.5]),  # not merged
+                       ([0], [2], [0.0]),             # zero weight
+                       ([0, 1], [2, 3], [0.5])):      # lengths differ
+        with pytest.raises(ValueError):
+            StochasticMatching(us, vs, ws, diag)
+    with pytest.raises(InvariantViolation):
+        StochasticMatching([], [], [], [1.0, -0.5])
 
 
 def test_matching_rejects_overfull_rows():
