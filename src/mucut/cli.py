@@ -27,7 +27,7 @@ import numpy as np
 from .decompose import DecomposeConfig, decompose, balanced_or_expander, OutcomeKind
 from .errors import GraphInputError
 from .game import GameParams
-from .graph import Cut, Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
+from .graph import Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
 from .spectral import (DENSE_LIMIT, ActiveState, WalkOperator, dense_walk_and_potential,
                        is_power_of_two)
 from .verify import brute_force_expansion, validate_partition, MAX_ENUM_N
@@ -207,7 +207,7 @@ def cmd_sparse_cut(args) -> int:
     if outcome.kind is OutcomeKind.CERTIFIED:
         expansion = None
     else:
-        expansion = mu_expansion_of_cut(g, mu, Cut(outcome.rest))
+        expansion = mu_expansion_of_cut(g, mu, outcome.rest)
     payload = {
         "case": outcome.kind.value,
         "expander_side": sorted(outcome.expander_side),
@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
     value, witness = brute_force_expansion(g, mu)
     payload = {
         "expansion": value,
-        "witness": None if witness is None else list(witness.members),
+        "witness": None if witness is None else list(witness),
         "n": g.vertex_count,
     }
     _emit_json(payload, args.json_out)
@@ -285,7 +285,8 @@ def _add_common(p: argparse.ArgumentParser, *, needs_phi: bool) -> None:
     p.add_argument("--trace", default=None, help="write per-round CSV here")
     p.add_argument("--json-out", default=None, dest="json_out", help="write JSON here (default stdout)")
     p.add_argument("--verify-max-n", type=int, default=16, dest="verify_max_n",
-                   help="brute-force size cap for certificates")
+                   help="brute-force size cap for certificates; game-certified "
+                        "clusters below 20 vertices are brute-forced regardless")
 
 
 def build_parser() -> argparse.ArgumentParser:

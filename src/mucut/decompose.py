@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
-from .graph import (Cut, Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
+from .graph import (Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
                     induced_subgraph, tolerance)
 from .trimming import trim
 from .verify import brute_force_expansion
@@ -57,7 +57,7 @@ def balanced_or_expander(g: Graph, mu: VertexMeasure, params: GameParams,
 
     # small removed side: the surviving side is a near-expander, trim it
     a = out.a_side
-    boundary = cut_weight(g, Cut(a))
+    boundary = cut_weight(g, a)
     limit = params.phi * mu.of(a) / 9.0
     if boundary > limit + tolerance(limit):
         raise InvariantViolation(
@@ -101,9 +101,16 @@ class DecomposeConfig:
     trace_hook: Optional[object] = None  # callable fed each game's CutMatchingOutcome
 
 
+#: Below this many vertices the walk power is 1 and n**(-1/delta) <= 1/20
+#: fails (see spectral.default_delta), so the game's certificate alone does
+#: not hold and a game-certified cluster is always brute-forced.
+GAME_CERTIFIES_FROM_N = 20
+
+
 def _certificate(g: Graph, mu: VertexMeasure, cluster: tuple[int, ...], kind: str,
                  max_n: int, phi: float) -> ClusterCertificate:
-    """Brute-force the expansion of a cluster of at most max_n vertices.
+    """Brute-force the expansion of a cluster of at most max_n vertices, and
+    of a game-certified one below GAME_CERTIFIES_FROM_N vertices.
 
     A cluster the game certified must expand by at least phi/6; one that
     falls short is a broken guarantee, not an answer.
@@ -111,7 +118,8 @@ def _certificate(g: Graph, mu: VertexMeasure, cluster: tuple[int, ...], kind: st
     if len(cluster) == 1 or kind in ("singleton", "zero-measure"):
         # no proper positive-measure split exists
         return ClusterCertificate(kind, INFINITE)
-    if 2 <= len(cluster) <= max_n:
+    if len(cluster) <= max_n or (kind == "certified-by-game"
+                                 and len(cluster) < GAME_CERTIFIES_FROM_N):
         sub, order = induced_subgraph(g, cluster)
         value, _ = brute_force_expansion(sub, mu.restrict(order))
         floor = phi / 6.0
@@ -175,11 +183,12 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
             found.append((component, "certified-by-game"))
             continue
         if min(mu_c.of(outcome.expander_side), mu_c.of(outcome.rest)) <= 0.0:
-            # degenerate measure: cutting would not progress measure-wise;
-            # keep the component whole and flag it
-            found.append((component, "zero-measure"))
-            continue
-        charged += cut_weight(sub, Cut(outcome.expander_side))
+            # no step cuts off a side without measure: every round removes
+            # positive measure and leaves a third of the active measure, and
+            # trimming keeps a positive floor
+            raise InvariantViolation(
+                f"a cut left a side with no measure in a component of {len(component)} vertices")
+        charged += cut_weight(sub, outcome.expander_side)
         side_a = [to_global[v] for v in outcome.expander_side]
         side_b = [to_global[v] for v in outcome.rest]
         if outcome.kind is OutcomeKind.UNBALANCED_EXPANDER_CUT:

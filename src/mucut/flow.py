@@ -10,12 +10,16 @@ that cannot reach the sink, so searched everything), so every outward cut
 arc is saturated by construction: the cut is 1-fair.  Path stripping keeps
 a current-arc pointer per vertex as well.
 
-A network that many solves share (the matching player's edge arcs, built
-once per active set) is never changed: :meth:`FlowNetwork.with_arcs_first`
-returns a new network with a round's own arcs ahead of the shared ones in
-every adjacency list.  Arc ids are therefore not stable between such
-networks, while each vertex's adjacency order is, and the solver and the
-path stripper read arcs only in adjacency order.
+Both flow problems the algorithm poses on a vertex subset, the matching
+player's and trimming's, share one layout: :func:`edge_network` lays out
+the subset's edges on the graph's ids plus a source and a sink, and the
+caller adds its terminal arcs with :meth:`FlowNetwork.with_arcs_first`.
+That returns a new network with the caller's arcs ahead of the edge arcs
+in every adjacency list and leaves the edge network as it is, so the
+matching player builds it once per active set and shares it between
+rounds.  Arc ids are therefore not stable between such networks, while
+each vertex's adjacency order is, and the solver and the path stripper
+read arcs only in adjacency order.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .graph import tolerance
+from .graph import Graph, tolerance
 
 #: Flow at or below FLOW_ZERO times the network's largest capacity, capped at
 #: FlowNetwork.cap_limit, is rounding residue.
@@ -122,6 +126,24 @@ class FlowNetwork:
     def arcs(self):
         """(tail, head, capacity) for every stored arc slot, twins included."""
         return [(self.to[i ^ 1], self.to[i], self.cap[i]) for i in range(len(self.to))]
+
+
+def edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
+    """Every edge of g with both endpoints in the set `vertices`, as an
+    undirected edge at c*w in g.edges order, on g's ids plus source n and
+    sink n + 1.
+
+    Solves never change it; a caller adds its terminal arcs with
+    :meth:`FlowNetwork.with_arcs_first`.
+    """
+    if not 0 < c < math.inf:
+        raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
+    n = g.vertex_count
+    net = FlowNetwork(n + 2, source=n, sink=n + 1)
+    for u, v, w in g.edges:
+        if u in vertices and v in vertices:
+            net.add_undirected_edge(u, v, c * w)
+    return net
 
 
 @dataclass(frozen=True)

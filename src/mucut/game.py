@@ -24,10 +24,11 @@ import numpy as np
 
 from .cutplayer import rst_partition
 from .errors import InvariantViolation
-from .graph import Cut, Graph, VertexMeasure, is_connected, mu_expansion_of_cut, tolerance
+from .graph import Graph, VertexMeasure, is_connected, mu_expansion_of_cut, tolerance
 # not called here; bench/spans.py wraps this name and reports it missing if it goes
 from .graph import induced_subgraph  # noqa: F401
-from .matching import RoundRecord, edge_network, solve_matching_round
+from .flow import edge_network
+from .matching import RoundRecord, solve_matching_round
 from .spectral import (ActiveState, WalkOperator, default_delta, is_power_of_two, projections,
                        sample_unit_vector)
 
@@ -128,7 +129,7 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         u = projections(walk, r)
         bip = rst_partition(state, u)
         if edges is None:
-            edges = edge_network(g, state, c)
+            edges = edge_network(g, state.active, c)
         rec = solve_matching_round(g, state, edges, bip, c, round_index=t)
         records.append(rec)
         walk.extend(rec.matching)
@@ -149,7 +150,7 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
 
     if removed_all:
         # recompute the cumulative cut quality rather than trusting the rounds
-        expansion = mu_expansion_of_cut(g, mu, Cut(removed_all))
+        expansion = mu_expansion_of_cut(g, mu, removed_all)
         bound = 7.0 / params.capacity_c
         if not expansion <= bound + tolerance(bound):
             raise InvariantViolation(

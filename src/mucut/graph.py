@@ -67,31 +67,6 @@ class Infinite:
 INFINITE = Infinite()
 
 
-class Cut:
-    """One side of a vertex cut, with O(1) membership."""
-
-    __slots__ = ("side", "members")
-
-    def __init__(self, side: Iterable[int]):
-        self.side = frozenset(int(v) for v in side)
-        self.members = tuple(sorted(self.side))
-
-    def __contains__(self, v) -> bool:
-        return v in self.side
-
-    def __len__(self) -> int:
-        return len(self.side)
-
-    def __eq__(self, other):
-        return isinstance(other, Cut) and self.side == other.side
-
-    def __hash__(self):
-        return hash(self.side)
-
-    def __repr__(self):
-        return f"Cut({list(self.members)})"
-
-
 class Graph:
     """Undirected weighted graph on dense vertex ids 0..n-1.
 
@@ -99,7 +74,7 @@ class Graph:
     self-loops are rejected.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "_pair_index", "_degrees")
+    __slots__ = ("vertex_count", "edges", "adjacency", "_degrees")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence]):
         n = int(vertex_count)
@@ -127,7 +102,6 @@ class Graph:
         self.vertex_count = n
         self.edges = edge_list
         self.adjacency = tuple(tuple(a) for a in adjacency)
-        self._pair_index = {(u, v): i for i, (u, v, _) in enumerate(edge_list)}
         degrees.setflags(write=False)
         self._degrees = degrees
 
@@ -139,10 +113,17 @@ class Graph:
         """Per-vertex sum of incident edge weights."""
         return self._degrees
 
+    def edge_id(self, u: int, v: int) -> int | None:
+        """Index in `edges` of the (merged) edge between u and v, or None if absent."""
+        if 0 <= u < self.vertex_count:
+            for x, _, idx in self.adjacency[u]:
+                if x == v:
+                    return idx
+        return None
+
     def edge_weight(self, u: int, v: int) -> float | None:
         """Weight of the (merged) edge between u and v, or None if absent."""
-        key = (u, v) if u <= v else (v, u)
-        idx = self._pair_index.get(key)
+        idx = self.edge_id(u, v)
         return None if idx is None else self.edges[idx][2]
 
     def __repr__(self):
@@ -211,9 +192,9 @@ class VertexMeasure:
         return f"VertexMeasure(n={len(self.values)}, total={self.total:g}, terminals={len(self.support)})"
 
 
-def cut_weight(g: Graph, cut: Cut | Iterable[int]) -> float:
+def cut_weight(g: Graph, side: Iterable[int]) -> float:
     """Total weight of edges with exactly one endpoint in the cut side."""
-    side = cut.side if isinstance(cut, Cut) else frozenset(cut)
+    side = frozenset(side)
     total = 0.0
     for u, v, w in g.edges:
         if (u in side) != (v in side):
@@ -221,12 +202,12 @@ def cut_weight(g: Graph, cut: Cut | Iterable[int]) -> float:
     return total
 
 
-def mu_expansion_of_cut(g: Graph, mu: VertexMeasure, cut: Cut | Iterable[int]):
-    """Expansion |E(S, S-bar)| / min(mu(S), mu(S-bar)) of a proper cut.
+def mu_expansion_of_cut(g: Graph, mu: VertexMeasure, side: Iterable[int]):
+    """Expansion |E(S, S-bar)| / min(mu(S), mu(S-bar)) of a proper cut side S.
 
     Returns ``INFINITE`` when the lighter side carries no measure.
     """
-    side = cut.side if isinstance(cut, Cut) else frozenset(cut)
+    side = frozenset(side)
     if not side or len(side) >= g.vertex_count:
         raise GraphInputError("cut side must be a nonempty proper subset")
     crossing = cut_weight(g, side)

@@ -11,7 +11,7 @@ measure-stochastic.  The round comes back as its one record,
 
 Only the terminal arcs change from round to round, and the edge arcs only
 when a cut shrinks A.  So the game builds the edge arcs once per active
-set, with :func:`edge_network`, and each round's :func:`build_pi_problem`
+set, with :func:`flow.edge_network`, and each round's :func:`build_pi_problem`
 adds just its source and sink arcs, ahead of the edge arcs in every
 terminal's adjacency.  The network is then the one an arc-by-arc build
 (terminal arcs first, then the edges in g.edges order) gives, up to arc
@@ -24,7 +24,6 @@ network as isolated nodes, so nothing is relabeled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cutplayer import WeightedBipartition
@@ -56,28 +55,13 @@ class RoundRecord:
         return not self.removed
 
 
-def edge_network(g: Graph, state: ActiveState, c: float) -> FlowNetwork:
-    """The edge arcs of every round on this active set: g's ids plus source n
-    and sink n + 1, and every edge of g with both endpoints active at c*w, in
-    g.edges order.  Rounds never change it."""
-    if not 0 < c < math.inf:
-        raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
-    n = g.vertex_count
-    active = state.active
-    net = FlowNetwork(n + 2, source=n, sink=n + 1)
-    for u, v, w in g.edges:
-        if u in active and v in active:
-            net.add_undirected_edge(u, v, c * w)
-    return net
-
-
 def build_pi_problem(edges: FlowNetwork, state: ActiveState,
                      bip: WeightedBipartition) -> FlowNetwork:
     """The round's network: source arcs at m_v (in bip.sources order), then sink
     arcs at mbar_v (in bip.targets order), then the edge arcs of `edges`.
 
-    `edges` comes from :func:`edge_network` on the same active set and is
-    left as it is.  A terminal lists its source twins, then its sink arcs,
+    `edges` comes from :func:`flow.edge_network` on the same active set and
+    is left as it is.  A terminal lists its source twins, then its sink arcs,
     then its edge arcs; arc ids are not those of an arc-by-arc build, but
     every adjacency order is.
     """
@@ -96,7 +80,7 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
                          round_index: int = 0) -> RoundRecord:
     """Solve the round's flow problem and assemble the stochastic matching.
 
-    `edges` is :func:`edge_network` of (g, state, c).
+    `edges` is :func:`flow.edge_network` of (g, state.active, c).
 
     Exactly one of the two outcomes holds: every source arc is saturated
     (removed empty), or removed is a nonempty subset of the active set

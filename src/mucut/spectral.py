@@ -58,11 +58,11 @@ class StochasticMatching:
     terminals; the diagonal completion tops every row up to the measure.
     Self-pairs cancel against the completion, so only strict pairs are
     stored explicitly.  The pairs come as arrays (us, vs, ws) with u < v,
-    merged and sorted by (u, v).  Only the nonzero entries of the diagonal
-    are stored; :attr:`diagonal` rebuilds the dense vector on access.
+    merged and sorted by (u, v); ``diagonal`` is a read-only copy of the
+    dense completion.
     """
 
-    __slots__ = ("size", "_us", "_vs", "_ws", "_di", "_dw")
+    __slots__ = ("diagonal", "_us", "_vs", "_ws")
 
     def __init__(self, us, vs, ws, diagonal):
         us = np.asarray(us, dtype=np.intp)
@@ -76,16 +76,12 @@ class StochasticMatching:
             raise ValueError("pairs must be merged and sorted by (u, v)")
         if np.any(ws <= 0):
             raise ValueError("matching weights must be positive")
-        diag = np.asarray(diagonal, dtype=float)
+        diag = np.array(diagonal, dtype=float)
         if diag.min(initial=0.0) < 0.0:
             raise InvariantViolation(f"negative diagonal completion: {diag.min()}")
-        self.size = len(diag)
-        # indices in the smallest type that holds them, so that a diagonal
-        # nonzero on every vertex costs little more than the dense vector
-        self._di = np.flatnonzero(diag).astype(np.min_scalar_type(self.size))
-        self._dw = diag[self._di]
+        self.diagonal = diag
         self._us, self._vs, self._ws = us, vs, ws
-        for arr in (self._us, self._vs, self._ws, self._di, self._dw):
+        for arr in (self.diagonal, self._us, self._vs, self._ws):
             arr.setflags(write=False)
 
     @classmethod
@@ -117,14 +113,6 @@ class StochasticMatching:
             raise InvariantViolation(
                 f"matched weight exceeds the measure at some vertex by {-slack.min()}")
         return cls(us, vs, ws, np.maximum(slack, 0.0))
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        """The dense diagonal completion, rebuilt (read-only) on each access."""
-        diag = np.zeros(self.size)
-        diag[self._di] = self._dw
-        diag.setflags(write=False)
-        return diag
 
     @property
     def off_diagonal(self) -> tuple:
@@ -225,11 +213,7 @@ class LazyFactor:
         support = np.flatnonzero(mu.support_mask)
         pos = np.full(len(mu.values), -1, dtype=np.intp)
         pos[support] = np.arange(len(support))
-        lazy = (delta - 1.0) / delta
-        on = mu.support_mask[m._di]
-        di = m._di[on]
-        self.dg = np.full(len(support), lazy)
-        self.dg[pos[di]] = lazy + m._dw[on] * mu.pseudo_inv[di] / delta
+        self.dg = (delta - 1.0) / delta + m.diagonal[support] * mu.pseudo_inv[support] / delta
         keep = mu.support_mask[m._us] & mu.support_mask[m._vs]
         us, vs = m._us[keep], m._vs[keep]
         vals = m._ws[keep] * mu.inv_sqrt[us] * mu.inv_sqrt[vs] / delta

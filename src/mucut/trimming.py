@@ -6,6 +6,11 @@ sink at its measure.  The sink side of an exact min cut is the trimmed
 set: boundary mass that cannot be absorbed is cut away, and the survivors
 form an expander at a sixth of the target level (provided the input set
 was a near-expander at the full level).
+
+The network is the matching player's layout (:func:`flow.edge_network` on
+the set, at 3/phi) with the boundary and sink arcs added ahead of the edge
+arcs.  The min cut read off the solver is the minimal one, which every
+maximum flow shares, so the trimmed set does not depend on the arc order.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InvariantViolation
-from .flow import FlowNetwork, max_flow
-from .graph import Cut, Graph, VertexMeasure, cut_weight, tolerance
+from .flow import edge_network, max_flow
+from .graph import Graph, VertexMeasure, cut_weight, tolerance
 
 
 def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset:
@@ -33,7 +38,7 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
     if any(v < 0 or v >= g.vertex_count for v in a_set):
         raise ValueError("trim set out of range")
 
-    boundary = cut_weight(g, Cut(a_set)) if len(a_set) < g.vertex_count else 0.0
+    boundary = cut_weight(g, a_set) if len(a_set) < g.vertex_count else 0.0
     if boundary <= 0.0:
         # no boundary: nothing can be pushed in, the set stays as is (even
         # when its inner expansion was never established)
@@ -46,21 +51,13 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
             f"trim precondition failed: boundary weight {boundary} > phi*mu(A)/9 = {limit}")
 
     # the network keeps g's ids: vertices outside A are isolated nodes
-    n = g.vertex_count
-    s, t = n, n + 1
-    net = FlowNetwork(n + 2, source=s, sink=t)
     cap_edge = 3.0 / phi
-    for u, v, w in g.edges:
-        if u in a_set and v in a_set:
-            net.add_undirected_edge(u, v, cap_edge * w)
-        elif u in a_set:
-            net.add_arc(s, u, cap_edge * w)
-        elif v in a_set:
-            net.add_arc(s, v, cap_edge * w)
-    for v in sorted(a_set):
-        net.add_arc(v, t, mu.values[v])
-
-    sol = max_flow(net)
+    edges = edge_network(g, a_set, cap_edge)
+    s, t = edges.source, edges.sink
+    sources = [(s, u if u in a_set else v, cap_edge * w)
+               for u, v, w in g.edges if (u in a_set) != (v in a_set)]
+    sinks = [(v, t, mu.values[v]) for v in sorted(a_set)]
+    sol = max_flow(edges.with_arcs_first(sources + sinks))
     trimmed = a_set - sol.min_cut_side
     if not trimmed:
         raise InvariantViolation("trimming removed the whole set despite the precondition")
@@ -70,7 +67,7 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
     if mu_trimmed < floor - tolerance(mu_a):
         raise InvariantViolation(
             f"trimmed measure {mu_trimmed} below the floor {floor}")
-    new_boundary = cut_weight(g, Cut(trimmed)) if len(trimmed) < g.vertex_count else 0.0
+    new_boundary = cut_weight(g, trimmed) if len(trimmed) < g.vertex_count else 0.0
     if new_boundary > 2.0 * boundary + tolerance(boundary):
         raise InvariantViolation(
             f"trimmed boundary {new_boundary} exceeds twice the original {boundary}")

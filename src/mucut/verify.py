@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graph import (Cut, Graph, Infinite, INFINITE, VertexMeasure, induced_subgraph,
+from .graph import (Graph, Infinite, INFINITE, VertexMeasure, induced_subgraph,
                     mu_expansion_of_cut, tolerance)
 
 MAX_ENUM_N = 20
@@ -40,7 +40,8 @@ def _members_from_mask(mask: int, offset: int = 1) -> tuple[int, ...]:
 
 def brute_force_expansion(g: Graph, mu: VertexMeasure):
     """Exact minimum expansion over all proper cuts with positive measure
-    on both sides; (INFINITE, None) when no such cut exists.
+    on both sides, and a witness side as a sorted tuple; (INFINITE, None)
+    when no such cut exists.
 
     Ties resolve to the lexicographically smallest witness side (the side
     not containing vertex 0).  The returned value is recomputed directly
@@ -88,8 +89,7 @@ def brute_force_expansion(g: Graph, mu: VertexMeasure):
 
     if best_ratio is None:
         return INFINITE, None
-    witness = Cut(best_mask)
-    return mu_expansion_of_cut(g, mu, witness), witness
+    return mu_expansion_of_cut(g, mu, best_mask), best_mask
 
 
 def brute_force_near_expansion(g: Graph, mu: VertexMeasure, a: Iterable[int]):
@@ -260,8 +260,7 @@ def check_embedding_congestion(host: Graph, paths) -> float:
     for entry in paths:
         _, _, w, seq = entry
         for a, b in zip(seq, seq[1:]):
-            key = (a, b) if a <= b else (b, a)
-            idx = host._pair_index.get(key)
+            idx = host.edge_id(a, b)
             if idx is None:
                 raise ValueError(f"path uses non-edge ({a},{b})")
             loads[idx] = loads.get(idx, 0.0) + w

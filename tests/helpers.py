@@ -8,7 +8,10 @@ and path stripper as they were before phases stopped at the sink's level:
 the library's must match them bit for bit.  `reference_build_pi_problem`
 is the matching round's network built arc by arc, as it was before the
 edge arcs were built once per active set: the library's network must list
-the same arcs in every vertex's adjacency.
+the same arcs in every vertex's adjacency.  `reference_trim_network` is
+trimming's network as `trim` built it arc by arc before it shared the
+matching player's layout: the library's must have the same arcs at every
+vertex, in any order, and the same minimal min cut.
 """
 
 from __future__ import annotations
@@ -130,6 +133,29 @@ def reference_build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipart
     for u, v, w in g.edges:
         if u in active and v in active:
             net.add_undirected_edge(u, v, c * w)
+    return net
+
+
+def reference_trim_network(g: Graph, mu: VertexMeasure, a, phi: float) -> FlowNetwork:
+    """The network `trim` used to build arc by arc, kept as an oracle: source n
+    and sink n + 1; in g.edges order, every edge inside `a` at 3w/phi and, for
+    every edge leaving `a`, an arc from the source to its inside endpoint;
+    then an arc from each vertex of `a` to the sink at its measure, in
+    increasing vertex order."""
+    a = frozenset(a)
+    n = g.vertex_count
+    s, t = n, n + 1
+    net = FlowNetwork(n + 2, source=s, sink=t)
+    cap_edge = 3.0 / phi
+    for u, v, w in g.edges:
+        if u in a and v in a:
+            net.add_undirected_edge(u, v, cap_edge * w)
+        elif u in a:
+            net.add_arc(s, u, cap_edge * w)
+        elif v in a:
+            net.add_arc(s, v, cap_edge * w)
+    for v in sorted(a):
+        net.add_arc(v, t, mu.values[v])
     return net
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from mucut import (Cut, GameParams, Graph, VertexMeasure, cut_weight, decompose,
+from mucut import (GameParams, Graph, VertexMeasure, cut_weight, decompose,
                    induced_subgraph, run_cut_matching, trim)
 from mucut.cli import main as cli_main
 from mucut.cutplayer import check_bipartition, rst_partition
@@ -139,7 +139,7 @@ def test_criterion_05_matching_round_contract():
                 local = {v: i for i, v in enumerate(order)}
                 side = {local[v] for v in rec.removed}
                 sub_mu = mu.restrict(order)
-                crossing = cut_weight(sub, Cut(side))
+                crossing = cut_weight(sub, side)
                 kept = sub_mu.total - sub_mu.of(side)
                 assert crossing / min(sub_mu.of(side), kept) <= 7.0 / params.capacity_c + 1e-9
                 assert kept >= sub_mu.total / 3.0 - 1e-9
@@ -166,7 +166,7 @@ def test_criterion_06_trimming_bounds_and_certificate():
                                rng.uniform(0.05, 0.2, size=extra)])
         mu = VertexMeasure(vals)
         a = tuple(range(k))
-        boundary = cut_weight(g, Cut(a))
+        boundary = cut_weight(g, a)
         if boundary <= 0:
             continue
         phi = 9.0 * boundary / mu.of(a) * 1.0001
@@ -176,7 +176,7 @@ def test_criterion_06_trimming_bounds_and_certificate():
         trimmed = trim(g, mu, a, phi)
         done += 1
         assert mu.of(trimmed) >= mu.of(a) - 4.0 * boundary / phi - 1e-9
-        assert cut_weight(g, Cut(trimmed)) <= 2.0 * boundary + 1e-9
+        assert cut_weight(g, trimmed) <= 2.0 * boundary + 1e-9
         sub, order = induced_subgraph(g, trimmed)
         if len(order) >= 2:
             value, _ = brute_force_expansion(sub, mu.restrict(order))

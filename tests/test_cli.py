@@ -130,6 +130,19 @@ def test_under_certified_cluster_exits_3(tmp_path, capsys):
     assert "below phi/6" in capsys.readouterr().err
 
 
+def test_under_certified_small_cluster_exits_3_past_verify_max_n(tmp_path, capsys):
+    # the 8-vertex cluster is above a size cap of 7 but below 20 vertices,
+    # where the game's certificate alone does not hold
+    path = tmp_path / "cliques.txt"
+    lines = [f"{u} {v}" for block in (range(4), range(4, 8))
+             for u in block for v in block if u < v]
+    path.write_text("\n".join(lines + ["0 4 0.05", "1 5 0.05"]) + "\n")
+    argv = ["decompose", "--graph", str(path), "--phi", "0.05", "--seed", "0",
+            "--verify-max-n", "7"]
+    assert main(argv) == 3
+    assert "below phi/6" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(dumbbell_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

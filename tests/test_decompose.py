@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from mucut import (Cut, GameParams, Graph, VertexMeasure, cut_weight, decompose,
+from mucut import (GameParams, Graph, VertexMeasure, cut_weight, decompose,
                    induced_subgraph, mu_expansion_of_cut)
 from mucut.decompose import BalanceOutcome, DecomposeConfig, OutcomeKind, balanced_or_expander
 from mucut.errors import InvariantViolation
@@ -33,7 +33,7 @@ def test_balanced_or_expander_on_dumbbell(seed):
     out = balanced_or_expander(g, mu, params, np.random.default_rng(seed))
     assert out.kind in (OutcomeKind.BALANCED_CUT, OutcomeKind.UNBALANCED_EXPANDER_CUT)
     # either way the returned cut is sparse: at most twice the round bound
-    value = mu_expansion_of_cut(g, mu, Cut(out.rest))
+    value = mu_expansion_of_cut(g, mu, out.rest)
     assert value <= 2 * 7.0 / params.capacity_c + 1e-9
 
 
@@ -239,3 +239,39 @@ def test_game_certified_cluster_below_phi_over_six_is_a_violation(seed):
     assert value < 0.05 / 6
     with pytest.raises(InvariantViolation, match="below phi/6"):
         decompose(g, mu, 0.05, rng=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4, 5])
+def test_small_game_certified_cluster_is_brute_forced_past_verify_max_n(seed):
+    # below 20 vertices the game alone certifies nothing (delta = 1), so the
+    # 8-vertex cluster is brute-forced even with a size cap of 7
+    g, mu = two_weakly_joined_cliques()
+    with pytest.raises(InvariantViolation, match="below phi/6"):
+        decompose(g, mu, 0.05, DecomposeConfig(verify_max_n=7), rng=seed)
+
+
+def test_small_game_certified_clusters_report_their_expansion():
+    g, mu = two_weakly_joined_cliques()
+    res = decompose(g, mu, 0.05, DecomposeConfig(verify_max_n=3), rng=3)
+    assert res.clusters == ((0, 1, 2, 3), (4, 5, 6, 7))
+    for cluster, cert in zip(res.clusters, res.per_cluster):
+        sub, order = induced_subgraph(g, cluster)
+        assert cert.kind == "certified-by-game"
+        assert cert.expansion == brute_force_expansion(sub, mu.restrict(order))[0]
+
+
+def test_cut_side_without_measure_is_a_violation(monkeypatch):
+    # no step can cut off a side without measure; a step that does is a
+    # broken invariant, not a cluster to keep whole
+    driver = importlib.import_module("mucut.decompose")
+
+    def cut_off_the_unmeasured(g, mu, params, rng, *, log_base=2.0):
+        rest = frozenset(np.flatnonzero(mu.values == 0.0).tolist())
+        everything = frozenset(range(g.vertex_count))
+        return BalanceOutcome(OutcomeKind.BALANCED_CUT, everything - rest, rest, None, False)
+
+    monkeypatch.setattr(driver, "balanced_or_expander", cut_off_the_unmeasured)
+    g = Graph(6, clique_edges(range(3)) + clique_edges(range(3, 6)) + [(2, 3, 1.0)])
+    mu = VertexMeasure([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(InvariantViolation, match="no measure"):
+        decompose(g, mu, 0.1, rng=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mucut import (Cut, Graph, GameParams, Variant, VertexMeasure, cut_weight,
+from mucut import (Graph, GameParams, Variant, VertexMeasure, cut_weight,
                    induced_subgraph, mu_expansion_of_cut, run_cut_matching)
 from mucut.cli import main
 from mucut.spectral import dense_walk_and_potential
@@ -116,7 +116,7 @@ def test_dumbbell_yields_sparse_cut(seed):
     params = GameParams.for_graph(g, mu, phi=0.05)
     out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
     assert out.variant in (Variant.BALANCED_CUT, Variant.NEAR_EXPANDER_CUT)
-    value = mu_expansion_of_cut(g, mu, Cut(out.r_side))
+    value = mu_expansion_of_cut(g, mu, out.r_side)
     assert value <= 7.0 / params.capacity_c + 1e-9
     mu_r, mu_a = mu.of(out.r_side), mu.of(out.a_side)
     if out.variant is Variant.BALANCED_CUT:
@@ -165,7 +165,7 @@ def test_round_records_rederive(seed):
             local = {v: i for i, v in enumerate(order)}
             side = {local[v] for v in rec.removed}
             sub_mu = mu.restrict(order)
-            crossing = cut_weight(sub, Cut(side))
+            crossing = cut_weight(sub, side)
             denom = min(sub_mu.of(side), sub_mu.total - sub_mu.of(side))
             assert denom > 0
             assert crossing / denom <= 7.0 / params.capacity_c + 1e-9
@@ -183,7 +183,7 @@ def test_cumulative_congestion_and_cut(seed):
     assert check_embedding_congestion(g, all_paths) \
         <= params.capacity_c * len(out.rounds) * (1 + 1e-9)
     if out.r_side:
-        assert mu_expansion_of_cut(g, mu, Cut(out.r_side)) \
+        assert mu_expansion_of_cut(g, mu, out.r_side) \
             <= 7.0 / params.capacity_c + 1e-9
 
 

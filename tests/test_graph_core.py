@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mucut import (Cut, Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
+from mucut import (Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
                    induced_subgraph, mu_expansion_of_cut)
 from mucut.errors import GraphInputError
 
@@ -14,13 +16,13 @@ def path3():
 
 
 def test_cut_weight_path_single_vertex():
-    assert cut_weight(path3(), Cut({0})) == 1.0
+    assert cut_weight(path3(), {0}) == 1.0
 
 
 def test_cut_weight_empty_and_full_sides():
     g = path3()
-    assert cut_weight(g, Cut([])) == 0.0
-    assert cut_weight(g, Cut(range(3))) == 0.0
+    assert cut_weight(g, []) == 0.0
+    assert cut_weight(g, range(3)) == 0.0
 
 
 def test_cut_weight_matches_independent_recount():
@@ -29,7 +31,7 @@ def test_cut_weight_matches_independent_recount():
         g = random_connected_graph(rng, 10, extra=2.0, weighted=True)
         side = {int(v) for v in rng.integers(0, 10, size=4)}
         expected = adjacency_recount_cut(g, side)
-        assert cut_weight(g, Cut(side)) == pytest.approx(expected, abs=1e-12)
+        assert cut_weight(g, side) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cut_weight_symmetric_in_complement():
@@ -38,29 +40,29 @@ def test_cut_weight_symmetric_in_complement():
         g = random_connected_graph(rng, 9, extra=1.5, weighted=True)
         side = {int(v) for v in rng.integers(0, 9, size=3)}
         comp = set(range(9)) - side
-        assert cut_weight(g, Cut(side)) == pytest.approx(cut_weight(g, Cut(comp)), abs=1e-12)
+        assert cut_weight(g, side) == pytest.approx(cut_weight(g, comp), abs=1e-12)
 
 
 def test_mu_expansion_path_examples():
     g = path3()
-    assert mu_expansion_of_cut(g, VertexMeasure([1, 1, 1]), Cut({0})) == 1.0
-    assert mu_expansion_of_cut(g, VertexMeasure([0, 1, 1]), Cut({0})) is INFINITE
+    assert mu_expansion_of_cut(g, VertexMeasure([1, 1, 1]), {0}) == 1.0
+    assert mu_expansion_of_cut(g, VertexMeasure([0, 1, 1]), {0}) is INFINITE
 
 
 def test_mu_expansion_k4_pairs():
     g = Graph(4, clique_edges(range(4)))
     mu = VertexMeasure([1, 1, 1, 1])
     for pair in [(0, 1), (0, 2), (1, 3), (2, 3)]:
-        assert mu_expansion_of_cut(g, mu, Cut(pair)) == 2.0
+        assert mu_expansion_of_cut(g, mu, pair) == 2.0
 
 
 def test_mu_expansion_rejects_improper_cuts():
     g = path3()
     mu = VertexMeasure([1, 1, 1])
     with pytest.raises(GraphInputError):
-        mu_expansion_of_cut(g, mu, Cut([]))
+        mu_expansion_of_cut(g, mu, [])
     with pytest.raises(GraphInputError):
-        mu_expansion_of_cut(g, mu, Cut(range(3)))
+        mu_expansion_of_cut(g, mu, range(3))
 
 
 def test_graph_rejects_self_loops_and_bad_weights():
@@ -94,9 +96,16 @@ def test_induced_subgraph_edge_count_matches_filter():
         kept = set(order)
         expected = sum(1 for u, v, _ in g.edges if u in kept and v in kept)
         assert sub.edge_count == expected
-        # mapping round-trips
+        # mapping round-trips, in either orientation
         for (lu, lv, w) in sub.edges:
             assert g.edge_weight(order[lu], order[lv]) == pytest.approx(w)
+            assert g.edge_weight(order[lv], order[lu]) == pytest.approx(w)
+        present = {(u, v) for u, v, _ in g.edges}
+        for u, v in itertools.combinations(range(12), 2):
+            if (u, v) not in present:
+                assert g.edge_weight(u, v) is None and g.edge_weight(v, u) is None
+        for u, v in ((-1, 0), (0, -1), (12, 0), (0, 12)):
+            assert g.edge_weight(u, v) is None
 
 
 def test_induced_subgraph_rejects_empty():
@@ -139,11 +148,11 @@ def test_degree_measure_matches_conductance_formula():
         deg = g.weighted_degrees()
         vol_s = float(deg[sorted(side)].sum())
         denom = min(vol_s, float(deg.sum()) - vol_s)
-        got = mu_expansion_of_cut(g, mu, Cut(side))
+        got = mu_expansion_of_cut(g, mu, side)
         if denom <= 0:
             assert got is INFINITE
         else:
-            assert got == pytest.approx(cut_weight(g, Cut(side)) / denom, rel=1e-12)
+            assert got == pytest.approx(cut_weight(g, side) / denom, rel=1e-12)
 
 
 def test_connected_components_ordering():

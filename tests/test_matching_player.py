@@ -3,8 +3,8 @@ import pytest
 
 from mucut import Graph, VertexMeasure, induced_subgraph
 from mucut.cutplayer import WeightedBipartition, rst_partition
-from mucut.flow import decompose_paths, max_flow
-from mucut.matching import build_pi_problem, edge_network, solve_matching_round
+from mucut.flow import decompose_paths, edge_network, max_flow
+from mucut.matching import build_pi_problem, solve_matching_round
 from mucut.spectral import ActiveState
 from mucut.verify import check_embedding_congestion
 
@@ -20,11 +20,11 @@ def manual_bip(sources, targets, eta=0.0, case_two=False):
 
 def solve_round(g, state, bip, c, round_index=0):
     """One round on the edge network the game would build for this active set."""
-    return solve_matching_round(g, state, edge_network(g, state, c), bip, c, round_index)
+    return solve_matching_round(g, state, edge_network(g, state.active, c), bip, c, round_index)
 
 
 def pi_problem(g, state, bip, c):
-    return build_pi_problem(edge_network(g, state, c), state, bip)
+    return build_pi_problem(edge_network(g, state.active, c), state, bip)
 
 
 def test_build_pi_arc_arithmetic():
@@ -51,10 +51,9 @@ def test_build_pi_respects_mass_preconditions():
 
 def test_build_pi_rejects_bad_capacity_factor():
     g = Graph(4, clique_edges(range(4)))
-    mu = VertexMeasure([1.0] * 4)
     for c in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="capacity factor"):
-            edge_network(g, ActiveState(range(4), mu), c)
+            edge_network(g, range(4), c)
 
 
 def test_empty_sources_round_is_trivially_feasible():
@@ -284,7 +283,7 @@ def test_round_network_matches_arc_by_arc_reference():
         if not bip.sources:
             continue
         c = float(rng.choice([1.0, 2.5, 7.0]))
-        edges = edge_network(g, state, c)
+        edges = edge_network(g, state.active, c)
         for b in (bip, with_parallel_terminals(bip)):
             sol = assert_network_matches_reference(
                 build_pi_problem(edges, state, b), reference_build_pi_problem(g, state, b, c))
@@ -309,7 +308,7 @@ def test_one_edge_network_serves_successive_rounds():
         if not all(b.sources for b in bips) or bips[0] == bips[1]:
             continue
         c = float(rng.integers(1, 5))
-        edges = edge_network(g, state, c)
+        edges = edge_network(g, state.active, c)
         before = (list(edges.to), list(edges.cap), [list(arcs) for arcs in edges.adj])
         for index, b in enumerate(bips):
             assert_network_matches_reference(build_pi_problem(edges, state, b),

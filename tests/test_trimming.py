@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from mucut import Cut, Graph, VertexMeasure, cut_weight, induced_subgraph, trim
+from mucut import Graph, VertexMeasure, cut_weight, induced_subgraph, trim, trimming
+from mucut.flow import max_flow
 from mucut.verify import brute_force_expansion, brute_force_near_expansion
-from mucut.graph import Infinite
+from mucut.graph import Infinite, tolerance
 
-from helpers import clique_edges
+from helpers import (clique_edges, random_connected_graph, random_measure,
+                     reference_trim_network)
 
 
 def test_whole_vertex_set_is_identity():
@@ -52,13 +54,13 @@ def test_weak_appendage_is_trimmed():
     mu = VertexMeasure([4.0] * 6 + [0.05, 0.05, 0.05, 1.0, 1.0])
     a = set(range(9))
     phi = 0.8
-    boundary = cut_weight(g, Cut(a))
+    boundary = cut_weight(g, a)
     assert boundary == 2.0
     assert boundary <= phi * mu.of(a) / 9.0
     trimmed = trim(g, mu, a, phi)
     assert set(range(6)) <= trimmed
     assert 8 not in trimmed
-    assert cut_weight(g, Cut(trimmed)) <= 2.0 * boundary + 1e-9
+    assert cut_weight(g, trimmed) <= 2.0 * boundary + 1e-9
 
 
 def random_trim_instance(rng):
@@ -80,7 +82,7 @@ def random_trim_instance(rng):
     vals = np.concatenate([rng.uniform(0.8, 1.5, size=k), rng.uniform(0.05, 0.2, size=extra)])
     mu = VertexMeasure(vals)
     a = tuple(range(k))
-    boundary = cut_weight(g, Cut(a))
+    boundary = cut_weight(g, a)
     phi = 9.0 * boundary / mu.of(a) * 1.0001
     return g, mu, a, phi, boundary
 
@@ -99,7 +101,7 @@ def test_random_instances_meet_the_trim_bounds(seed):
         assert trimmed
         assert trimmed <= frozenset(a)
         assert mu.of(trimmed) >= mu.of(a) - 4.0 * boundary / phi - 1e-9
-        assert cut_weight(g, Cut(trimmed)) <= 2.0 * boundary + 1e-9
+        assert cut_weight(g, trimmed) <= 2.0 * boundary + 1e-9
         sub, order = induced_subgraph(g, trimmed)
         if len(order) >= 2:
             value, _ = brute_force_expansion(sub, mu.restrict(order))
@@ -115,3 +117,57 @@ def test_rejects_bad_inputs():
         trim(g, mu, [5], phi=0.5)
     with pytest.raises(ValueError):
         trim(g, mu, [0, 1], phi=-1.0)
+
+
+def arcs_at_each_vertex(net):
+    """Each vertex's (head, capacity bits) arcs, twins included, in sorted order."""
+    return [sorted((net.to[i], net.cap[i].hex()) for i in arcs) for arcs in net.adj]
+
+
+def random_trim_input(rng):
+    """A weighted graph, a measure with zeros, a proper subset A with positive
+    measure (often all but one vertex) and a phi that meets the precondition."""
+    while True:
+        n = int(rng.integers(6, 16))
+        g = random_connected_graph(rng, n, extra=float(rng.uniform(0.5, 3.0)), weighted=True)
+        mu = random_measure(rng, n, zero_frac=0.25)
+        if rng.random() < 0.3:
+            a = frozenset(range(n)) - {int(rng.integers(n))}
+        else:
+            a = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.7))
+        if a and len(a) < n and mu.of(a) > 0.0:
+            phi = 9.0 * cut_weight(g, a) / mu.of(a) * float(rng.uniform(1.0, 4.0))
+            return g, mu, a, phi
+
+
+def test_trim_network_matches_arc_by_arc_reference(monkeypatch):
+    solved = []
+
+    def spy(net):
+        solved.append((net, max_flow(net)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(trimming, "max_flow", spy)
+    rng = np.random.default_rng(5100)
+    seen = set()
+    for _ in range(80):
+        g, mu, a, phi = random_trim_input(rng)
+        kept = trim(g, mu, a, phi)
+        net, sol = solved.pop()
+        ref = reference_trim_network(g, mu, a, phi)
+        want = max_flow(ref)
+        assert (net.node_count, net.source, net.sink) == (ref.node_count, ref.source, ref.sink)
+        assert arcs_at_each_vertex(net) == arcs_at_each_vertex(ref)
+        assert sol.min_cut_side == want.min_cut_side
+        assert abs(sol.value - want.value) <= tolerance(want.value)
+        assert kept == a - want.min_cut_side
+        inside_ends = [u if u in a else v for u, v, _ in g.edges if (u in a) != (v in a)]
+        if len(set(inside_ends)) < len(inside_ends):
+            seen.add("boundary edges into one vertex")
+        if any(mu.values[v] == 0.0 for v in a):
+            seen.add("zero-measure vertex in A")
+        if len(a) == g.vertex_count - 1:
+            seen.add("all but one vertex")
+        seen.add("trimmed" if kept < a else "kept whole")
+    assert seen == {"boundary edges into one vertex", "zero-measure vertex in A",
+                    "all but one vertex", "trimmed", "kept whole"}
