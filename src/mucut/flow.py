@@ -3,12 +3,16 @@
 Level-graph augmentation (Dinic: BFS phases, DFS blocking flow) on an arc
 list with residual pairing: arc i and arc i^1 are reverse twins.  Undirected
 edges are a twin pair with equal capacities.  Each phase's BFS stops at the
-sink's level, since no shortest augmenting path goes deeper, and the DFS
-walks current-arc pointers.  The min cut returned is the source-reachable
-set of the final residual network, read off the last phase's BFS (the one
-that cannot reach the sink, so searched everything), so every outward cut
-arc is saturated by construction: the cut is 1-fair.  Path stripping keeps
-a current-arc pointer per vertex as well.
+sink's level, since no shortest augmenting path goes deeper, and a backward
+BFS from the sink then unlevels every vertex with no level-graph path to
+it.  Such a vertex stays dead for the whole phase, so dropping it only
+spares the DFS, which walks current-arc pointers, from backing out of it:
+the same paths are pushed in the same order and the result keeps its
+bits.  The min cut returned is the source-reachable set of the final
+residual network, read off the last phase's BFS (the one that cannot reach
+the sink, so searched everything), so every outward cut arc is saturated
+by construction: the cut is 1-fair.  Path stripping keeps a current-arc
+pointer per vertex as well.
 
 Both flow problems the algorithm poses on a vertex subset, the matching
 player's and trimming's, share one layout: :func:`edge_network` lays out
@@ -159,23 +163,34 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     """Exact maximum flow; the min cut is the last phase's BFS tree.
 
     Each phase levels the residual network by BFS and stops once the sink
-    has a level d; vertices found at level d other than the sink are
-    unlevelled again, since no path to the sink runs through them.  The
-    DFS follows current-arc pointers through the level graph, and after
-    each augmentation retreats to the tail of the first saturated arc on
-    the path.  The phase that cannot level the sink has searched the whole
-    residual network, so its levelled vertices are the min cut's side.
+    has a level d.  A backward BFS from the sink, over the twins of
+    residual arcs, then keeps only the vertices on a shortest path to the
+    sink: a levelled vertex stays levelled only if a residual arc leads
+    from it to a kept vertex one level up.  The DFS follows current-arc
+    pointers through that level graph, and after each augmentation
+    retreats to the tail of the first saturated arc on the path.  The
+    phase that cannot level the sink has searched the whole residual
+    network, so its levelled vertices are the min cut's side.
+
+    The pruning changes no bit of the result.  A vertex with no level-graph
+    path to the sink at the start of a phase has none for the whole phase:
+    an augmentation only shrinks arcs that go one level up and grows their
+    twins, which go one level down.  The DFS would only enter such a vertex
+    and back out of it, pushing nothing, so it takes the same first
+    admissible arc at every step and pushes the same paths in the same
+    order as without the pruning.
     """
     n = net.node_count
     s, t = net.source, net.sink
     limit = net.cap_limit
     cap = net.cap
-    if max(cap, default=0.0) > limit:
+    largest = max(cap, default=0.0)
+    if largest > limit:
         cap = [min(c, limit) for c in cap]
     resid = list(cap)
     to = net.to
     adj = net.adj
-    zero = net.zero
+    zero = FLOW_ZERO * min(largest, limit)  # net.zero, without summing again
     total = 0.0
 
     while True:
@@ -195,9 +210,21 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
             frontier = found
         if level[t] < 0:
             break
-        for y in frontier:
-            level[y] = -1
-        level[t] = depth
+
+        # backward pass: relevel only the vertices with a path to the sink
+        live = [-1] * n
+        live[s], live[t] = 0, depth
+        frontier = [t]
+        for k in range(depth - 1, 0, -1):
+            found = []
+            for y in frontier:
+                for b in adj[y]:
+                    x = to[b]
+                    if level[x] == k and live[x] < 0 and resid[b ^ 1] > zero:
+                        live[x] = k
+                        found.append(x)
+            frontier = found
+        level = live
 
         it = [0] * n
         path: list[int] = []

@@ -15,6 +15,7 @@ maximum flow shares, so the trimmed set does not depend on the arc order.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 from .errors import InvariantViolation
@@ -30,8 +31,8 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
     nonempty and satisfies mu(A') >= mu(A) - 4*boundary/phi and
     boundary(A') <= 2*boundary(A).
     """
-    if phi <= 0:
-        raise ValueError("phi must be positive")
+    if not 0.0 < phi < math.inf:
+        raise ValueError(f"phi must be positive and finite, got {phi}")
     a_set = frozenset(int(v) for v in a)
     if not a_set:
         raise ValueError("cannot trim an empty set")

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own code paths: the cut
 recount walks adjacency lists, the min-cut enumerator sums arc capacities
 over explicit subsets, and the conductance enumerator is plain Python.
 `reference_max_flow` and `reference_decompose_paths` are the flow solver
-and path stripper as they were before phases stopped at the sink's level:
-the library's must match them bit for bit.  `reference_build_pi_problem`
+and path stripper as they were before phases stopped at the sink's level
+and were pruned to the vertices that reach it: the library's must match
+them bit for bit.  `reference_build_pi_problem`
 is the matching round's network built arc by arc, as it was before the
 edge arcs were built once per active set: the library's network must list
 the same arcs in every vertex's adjacency.  `reference_trim_network` is

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mucut.matching
+from mucut import Graph, GameParams, VertexMeasure, run_cut_matching
 from mucut.flow import FlowNetwork, decompose_paths, max_flow
 
 from helpers import (assert_fair, conservation_errors, enumerate_min_cut,
@@ -229,11 +231,48 @@ def test_scaled_capacities_keep_the_cut_and_the_paths(scale):
         assert sum(p[2] for p in dec) == pytest.approx(sol.value, rel=1e-9)
 
 
+def first_phase_distances(net, root, reverse=False):
+    """BFS hop counts from `root` (to it, if `reverse`) over the arcs the
+    solver's first phase sees, those above the zero once capped; None where
+    there is no path."""
+    limit, zero = net.cap_limit, net.zero
+    dist = [None] * net.node_count
+    dist[root] = 0
+    frontier = [root]
+    while frontier:
+        found = []
+        for x in frontier:
+            for a in net.adj[x]:
+                y = net.to[a]
+                if dist[y] is None and min(net.cap[a ^ 1 if reverse else a], limit) > zero:
+                    dist[y] = dist[x] + 1
+                    found.append(y)
+        frontier = found
+    return dist
+
+
+def level_features(net):
+    """Features of the first phase's level graph, whose sink level is d: a
+    vertex levelled below d with no level-graph path to the sink (its
+    distances from the source and to the sink add up to more than d), which
+    the backward pass unlevels, and d >= 4."""
+    ls = first_phase_distances(net, net.source)
+    dt = first_phase_distances(net, net.sink, reverse=True)
+    d = ls[net.sink]
+    if d is None:
+        return set()
+    features = {"sink level >= 4"} if d >= 4 else set()
+    if any(x is not None and x < d and (y is None or x + y > d) for x, y in zip(ls, dt)):
+        features.add("dead below sink level")
+    return features
+
+
 def oracle_network(rng):
     """Random network for the solver-against-reference test, with a feature
     log.  Besides random arcs it may have zero-capacity, parallel and
     oversized arcs, chains hanging off the source that end far past the
-    sink's BFS level, an unreachable sink, or a grid of real capacities."""
+    sink's BFS level, an unreachable sink, or a grid of real capacities.
+    The log also names the first phase's level-graph features."""
     features = set()
     if rng.random() < 0.3:
         side = int(rng.integers(3, 7))
@@ -254,7 +293,7 @@ def oracle_network(rng):
         for v in cells[k:3 * k]:
             net.add_arc(int(v), t, float(rng.uniform(1.0, 4.0)))
         features.add("grid")
-        return net, features
+        return net, features | level_features(net)
     core = int(rng.integers(4, 12))
     tail = int(rng.integers(0, 12)) if rng.random() < 0.5 else 0
     n = core + tail
@@ -294,7 +333,7 @@ def oracle_network(rng):
         features.add("tail")
     if unreachable:
         features.add("unreachable")
-    return net, features
+    return net, features | level_features(net)
 
 
 def with_circulation(net, sol, rng):
@@ -361,5 +400,37 @@ def test_solver_matches_reference_bit_for_bit():
             cycles += 1
             assert decompose_paths(net, doctored) == reference_decompose_paths(net, doctored)
     assert seen >= {"grid", "zero", "huge", "parallel", "tail", "unreachable",
-                    "no flow", "capped"}
+                    "no flow", "capped", "dead below sink level", "sink level >= 4"}
     assert cycles >= 100
+
+
+def test_round_networks_match_reference_bit_for_bit(monkeypatch):
+    # every round network of a game on a terminal grid, where the flow runs
+    # long paths through zero-measure vertices, solves to the reference's
+    # bits, and some round's first phase has a dead vertex to prune
+    side = 12
+    n = side * side
+    edges = [(v, v + 1, 1.0) for v in range(n) if (v + 1) % side]
+    edges += [(v, v + side, 1.0) for v in range(n - side)]
+    g = Graph(n, edges)
+    rng = np.random.default_rng(4)
+    values = np.zeros(n)
+    terminals = n // 10
+    values[rng.choice(n, size=terminals, replace=False)] = rng.uniform(1.0, 4.0, terminals)
+    mu = VertexMeasure(values)
+    seen = []
+
+    def both(net):
+        sol = max_flow(net)
+        ref = reference_max_flow(net)
+        assert sol.value.hex() == ref.value.hex()
+        assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
+        assert sol.min_cut_side == ref.min_cut_side
+        assert decompose_paths(net, sol) == reference_decompose_paths(net, ref)
+        seen.append(level_features(net))
+        return sol
+
+    monkeypatch.setattr(mucut.matching, "max_flow", both)
+    run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.02), rng)
+    assert len(seen) >= 10
+    assert any("dead below sink level" in f for f in seen)

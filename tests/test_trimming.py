@@ -119,6 +119,17 @@ def test_rejects_bad_inputs():
         trim(g, mu, [0, 1], phi=-1.0)
 
 
+@pytest.mark.parametrize("phi", [float("nan"), float("inf")])
+@pytest.mark.parametrize("a", [[0, 1], [0, 1, 2]], ids=["boundary", "no boundary"])
+def test_rejects_non_finite_phi(phi, a):
+    # with boundary edges a NaN phi once reached the flow network and was
+    # reported as a bad capacity factor; without them the set came back as is
+    g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    mu = VertexMeasure([1.0] * 3)
+    with pytest.raises(ValueError, match="phi must be positive and finite"):
+        trim(g, mu, a, phi)
+
+
 def arcs_at_each_vertex(net):
     """Each vertex's (head, capacity bits) arcs, twins included, in sorted order."""
     return [sorted((net.to[i], net.cap[i].hex()) for i in arcs) for arcs in net.adj]
