@@ -74,6 +74,7 @@ def load_measure(path: str | None, g: Graph) -> VertexMeasure:
     if path is None:
         return VertexMeasure.from_degrees(g)
     values = np.zeros(g.vertex_count)
+    given: dict[int, int] = {}  # vertex -> line that gave its value
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -92,6 +93,9 @@ def load_measure(path: str | None, g: Graph) -> VertexMeasure:
             raise GraphInputError(f"{path}:{lineno}: bad measure line") from exc
         if not (0 <= v < g.vertex_count):
             raise GraphInputError(f"{path}:{lineno}: vertex {v} out of range")
+        if v in given:
+            raise GraphInputError(f"{path}:{lineno}: vertex {v} already given on line {given[v]}")
+        given[v] = lineno
         values[v] = val
     return VertexMeasure(values)
 

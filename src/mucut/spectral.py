@@ -14,10 +14,13 @@ factor is zero off the support, so a vector of length k = |supp mu| is
 carried through and scattered back to all n vertices once, at the end.
 Each matching's normalized lazy factor is fused once, when the matching is
 added to the walk, into a diagonal plus symmetric pair triples; applying it
-is one product and one ``np.bincount``.  One evaluation therefore costs
-O(delta * t * (pairs + |supp mu|)).  Dense materialization of the flow
-matrix and of the potential trace exist as oracles for small instances and
-are never used by the algorithm itself.
+is one product and one ``np.bincount``.  Once the chain of factors holds
+at least k^2 numbers, the walk multiplies it out into the k x k product
+C = Nbar_{t-1} ... Nbar_0 and applies that instead.  One evaluation
+therefore costs min(2 delta t (k + pairs), 2 delta k^2), plus
+k (k + pairs) per added round once the product exists.  Dense
+materialization of the flow matrix and of the potential trace exist as
+oracles for small instances and are never used by the algorithm itself.
 """
 
 from __future__ import annotations
@@ -228,16 +231,35 @@ class LazyFactor:
             out += np.bincount(self.rows, self.vals * y[self.cols], len(y))
         return out
 
+    def times(self, c: np.ndarray) -> np.ndarray:
+        """Nbar C for a k x k matrix C: its rows scaled by ``dg`` plus one
+        scatter of the pair rows, in k (k + pairs) operations."""
+        out = self.dg[:, None] * c
+        if self.rows.size:
+            k = len(c)
+            flat = (self.rows[:, None] * k + np.arange(k)).ravel()
+            out += np.bincount(flat, (self.vals[:, None] * c[self.cols]).ravel(),
+                               k * k).reshape(k, k)
+        return out
+
 
 class WalkOperator:
     """Implicit delta-powered projected walk over a stack of matchings.
 
     Each matching's :class:`LazyFactor` is built once, by the constructor or
     by :meth:`extend`; the game extends one walk round by round and swaps in
-    a new ``state`` when its active set shrinks.
+    a new ``state`` when its active set shrinks.  While the chain of factors
+    holds fewer than k^2 numbers (``chain_size``: k diagonal entries plus
+    the pair entries per factor, k = |supp mu|), ``apply`` runs through the
+    chain.  The ``extend`` that brings it to k^2 multiplies the chain out
+    into ``product``, the k x k matrix C = Nbar_{t-1} ... Nbar_0, and drops
+    the factors; later rounds left-multiply C by their factor, and
+    ``apply`` uses C C^T.  The product never holds more numbers than the
+    chain it replaces.
     """
 
-    __slots__ = ("matchings", "factors", "delta", "state", "measure", "support")
+    __slots__ = ("matchings", "factors", "chain_size", "product", "delta", "state", "measure",
+                 "support")
 
     def __init__(self, matchings: Sequence[StochasticMatching], delta: int, state: ActiveState):
         if not is_power_of_two(int(delta)):
@@ -248,6 +270,8 @@ class WalkOperator:
         self.support = np.flatnonzero(self.measure.support_mask)
         self.matchings: list[StochasticMatching] = []
         self.factors: list[LazyFactor] = []
+        self.chain_size = 0
+        self.product: np.ndarray | None = None
         for m in matchings:
             self.extend(m)
 
@@ -258,20 +282,38 @@ class WalkOperator:
     def extend(self, m: StochasticMatching) -> None:
         """Append one round's matching; its factor becomes the outermost, next to P."""
         self.matchings.append(m)
-        self.factors.append(LazyFactor(m, self.measure, self.delta))
+        f = LazyFactor(m, self.measure, self.delta)
+        if self.product is not None:
+            self.product = f.times(self.product)
+            return
+        self.factors.append(f)
+        k = len(self.support)
+        self.chain_size += k + f.rows.size
+        if self.chain_size >= k * k:
+            c = np.eye(k)
+            for factor in self.factors:
+                c = factor.times(c)
+            self.product, self.factors = c, []
 
     def apply(self, x) -> np.ndarray:
-        state, sup = self.state, self.support
+        state, sup, c = self.state, self.support, self.product
         mask, sqrt_mu, total = state.mask[sup], state.sqrt_mu[sup], state.mu_active_total
-        y = np.asarray(x, dtype=float)[sup]
+        x = np.asarray(x, dtype=float)
+        n = len(self.measure.values)
+        if x.shape != (n,):
+            raise ValueError(f"walk on {n} vertices given a vector of shape {x.shape}")
+        y = x[sup]
         for _ in range(self.delta):
             y = _project(mask, sqrt_mu, total, y)
-            for f in reversed(self.factors):
-                y = f.apply(y)
-            for f in self.factors:
-                y = f.apply(y)
+            if c is not None:
+                y = c @ (c.T @ y)
+            else:
+                for f in reversed(self.factors):
+                    y = f.apply(y)
+                for f in self.factors:
+                    y = f.apply(y)
             y = _project(mask, sqrt_mu, total, y)
-        out = np.zeros(len(self.measure.values))
+        out = np.zeros(n)
         out[sup] = y
         return out
 

@@ -13,6 +13,10 @@ the same arcs in every vertex's adjacency.  `reference_trim_network` is
 trimming's network as `trim` built it arc by arc before it shared the
 matching player's layout: the library's must have the same arcs at every
 vertex, in any order, and the same minimal min cut.
+`reference_walk_apply` is the walk applied through its chain of factors
+alone, as `WalkOperator.apply` ran before it multiplied long chains out into
+one product: the library's must match it bit for bit before that switch,
+and within a rounding bound after it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from mucut.cutplayer import WeightedBipartition
 from mucut.errors import InvariantViolation
 from mucut.flow import FlowNetwork, FlowSolution
 from mucut.graph import tolerance
-from mucut.spectral import ActiveState, WalkOperator, dense_walk_and_potential
+from mucut.spectral import (ActiveState, LazyFactor, WalkOperator, _project,
+                            dense_walk_and_potential)
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 1.0,
@@ -158,6 +163,24 @@ def reference_trim_network(g: Graph, mu: VertexMeasure, a, phi: float) -> FlowNe
     for v in sorted(a):
         net.add_arc(v, t, mu.values[v])
     return net
+
+
+def reference_walk_apply(walk: WalkOperator, x) -> np.ndarray:
+    """W x through the chain of factors, rebuilt from `walk.matchings`."""
+    state, sup = walk.state, walk.support
+    factors = [LazyFactor(m, walk.measure, walk.delta) for m in walk.matchings]
+    mask, sqrt_mu, total = state.mask[sup], state.sqrt_mu[sup], state.mu_active_total
+    y = np.asarray(x, dtype=float)[sup]
+    for _ in range(walk.delta):
+        y = _project(mask, sqrt_mu, total, y)
+        for f in reversed(factors):
+            y = f.apply(y)
+        for f in factors:
+            y = f.apply(y)
+        y = _project(mask, sqrt_mu, total, y)
+    out = np.zeros(len(walk.measure.values))
+    out[sup] = y
+    return out
 
 
 def reference_max_flow(net: FlowNetwork) -> FlowSolution:

@@ -59,6 +59,14 @@ def test_load_measure_default_and_file(tmp_path):
     assert list(mu.values) == [3.5, 0.0, 1.0]  # absent vertices get zero
 
 
+def test_repeated_measure_vertex_exits_2(k8_file, tmp_path, capsys):
+    m = tmp_path / "mu.txt"
+    m.write_text("0 1.0\n1 2.0\n# vertex 0 again\n0 5.0\n")
+    assert main(["decompose", "--graph", k8_file, "--phi", "0.1", "--mu", str(m)]) == 2
+    err = capsys.readouterr().err
+    assert f"{m}:4: vertex 0 already given on line 1" in err
+
+
 def test_decompose_command(dumbbell_file, tmp_path):
     out = tmp_path / "out.json"
     code = main(["decompose", "--graph", dumbbell_file, "--phi", "0.05",

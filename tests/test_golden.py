@@ -180,11 +180,19 @@ GOLDEN = {
 }
 
 
+# instance -> whether its game's walk ends as one k x k product: planted_blocks'
+# 9 rounds on 48 terminals stay below the k^2 switch, so the pins cover both
+# walk paths (its decomposition's 16-vertex games switch)
+WALK_PRODUCT = {planted_blocks: False, terminal_grid: True, two_terminal_grid: True,
+                light_whisker: True}
+
+
 @pytest.mark.parametrize("make", list(GOLDEN), ids=lambda f: f.__name__)
 def test_pinned_outputs(make):
     g, mu, phi, seed = make()
     want_clusters, want_game, want_rounds, want_cuts, want_idle = GOLDEN[make]
     out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, phi), np.random.default_rng(seed))
+    assert (out.walk.product is not None) == WALK_PRODUCT[make]
     assert len(out.rounds) == want_rounds
     assert sum(1 for rec in out.rounds if rec.removed) == want_cuts
     assert sum(1 for rec in out.rounds if not rec.removed and not rec.paths) == want_idle
@@ -217,6 +225,7 @@ def test_pinned_decomposition(make):
     games = []
     res = decompose(g, mu, phi, DecomposeConfig(trace_hook=games.append), rng=seed)
     assert len(games) == want_games
+    assert any(game.walk.product is not None for game in games)
     assert trace_digest(games) == want_trace
     assert result_digest(res) == want_result
 

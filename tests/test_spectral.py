@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mucut.spectral import (ActiveState, LazyFactor, StochasticMatching, WalkOpe
                             dense_walk_and_potential, is_power_of_two, projections,
                             sample_unit_vector)
 
-from helpers import clique_edges, random_connected_graph, random_measure
+from helpers import clique_edges, random_connected_graph, random_measure, reference_walk_apply
 
 
 def uniform_state(n, active=None):
@@ -228,6 +230,101 @@ def test_walk_agrees_with_dense_materialization():
                 assert np.all(y[~state.mask] == 0.0)
                 checked += 1
     assert checked >= 100
+
+
+def switch_round(matchings, mu, delta):
+    """First round whose chain of factors holds at least k^2 numbers, or None."""
+    k = int(mu.support_mask.sum())
+    size = 0
+    for t, m in enumerate(matchings, 1):
+        size += k + LazyFactor(m, mu, delta).rows.size
+        if size >= k * k:
+            return t
+    return None
+
+
+def holds_lazy_factor(w):
+    held = gc.get_referents(w)
+    held += [o for h in held for o in gc.get_referents(h)]
+    return any(isinstance(o, LazyFactor) for o in held)
+
+
+def test_walk_product_agrees_with_chain():
+    # Every factor is entrywise nonnegative with spectral norm at most 1, and
+    # so are the product C and its roundings.  A row update of C and a factor
+    # or C matvec sums at most k products per entry, so each errs by at most
+    # k*eps relative to the norm of what it is applied to, and earlier errors
+    # never grow.  Per power step the product path errs by (t + 1)*k*eps
+    # twice (C after t updates, then the matvec, for C^T and for C), the
+    # chain by 2t*k*eps, and the two projections on each side by k*eps each:
+    # (4t + 6)*k*eps.  The steps contract, so delta of them add up.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(31)
+    switched = 0
+    for trial in range(6):
+        mu = random_measure(rng, 12, zero_frac=0.25)
+        dropped = rng.choice(12, size=trial % 3, replace=False).tolist()
+        state = ActiveState(set(range(12)) - set(dropped), mu)
+        if state.mu_active_total <= 0:
+            continue
+        k = int(mu.support_mask.sum())
+        matchings = synthetic_matchings(rng, mu, rounds=k + 2)
+        for delta in (1, 2, 4):
+            w = WalkOperator([], delta, state)
+            for t, m in enumerate(matchings, 1):
+                w.extend(m)
+                for _ in range(3):
+                    x = rng.standard_normal(12)
+                    got, want = w.apply(x), reference_walk_apply(w, x)
+                    if w.product is None:
+                        assert got.tobytes() == want.tobytes()
+                    else:
+                        bound = delta * (4 * t + 6) * k * eps * np.linalg.norm(x)
+                        assert np.abs(got - want).max() <= bound
+                        assert np.all(got[~state.mask] == 0.0)
+            assert w.product is not None  # every factor adds at least k: past k^2 by round k
+            switched += switch_round(matchings, mu, delta) < len(matchings)
+    assert switched >= 12
+
+
+def test_walk_switches_to_product_at_k_squared():
+    # factors without pairs add exactly k = 4 each: the chain reaches 16 at round 4
+    state, mu = uniform_state(4)
+    idle = StochasticMatching.from_pairs(mu.values, [])
+    for t in range(1, 7):
+        w = WalkOperator([idle] * t, 2, state)
+        assert (w.product is None) == (t < 4)
+        assert len(w.factors) == (t if t < 4 else 0)
+    assert np.array_equal(WalkOperator([idle] * 4, 2, state).product, np.eye(4))
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        mu = random_measure(rng, 14, zero_frac=0.3)
+        state = ActiveState(range(14), mu)
+        matchings = synthetic_matchings(rng, mu, rounds=14)
+        for delta in (1, 2, 4):
+            at = switch_round(matchings, mu, delta)
+            below = WalkOperator(matchings[:at - 1], delta, state)
+            assert below.product is None and len(below.factors) == at - 1
+            w = WalkOperator([], delta, state)
+            for t, m in enumerate(matchings, 1):
+                w.extend(m)
+                assert (w.product is None) == (t < at)
+                assert holds_lazy_factor(w) == (t < at)
+            built = WalkOperator(matchings, delta, state)
+            assert built.product.tobytes() == w.product.tobytes()
+            assert built.rounds == w.rounds == len(matchings)
+
+
+def test_walk_rejects_vectors_of_the_wrong_length():
+    rng = np.random.default_rng(33)
+    mu = random_measure(rng, 4, zero_frac=0.0)
+    state = ActiveState(range(4), mu)
+    w = WalkOperator(synthetic_matchings(rng, mu, rounds=2), 1, state)
+    for length in (6, 3):
+        x = rng.standard_normal(length)
+        for call in (w.apply, lambda r: projections(w, r)):
+            with pytest.raises(ValueError, match=rf"4 vertices .*\({length},\)"):
+                call(x)
 
 
 def test_walk_is_symmetric_operator():
