@@ -10,13 +10,16 @@ from the file get measure zero.
 from the games' round records; ``--dense-limit`` only decides for which
 games the potential column is filled.
 
-Exit codes: 0 success, 2 malformed input (flags or files), 3 internal
-failure.  Identical flags and seed produce byte-identical JSON.
+Each subcommand registers only the flags it reads, so a flag it would
+ignore is malformed input.  Exit codes: 0 success, 2 malformed input
+(flags or files), 3 internal failure.  Identical flags and seed produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -103,8 +106,6 @@ def load_measure(path: str | None, g: Graph) -> VertexMeasure:
 def _json_default(obj):
     if isinstance(obj, Infinite):
         return "infinite"
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -122,20 +123,25 @@ def _trace_lines(game, dense_limit: int) -> list[str]:
 
     mu_R is the measure removed so far; psi, the potential after the
     round, needs the dense walk and is left empty for games on more than
-    dense_limit vertices.
+    dense_limit vertices.  One walk per game is extended round by round,
+    with each round's surviving active set as its state.
     """
     if not game.rounds:  # a single vertex or terminal: no walk was built
         return []
-    mu, delta = game.walk.measure, game.walk.delta
+    mu = game.walk.measure
+    walk = None
+    if len(mu.values) <= dense_limit:
+        walk = WalkOperator([], game.walk.delta, ActiveState(game.rounds[0].active_before, mu))
     lines = []
     removed: frozenset = frozenset()
-    for i, rec in enumerate(game.rounds):
+    for rec in game.rounds:
         removed = removed | rec.removed
         psi = ""
-        if len(mu.values) <= dense_limit:
-            post = WalkOperator([r.matching for r in game.rounds[:i + 1]], delta,
-                                ActiveState(frozenset(rec.active_before) - rec.removed, mu))
-            psi = repr(dense_walk_and_potential(post, limit=dense_limit)[1])
+        if walk is not None:
+            walk.extend(rec.matching)
+            if rec.removed:
+                walk.state = ActiveState(frozenset(rec.active_before) - rec.removed, mu)
+            psi = repr(dense_walk_and_potential(walk, limit=dense_limit)[1])
         lines.append(f"{rec.index},{len(rec.active_before) - len(rec.removed)},"
                      f"{mu.of(removed)!r},{rec.matched_weight!r},{psi}\n")
     return lines
@@ -148,22 +154,21 @@ def _write_trace(path: str, lines) -> None:
 
 
 def _check_args(args) -> None:
-    """Reject flag values the algorithms cannot run with as malformed input."""
-    check_level = getattr(args, "check_level", None)  # verify's flag only
-    for flag, value, ok, want in (
-            ("--phi", args.phi, args.phi is None or 0.0 < args.phi < math.inf, "positive, finite"),
-            ("--log-base", args.log_base, 1.0 < args.log_base < math.inf, "greater than 1, finite"),
-            ("--check-level", check_level, check_level is None or 0.0 < check_level < math.inf,
-             "positive, finite"),
-            ("--delta", args.delta, args.delta is None or is_power_of_two(args.delta),
-             "a power of two"),
-            ("--verify-max-n", args.verify_max_n, 1 <= args.verify_max_n <= MAX_ENUM_N,
-             f"in [1, {MAX_ENUM_N}]"),
-            ("--seed", args.seed, args.seed >= 0, "non-negative"),
-            ("--t-factor", args.t_factor, math.isfinite(args.t_factor), "finite"),
-            ("--c-factor", args.c_factor, math.isfinite(args.c_factor), "finite")):
-        if not ok:
-            raise GraphInputError(f"{flag} must be {want}, got {value}")
+    """Reject flag values the algorithms cannot run with as malformed input;
+    a flag is checked only when the parsed command has it."""
+    given = vars(args)
+    for flag, ok, want in (
+            ("--phi", lambda v: v is None or 0.0 < v < math.inf, "positive, finite"),
+            ("--log-base", lambda v: 1.0 < v < math.inf, "greater than 1, finite"),
+            ("--check-level", lambda v: v is None or 0.0 < v < math.inf, "positive, finite"),
+            ("--delta", lambda v: v is None or is_power_of_two(v), "a power of two"),
+            ("--verify-max-n", lambda v: 1 <= v <= MAX_ENUM_N, f"in [1, {MAX_ENUM_N}]"),
+            ("--seed", lambda v: v >= 0, "non-negative"),
+            ("--t-factor", math.isfinite, "finite"),
+            ("--c-factor", math.isfinite, "finite")):
+        dest = flag[2:].replace("-", "_")
+        if dest in given and not ok(given[dest]):
+            raise GraphInputError(f"{flag} must be {want}, got {given[dest]}")
 
 
 def cmd_decompose(args) -> int:
@@ -256,7 +261,7 @@ def cmd_verify(args) -> int:
                                  inter_cluster_edge_weight=float(weight))
         report = validate_partition(g, mu, loaded, phi, check_level=args.check_level,
                                     max_n=args.verify_max_n)
-        _emit_json(report.to_dict(), args.json_out)
+        _emit_json(dataclasses.asdict(report), args.json_out)
         return 0
     if not 2 <= g.vertex_count <= MAX_ENUM_N:
         raise GraphInputError(
@@ -271,11 +276,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, needs_phi: bool) -> None:
+def _add_files(p: argparse.ArgumentParser) -> None:
+    """The flags every subcommand reads: its input files and its JSON output."""
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--mu", default=None, help="measure file; default: weighted degrees")
-    if needs_phi:
-        p.add_argument("--phi", type=float, required=True, help="target expansion")
+    p.add_argument("--json-out", default=None, dest="json_out", help="write JSON here (default stdout)")
+
+
+def _add_game(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that play games: decompose and sparse-cut."""
+    p.add_argument("--phi", type=float, required=True, help="target expansion")
     p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.add_argument("--t-factor", type=float, default=2.0, dest="t_factor",
                    help="round budget multiplier on log2(n)^2")
@@ -287,10 +297,6 @@ def _add_common(p: argparse.ArgumentParser, *, needs_phi: bool) -> None:
     p.add_argument("--dense-limit", type=int, default=DENSE_LIMIT, dest="dense_limit",
                    help="max game size n for which the trace CSV fills psi")
     p.add_argument("--trace", default=None, help="write per-round CSV here")
-    p.add_argument("--json-out", default=None, dest="json_out", help="write JSON here (default stdout)")
-    p.add_argument("--verify-max-n", type=int, default=16, dest="verify_max_n",
-                   help="brute-force size cap for certificates; game-certified "
-                        "clusters below 20 vertices are brute-forced regardless")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,20 +305,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dec = sub.add_parser("decompose", help="recursive expander decomposition")
-    _add_common(p_dec, needs_phi=True)
+    _add_files(p_dec)
+    _add_game(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 
     p_cut = sub.add_parser("sparse-cut", help="one balanced-cut-or-expander step")
-    _add_common(p_cut, needs_phi=True)
+    _add_files(p_cut)
+    _add_game(p_cut)
     p_cut.set_defaults(func=cmd_sparse_cut)
 
     p_ver = sub.add_parser("verify", help="brute-force expansion or partition validation")
-    _add_common(p_ver, needs_phi=False)
+    _add_files(p_ver)
     p_ver.add_argument("--phi", type=float, default=None, help="level for partition checks")
     p_ver.add_argument("--partition", default=None, help="decomposition JSON to validate")
     p_ver.add_argument("--check-level", type=float, default=None, dest="check_level",
                        help="expansion level clusters must meet (default phi/6)")
     p_ver.set_defaults(func=cmd_verify)
+
+    for p, what in ((p_dec, "certificates; game-certified clusters below 20 vertices are "
+                            "brute-forced regardless"),
+                    (p_ver, "partition clusters")):
+        p.add_argument("--verify-max-n", type=int, default=16, dest="verify_max_n",
+                       help=f"brute-force size cap for {what}")
     return parser
 
 

@@ -23,7 +23,7 @@ from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
 from .graph import (Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
                     induced_subgraph, tolerance)
 from .trimming import trim
-from .verify import brute_force_expansion
+from .verify import MAX_ENUM_N, brute_force_expansion
 
 
 class OutcomeKind(enum.Enum):
@@ -97,7 +97,7 @@ class DecomposeConfig:
     delta: Optional[int] = None
     log_base: float = 2.0
     depth_limit: Optional[int] = None
-    verify_max_n: int = 16
+    verify_max_n: int = 16  # brute-force size cap for certificates, in [1, MAX_ENUM_N]
     trace_hook: Optional[object] = None  # callable fed each game's CutMatchingOutcome
 
 
@@ -146,6 +146,8 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     if len(mu.values) != g.vertex_count:
         raise ValueError("measure length does not match the graph")
     cfg = config or DecomposeConfig()
+    if not 1 <= cfg.verify_max_n <= MAX_ENUM_N:
+        raise ValueError(f"verify_max_n must be in [1, {MAX_ENUM_N}], got {cfg.verify_max_n}")
     rng = np.random.default_rng(rng)
     n = g.vertex_count
     depth_limit = cfg.depth_limit

@@ -7,7 +7,9 @@ exactly, and either reports full saturation (no cut) or returns the
 source side of the min cut together with the surviving flow.  Path
 endpoints become the round's matching, completed on the diagonal to be
 measure-stochastic.  The round comes back as its one record,
-:class:`RoundRecord`, which the game stores as it is.
+:class:`RoundRecord`, which the game stores as it is.  Every round takes
+the same path: a round without sources has no source arcs, so its flow is
+zero, nothing is cut and its matching is the diagonal alone.
 
 Only the terminal arcs change from round to round, and the edge arcs only
 when a cut shrinks A.  So the game builds the edge arcs once per active
@@ -88,13 +90,6 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
     active measure surviving.
     """
     mu = state.measure
-    active_before = state.order
-    if not bip.sources:
-        # nothing to route; the matching degenerates to the diagonal
-        return RoundRecord(round_index, active_before, frozenset(),
-                           StochasticMatching.from_pairs(mu.values, []),
-                           (), 0.0, None)
-
     net = build_pi_problem(edges, state, bip)
     sol = max_flow(net)
     source_total = bip.source_mass
@@ -162,7 +157,7 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
 
     return RoundRecord(
         index=round_index,
-        active_before=active_before,
+        active_before=state.order,
         removed=removed,
         matching=matching,
         paths=tuple(kept),

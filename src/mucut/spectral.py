@@ -2,9 +2,11 @@
 
 One round's response is a measure-stochastic matching: off-diagonal pair
 weights between active terminals plus a diagonal completion so that every
-row sums to the vertex measure.  Writing Nbar_i for the normalized lazy
-form of matching i and P for the projection away from the active sqrt
-measure, the walk after t rounds is
+row sums to the vertex measure.  A round keeps only its pairs and a
+reference to the measure's values; the completion is derived from them
+when read, and checked once, when the matching is built.  Writing Nbar_i
+for the normalized lazy form of matching i and P for the projection away
+from the active sqrt measure, the walk after t rounds is
 
     W = (P . Nbar_{t-1} ... Nbar_0 . I_supp . Nbar_0 ... Nbar_{t-1} . P)^delta
 
@@ -61,13 +63,16 @@ class StochasticMatching:
     terminals; the diagonal completion tops every row up to the measure.
     Self-pairs cancel against the completion, so only strict pairs are
     stored explicitly.  The pairs come as arrays (us, vs, ws) with u < v,
-    merged and sorted by (u, v); ``diagonal`` is a read-only copy of the
-    dense completion.
+    merged and sorted by (u, v), together with the measure's values, which
+    the matching keeps by reference (a writable array is copied).  The
+    diagonal is not stored: ``diagonal`` derives it from the pairs and the
+    measure.  The one stochasticity check, in the constructor, rejects a
+    row whose pairs outweigh its measure beyond rounding.
     """
 
-    __slots__ = ("diagonal", "_us", "_vs", "_ws")
+    __slots__ = ("mu_values", "_us", "_vs", "_ws")
 
-    def __init__(self, us, vs, ws, diagonal):
+    def __init__(self, us, vs, ws, mu_values):
         us = np.asarray(us, dtype=np.intp)
         vs = np.asarray(vs, dtype=np.intp)
         ws = np.asarray(ws, dtype=float)
@@ -79,24 +84,25 @@ class StochasticMatching:
             raise ValueError("pairs must be merged and sorted by (u, v)")
         if np.any(ws <= 0):
             raise ValueError("matching weights must be positive")
-        diag = np.array(diagonal, dtype=float)
-        if diag.min(initial=0.0) < 0.0:
-            raise InvariantViolation(f"negative diagonal completion: {diag.min()}")
-        self.diagonal = diag
+        mu = np.asarray(mu_values, dtype=float)
+        if mu.flags.writeable:
+            mu = mu.copy()
+        self.mu_values = mu
         self._us, self._vs, self._ws = us, vs, ws
-        for arr in (self.diagonal, self._us, self._vs, self._ws):
+        for arr in (self.mu_values, self._us, self._vs, self._ws):
             arr.setflags(write=False)
+        slack = self._slack()
+        if slack.min(initial=0.0) < -tolerance(mu.max(initial=0.0)):
+            raise InvariantViolation(
+                f"matched weight exceeds the measure at some vertex by {-slack.min()}")
 
     @classmethod
     def from_pairs(cls, mu_values, pairs: Iterable[Sequence]) -> "StochasticMatching":
         """Build the completed matrix from raw endpoint pairs.
 
         Self-pairs are dropped: they add equal amounts to a row sum and to
-        the diagonal, so the completion mu - rowsum reproduces them.  Row
-        sums accumulate in sorted pair order, the order of the stored
-        off-diagonal.  A completion below zero by rounding is clipped to 0.
+        the diagonal, so the completion mu - rowsum reproduces them.
         """
-        mu_values = np.asarray(mu_values, dtype=float)
         merged: dict[tuple[int, int], float] = {}
         for u, v, w in pairs:
             u, v, w = int(u), int(v), float(w)
@@ -108,14 +114,22 @@ class StochasticMatching:
         us = np.array([u for u, _ in keys], dtype=np.intp)
         vs = np.array([v for _, v in keys], dtype=np.intp)
         ws = np.array([merged[k] for k in keys], dtype=float)
+        return cls(us, vs, ws, mu_values)
+
+    def _slack(self) -> np.ndarray:
+        """mu - row sums of the pairs, the row sums accumulated in sorted pair order."""
         # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the pairs
-        ends = np.column_stack((us, vs)).ravel()
-        row = np.bincount(ends, np.repeat(ws, 2), minlength=len(mu_values))
-        slack = mu_values - row
-        if slack.min(initial=0.0) < -tolerance(mu_values.max(initial=0.0)):
-            raise InvariantViolation(
-                f"matched weight exceeds the measure at some vertex by {-slack.min()}")
-        return cls(us, vs, ws, np.maximum(slack, 0.0))
+        ends = np.column_stack((self._us, self._vs)).ravel()
+        row = np.bincount(ends, np.repeat(self._ws, 2), minlength=len(self.mu_values))
+        return self.mu_values - row
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The completion mu - row sums, read-only; a completion below zero by
+        rounding is clipped to 0."""
+        diag = np.maximum(self._slack(), 0.0)
+        diag.setflags(write=False)
+        return diag
 
     @property
     def off_diagonal(self) -> tuple:

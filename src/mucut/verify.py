@@ -176,25 +176,6 @@ class ValidationReport:
     clusters: tuple[ClusterCheck, ...]
     all_passed: bool
 
-    def to_dict(self) -> dict:
-        def enc(x):
-            if isinstance(x, Infinite):
-                return "infinite"
-            return x
-        return {
-            "partition_exact": self.partition_exact,
-            "reported_weight": self.reported_weight,
-            "recounted_weight": self.recounted_weight,
-            "weight_matches": self.weight_matches,
-            "check_level": self.check_level,
-            "clusters": [
-                {"index": c.index, "size": c.size, "expansion": enc(c.expansion),
-                 "passed": c.passed}
-                for c in self.clusters
-            ],
-            "all_passed": self.all_passed,
-        }
-
 
 def validate_partition(g: Graph, mu: VertexMeasure, result, phi: float,
                        check_level: Optional[float] = None,
@@ -202,10 +183,12 @@ def validate_partition(g: Graph, mu: VertexMeasure, result, phi: float,
     """Re-derive every claim of a decomposition result from scratch.
 
     Exactness of the partition, the inter-cluster weight recount, and a
-    brute-forced expansion for every cluster small enough; clusters are
-    held to `check_level` (phi/6 by default, the trimming certificate), which
-    must be positive and finite.
+    brute-forced expansion for every cluster of at most `max_n` vertices
+    (in [1, MAX_ENUM_N]); clusters are held to `check_level` (phi/6 by
+    default, the trimming certificate), which must be positive and finite.
     """
+    if not 1 <= max_n <= MAX_ENUM_N:
+        raise ValueError(f"max_n must be in [1, {MAX_ENUM_N}], got {max_n}")
     level = phi / 6.0 if check_level is None else check_level
     if not 0.0 < level < math.inf:
         raise ValueError(f"check_level must be positive and finite, got {level}")

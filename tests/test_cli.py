@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -172,6 +174,22 @@ def test_trace_csv(dumbbell_file, tmp_path):
     float(first[4])  # psi recorded since n <= dense limit
 
 
+def test_trace_extends_one_walk_per_game(dumbbell_file, tmp_path, monkeypatch):
+    built = []
+
+    class Counted(cli.WalkOperator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "WalkOperator", Counted)
+    trace = tmp_path / "trace.csv"
+    assert main(["sparse-cut", "--graph", dumbbell_file, "--phi", "0.05", "--seed", "7",
+                 "--json-out", str(tmp_path / "out.json"), "--trace", str(trace)]) == 0
+    assert len(trace.read_text().splitlines()) > 2  # psi filled on several rounds
+    assert len(built) == 1
+
+
 def test_sparse_cut_command(dumbbell_file, k8_file, tmp_path):
     out = tmp_path / "cut.json"
     assert main(["sparse-cut", "--graph", dumbbell_file, "--phi", "0.3",
@@ -254,3 +272,67 @@ def test_console_entry_point(k8_file):
                            "--graph", k8_file], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 8
+
+
+def write_mixed_partition(tmp_path):
+    """A graph and a partition whose verify report holds every kind of cluster
+    check: a singleton ("infinite"), a brute-forced K4, a K7 above a size cap
+    of 5 (null) and a pair with no edge inside (expansion 0.0, failed)."""
+    edges = [(u, v) for block in (range(1, 5), range(5, 12))
+             for u in block for v in block if u < v]
+    edges += [(0, 1), (4, 5), (11, 12), (0, 13)]
+    graph = tmp_path / "g.txt"
+    graph.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"clusters": [[0], [1, 2, 3, 4], list(range(5, 12)), [12, 13]],
+                                "inter_cluster_edge_weight": 4.0, "phi": 0.05}))
+    return str(graph), str(part)
+
+
+def test_verify_partition_json_bytes(tmp_path):
+    graph, part = write_mixed_partition(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--graph", graph, "--partition", part, "--verify-max-n", "5",
+                 "--json-out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert [c["expansion"] for c in data["clusters"]] == ["infinite", 4.0 / 7.0, None, 0.0]
+    assert [c["passed"] for c in data["clusters"]] == [True, True, None, False]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b0f8cc4223d01616fb1477df7f57b7a55f71ef6ce8b65e0512e05183519c28ea")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--trace", "x.csv"]),
+    ("verify", ["--delta", "3"]),
+    ("sparse-cut", ["--phi", "0.1", "--verify-max-n", "16"]),
+])
+def test_flags_a_command_does_not_read_are_unknown(k8_file, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", k8_file] + flags)
+    assert exc.value.code == 2
+
+
+def test_every_registered_flag_is_read(dumbbell_file, tmp_path):
+    """Each command reads every flag its parser registers (so none is dead)."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    game = ["--graph", dumbbell_file, "--phi", "0.05", "--trace", str(tmp_path / "t.csv")]
+    out = {name: str(tmp_path / f"{name}.json") for name in commands}
+    runs = {"decompose": game, "sparse-cut": game,
+            "verify": ["--graph", dumbbell_file, "--partition", out["decompose"]]}
+    assert set(runs) == set(commands)
+    for command, argv in runs.items():
+        args = parser.parse_args([command, "--json-out", out[command]] + argv,
+                                 namespace=Recording())
+        reads.clear()  # parsing itself reads every default
+        assert args.func(args) == 0
+        registered = {a.dest for a in commands[command]._actions if a.dest != "help"}
+        assert registered - reads == set(), command

@@ -275,3 +275,14 @@ def test_cut_side_without_measure_is_a_violation(monkeypatch):
     mu = VertexMeasure([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     with pytest.raises(InvariantViolation, match="no measure"):
         decompose(g, mu, 0.1, rng=0)
+
+
+@pytest.mark.parametrize("cap", [25, 0, -3])
+def test_verify_max_n_out_of_range_is_rejected_before_any_game(monkeypatch, cap):
+    driver = importlib.import_module("mucut.decompose")
+    played = []
+    monkeypatch.setattr(driver, "run_cut_matching", lambda *args: played.append(args))
+    g = Graph(22, clique_edges(range(22)))
+    with pytest.raises(ValueError, match="verify_max_n"):
+        decompose(g, VertexMeasure.from_degrees(g), 0.05, DecomposeConfig(verify_max_n=cap))
+    assert not played

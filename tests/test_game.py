@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,18 @@ def run_game(seed, n=14, phi=0.1, extra=1.0, zero_frac=0.2):
     params = GameParams.for_graph(g, mu, phi)
     out = run_cut_matching(g, mu, params, rng)
     return g, mu, params, out
+
+
+def test_matchings_share_the_measure_and_hold_no_dense_array():
+    # a round keeps its pairs; its diagonal is derived from them and mu
+    g, mu, params, out = run_game(31, n=40, zero_frac=0.5)
+    n = g.vertex_count
+    assert len(out.rounds) > 1
+    for rec in out.rounds:
+        m = rec.matching
+        assert m.mu_values is mu.values
+        held = [a for a in gc.get_referents(m) if isinstance(a, np.ndarray)]
+        assert held and all(a is mu.values or len(a) < n for a in held)
 
 
 @pytest.mark.parametrize("seed", range(10))

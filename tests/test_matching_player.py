@@ -56,15 +56,26 @@ def test_build_pi_rejects_bad_capacity_factor():
             edge_network(g, range(4), c)
 
 
-def test_empty_sources_round_is_trivially_feasible():
+def test_empty_sources_round_is_trivially_feasible(monkeypatch):
+    # no source arcs: the one round path runs a zero flow and keeps the diagonal
+    calls = []
+
+    def counted(net):
+        calls.append(net)
+        return max_flow(net)
+
+    monkeypatch.setattr("mucut.matching.max_flow", counted)
     g = Graph(4, clique_edges(range(4)))
     mu = VertexMeasure([1.0] * 4)
     bip = manual_bip([], [(v, 1.0) for v in range(4)])
     res = solve_round(g, ActiveState(range(4), mu), bip, c=2.0)
+    assert len(calls) == 1
     assert res.feasible
     assert res.removed == frozenset()
-    assert res.matched_weight == 0.0
-    assert np.allclose(res.matching.row_sums(), mu.values)
+    assert res.paths == ()
+    assert res.matched_weight == 0.0 and type(res.matched_weight) is float
+    assert res.cut_expansion is None
+    assert res.matching.diagonal.tobytes() == mu.values.tobytes()
     assert res.matching.off_diagonal == ()
 
 

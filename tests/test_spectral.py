@@ -5,6 +5,7 @@ import pytest
 
 from mucut import Graph, VertexMeasure
 from mucut.errors import InvariantViolation
+from mucut.graph import tolerance
 from mucut.spectral import (ActiveState, LazyFactor, StochasticMatching, WalkOperator,
                             apply_projection, default_delta,
                             dense_flow_matrix, dense_projection_matrix,
@@ -136,8 +137,10 @@ def test_normalized_matching_agrees_with_dense():
     mu = random_measure(rng, 9, zero_frac=0.2)
     support = np.flatnonzero(mu.support_mask)
     off = int(np.flatnonzero(~mu.support_mask)[0])
-    # a pair with an endpoint off the support meets a zero of the pseudo-inverse
-    stray = StochasticMatching([min(off, support[0])], [max(off, support[0])], [0.1], mu.values)
+    # a pair with an endpoint off the support can carry only rounding, below
+    # tolerance(max mu); it meets a zero of the pseudo-inverse and is dropped
+    stray = StochasticMatching([min(off, support[0])], [max(off, support[0])],
+                               [tolerance(mu.values.max()) / 2.0], mu.values)
     for delta in (1, 2, 4):
         for m in synthetic_matchings(rng, mu, rounds=3) + [stray]:
             nbar = dense_nbar(m, mu, delta)
@@ -169,7 +172,8 @@ def test_matching_diagonal_independent_of_pair_order():
 
 def test_matching_constructor_takes_sorted_pair_arrays():
     diag = [0.5, 0.0, 0.25, 0.0]
-    m = StochasticMatching([0, 1], [2, 3], [0.5, 1.0], diag)
+    mu = [1.0, 1.0, 0.75, 1.0]  # diag plus the row sums of the two pairs
+    m = StochasticMatching([0, 1], [2, 3], [0.5, 1.0], mu)
     assert m.off_diagonal == ((0, 2, 0.5), (1, 3, 1.0))
     assert m.diagonal.tobytes() == np.array(diag).tobytes()
     assert not m.diagonal.flags.writeable
@@ -180,9 +184,32 @@ def test_matching_constructor_takes_sorted_pair_arrays():
                        ([0], [2], [0.0]),             # zero weight
                        ([0, 1], [2, 3], [0.5])):      # lengths differ
         with pytest.raises(ValueError):
-            StochasticMatching(us, vs, ws, diag)
-    with pytest.raises(InvariantViolation):
+            StochasticMatching(us, vs, ws, mu)
+    with pytest.raises(InvariantViolation, match="exceeds the measure"):
         StochasticMatching([], [], [], [1.0, -0.5])
+
+
+def test_matching_diagonal_is_measure_minus_row_sums():
+    rng = np.random.default_rng(12)
+    for zero_frac in (0.0, 0.3):
+        mu = random_measure(rng, 16, zero_frac=zero_frac)
+        for m in synthetic_matchings(rng, mu, rounds=6):
+            row = np.zeros(16)
+            for u, v, w in m.off_diagonal:  # sorted pair order, u then v
+                row[u] += w
+                row[v] += w
+            assert m.diagonal.tobytes() == np.maximum(mu.values - row, 0.0).tobytes()
+
+
+def test_matching_copies_a_writable_measure():
+    values = np.array([1.0, 2.0, 1.5])
+    m = StochasticMatching.from_pairs(values, [(0, 1, 0.75)])
+    want = m.diagonal.tobytes()
+    values[:] = 9.0
+    assert m.diagonal.tobytes() == want
+    assert m.mu_values is not values
+    mu = VertexMeasure([1.0, 2.0, 1.5])
+    assert StochasticMatching.from_pairs(mu.values, [(0, 1, 0.75)]).mu_values is mu.values
 
 
 def test_matching_rejects_overfull_rows():

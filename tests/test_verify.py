@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from mucut import Graph, VertexMeasure, induced_subgraph, mu_expansion_of_cut
+from mucut.cli import main
 from mucut.graph import Infinite, INFINITE
 from mucut.verify import (brute_force_expansion, brute_force_near_expansion,
                           check_embedding_congestion, validate_partition)
 
-from helpers import clique_edges, conductance_enumerator, random_connected_graph, random_measure
+from helpers import (clique_edges, conductance_enumerator, random_connected_graph,
+                     random_measure, write_graph)
 
 
 def test_k4_uniform():
@@ -179,11 +183,22 @@ def test_validate_partition_weight_check_ignores_heavy_cluster_edges():
     assert not report.all_passed
 
 
-def test_validate_partition_serializes():
+@pytest.mark.parametrize("cap", [21, 0])
+def test_validate_partition_rejects_a_size_cap_out_of_range(cap):
+    g = Graph(22, clique_edges(range(22)))
+    res = FakeResult([tuple(range(22))], 0.0)
+    with pytest.raises(ValueError, match="max_n"):
+        validate_partition(g, VertexMeasure.from_degrees(g), res, phi=0.05, max_n=cap)
+
+
+def test_validate_partition_serializes(tmp_path, capsys):
+    # the report reaches JSON through `verify --partition`
     g = Graph(4, clique_edges(range(4)))
-    mu = VertexMeasure.from_degrees(g)
-    res = FakeResult([(0, 1, 2, 3)], 0.0)
-    d = validate_partition(g, mu, res, phi=0.05).to_dict()
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"clusters": [[0, 1, 2, 3]], "inter_cluster_edge_weight": 0.0}))
+    assert main(["verify", "--graph", write_graph(tmp_path / "g.txt", g),
+                 "--partition", str(part), "--phi", "0.05"]) == 0
+    d = json.loads(capsys.readouterr().out)
     assert d["partition_exact"] is True
     assert isinstance(d["clusters"], list)
 
