@@ -162,13 +162,19 @@ def _check_args(args) -> None:
             ("--log-base", lambda v: 1.0 < v < math.inf, "greater than 1, finite"),
             ("--check-level", lambda v: v is None or 0.0 < v < math.inf, "positive, finite"),
             ("--delta", lambda v: v is None or is_power_of_two(v), "a power of two"),
-            ("--verify-max-n", lambda v: 1 <= v <= MAX_ENUM_N, f"in [1, {MAX_ENUM_N}]"),
+            ("--verify-max-n", lambda v: v is None or 1 <= v <= MAX_ENUM_N,
+             f"in [1, {MAX_ENUM_N}]"),
             ("--seed", lambda v: v >= 0, "non-negative"),
             ("--t-factor", math.isfinite, "finite"),
             ("--c-factor", math.isfinite, "finite")):
         dest = flag[2:].replace("-", "_")
         if dest in given and not ok(given[dest]):
             raise GraphInputError(f"{flag} must be {want}, got {given[dest]}")
+    if given.get("command") == "verify" and given["partition"] is None:
+        # the brute-force mode has no level to check and no size cap to apply
+        for flag in ("--phi", "--check-level", "--verify-max-n"):
+            if given[flag[2:].replace("-", "_")] is not None:
+                raise GraphInputError(f"verify {flag} applies only with --partition")
 
 
 def cmd_decompose(args) -> int:
@@ -259,8 +265,9 @@ def cmd_verify(args) -> int:
             raise GraphInputError(f"{args.partition}: 'phi' must be positive and finite")
         loaded = SimpleNamespace(clusters=[tuple(c) for c in clusters],
                                  inter_cluster_edge_weight=float(weight))
+        max_n = 16 if args.verify_max_n is None else args.verify_max_n
         report = validate_partition(g, mu, loaded, phi, check_level=args.check_level,
-                                    max_n=args.verify_max_n)
+                                    max_n=max_n)
         _emit_json(dataclasses.asdict(report), args.json_out)
         return 0
     if not 2 <= g.vertex_count <= MAX_ENUM_N:
@@ -307,6 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="recursive expander decomposition")
     _add_files(p_dec)
     _add_game(p_dec)
+    p_dec.add_argument("--verify-max-n", type=int, default=16, dest="verify_max_n",
+                       help="brute-force size cap for certificates; game-certified clusters "
+                            "below 20 vertices are brute-forced regardless")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_cut = sub.add_parser("sparse-cut", help="one balanced-cut-or-expander step")
@@ -320,13 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--partition", default=None, help="decomposition JSON to validate")
     p_ver.add_argument("--check-level", type=float, default=None, dest="check_level",
                        help="expansion level clusters must meet (default phi/6)")
+    # unset by default, so that the brute-force mode can reject it
+    p_ver.add_argument("--verify-max-n", type=int, default=None, dest="verify_max_n",
+                       help="brute-force size cap for partition clusters (default 16)")
     p_ver.set_defaults(func=cmd_verify)
-
-    for p, what in ((p_dec, "certificates; game-certified clusters below 20 vertices are "
-                            "brute-forced regardless"),
-                    (p_ver, "partition clusters")):
-        p.add_argument("--verify-max-n", type=int, default=16, dest="verify_max_n",
-                       help=f"brute-force size cap for {what}")
     return parser
 
 

@@ -16,11 +16,22 @@ projection energy.  The construction splits on where the energy sits:
 The sign of u is flipped first if needed so the negative side is the
 lighter one; reported eta is in the caller's sign convention.  At most one
 source carries a partial weight.
+
+Both sides are built from arrays over the active ids: those are in vertex
+order, so the (id, weight) tuples come out sorted with no Python loop over
+the active set, and only a source side cut short at an eighth of the
+measure is scanned in Python and sorted back.  The output check, run on
+every bipartition, reads the tuples back into id and weight arrays and
+tests each of its five properties with one array expression.  The
+bipartition caches its two masses, which the check and the matching player
+both read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -40,29 +51,31 @@ class WeightedBipartition:
     flipped: bool
     partial_vertex: int | None
 
-    @property
+    @cached_property
     def source_mass(self) -> float:
         return float(sum(w for _, w in self.sources))
 
-    @property
+    @cached_property
     def target_mass(self) -> float:
         return float(sum(w for _, w in self.targets))
 
 
-def _mass_prefix(ids, mu, order, target_mass):
-    """Scan vertices in `order`, taking full weights until `target_mass` is
-    reached; the last vertex may be taken partially.  Returns (picks, partial_id)."""
+def _mass_prefix(ids, mu, target_mass):
+    """Take (id, weight) pairs in the given order at full weight until
+    `target_mass` is reached; the last one may be taken partially.
+    Returns (picks, partial_id)."""
     picks = []
     partial = None
     acc = 0.0
-    for k in order:
+    floor = tolerance(target_mass)
+    for v, m in zip(ids, mu):
         remaining = target_mass - acc
-        if remaining <= tolerance(target_mass):
+        if remaining <= floor:
             break
-        take = min(float(mu[k]), remaining)
-        picks.append((int(ids[k]), take))
-        if take < float(mu[k]):
-            partial = int(ids[k])
+        take = min(m, remaining)
+        picks.append((v, take))
+        if take < m:
+            partial = v
         acc += take
     return picks, partial
 
@@ -103,7 +116,7 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
         # negative side carries enough energy: eta = 0, targets = whole
         # non-negative side, sources = most negative first
         eta_w = 0.0
-        tgt_idx = np.flatnonzero(w >= 0)
+        tgt = w >= 0
         src_idx = np.flatnonzero(w < 0)
         key = w
     else:
@@ -111,22 +124,23 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
         # from the tail at 6*Delta/M and beyond, largest first
         delta_sum = float((mu_t * np.abs(w)).sum())
         eta_w = 4.0 * delta_sum / total
-        tgt_idx = np.flatnonzero(w <= eta_w)
+        tgt = w <= eta_w
         src_idx = np.flatnonzero(w >= 6.0 * delta_sum / total)
         key = -w
-    targets = [(int(ids[k]), float(mu_t[k])) for k in tgt_idx]
+    # every active id carries positive measure, so every weight taken is positive
     eighth = total / 8.0
     partial = None
     if float(mu_t[src_idx].sum()) <= eighth:
-        sources = [(int(ids[k]), float(mu_t[k])) for k in src_idx]
+        sources = tuple(zip(ids[src_idx].tolist(), mu_t[src_idx].tolist()))
     else:
         # up to an eighth of the active measure, ties broken by vertex id
         order = src_idx[np.lexsort((ids[src_idx], key[src_idx]))]
-        sources, partial = _mass_prefix(ids, mu_t, order, eighth)
+        picks, partial = _mass_prefix(ids[order].tolist(), mu_t[order].tolist(), eighth)
+        sources = tuple(sorted(picks))
 
     bip = WeightedBipartition(
-        sources=tuple(sorted((v, wt) for v, wt in sources if wt > 0.0)),
-        targets=tuple(sorted((v, wt) for v, wt in targets if wt > 0.0)),
+        sources=sources,
+        targets=tuple(zip(ids[tgt].tolist(), mu_t[tgt].tolist())),
         eta=-eta_w if flipped else eta_w,
         case_two=case_two,
         flipped=flipped,
@@ -136,46 +150,61 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
     return bip
 
 
+def _columns(pairs):
+    """The ids and the weights of (id, weight) pairs, as two arrays."""
+    return (np.fromiter(map(itemgetter(0), pairs), np.intp, len(pairs)),
+            np.fromiter(map(itemgetter(1), pairs), float, len(pairs)))
+
+
 def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
     """Assert the five output properties; raises InvariantViolation naming
     the first one that fails.  Projections scale as mu^(-1/2), so they are
     compared in the unitless forms sqrt(mu) * u and mu * u^2 against the
-    absolute EPS (see the graph module); masses use tolerance."""
+    absolute EPS (see the graph module); masses use tolerance.
+
+    Each property is one array expression over the ids and weights of the
+    sources and targets.  Where a property names a vertex, it names the
+    first failing one in the order the bipartition lists them, sources
+    first; a vertex listed on both sides is judged on its combined weight,
+    summed in that order.
+    """
     u = np.asarray(u, dtype=float)
     mu_vals = state.measure.values
     total = state.mu_active_total
+    src, src_w = _columns(bip.sources)
+    tgt, tgt_w = _columns(bip.targets)
+    src_u = u[src]
 
-    if bip.sources and bip.targets:
-        src_u = [u[v] for v, _ in bip.sources]
-        tgt_u = [u[v] for v, _ in bip.targets]
+    if len(src) and len(tgt):
+        tgt_u = u[tgt]
         root = np.sqrt(total)
-        below = root * (max(src_u) - bip.eta) <= EPS and root * (bip.eta - min(tgt_u)) <= EPS
-        above = root * (bip.eta - min(src_u)) <= EPS and root * (max(tgt_u) - bip.eta) <= EPS
+        below = root * (src_u.max() - bip.eta) <= EPS and root * (bip.eta - tgt_u.min()) <= EPS
+        above = root * (bip.eta - src_u.min()) <= EPS and root * (tgt_u.max() - bip.eta) <= EPS
         if not (below or above):
             raise InvariantViolation("separation: eta does not separate sources from targets")
 
-    combined: dict[int, float] = {}
-    for v, wt in bip.sources:
-        combined[v] = combined.get(v, 0.0) + wt
-    for v, wt in bip.targets:
-        combined[v] = combined.get(v, 0.0) + wt
-    for v, wt in combined.items():
-        if wt > mu_vals[v] + tolerance(mu_vals[v]):
-            raise InvariantViolation(f"capacity: combined weight at {v} exceeds its measure")
+    listed = np.concatenate((src, tgt))
+    combined = np.bincount(listed, np.concatenate((src_w, tgt_w)), minlength=len(mu_vals))
+    cap = mu_vals[listed]
+    over = np.flatnonzero(combined[listed] > cap + tolerance(cap))
+    if len(over):
+        raise InvariantViolation(
+            f"capacity: combined weight at {listed[over[0]]} exceeds its measure")
 
     if bip.target_mass < total / 2.0 - tolerance(total):
         raise InvariantViolation("mass: target weight below half the active measure")
     if bip.source_mass > total / 8.0 + tolerance(total):
         raise InvariantViolation("mass: source weight above an eighth of the active measure")
 
-    for v, _ in bip.sources:
-        gap = (u[v] - bip.eta) ** 2
-        if mu_vals[v] * gap < mu_vals[v] * u[v] ** 2 / 9.0 - EPS:
-            raise InvariantViolation(f"margin: source {v} sits too close to eta")
+    src_mu = mu_vals[src]
+    close = np.flatnonzero(src_mu * (src_u - bip.eta) ** 2 < src_mu * src_u ** 2 / 9.0 - EPS)
+    if len(close):
+        raise InvariantViolation(f"margin: source {src[close[0]]} sits too close to eta")
 
     ids = np.flatnonzero(state.mask)
     p_all = float((mu_vals[ids] * u[ids] ** 2).sum())
-    captured = float(sum(wt * u[v] ** 2 for v, wt in bip.sources))
+    # summed source by source, in the listed order
+    captured = float(np.cumsum(src_w * src_u ** 2)[-1]) if len(src) else 0.0
     if captured < p_all / 80.0 - EPS:
         raise InvariantViolation(
             f"energy: sources capture {captured:g} < {p_all / 80.0:g} of the projection energy")

@@ -2,17 +2,21 @@
 
 Level-graph augmentation (Dinic: BFS phases, DFS blocking flow) on an arc
 list with residual pairing: arc i and arc i^1 are reverse twins.  Undirected
-edges are a twin pair with equal capacities.  Each phase's BFS stops at the
-sink's level, since no shortest augmenting path goes deeper, and a backward
-BFS from the sink then unlevels every vertex with no level-graph path to
+edges are a twin pair with equal capacities.  Each phase's BFS stops as
+soon as it levels the sink, at level d: no shortest augmenting path goes
+deeper, nor through any other vertex at distance d, so the rest of the
+sink's layer is never searched.  A backward BFS from the sink, which reads
+only levels below d, then unlevels every vertex with no level-graph path to
 it.  Such a vertex stays dead for the whole phase, so dropping it only
 spares the DFS, which walks current-arc pointers, from backing out of it:
 the same paths are pushed in the same order and the result keeps its
-bits.  The min cut returned is the source-reachable set of the final
-residual network, read off the last phase's BFS (the one that cannot reach
-the sink, so searched everything), so every outward cut arc is saturated
-by construction: the cut is 1-fair.  Path stripping keeps a current-arc
-pointer per vertex as well.
+bits.  Where nearly every vertex is a terminal, the sink's layer is most
+of the graph, and the search ends at the first vertex of the layer below
+it with a residual sink arc.  The min cut returned is the source-reachable
+set of the final residual network, read off the last phase's BFS (the one
+that cannot reach the sink, so searched everything), so every outward cut
+arc is saturated by construction: the cut is 1-fair.  Path stripping keeps
+a current-arc pointer per vertex as well.
 
 Both flow problems the algorithm poses on a vertex subset, the matching
 player's and trimming's, share one layout: :func:`edge_network` lays out
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
@@ -163,14 +168,19 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     """Exact maximum flow; the min cut is the last phase's BFS tree.
 
     Each phase levels the residual network by BFS and stops once the sink
-    has a level d.  A backward BFS from the sink, over the twins of
-    residual arcs, then keeps only the vertices on a shortest path to the
-    sink: a levelled vertex stays levelled only if a residual arc leads
-    from it to a kept vertex one level up.  The DFS follows current-arc
-    pointers through that level graph, and after each augmentation
-    retreats to the tail of the first saturated arc on the path.  The
-    phase that cannot level the sink has searched the whole residual
-    network, so its levelled vertices are the min cut's side.
+    is levelled, at level d, even if other vertices at distance d are not
+    yet: the search ends with the frontier vertex whose arc levelled the
+    sink.  The unfinished layer cannot matter.  A vertex at distance d is
+    on no shortest path unless it is the sink, since a path through it
+    reaches the sink no sooner than d + 1; and the backward BFS from the
+    sink, over the twins of residual arcs, reads only levels below d.  It
+    keeps only the vertices on a shortest path to the sink: a levelled
+    vertex stays levelled only if a residual arc leads from it to a kept
+    vertex one level up.  The DFS follows current-arc pointers through
+    that level graph, and after each augmentation retreats to the tail of
+    the first saturated arc on the path.  The phase that cannot level the
+    sink has searched the whole residual network, so its levelled vertices
+    are the min cut's side; the early stop never cuts that search short.
 
     The pruning changes no bit of the result.  A vertex with no level-graph
     path to the sink at the start of a phase has none for the whole phase:
@@ -207,6 +217,8 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
                     if level[y] < 0 and resid[a] > zero:
                         level[y] = depth
                         found.append(y)
+                if level[t] >= 0:
+                    break  # the rest of the sink's layer is on no shortest path
             frontier = found
         if level[t] < 0:
             break
@@ -231,7 +243,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
         u = s
         while True:
             if u == t:
-                push = min(resid[a] for a in path)
+                push = min(map(resid.__getitem__, path))
                 for a in path:
                     resid[a] -= push
                     resid[a ^ 1] += push
@@ -262,7 +274,8 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
                 u = to[path.pop() ^ 1]
                 it[u] += 1
 
-    flows = tuple([c - r if c > r else 0.0 for c, r in zip(cap, resid)])
+    # c - r > 0 exactly when c > r, so this is the flow c - r clamped at 0
+    flows = tuple([f if f > 0.0 else 0.0 for f in map(operator.sub, cap, resid)])
     side = frozenset([v for v, d in enumerate(level) if d >= 0])
     return FlowSolution(value=total, arc_flows=flows, min_cut_side=side)
 
@@ -283,56 +296,51 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
     adj = net.adj
     zero = net.zero
     flow = list(sol.arc_flows)  # arcs at or below zero are never walked
-    ptr = [0] * net.node_count
+    ptr = [0] * net.node_count  # each vertex's first arc that may carry flow
     paths = []
 
-    def first_out(u: int) -> int | None:
-        arcs = adj[u]
-        i = ptr[u]
-        while i < len(arcs):
-            a = arcs[i]
-            if flow[a] > zero:
-                ptr[u] = i
-                return a
-            i += 1
-        ptr[u] = i
-        return None
-
     while True:
-        if first_out(s) is None:
+        arcs = adj[s]
+        i = ptr[s]
+        while i < len(arcs) and not flow[arcs[i]] > zero:
+            i += 1
+        ptr[s] = i
+        if i == len(arcs):
             break
         walk_arcs: list[int] = []
         walk_nodes = [s]
         pos = {s: 0}
         u = s
-        while True:
-            if u == t:
-                push = min(flow[a] for a in walk_arcs)
-                for a in walk_arcs:
-                    flow[a] -= push
-                paths.append((s, t, push, tuple(walk_nodes)))
-                break
-            a = first_out(u)
-            if a is None:
+        while u != t:
+            arcs = adj[u]
+            i = ptr[u]
+            while i < len(arcs) and not flow[arcs[i]] > zero:
+                i += 1
+            ptr[u] = i
+            if i == len(arcs):
                 raise InvariantViolation(f"flow conservation broken at vertex {u}")
+            a = arcs[i]
             v = to[a]
             if v in pos:
                 # cancel the cycle closed by arc a
                 k = pos[v]
                 cycle = walk_arcs[k:] + [a]
-                push = min(flow[c] for c in cycle)
+                push = min(map(flow.__getitem__, cycle))
                 for c in cycle:
                     flow[c] -= push
                 for node in walk_nodes[k + 1:]:
                     del pos[node]
                 del walk_arcs[k:]
                 del walk_nodes[k + 1:]
-                u = v
-                continue
-            walk_arcs.append(a)
-            walk_nodes.append(v)
-            pos[v] = len(walk_nodes) - 1
+            else:
+                walk_arcs.append(a)
+                walk_nodes.append(v)
+                pos[v] = len(walk_nodes) - 1
             u = v
+        push = min(map(flow.__getitem__, walk_arcs))
+        for a in walk_arcs:
+            flow[a] -= push
+        paths.append((s, t, push, tuple(walk_nodes)))
 
     if len(paths) > net.arc_count:
         raise InvariantViolation("path decomposition emitted more paths than arcs")

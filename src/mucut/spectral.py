@@ -64,10 +64,11 @@ class StochasticMatching:
     Self-pairs cancel against the completion, so only strict pairs are
     stored explicitly.  The pairs come as arrays (us, vs, ws) with u < v,
     merged and sorted by (u, v), together with the measure's values, which
-    the matching keeps by reference (a writable array is copied).  The
-    diagonal is not stored: ``diagonal`` derives it from the pairs and the
-    measure.  The one stochasticity check, in the constructor, rejects a
-    row whose pairs outweigh its measure beyond rounding.
+    the matching keeps by reference; a writable array, pairs or measure, is
+    copied.  The diagonal is not stored: ``diagonal`` derives it from the
+    pairs and the measure.  The one stochasticity check, in the
+    constructor, rejects a row whose pairs outweigh its measure beyond
+    rounding.
     """
 
     __slots__ = ("mu_values", "_us", "_vs", "_ws")
@@ -85,12 +86,12 @@ class StochasticMatching:
         if np.any(ws <= 0):
             raise ValueError("matching weights must be positive")
         mu = np.asarray(mu_values, dtype=float)
-        if mu.flags.writeable:
-            mu = mu.copy()
+        # a caller's writable array is copied, never frozen under it
+        mu, us, vs, ws = (arr.copy() if arr.flags.writeable else arr for arr in (mu, us, vs, ws))
+        for arr in (mu, us, vs, ws):
+            arr.setflags(write=False)
         self.mu_values = mu
         self._us, self._vs, self._ws = us, vs, ws
-        for arr in (self.mu_values, self._us, self._vs, self._ws):
-            arr.setflags(write=False)
         slack = self._slack()
         if slack.min(initial=0.0) < -tolerance(mu.max(initial=0.0)):
             raise InvariantViolation(

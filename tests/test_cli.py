@@ -234,6 +234,18 @@ def test_verify_size_cap_exits_2(tmp_path):
     assert main(["verify", "--graph", str(p)]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--phi", "0.5"], ["--check-level", "1e9"],
+                                  ["--verify-max-n", "3"]])
+def test_verify_partition_flags_without_partition_exit_2(tmp_path, capsys, flag):
+    # the brute-force mode used to accept these and ignore them
+    p = tmp_path / "cycle.txt"
+    p.write_text("\n".join(f"{i} {(i + 1) % 14}" for i in range(14)) + "\n")
+    assert main(["verify", "--graph", str(p)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(p)] + flag) == 2
+    assert f"{flag[0]} applies only with --partition" in capsys.readouterr().err
+
+
 def test_verify_single_vertex_exits_2(tmp_path):
     p = tmp_path / "one.txt"
     p.write_text("p 1 0\n")

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mucut import VertexMeasure
 from mucut.cutplayer import WeightedBipartition, check_bipartition, rst_partition
 from mucut.errors import InvariantViolation
+from mucut.graph import EPS
 from mucut.spectral import ActiveState
 
-from helpers import orthogonalized_projection, random_measure
+from helpers import (orthogonalized_projection, random_measure, reference_check_bipartition,
+                     reference_rst_partition)
 
 
 def make_state(values, active=None):
@@ -193,3 +197,110 @@ def test_subset_active_state():
     bip = rst_partition(state, u)
     touched = {v for v, _ in bip.sources} | {v for v, _ in bip.targets}
     assert touched <= active
+
+
+def random_partition_input(rng):
+    """A random active state and a balanced projection on it: zero-measure
+    vertices and a strict active subset half the time; the projection is
+    noise (with a spike on one vertex a third of the time), or, a quarter
+    of the time, zero on a heavy bulk with one light vertex far out, which
+    is case two."""
+    n = int(rng.integers(2, 40))
+    values = random_measure(rng, n, zero_frac=0.25).values.copy()
+    active = [v for v in range(n) if rng.random() < 0.7] if rng.random() < 0.5 else range(n)
+    state = ActiveState(active, VertexMeasure(values))
+    terminals = np.flatnonzero(state.mask)
+    if len(terminals) >= 3 and rng.random() < 0.25:
+        far, *rest = rng.permutation(terminals).tolist()
+        values[far] = 1e-3 * values[rest].sum()
+        state = ActiveState(active, VertexMeasure(values))
+        u = np.zeros(n)
+        u[far] = 1.0
+        left = rest[:max(1, len(rest) // 3)]
+        u[left] = -values[far] / values[left].sum()
+        return state, u * float(rng.choice([-1.0, 1.0]))
+    u = np.where(state.mask, rng.standard_normal(n), 0.0)
+    if rng.random() < 1 / 3 and len(terminals):
+        u[rng.choice(terminals)] += float(rng.choice([-30.0, 30.0]))
+    if rng.random() < 0.3:
+        u = np.round(u * 2.0) / 2.0
+    if state.mu_active_total > 0:
+        shift = float((values * u)[state.mask].sum()) / state.mu_active_total
+        u = np.where(state.mask, u - shift, 0.0)
+    return state, u
+
+
+def bits(bip):
+    return (tuple((v, w.hex()) for v, w in bip.sources),
+            tuple((v, w.hex()) for v, w in bip.targets),
+            bip.eta.hex(), bip.case_two, bip.flipped, bip.partial_vertex)
+
+
+def check_outcome(check, state, u, bip):
+    """None if the check passes, else the message it raises."""
+    try:
+        check(state, u, bip)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def corruptions(state, u, bip):
+    """The bipartition broken in each of the five properties, one at a time,
+    as (property, bipartition) pairs."""
+    mu = state.measure.values
+    out = []
+    if bip.sources and bip.targets:
+        # eta past every vertex: neither side is below or above it
+        out.append(("separation", dataclasses.replace(bip, eta=bip.eta + 1e3 + abs(u).max())))
+        # the source nearest eta sits on it, which still separates
+        near = max if u[bip.sources[0][0]] <= bip.eta else min
+        out.append(("margin", dataclasses.replace(
+            bip, eta=float(near(u[v] for v, _ in bip.sources)))))
+        # a thousandth of each source weight captures too little energy
+        out.append(("energy", dataclasses.replace(
+            bip, sources=tuple((v, w * 1e-3) for v, w in bip.sources))))
+    if bip.targets:
+        # targets listed twice hold twice their measure; the first is named
+        out.append(("capacity", dataclasses.replace(
+            bip, targets=bip.targets + (bip.targets[0], bip.targets[-1]))))
+        # a target weight just past its measure's rounding allowance
+        (v, w), *rest = bip.targets
+        out.append(("capacity", dataclasses.replace(
+            bip, targets=((v, w * (1.0 + 1.5 * EPS)), *rest))))
+        out.append(("mass", dataclasses.replace(bip, targets=bip.targets[:1])))
+    if bip.partial_vertex is not None:
+        # the partial source at its full measure overshoots the eighth
+        out.append(("mass", dataclasses.replace(bip, sources=tuple(
+            (v, float(mu[v]) if v == bip.partial_vertex else w) for v, w in bip.sources))))
+    return out
+
+
+def test_partition_and_check_match_reference():
+    # the array-built partition equals the former tuple-by-tuple one bit for
+    # bit, and the array check passes, fails and names the first failure as
+    # the former per-property loops did
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(400):
+        state, u = random_partition_input(rng)
+        if state.mu_active_total <= 0:
+            with pytest.raises(ValueError):
+                rst_partition(state, u)
+            continue
+        bip = rst_partition(state, u)
+        assert bits(bip) == bits(reference_rst_partition(state, u))
+        seen.add("case two" if bip.case_two else "case one")
+        if bip.flipped:
+            seen.add("flipped")
+        if bip.partial_vertex is not None:
+            seen.add("partial source")
+        if not state.mask.all():
+            seen.add("zero measure" if len(state.active) == len(u) else "subset")
+        for prop, bad in corruptions(state, u, bip):
+            got = check_outcome(check_bipartition, state, u, bad)
+            assert got == check_outcome(reference_check_bipartition, state, u, bad)
+            if got is not None and got.startswith(prop):
+                seen.add(prop)
+    assert seen >= {"case one", "case two", "flipped", "partial source", "zero measure",
+                    "subset", "separation", "capacity", "mass", "margin", "energy"}

@@ -255,7 +255,9 @@ def level_features(net):
     """Features of the first phase's level graph, whose sink level is d: a
     vertex levelled below d with no level-graph path to the sink (its
     distances from the source and to the sink add up to more than d), which
-    the backward pass unlevels, and d >= 4."""
+    the backward pass unlevels; another vertex at distance d, which the
+    forward BFS may leave unlevelled once it has levelled the sink; and
+    d >= 4."""
     ls = first_phase_distances(net, net.source)
     dt = first_phase_distances(net, net.sink, reverse=True)
     d = ls[net.sink]
@@ -264,6 +266,8 @@ def level_features(net):
     features = {"sink level >= 4"} if d >= 4 else set()
     if any(x is not None and x < d and (y is None or x + y > d) for x, y in zip(ls, dt)):
         features.add("dead below sink level")
+    if ls.count(d) > 1:
+        features.add("sink shares its level")
     return features
 
 
@@ -400,24 +404,30 @@ def test_solver_matches_reference_bit_for_bit():
             cycles += 1
             assert decompose_paths(net, doctored) == reference_decompose_paths(net, doctored)
     assert seen >= {"grid", "zero", "huge", "parallel", "tail", "unreachable",
-                    "no flow", "capped", "dead below sink level", "sink level >= 4"}
+                    "no flow", "capped", "dead below sink level", "sink level >= 4",
+                    "sink shares its level"}
     assert cycles >= 100
 
 
+def regular_expander(rng, n, cycles=4):
+    """The union of `cycles` random Hamiltonian cycles on n vertices, a
+    2*cycles-regular expander with high probability; repeated pairs merge
+    into one edge of summed weight, so every weighted degree is 2*cycles."""
+    weights = {}
+    for _ in range(cycles):
+        order = rng.permutation(n).tolist()
+        for u, v in zip(order, order[1:] + order[:1]):
+            key = (min(u, v), max(u, v))
+            weights[key] = weights.get(key, 0.0) + 1.0
+    return Graph(n, [(u, v, w) for (u, v), w in sorted(weights.items())])
+
+
 def test_round_networks_match_reference_bit_for_bit(monkeypatch):
-    # every round network of a game on a terminal grid, where the flow runs
-    # long paths through zero-measure vertices, solves to the reference's
-    # bits, and some round's first phase has a dead vertex to prune
-    side = 12
-    n = side * side
-    edges = [(v, v + 1, 1.0) for v in range(n) if (v + 1) % side]
-    edges += [(v, v + side, 1.0) for v in range(n - side)]
-    g = Graph(n, edges)
-    rng = np.random.default_rng(4)
-    values = np.zeros(n)
-    terminals = n // 10
-    values[rng.choice(n, size=terminals, replace=False)] = rng.uniform(1.0, 4.0, terminals)
-    mu = VertexMeasure(values)
+    # every round network of two games solves to the reference's bits: a
+    # terminal grid, where the flow runs long paths through zero-measure
+    # vertices and some round's first phase has a dead vertex to prune, and
+    # an 8-regular expander with mu = degree, where every active vertex is
+    # a terminal and the sink's BFS layer holds other vertices too
     seen = []
 
     def both(net):
@@ -431,6 +441,23 @@ def test_round_networks_match_reference_bit_for_bit(monkeypatch):
         return sol
 
     monkeypatch.setattr(mucut.matching, "max_flow", both)
+    side = 12
+    n = side * side
+    edges = [(v, v + 1, 1.0) for v in range(n) if (v + 1) % side]
+    edges += [(v, v + side, 1.0) for v in range(n - side)]
+    g = Graph(n, edges)
+    rng = np.random.default_rng(4)
+    values = np.zeros(n)
+    terminals = n // 10
+    values[rng.choice(n, size=terminals, replace=False)] = rng.uniform(1.0, 4.0, terminals)
+    mu = VertexMeasure(values)
     run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.02), rng)
     assert len(seen) >= 10
     assert any("dead below sink level" in f for f in seen)
+
+    grid_rounds = len(seen)
+    g = regular_expander(rng, 64)
+    mu = VertexMeasure.from_degrees(g)
+    run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.05), rng)
+    assert len(seen) - grid_rounds >= 10
+    assert any("sink shares its level" in f for f in seen[grid_rounds:])

@@ -189,6 +189,18 @@ def test_matching_constructor_takes_sorted_pair_arrays():
         StochasticMatching([], [], [], [1.0, -0.5])
 
 
+def test_matching_copies_writable_arrays_instead_of_freezing_them():
+    # pair arrays of the stored dtypes used to be frozen in the caller's hands
+    us, vs, ws = np.array([0]), np.array([1]), np.array([0.5])
+    mu = np.array([1.0, 1.0])
+    m = StochasticMatching(us, vs, ws, mu)
+    assert all(arr.flags.writeable for arr in (us, vs, ws, mu))
+    assert not any(arr.flags.writeable for arr in (m._us, m._vs, m._ws, m.mu_values))
+    us[0], ws[0], mu[0] = 1, 9.0, 0.0
+    assert m.off_diagonal == ((0, 1, 0.5),)
+    assert m.diagonal.tolist() == [0.5, 0.5]
+
+
 def test_matching_diagonal_is_measure_minus_row_sums():
     rng = np.random.default_rng(12)
     for zero_frac in (0.0, 0.3):
