@@ -15,26 +15,30 @@ of the graph, and the search ends at the first vertex of the layer below
 it with a residual sink arc.  The min cut returned is the source-reachable
 set of the final residual network, read off the last phase's BFS (the one
 that cannot reach the sink, so searched everything), so every outward cut
-arc is saturated by construction: the cut is 1-fair.  Path stripping keeps
-a current-arc pointer per vertex as well.
+arc is saturated by construction: the cut is 1-fair.  The solver records
+the arcs of every augmenting path and computes flows on those alone: any
+other arc only ever gained residual capacity, so its flow is zero.  Path
+stripping keeps a current-arc pointer per vertex as well.
 
 Both flow problems the algorithm poses on a vertex subset, the matching
 player's and trimming's, share one layout: :func:`edge_network` lays out
 the subset's edges on the graph's ids plus a source and a sink, and the
-caller adds its terminal arcs with :meth:`FlowNetwork.with_arcs_first`.
-That returns a new network with the caller's arcs ahead of the edge arcs
-in every adjacency list and leaves the edge network as it is, so the
-matching player builds it once per active set and shares it between
-rounds.  Arc ids are therefore not stable between such networks, while
-each vertex's adjacency order is, and the solver and the path stripper
-read arcs only in adjacency order.
+caller adds its terminal arcs, (vertex, capacity) pairs from the source
+and to the sink, with :meth:`FlowNetwork.with_terminals`.  That returns a
+new network with the terminal arcs ahead of the edge arcs in every
+adjacency list and leaves the edge network as it is, so the matching
+player builds it once per active set and shares it between rounds.  It
+fills the new arcs' slots by slice assignment and rebuilds only the
+terminals' adjacency lists, so its Python work is per terminal.  Arc ids
+are therefore not those of an arc-by-arc build, while each vertex's
+adjacency order is, and the solver and the path stripper read arcs only
+in adjacency order.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
@@ -88,33 +92,42 @@ class FlowNetwork:
         self._push(v, u, capacity)
         return idx
 
-    def with_arcs_first(self, arcs) -> "FlowNetwork":
-        """A new network: these directed (tail, head, capacity) arcs, then this one's.
+    def with_terminals(self, sources, targets) -> "FlowNetwork":
+        """A new network: an arc source -> v for each (v, capacity) in
+        `sources`, then an arc v -> sink for each in `targets`, at the ids
+        after this network's, each with its zero-capacity twin.
 
-        Every vertex's adjacency is the one :meth:`add_arc` would give for
-        these arcs followed by this network's arcs in their order: a vertex
-        lists its new arcs and twins, in the order given, ahead of its old
-        ones.  The new arcs take the ids after this network's, and this
+        Every vertex lists its new arcs and twins, in the order given, ahead
+        of its old ones: the adjacency :meth:`add_arc` would give for these
+        arcs followed by this network's.  A terminal is any vertex but the
+        source and the sink, and may repeat, on one side or on both.  This
         network is not changed: its lists are copied (``adj`` shallowly,
         with a new list only for the vertices the new arcs touch).
         """
+        s, t = self.source, self.sink
+        src = [v for v, _ in sources]
+        tgt = [v for v, _ in targets]
+        caps = [float(c) for _, c in sources] + [float(c) for _, c in targets]
+        bad = [c for c in caps if not 0.0 <= c < math.inf]
+        if bad:
+            _check_capacity(bad[0])
         base = len(self.to)
-        to: list[int] = []
-        cap: list[float] = []
-        first: dict[int, list[int]] = {}
-        for u, v, c in arcs:
-            _check_capacity(c)
-            idx = base + len(to)
-            to += (v, u)
-            cap += (float(c), 0.0)
-            first.setdefault(u, []).append(idx)
-            first.setdefault(v, []).append(idx + 1)
+        mid = base + 2 * len(src)  # the first sink arc
+        end = base + 2 * len(caps)
         net = copy.copy(self)
-        net.to = self.to + to
-        net.cap = self.cap + cap
-        net.adj = self.adj.copy()
-        for x, ids in first.items():
-            net.adj[x] = ids + self.adj[x]
+        net.to = to = self.to + [s] * (end - base)  # source twins lead to s
+        to[base::2] = src + [t] * len(tgt)
+        to[mid + 1::2] = tgt
+        net.cap = cap = self.cap + [0.0] * (end - base)
+        cap[base::2] = caps
+        net.adj = adj = self.adj.copy()
+        adj[s] = list(range(base, mid, 2)) + adj[s]
+        adj[t] = list(range(mid + 1, end, 2)) + adj[t]
+        # back to front, so a vertex lists its arcs in the order given
+        for v, a in zip(reversed(tgt), range(end - 2, mid - 1, -2)):
+            adj[v] = [a, *adj[v]]
+        for v, a in zip(reversed(src), range(mid - 1, base, -2)):
+            adj[v] = [a, *adj[v]]
         return net
 
     @property
@@ -143,7 +156,7 @@ def edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
     sink n + 1.
 
     Solves never change it; a caller adds its terminal arcs with
-    :meth:`FlowNetwork.with_arcs_first`.
+    :meth:`FlowNetwork.with_terminals`.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
@@ -202,6 +215,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     adj = net.adj
     zero = FLOW_ZERO * min(largest, limit)  # net.zero, without summing again
     total = 0.0
+    pushed: list[int] = []  # the arcs of every augmenting path
 
     while True:
         level = [-1] * n
@@ -248,6 +262,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
                     resid[a] -= push
                     resid[a ^ 1] += push
                 total += push
+                pushed += path
                 # the bottleneck is now at 0, so some arc on the path is spent
                 for k, a in enumerate(path):
                     if resid[a] <= zero:
@@ -274,10 +289,15 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
                 u = to[path.pop() ^ 1]
                 it[u] += 1
 
-    # c - r > 0 exactly when c > r, so this is the flow c - r clamped at 0
-    flows = tuple([f if f > 0.0 else 0.0 for f in map(operator.sub, cap, resid)])
+    # an arc on no augmenting path only ever gained residual, so its flow
+    # c - r is at most 0 and clamps to 0.0
+    flows = [0.0] * len(cap)
+    for a in pushed:
+        f = cap[a] - resid[a]
+        if f > 0.0:
+            flows[a] = f
     side = frozenset([v for v, d in enumerate(level) if d >= 0])
-    return FlowSolution(value=total, arc_flows=flows, min_cut_side=side)
+    return FlowSolution(value=total, arc_flows=tuple(flows), min_cut_side=side)
 
 
 def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:

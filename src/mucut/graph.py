@@ -66,6 +66,9 @@ class Infinite:
 
 INFINITE = Infinite()
 
+#: One (u, v, w) edge as a numpy record.
+_EDGE_DTYPE = np.dtype([("u", np.intp), ("v", np.intp), ("w", float)])
+
 
 class Graph:
     """Undirected weighted graph on dense vertex ids 0..n-1.
@@ -93,12 +96,13 @@ class Graph:
             merged[key] = merged.get(key, 0.0) + w
         edge_list = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
         adjacency: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-        degrees = np.zeros(n)
         for idx, (u, v, w) in enumerate(edge_list):
             adjacency[u].append((v, w, idx))
             adjacency[v].append((u, w, idx))
-            degrees[u] += w
-            degrees[v] += w
+        arr = np.fromiter(edge_list, _EDGE_DTYPE, len(edge_list))
+        # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the edges
+        ends = np.column_stack((arr["u"], arr["v"])).ravel()
+        degrees = np.bincount(ends, np.repeat(arr["w"], 2), minlength=n)
         self.vertex_count = n
         self.edges = edge_list
         self.adjacency = tuple(tuple(a) for a in adjacency)

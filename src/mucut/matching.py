@@ -14,8 +14,8 @@ zero, nothing is cut and its matching is the diagonal alone.
 Only the terminal arcs change from round to round, and the edge arcs only
 when a cut shrinks A.  So the game builds the edge arcs once per active
 set, with :func:`flow.edge_network`, and each round's :func:`build_pi_problem`
-adds just its source and sink arcs, ahead of the edge arcs in every
-terminal's adjacency.  The network is then the one an arc-by-arc build
+adds just its source and sink arcs with :meth:`flow.FlowNetwork.with_terminals`,
+ahead of the edge arcs in every terminal's adjacency.  The network is then the one an arc-by-arc build
 (terminal arcs first, then the edges in g.edges order) gives, up to arc
 ids: every vertex lists the same arcs in the same order, so the flow, the
 cut and the paths are the same bits.
@@ -72,9 +72,7 @@ def build_pi_problem(edges: FlowNetwork, state: ActiveState,
         raise ValueError("target mass below half the active measure")
     if bip.source_mass > total / 8.0 + tolerance(total):
         raise ValueError("source mass above an eighth of the active measure")
-    s, t = edges.source, edges.sink
-    return edges.with_arcs_first([(s, v, m) for v, m in bip.sources]
-                                 + [(v, t, mb) for v, mb in bip.targets])
+    return edges.with_terminals(bip.sources, bip.targets)
 
 
 def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,

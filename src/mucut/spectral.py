@@ -102,19 +102,24 @@ class StochasticMatching:
         """Build the completed matrix from raw endpoint pairs.
 
         Self-pairs are dropped: they add equal amounts to a row sum and to
-        the diagonal, so the completion mu - rowsum reproduces them.
+        the diagonal, so the completion mu - rowsum reproduces them.  The
+        weights of a pair and its reverse add up in the order given, in
+        their own type, so pass Python or float64 weights.
         """
         merged: dict[tuple[int, int], float] = {}
         for u, v, w in pairs:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
+            if u < v:
+                key = u, v
+            elif v < u:
+                key = v, u
+            else:
                 continue
-            key = (min(u, v), max(u, v))
             merged[key] = merged.get(key, 0.0) + w
         keys = sorted(merged)
-        us = np.array([u for u, _ in keys], dtype=np.intp)
-        vs = np.array([v for _, v in keys], dtype=np.intp)
-        ws = np.array([merged[k] for k in keys], dtype=float)
+        k = len(keys)
+        us = np.fromiter((u for u, _ in keys), np.intp, k)
+        vs = np.fromiter((v for _, v in keys), np.intp, k)
+        ws = np.fromiter(map(merged.__getitem__, keys), float, k)
         return cls(us, vs, ws, mu_values)
 
     def _slack(self) -> np.ndarray:

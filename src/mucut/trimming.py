@@ -9,7 +9,9 @@ was a near-expander at the full level).
 
 The network is the matching player's layout (:func:`flow.edge_network` on
 the set, at 3/phi) with the boundary and sink arcs added ahead of the edge
-arcs.  The min cut read off the solver is the minimal one, which every
+arcs by :meth:`flow.FlowNetwork.with_terminals`: one source arc per
+boundary edge, to its inside endpoint, then one sink arc per vertex of the
+set.  The min cut read off the solver is the minimal one, which every
 maximum flow shares, so the trimmed set does not depend on the arc order.
 """
 
@@ -54,11 +56,10 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
     # the network keeps g's ids: vertices outside A are isolated nodes
     cap_edge = 3.0 / phi
     edges = edge_network(g, a_set, cap_edge)
-    s, t = edges.source, edges.sink
-    sources = [(s, u if u in a_set else v, cap_edge * w)
+    sources = [(u if u in a_set else v, cap_edge * w)
                for u, v, w in g.edges if (u in a_set) != (v in a_set)]
-    sinks = [(v, t, mu.values[v]) for v in sorted(a_set)]
-    sol = max_flow(edges.with_arcs_first(sources + sinks))
+    sinks = [(v, mu.values[v]) for v in sorted(a_set)]
+    sol = max_flow(edges.with_terminals(sources, sinks))
     trimmed = a_set - sol.min_cut_side
     if not trimmed:
         raise InvariantViolation("trimming removed the whole set despite the precondition")

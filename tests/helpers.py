@@ -20,11 +20,17 @@ and within a rounding bound after it.  `reference_rst_partition` and
 `reference_check_bipartition` are the cut player and its output check as
 they were before both worked on id and weight arrays: the library's
 bipartition must match bit for bit, and its check must pass, fail and name
-the first failure alike.
+the first failure alike.  `reference_with_arcs_first` is the terminal-arc
+builder as it was before it filled its lists in bulk: `with_terminals` must
+give the same arc ids, capacities and adjacency lists.
+`reference_from_pairs` is `StochasticMatching.from_pairs` as it was before
+it merged pairs without converting each one: the matchings must be equal
+bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from collections import deque
@@ -34,10 +40,10 @@ import numpy as np
 from mucut import Graph, VertexMeasure
 from mucut.cutplayer import WeightedBipartition
 from mucut.errors import InvariantViolation
-from mucut.flow import FlowNetwork, FlowSolution
+from mucut.flow import FlowNetwork, FlowSolution, _check_capacity
 from mucut.graph import EPS, tolerance
-from mucut.spectral import (ActiveState, LazyFactor, WalkOperator, _project,
-                            dense_walk_and_potential)
+from mucut.spectral import (ActiveState, LazyFactor, StochasticMatching, WalkOperator,
+                            _project, dense_walk_and_potential)
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 1.0,
@@ -144,6 +150,49 @@ def reference_build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipart
         if u in active and v in active:
             net.add_undirected_edge(u, v, c * w)
     return net
+
+
+def reference_with_arcs_first(net: FlowNetwork, arcs) -> FlowNetwork:
+    """The former `FlowNetwork.with_arcs_first`, kept verbatim as an oracle:
+    a new network with these directed (tail, head, capacity) arcs, at the
+    ids after `net`'s, listed ahead of `net`'s arcs by every vertex they
+    touch, in the order given."""
+    base = len(net.to)
+    to: list[int] = []
+    cap: list[float] = []
+    first: dict[int, list[int]] = {}
+    for u, v, c in arcs:
+        _check_capacity(c)
+        idx = base + len(to)
+        to += (v, u)
+        cap += (float(c), 0.0)
+        first.setdefault(u, []).append(idx)
+        first.setdefault(v, []).append(idx + 1)
+    out = copy.copy(net)
+    out.to = net.to + to
+    out.cap = net.cap + cap
+    out.adj = net.adj.copy()
+    for x, ids in first.items():
+        out.adj[x] = ids + net.adj[x]
+    return out
+
+
+def reference_from_pairs(mu_values, pairs) -> StochasticMatching:
+    """The former `StochasticMatching.from_pairs`, kept verbatim as an oracle:
+    each pair converted to (int, int, float), self-pairs dropped, the rest
+    merged by (min, max) key in the order given."""
+    merged: dict[tuple[int, int], float] = {}
+    for u, v, w in pairs:
+        u, v, w = int(u), int(v), float(w)
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0.0) + w
+    keys = sorted(merged)
+    us = np.array([u for u, _ in keys], dtype=np.intp)
+    vs = np.array([v for _, v in keys], dtype=np.intp)
+    ws = np.array([merged[k] for k in keys], dtype=float)
+    return StochasticMatching(us, vs, ws, mu_values)
 
 
 def reference_trim_network(g: Graph, mu: VertexMeasure, a, phi: float) -> FlowNetwork:

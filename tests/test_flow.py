@@ -3,10 +3,11 @@ import pytest
 
 import mucut.matching
 from mucut import Graph, GameParams, VertexMeasure, run_cut_matching
-from mucut.flow import FlowNetwork, decompose_paths, max_flow
+from mucut.flow import FlowNetwork, decompose_paths, edge_network, max_flow
 
 from helpers import (assert_fair, conservation_errors, enumerate_min_cut,
-                     reference_decompose_paths, reference_max_flow)
+                     random_connected_graph, reference_decompose_paths, reference_max_flow,
+                     reference_with_arcs_first)
 
 
 def random_network(rng, directed_bias=0.5):
@@ -209,9 +210,80 @@ def test_source_sink_validation():
             net.add_arc(0, 1, bad)
         with pytest.raises(ValueError, match="capacity"):
             net.add_undirected_edge(0, 1, bad)
-        with pytest.raises(ValueError, match="capacity"):
-            net.with_arcs_first([(0, 1, 1.0), (1, 2, bad)])
         assert net.arc_count == 0
+        net = FlowNetwork(4, 0, 3)
+        net.add_undirected_edge(1, 2, 1.0)
+        before = (list(net.to), list(net.cap), [list(arcs) for arcs in net.adj])
+        with pytest.raises(ValueError, match="capacity"):
+            net.with_terminals([(1, 1.0), (2, bad)], [(2, 1.0)])
+        with pytest.raises(ValueError, match="capacity"):
+            net.with_terminals([(1, 1.0)], [(1, 1.0), (2, bad)])
+        assert (net.to, net.cap, net.adj) == before
+
+
+def random_terminals(rng, vertices):
+    """(vertex, capacity) pairs over `vertices`, possibly none, with repeats
+    and zero capacities, the capacities Python or numpy floats."""
+    count = int(rng.integers(0, 2 * len(vertices) + 1)) if rng.random() < 0.85 else 0
+    picks = rng.choice(vertices, size=count).tolist()
+    caps = rng.uniform(0.0, 3.0, size=count)
+    caps[rng.random(count) < 0.15] = 0.0
+    return list(zip(picks, caps if rng.random() < 0.5 else caps.tolist()))
+
+
+def test_with_terminals_matches_arcs_first_reference():
+    # the same arc ids, heads, capacities and adjacency lists as adding the
+    # terminal arcs one by one ahead of the edge arcs, and the edge network
+    # is left as it is
+    rng = np.random.default_rng(15)
+    seen = set()
+    for _ in range(200):
+        g = random_connected_graph(rng, int(rng.integers(2, 12)), weighted=True)
+        n = g.vertex_count
+        vertices = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                        replace=False))
+        edges = edge_network(g, frozenset(vertices), float(rng.uniform(0.5, 4.0)))
+        before = (list(edges.to), list(edges.cap), [list(arcs) for arcs in edges.adj])
+        sources = random_terminals(rng, vertices)
+        targets = random_terminals(rng, vertices)
+        net = edges.with_terminals(sources, targets)
+        s, t = edges.source, edges.sink
+        ref = reference_with_arcs_first(
+            edges, [(s, v, c) for v, c in sources] + [(v, t, c) for v, c in targets])
+        assert (net.node_count, net.source, net.sink) == (ref.node_count, s, t)
+        assert net.to == ref.to
+        assert all(type(c) is float for c in net.cap)
+        assert [c.hex() for c in net.cap] == [c.hex() for c in ref.cap]
+        assert net.adj == ref.adj
+        assert (edges.to, edges.cap, edges.adj) == before
+        for side, name in ((sources, "sources"), (targets, "targets")):
+            ends = [v for v, _ in side]
+            if not side:
+                seen.add(f"no {name}")
+            if len(set(ends)) < len(ends):
+                seen.add(f"repeated {name}")
+            if any(c == 0.0 for _, c in side):
+                seen.add("zero capacity")
+        if {v for v, _ in sources} & {v for v, _ in targets}:
+            seen.add("on both sides")
+    assert seen == {"no sources", "no targets", "repeated sources", "repeated targets",
+                    "zero capacity", "on both sides"}
+
+
+def test_flows_only_on_pushed_arcs_survive_a_cancellation():
+    # phase 1 pushes s->a->b->t; phase 2 pushes s->c->b->a->d->t along the
+    # twin of a->b, which cancels a->b's flow back to exactly zero
+    s, a, b, c, d, t = range(6)
+    net = FlowNetwork(6, s, t)
+    ids = {arc: net.add_arc(*arc, 1.0)
+           for arc in ((s, a), (s, c), (a, b), (b, t), (c, b), (a, d), (d, t))}
+    sol = max_flow(net)
+    ref = reference_max_flow(net)
+    assert sol.value == 2.0
+    assert sol.arc_flows[ids[a, b]].hex() == (0.0).hex()
+    assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
+    assert sol.min_cut_side == ref.min_cut_side
+    assert decompose_paths(net, sol) == reference_decompose_paths(net, ref)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e9])

@@ -25,6 +25,26 @@ def test_cut_weight_empty_and_full_sides():
     assert cut_weight(g, range(3)) == 0.0
 
 
+def test_weighted_degrees_match_a_sequential_sum():
+    # the degrees add each merged edge's weight at u, then at v, in edge
+    # order, as a loop over the edges does: the same bits
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        n = int(rng.integers(1, 15))
+        count = int(rng.integers(0, 3 * n))
+        ends = rng.integers(0, n, size=(count, 2))
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        ws = rng.uniform(0.01, 3.0, size=len(ends))
+        g = Graph(n, [(u, v, w) for (u, v), w in zip(ends.tolist(), ws.tolist())])
+        want = np.zeros(n)
+        for u, v, w in g.edges:
+            want[u] += w
+            want[v] += w
+        assert g.weighted_degrees().tobytes() == want.tobytes()
+        assert not g.weighted_degrees().flags.writeable
+    assert Graph(0, []).weighted_degrees().tobytes() == b""
+
+
 def test_cut_weight_matches_independent_recount():
     rng = np.random.default_rng(5)
     for _ in range(30):

@@ -12,7 +12,8 @@ from mucut.spectral import (ActiveState, LazyFactor, StochasticMatching, WalkOpe
                             dense_walk_and_potential, is_power_of_two, projections,
                             sample_unit_vector)
 
-from helpers import clique_edges, random_connected_graph, random_measure, reference_walk_apply
+from helpers import (clique_edges, random_connected_graph, random_measure, reference_from_pairs,
+                     reference_walk_apply)
 
 
 def uniform_state(n, active=None):
@@ -168,6 +169,46 @@ def test_matching_diagonal_independent_of_pair_order():
     forward = StochasticMatching.from_pairs(mu.values, pairs)
     backward = StochasticMatching.from_pairs(mu.values, pairs[::-1])
     assert forward.diagonal.tobytes() == backward.diagonal.tobytes()
+
+
+def test_from_pairs_matches_reference():
+    # merging without per-pair conversions sums each pair's weights in the
+    # order given, as the former merge did: the same pairs, the same bits
+    rng = np.random.default_rng(13)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        count = int(rng.integers(0, 4 * n)) if rng.random() < 0.9 else 0
+        us = rng.integers(0, n, size=count)
+        vs = rng.integers(0, n, size=count)
+        ws = rng.uniform(0.01, 1.0, size=count)
+        if rng.random() < 0.5:
+            pairs = list(zip(us, vs, ws))  # numpy ints and floats
+        else:
+            pairs = list(zip(us.tolist(), vs.tolist(), ws.tolist()))
+            seen.add("python numbers")
+        row = np.zeros(n)
+        np.add.at(row, us, ws)
+        np.add.at(row, vs, ws)
+        mu = row + rng.uniform(0.0, 1.0, size=n)  # room for every row
+        got = StochasticMatching.from_pairs(mu, pairs)
+        want = reference_from_pairs(mu, pairs)
+        assert [(u, v, w.hex()) for u, v, w in got.off_diagonal] == \
+            [(u, v, w.hex()) for u, v, w in want.off_diagonal]
+        assert all(type(x) is int for u, v, _ in got.off_diagonal for x in (u, v))
+        assert got.diagonal.tobytes() == want.diagonal.tobytes()
+        keys = [(min(u, v), max(u, v)) for u, v in zip(us.tolist(), vs.tolist())]
+        if not pairs:
+            seen.add("empty")
+        if any(u == v for u, v in keys):
+            seen.add("self-pair")
+        if len(set(keys)) < len(keys):
+            seen.add("repeated pair")
+        if any(u > v for u, v in zip(us.tolist(), vs.tolist())) and \
+                any(u < v for u, v in zip(us.tolist(), vs.tolist())):
+            seen.add("both orientations")
+    assert seen == {"empty", "self-pair", "repeated pair", "both orientations",
+                    "python numbers"}
 
 
 def test_matching_constructor_takes_sorted_pair_arrays():
