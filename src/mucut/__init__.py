@@ -2,9 +2,8 @@
 
 from .graph import (Graph, INFINITE, Infinite, VertexMeasure, connected_components,
                     cut_weight, induced_subgraph, is_connected, mu_expansion_of_cut)
-from .spectral import (ActiveState, StochasticMatching, WalkOperator,
-                       apply_projection, default_delta, dense_flow_matrix,
-                       dense_walk_and_potential, projections, sample_unit_vector)
+from .spectral import (ActiveState, StochasticMatching, WalkOperator, default_delta,
+                       potentials, projections, sample_unit_vector)
 from .cutplayer import WeightedBipartition, check_bipartition, rst_partition
 from .flow import FlowNetwork, FlowSolution, decompose_paths, edge_network, max_flow
 from .matching import RoundRecord, build_pi_problem, solve_matching_round

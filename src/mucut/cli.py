@@ -7,8 +7,8 @@ without one the measure defaults to weighted degrees, and vertices absent
 from the file get measure zero.
 
 ``--trace`` writes one CSV line per game round, computed after the run
-from the games' round records; ``--dense-limit`` only decides for which
-games the potential column is filled.
+from the games' round records; the potential column is filled for every
+game on at most PSI_MAX_TERMINALS terminals.
 
 Each subcommand registers only the flags it reads, so a flag it would
 ignore is malformed input.  Exit codes: 0 success, 2 malformed input
@@ -31,9 +31,12 @@ from .decompose import DecomposeConfig, decompose, balanced_or_expander, Outcome
 from .errors import GraphInputError
 from .game import GameParams
 from .graph import Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
-from .spectral import (DENSE_LIMIT, ActiveState, WalkOperator, dense_walk_and_potential,
-                       is_power_of_two)
+from .spectral import is_power_of_two, potentials
 from .verify import brute_force_expansion, validate_partition, MAX_ENUM_N
+
+#: The trace fills psi for games on at most this many terminals, where the
+#: k x k product holds at most 8 MB.
+PSI_MAX_TERMINALS = 1024
 
 
 def load_graph(path: str) -> Graph:
@@ -118,30 +121,23 @@ def _emit_json(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _trace_lines(game, dense_limit: int) -> list[str]:
+def _trace_lines(game) -> list[str]:
     """One CSV line per round of a game, read off its round records.
 
     mu_R is the measure removed so far; psi, the potential after the
-    round, needs the dense walk and is left empty for games on more than
-    dense_limit vertices.  One walk per game is extended round by round,
-    with each round's surviving active set as its state.
+    round, is replayed from the records through one k x k product per game
+    and left empty for games on more than PSI_MAX_TERMINALS terminals.
     """
     if not game.rounds:  # a single vertex or terminal: no walk was built
         return []
     mu = game.walk.measure
-    walk = None
-    if len(mu.values) <= dense_limit:
-        walk = WalkOperator([], game.walk.delta, ActiveState(game.rounds[0].active_before, mu))
+    psis = [""] * len(game.rounds)
+    if len(mu.support) <= PSI_MAX_TERMINALS:
+        psis = [repr(psi) for psi in potentials(game.rounds, mu, game.walk.delta)]
     lines = []
     removed: frozenset = frozenset()
-    for rec in game.rounds:
+    for rec, psi in zip(game.rounds, psis):
         removed = removed | rec.removed
-        psi = ""
-        if walk is not None:
-            walk.extend(rec.matching)
-            if rec.removed:
-                walk.state = ActiveState(frozenset(rec.active_before) - rec.removed, mu)
-            psi = repr(dense_walk_and_potential(walk, limit=dense_limit)[1])
         lines.append(f"{rec.index},{len(rec.active_before) - len(rec.removed)},"
                      f"{mu.of(removed)!r},{rec.matched_weight!r},{psi}\n")
     return lines
@@ -165,8 +161,8 @@ def _check_args(args) -> None:
             ("--verify-max-n", lambda v: v is None or 1 <= v <= MAX_ENUM_N,
              f"in [1, {MAX_ENUM_N}]"),
             ("--seed", lambda v: v >= 0, "non-negative"),
-            ("--t-factor", math.isfinite, "finite"),
-            ("--c-factor", math.isfinite, "finite")):
+            ("--t-factor", lambda v: 0.0 < v < math.inf, "positive, finite"),
+            ("--c-factor", lambda v: 0.0 < v < math.inf, "positive, finite")):
         dest = flag[2:].replace("-", "_")
         if dest in given and not ok(given[dest]):
             raise GraphInputError(f"{flag} must be {want}, got {given[dest]}")
@@ -188,7 +184,7 @@ def cmd_decompose(args) -> int:
         log_base=args.log_base,
         verify_max_n=args.verify_max_n,
         # each game becomes CSV lines as it ends, so no game is kept
-        trace_hook=(lambda game: trace_lines.extend(_trace_lines(game, args.dense_limit)))
+        trace_hook=(lambda game: trace_lines.extend(_trace_lines(game)))
         if args.trace is not None else None,
     )
     result = decompose(g, mu, args.phi, cfg, rng=args.seed)
@@ -197,7 +193,7 @@ def cmd_decompose(args) -> int:
         "inter_cluster_edge_weight": result.inter_cluster_edge_weight,
         "phi": args.phi,
         "seed": args.seed,
-        "params": {**result.params, "dense_limit": args.dense_limit},
+        "params": result.params,
         "certificates": [
             {"kind": c.kind, "expansion": c.expansion} for c in result.per_cluster
         ],
@@ -240,7 +236,7 @@ def cmd_sparse_cut(args) -> int:
     }
     _emit_json(payload, args.json_out)
     if args.trace is not None:
-        _write_trace(args.trace, _trace_lines(outcome.game, args.dense_limit))
+        _write_trace(args.trace, _trace_lines(outcome.game))
     return 0
 
 
@@ -301,8 +297,6 @@ def _add_game(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=int, default=None, help="walk power override (power of 2)")
     p.add_argument("--log-base", type=float, default=2.0, dest="log_base",
                    help="log base for the balance threshold")
-    p.add_argument("--dense-limit", type=int, default=DENSE_LIMIT, dest="dense_limit",
-                   help="max game size n for which the trace CSV fills psi")
     p.add_argument("--trace", default=None, help="write per-round CSV here")
 
 

@@ -148,6 +148,8 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     cfg = config or DecomposeConfig()
     if not 1 <= cfg.verify_max_n <= MAX_ENUM_N:
         raise ValueError(f"verify_max_n must be in [1, {MAX_ENUM_N}], got {cfg.verify_max_n}")
+    if cfg.depth_limit is not None and cfg.depth_limit < 0:
+        raise ValueError(f"depth_limit must be non-negative, got {cfg.depth_limit}")
     rng = np.random.default_rng(rng)
     n = g.vertex_count
     depth_limit = cfg.depth_limit

@@ -65,8 +65,8 @@ class GameParams:
         if not 0.0 < phi < math.inf:
             raise ValueError(f"phi must be positive and finite, got {phi}")
         for name, factor in (("t_factor", t_factor), ("c_factor", c_factor)):
-            if not math.isfinite(factor):
-                raise ValueError(f"{name} must be finite, got {factor}")
+            if not 0.0 < factor < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {factor}")
         n = g.vertex_count
         log2n = math.log2(n) if n >= 2 else 1.0
         lnn = math.log(n) if n >= 2 else 1.0

@@ -17,7 +17,9 @@ that are rounding noise.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,13 +87,19 @@ class Graph:
             raise GraphInputError("vertex_count must be non-negative")
         merged: dict[tuple[int, int], float] = {}
         for e in edges:
-            u, v, w = (int(e[0]), int(e[1]), float(e[2])) if len(e) == 3 else (int(e[0]), int(e[1]), 1.0)
+            if len(e) not in (2, 3):
+                raise GraphInputError(f"edge {e!r} is neither (u, v) nor (u, v, w)")
+            try:
+                u, v, w = index(e[0]), index(e[1]), float(e[2]) if len(e) == 3 else 1.0
+            except (TypeError, ValueError) as exc:
+                raise GraphInputError(f"edge {e!r} needs integer ids and a real weight") from exc
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphInputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphInputError(f"self-loop at vertex {u} rejected")
-            if not (w > 0.0) or not np.isfinite(w):
-                raise GraphInputError(f"edge ({u},{v}) has non-positive weight {w}")
+            if not (w > 0.0 and math.isfinite(w)):
+                raise GraphInputError(f"edge ({u},{v}) has weight {w}; weights must be "
+                                      "positive and finite")
             key = (u, v) if u <= v else (v, u)
             merged[key] = merged.get(key, 0.0) + w
         edge_list = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))

@@ -20,9 +20,10 @@ is one product and one ``np.bincount``.  Once the chain of factors holds
 at least k^2 numbers, the walk multiplies it out into the k x k product
 C = Nbar_{t-1} ... Nbar_0 and applies that instead.  One evaluation
 therefore costs min(2 delta t (k + pairs), 2 delta k^2), plus
-k (k + pairs) per added round once the product exists.  Dense
-materialization of the flow matrix and of the potential trace exist as
-oracles for small instances and are never used by the algorithm itself.
+k (k + pairs) per added round once the product exists.  The potential
+psi = ||W||_F^2 is never needed by the game; ``potentials`` replays a
+game's round records into the same k x k product to report it after each
+round.  The dense n x n oracles live in the tests.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import VertexMeasure, tolerance
-
-#: Largest vertex count for which dense materialization is permitted.
-DENSE_LIMIT = 64
 
 
 def is_power_of_two(k: int) -> bool:
@@ -146,19 +144,6 @@ class StochasticMatching:
     def off_diagonal_weight(self) -> float:
         return float(self._ws.sum())
 
-    def row_sums(self) -> np.ndarray:
-        sums = self.diagonal.copy()
-        np.add.at(sums, self._us, self._ws)
-        np.add.at(sums, self._vs, self._ws)
-        return sums
-
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal)
-        for u, v, w in self.off_diagonal:
-            m[u, v] += w
-            m[v, u] += w
-        return m
-
     def __repr__(self):
         return (f"StochasticMatching(pairs={len(self._ws)}, "
                 f"weight={self.off_diagonal_weight:g})")
@@ -200,15 +185,6 @@ def sample_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
         norm = float(np.linalg.norm(x))
         if norm > 0.0:
             return x / norm
-
-
-def apply_projection(state: ActiveState, x) -> np.ndarray:
-    """Project onto the orthogonal complement of the active sqrt measure.
-
-    Coordinates outside the active support are zeroed first; the map is
-    idempotent.
-    """
-    return _project(state.mask, state.sqrt_mu, state.mu_active_total, np.asarray(x, dtype=float))
 
 
 def _project(mask, sqrt_mu, total, x) -> np.ndarray:
@@ -261,6 +237,36 @@ class LazyFactor:
             out += np.bincount(flat, (self.vals[:, None] * c[self.cols]).ravel(),
                                k * k).reshape(k, k)
         return out
+
+
+def potentials(rounds, measure: VertexMeasure, delta: int) -> list[float]:
+    """The potential psi = ||W||_F^2 after each of a game's round records.
+
+    The rounds' factors are multiplied into the k x k product
+    C = Nbar_{t-1} ... Nbar_0, one ``LazyFactor.times`` per round.  With P
+    the projection for the active set after the round, W = (P C C^T P)^delta
+    has the nonzero spectrum of G^delta for G = C^T P C, so
+    psi = ||G^delta||_F^2, with G^delta taken by log2(delta) squarings.
+    """
+    if not is_power_of_two(int(delta)):
+        raise ValueError(f"delta must be a power of two, got {delta}")
+    support = np.flatnonzero(measure.support_mask)
+    c = np.eye(len(support))
+    state = None
+    psis = []
+    for rec in rounds:
+        c = LazyFactor(rec.matching, measure, delta).times(c)
+        if state is None or rec.removed:
+            state = ActiveState(frozenset(rec.active_before) - rec.removed, measure)
+            if state.mu_active_total <= 0.0:
+                raise ValueError("active set carries no measure; projection undefined")
+            mask, sqrt_mu = state.mask[support], state.sqrt_mu[support]
+        b = mask[:, None] * c - np.outer(sqrt_mu, sqrt_mu @ c) / state.mu_active_total  # P C
+        g = b.T @ b
+        for _ in range(int(delta).bit_length() - 1):
+            g = g @ g
+        psis.append(float(np.vdot(g, g)))
+    return psis
 
 
 class WalkOperator:
@@ -350,38 +356,3 @@ def projections(w: WalkOperator, r) -> np.ndarray:
     if abs(balance) > tolerance(math.sqrt(w.state.mu_active_total) * np.linalg.norm(r)):
         raise InvariantViolation(f"projection balance {balance} exceeds tolerance")
     return u
-
-
-def dense_flow_matrix(w: WalkOperator) -> np.ndarray:
-    """Materialize the stochastic flow matrix by its round recursion (oracle)."""
-    mu = w.measure
-    n = len(mu.values)
-    big_u = np.diag(mu.values)
-    u_inv = np.diag(mu.pseudo_inv)
-    f = big_u.copy()
-    for m in w.matchings:
-        lazy = (w.delta - 1.0) / w.delta
-        n_t = lazy * big_u + m.dense() / w.delta
-        f = n_t @ u_inv @ f @ u_inv @ n_t
-    return f
-
-
-def dense_projection_matrix(state: ActiveState) -> np.ndarray:
-    if state.mu_active_total <= 0.0:
-        raise ValueError("active set carries no measure")
-    i_t = np.diag(state.mask.astype(float))
-    return i_t - np.outer(state.sqrt_mu, state.sqrt_mu) / state.mu_active_total
-
-
-def dense_walk_and_potential(w: WalkOperator, limit: int = DENSE_LIMIT) -> tuple[np.ndarray, float]:
-    """Dense walk matrix and its potential tr(W^2) (test oracle only)."""
-    n = len(w.measure.values)
-    if n > limit:
-        raise ValueError(f"dense oracle limited to {limit} vertices, got {n}")
-    f = dense_flow_matrix(w)
-    s = np.diag(w.measure.inv_sqrt)
-    p = dense_projection_matrix(w.state)
-    x = p @ s @ f @ s @ p
-    walk = np.linalg.matrix_power(x, w.delta)
-    psi = float(np.sum(walk * walk))
-    return walk, psi

@@ -25,7 +25,12 @@ builder as it was before it filled its lists in bulk: `with_terminals` must
 give the same arc ids, capacities and adjacency lists.
 `reference_from_pairs` is `StochasticMatching.from_pairs` as it was before
 it merged pairs without converting each one: the matchings must be equal
-bit for bit.
+bit for bit.  The dense oracles (`dense_matching`, `matching_row_sums`,
+`apply_projection`, `dense_flow_matrix`, `dense_projection_matrix` and
+`dense_walk_and_potential`, limited to `DENSE_LIMIT` vertices) materialize
+a matching, the projection and the walk as n x n arrays, as the library did
+before its trace replayed the potential through one k x k product:
+`spectral.potentials` must agree with them within rounding.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ from mucut.cutplayer import WeightedBipartition
 from mucut.errors import InvariantViolation
 from mucut.flow import FlowNetwork, FlowSolution, _check_capacity
 from mucut.graph import EPS, tolerance
-from mucut.spectral import (ActiveState, LazyFactor, StochasticMatching, WalkOperator,
-                            _project, dense_walk_and_potential)
+from mucut.spectral import ActiveState, LazyFactor, StochasticMatching, WalkOperator, _project
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 1.0,
@@ -568,6 +572,69 @@ def conservation_errors(net: FlowNetwork, sol: FlowSolution) -> float:
             continue
         worst = max(worst, abs(balance[v]))
     return worst
+
+
+#: Largest vertex count for which dense materialization is permitted.
+DENSE_LIMIT = 64
+
+
+def matching_row_sums(m: StochasticMatching) -> np.ndarray:
+    sums = m.diagonal.copy()
+    np.add.at(sums, m._us, m._ws)
+    np.add.at(sums, m._vs, m._ws)
+    return sums
+
+
+def dense_matching(m: StochasticMatching) -> np.ndarray:
+    dense = np.diag(m.diagonal)
+    for u, v, w in m.off_diagonal:
+        dense[u, v] += w
+        dense[v, u] += w
+    return dense
+
+
+def apply_projection(state: ActiveState, x) -> np.ndarray:
+    """Project onto the orthogonal complement of the active sqrt measure.
+
+    Coordinates outside the active support are zeroed first; the map is
+    idempotent.
+    """
+    return _project(state.mask, state.sqrt_mu, state.mu_active_total, np.asarray(x, dtype=float))
+
+
+def dense_flow_matrix(w: WalkOperator) -> np.ndarray:
+    """Materialize the stochastic flow matrix by its round recursion (oracle)."""
+    mu = w.measure
+    n = len(mu.values)
+    big_u = np.diag(mu.values)
+    u_inv = np.diag(mu.pseudo_inv)
+    f = big_u.copy()
+    for m in w.matchings:
+        lazy = (w.delta - 1.0) / w.delta
+        n_t = lazy * big_u + dense_matching(m) / w.delta
+        f = n_t @ u_inv @ f @ u_inv @ n_t
+    return f
+
+
+def dense_projection_matrix(state: ActiveState) -> np.ndarray:
+    if state.mu_active_total <= 0.0:
+        raise ValueError("active set carries no measure")
+    i_t = np.diag(state.mask.astype(float))
+    return i_t - np.outer(state.sqrt_mu, state.sqrt_mu) / state.mu_active_total
+
+
+def dense_walk_and_potential(w: WalkOperator, limit: int = DENSE_LIMIT) -> tuple[np.ndarray, float]:
+    """Dense walk matrix and its potential tr(W^2) (test oracle only)."""
+    n = len(w.measure.values)
+    if n > limit:
+        raise ValueError(f"dense oracle limited to {limit} vertices, got {n}")
+    f = dense_flow_matrix(w)
+    s = np.diag(w.measure.inv_sqrt)
+    p = dense_projection_matrix(w.state)
+    x = p @ s @ f @ s @ p
+    walk = np.linalg.matrix_power(x, w.delta)
+    psi = float(np.sum(walk * walk))
+    return walk, psi
 
 
 def psi_sequence(g: Graph, mu: VertexMeasure, out, delta: int) -> list:

@@ -17,14 +17,14 @@ from mucut.cli import main as cli_main
 from mucut.cutplayer import check_bipartition, rst_partition
 from mucut.flow import FlowNetwork, decompose_paths, max_flow
 from mucut.graph import Infinite
-from mucut.spectral import (ActiveState, WalkOperator, dense_walk_and_potential,
-                            sample_unit_vector)
+from mucut.spectral import ActiveState, WalkOperator, sample_unit_vector
 from mucut.verify import (brute_force_expansion, brute_force_near_expansion,
                           check_embedding_congestion)
 
-from helpers import (assert_fair, clique_edges, conductance_enumerator, dumbbell_graph,
-                     enumerate_min_cut, orthogonalized_projection, psi_sequence,
-                     random_connected_graph, random_measure)
+from helpers import (assert_fair, clique_edges, conductance_enumerator, dense_matching,
+                     dense_walk_and_potential, dumbbell_graph, enumerate_min_cut,
+                     orthogonalized_projection, psi_sequence, random_connected_graph,
+                     random_measure)
 
 from test_flow import random_network
 
@@ -77,7 +77,7 @@ def test_criterion_03_stochastic_blocked_symmetric_flows():
         off_support = ~mu.support_mask
         for rec in out.rounds:
             lazy = (params.delta - 1.0) / params.delta
-            n_t = lazy * big_u + rec.matching.dense() / params.delta
+            n_t = lazy * big_u + dense_matching(rec.matching) / params.delta
             f = n_t @ u_inv @ f @ u_inv @ n_t
             assert np.abs(f.sum(axis=1) - mu.values).max() < 1e-8
             assert np.abs(f - f.T).max() < 1e-9

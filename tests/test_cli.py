@@ -1,12 +1,14 @@
 import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mucut import cli
+from mucut import cli, spectral
 from mucut.cli import load_graph, load_measure, main
 from mucut.errors import GraphInputError
 
@@ -113,6 +115,8 @@ def test_bad_phi_exits_2(k8_file):
     ("verify", ["--partition", "p.json", "--check-level", "nan"]),
     ("verify", ["--partition", "p.json", "--check-level", "-1"]),
     ("decompose", ["--phi", "0.1", "--log-base", "inf"]),
+    ("decompose", ["--phi", "0.1", "--t-factor", "0"]),
+    ("sparse-cut", ["--phi", "0.1", "--c-factor", "-5"]),
 ])
 def test_bad_flag_values_exit_2(k8_file, capsys, command, flags):
     assert main([command, "--graph", k8_file] + flags) == 2
@@ -171,23 +175,49 @@ def test_trace_csv(dumbbell_file, tmp_path):
     assert len(lines) > 1
     first = lines[1].split(",")
     assert first[0] == "0"
-    float(first[4])  # psi recorded since n <= dense limit
+    float(first[4])  # psi recorded: the game has at most PSI_MAX_TERMINALS terminals
 
 
-def test_trace_extends_one_walk_per_game(dumbbell_file, tmp_path, monkeypatch):
-    built = []
+def test_trace_extends_its_product_once_per_round(dumbbell_file, tmp_path, monkeypatch):
+    # each game's psi comes from one product, extended once per round, never rebuilt
+    real_times, real_potentials = spectral.LazyFactor.times, cli.potentials
+    extended, games = [], []
 
-    class Counted(cli.WalkOperator):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def times(self, c):
+        extended.append(len(c))
+        return real_times(self, c)
 
-    monkeypatch.setattr(cli, "WalkOperator", Counted)
+    def potentials(rounds, measure, delta):
+        before = len(extended)
+        psis = real_potentials(rounds, measure, delta)
+        games.append((len(rounds), len(extended) - before))
+        return psis
+
+    monkeypatch.setattr(spectral.LazyFactor, "times", times)
+    monkeypatch.setattr(cli, "potentials", potentials)
     trace = tmp_path / "trace.csv"
-    assert main(["sparse-cut", "--graph", dumbbell_file, "--phi", "0.05", "--seed", "7",
+    assert main(["decompose", "--graph", dumbbell_file, "--phi", "0.05", "--seed", "7",
                  "--json-out", str(tmp_path / "out.json"), "--trace", str(trace)]) == 0
-    assert len(trace.read_text().splitlines()) > 2  # psi filled on several rounds
-    assert len(built) == 1
+    rows = trace.read_text().splitlines()[1:]
+    assert len(games) > 1 and sum(rounds for rounds, _ in games) == len(rows)
+    assert all(calls == rounds for rounds, calls in games)
+
+
+def test_trace_fills_psi_past_64_vertices(tmp_path):
+    # a 9 x 9 grid with 27 terminals: psi on every round, non-increasing and
+    # at most |terminals| - 1
+    graph, mu = tmp_path / "grid.txt", tmp_path / "mu.txt"
+    graph.write_text("".join(f"{v} {v + 1}\n" for v in range(81) if v % 9 < 8)
+                     + "".join(f"{v} {v + 9} 2.0\n" for v in range(72)))
+    mu.write_text("".join(f"{v} 1.5\n" for v in range(0, 81, 3)))
+    trace = tmp_path / "trace.csv"
+    assert main(["sparse-cut", "--graph", str(graph), "--mu", str(mu), "--phi", "0.2",
+                 "--seed", "1", "--json-out", str(tmp_path / "out.json"),
+                 "--trace", str(trace)]) == 0
+    psis = [float(row.split(",")[4]) for row in trace.read_text().splitlines()[1:]]
+    assert len(psis) > 1 and psis[0] <= 27 - 1
+    for a, b in zip(psis, psis[1:]):
+        assert b <= a + 1e-9
 
 
 def test_sparse_cut_command(dumbbell_file, k8_file, tmp_path):
@@ -317,6 +347,8 @@ def test_verify_partition_json_bytes(tmp_path):
     ("verify", ["--trace", "x.csv"]),
     ("verify", ["--delta", "3"]),
     ("sparse-cut", ["--phi", "0.1", "--verify-max-n", "16"]),
+    ("decompose", ["--phi", "0.1", "--dense-limit", "50"]),
+    ("sparse-cut", ["--phi", "0.1", "--dense-limit", "50"]),
 ])
 def test_flags_a_command_does_not_read_are_unknown(k8_file, command, flags):
     with pytest.raises(SystemExit) as exc:
@@ -348,3 +380,16 @@ def test_every_registered_flag_is_read(dumbbell_file, tmp_path):
         assert args.func(args) == 0
         registered = {a.dest for a in commands[command]._actions if a.dest != "help"}
         assert registered - reads == set(), command
+
+
+def test_readme_lists_every_registered_flag():
+    """The README's "Flags by subcommand" list names exactly the flags the
+    subcommands register."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("Flags by subcommand"):readme.index("Exit codes:")]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    registered = {flag for p in commands.values() for a in p._actions
+                  for flag in a.option_strings if flag.startswith("--") and flag != "--help"}
+    assert named == registered

@@ -286,3 +286,15 @@ def test_verify_max_n_out_of_range_is_rejected_before_any_game(monkeypatch, cap)
     with pytest.raises(ValueError, match="verify_max_n"):
         decompose(g, VertexMeasure.from_degrees(g), 0.05, DecomposeConfig(verify_max_n=cap))
     assert not played
+
+
+def test_negative_depth_limit_is_rejected_before_any_game(monkeypatch):
+    # malformed input, not a broken guarantee: no InvariantViolation
+    driver = importlib.import_module("mucut.decompose")
+    played = []
+    monkeypatch.setattr(driver, "run_cut_matching", lambda *args: played.append(args))
+    g = dumbbell_graph(8)
+    with pytest.raises(ValueError, match="depth_limit must be non-negative") as exc:
+        decompose(g, VertexMeasure.from_degrees(g), 0.3, DecomposeConfig(depth_limit=-1))
+    assert not isinstance(exc.value, InvariantViolation)
+    assert not played

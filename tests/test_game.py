@@ -6,11 +6,10 @@ import pytest
 from mucut import (Graph, GameParams, Variant, VertexMeasure, cut_weight,
                    induced_subgraph, mu_expansion_of_cut, run_cut_matching)
 from mucut.cli import main
-from mucut.spectral import dense_walk_and_potential
 from mucut.verify import check_embedding_congestion
 
-from helpers import (clique_edges, dumbbell_graph, psi_sequence, random_connected_graph,
-                     random_measure, write_graph)
+from helpers import (clique_edges, dense_walk_and_potential, dumbbell_graph, matching_row_sums,
+                     psi_sequence, random_connected_graph, random_measure, write_graph)
 
 
 def test_params_defaults():
@@ -31,7 +30,7 @@ def test_params_validation():
             GameParams(phi=phi, rounds_T=1, capacity_c=1, delta=1, stop_threshold=0.0)
         with pytest.raises(ValueError, match="phi"):
             GameParams.for_graph(g, mu, phi)
-    for bad in (float("inf"), float("-inf"), float("nan")):
+    for bad in (float("inf"), float("-inf"), float("nan"), 0.0, -5.0):
         for name in ("t_factor", "c_factor"):
             with pytest.raises(ValueError, match=name):
                 GameParams.for_graph(g, mu, 0.1, **{name: bad})
@@ -173,7 +172,7 @@ def test_round_records_rederive(seed):
     g, mu, params, out = run_game(2000 + seed, n=12)
     for rec in out.rounds:
         # matching rows always sum to the measure
-        assert np.abs(rec.matching.row_sums() - mu.values).max() < 1e-9
+        assert np.abs(matching_row_sums(rec.matching) - mu.values).max() < 1e-9
         if rec.removed:
             sub, order = induced_subgraph(g, rec.active_before)
             local = {v: i for i, v in enumerate(order)}

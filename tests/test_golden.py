@@ -29,11 +29,12 @@ import json
 import numpy as np
 import pytest
 
-from mucut import (DecomposeConfig, GameParams, Graph, Infinite, VertexMeasure, decompose,
-                   run_cut_matching)
+from mucut import (ActiveState, DecomposeConfig, GameParams, Graph, Infinite, VertexMeasure,
+                   WalkOperator, decompose, potentials, run_cut_matching)
 from mucut.cli import main
 
-from helpers import dumbbell_graph, random_connected_graph, write_graph, write_measure
+from helpers import (dense_walk_and_potential, dumbbell_graph, random_connected_graph,
+                     write_graph, write_measure)
 
 
 def planted_blocks():
@@ -200,8 +201,7 @@ def test_pinned_outputs(make):
     assert clusters_digest(decompose(g, mu, phi, rng=seed).clusters) == want_clusters
 
 
-# instance -> (result digest, trace digest, games played by decompose); the result
-# params carry no dense_limit, which only the CLI reads
+# instance -> (result digest, trace digest, games played by decompose)
 DECOMPOSE_GOLDEN = {
     planted_blocks: (
         "928486fdf3b50c20feaa2fc9413885bc4c5bff97fb6a7b0788672c3066188d82",
@@ -234,17 +234,17 @@ def test_pinned_decomposition(make):
 # reads its measure file, planted_blocks the default measure (weighted degrees)
 CLI_GOLDEN = {
     (light_whisker, "decompose", ("--mu",)): (
-        "82ab4761f1f799c4e512106c70e5951ef3cd477fa2027970dae25ad53b7231f8",
-        "106066b0ef2eca75ac706daf216907e0564d92e2aaedd63dd9ddd43c3a79c9df"),
+        "dc8b3cdcbe18ee0a7eaf909899cffb502e21555b870bb091fc751f263a21246b",
+        "de84edb6b82b3d4364a13c4ed788f0a9989a95737bb622fedf6ae041d1360f87"),
     (light_whisker, "sparse-cut", ("--mu",)): (
         "2373ea6fbc3003e0ccaaf86e72e67c60b8134b5e83a46a363d8b9f6674bf8416",
-        "96ebbc4f289a1f1c5bc4ebc1055dd336d1c4cb879384ef7a57c4147649a419a1"),
-    (planted_blocks, "decompose", ("--dense-limit", "50")): (
-        "25ee900dbc6ae128b8c45ff92eb4e99a4f6f91c99c4340548c850a37828e2d3c",
-        "afda30f579a2a160896d85c7680001e0acc9fbff6b07b251d406e5f74eecb9a1"),
-    (planted_blocks, "sparse-cut", ("--dense-limit", "50")): (
+        "13be358f67bff8abdf208be9af5640ade110a9d49976d5060ca1ff43e41fca4a"),
+    (planted_blocks, "decompose", ()): (
+        "20b3f84c7b20577af1b50db396f1c2b853def5785a2a7c03e5f83b14ee315d1a",
+        "6d60a6049d6e8eb8f5cba3f9721ffef16d42c7fc5913e4c420ee82f27f1cfb6c"),
+    (planted_blocks, "sparse-cut", ()): (
         "17077ba34eee6ccff6c89c6f5ea68790a9c69c4f628516e5de0e2883c1f3bbd7",
-        "00605a3a6efcbdae199de7d78bcff567a76186ca6b77b73638244ac954b67407"),
+        "d682bfd8a8a938b628a0dbc9a9660d041ad4fc9e4876bbf040da9f675646345a"),
 }
 
 
@@ -258,14 +258,39 @@ def test_pinned_cli_bytes(case, tmp_path):
             "--seed", str(seed), "--json-out", str(out), "--trace", str(trace)]
     if flags == ("--mu",):
         argv += ["--mu", write_measure(tmp_path / "mu.txt", mu)]
-    else:
-        argv += list(flags)
     assert main(argv) == 0
     rows = trace.read_text().splitlines()[1:]
-    assert rows and all(row.split(",")[4] for row in rows)  # every game small enough for psi
+    assert rows and all(row.split(",")[4] for row in rows)  # psi on every row
     sha = (hashlib.sha256(out.read_bytes()).hexdigest(),
            hashlib.sha256(trace.read_bytes()).hexdigest())
     assert sha == CLI_GOLDEN[case]
+
+
+def dumbbell():
+    g = dumbbell_graph(8)
+    return g, VertexMeasure.from_degrees(g), 0.05, 7
+
+
+@pytest.mark.parametrize("make", list(GOLDEN) + [dumbbell], ids=lambda f: f.__name__)
+def test_potentials_match_dense_oracle(make):
+    # the trace's psi column is pinned above by its bytes; this is the
+    # independent check of its values, round by round, in every game played
+    g, mu, phi, seed = make()
+    games = []
+    decompose(g, mu, phi, DecomposeConfig(trace_hook=games.append), rng=seed)
+    checked = 0
+    for game in games:
+        if not game.rounds:
+            continue
+        game_mu, delta = game.walk.measure, game.walk.delta
+        want = []
+        for t, rec in enumerate(game.rounds):
+            state = ActiveState(frozenset(rec.active_before) - rec.removed, game_mu)
+            walk = WalkOperator([r.matching for r in game.rounds[:t + 1]], delta, state)
+            want.append(dense_walk_and_potential(walk)[1])
+        assert potentials(game.rounds, game_mu, delta) == pytest.approx(want, rel=1e-9, abs=1e-12)
+        checked += len(want)
+    assert checked
 
 
 def unit_cases():

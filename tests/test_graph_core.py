@@ -88,8 +88,9 @@ def test_mu_expansion_rejects_improper_cuts():
 def test_graph_rejects_self_loops_and_bad_weights():
     with pytest.raises(GraphInputError):
         Graph(3, [(0, 0, 1.0)])
-    with pytest.raises(GraphInputError):
-        Graph(3, [(0, 1, 0.0)])
+    for w in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(GraphInputError, match="positive and finite"):
+            Graph(3, [(0, 1, w)])
     with pytest.raises(GraphInputError):
         Graph(3, [(0, 5, 1.0)])
     g = Graph(2, [(0, 1, 1.0), (1, 0, 2.5)])  # parallel edges merge
@@ -190,3 +191,17 @@ def test_connected_components_of_subset_match_induced_subgraph():
         expected = tuple(tuple(order[v] for v in comp) for comp in connected_components(sub))
         assert connected_components(g, subset) == expected
         assert connected_components(g, sorted(subset, reverse=True)) == expected
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 5.0, "x"), (0,), (0.7, 1.9, 1.0), (0, 1.0),
+                                  (np.float64(0), 1, 1.0), ("0", 1), (0, 1, "heavy")])
+def test_graph_rejects_malformed_edges(edge):
+    # a 4-tuple used to lose its weight and float ids used to be truncated
+    with pytest.raises(GraphInputError):
+        Graph(3, [edge])
+
+
+def test_graph_takes_numpy_ids_and_weights():
+    g = Graph(3, [(np.int64(0), np.intp(2), np.float64(2.5)), (np.int32(1), 2)])
+    assert g.edges == ((0, 2, 2.5), (1, 2, 1.0))
+    assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))

@@ -1,4 +1,5 @@
 import gc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from mucut import Graph, VertexMeasure
 from mucut.errors import InvariantViolation
 from mucut.graph import tolerance
 from mucut.spectral import (ActiveState, LazyFactor, StochasticMatching, WalkOperator,
-                            apply_projection, default_delta,
-                            dense_flow_matrix, dense_projection_matrix,
-                            dense_walk_and_potential, is_power_of_two, projections,
+                            default_delta, is_power_of_two, potentials, projections,
                             sample_unit_vector)
 
-from helpers import (clique_edges, random_connected_graph, random_measure, reference_from_pairs,
+from helpers import (apply_projection, clique_edges, dense_flow_matrix, dense_matching,
+                     dense_projection_matrix, dense_walk_and_potential, matching_row_sums,
+                     random_connected_graph, random_measure, reference_from_pairs,
                      reference_walk_apply)
 
 
@@ -99,10 +100,10 @@ def test_projection_errors_on_zero_measure():
 
 
 def dense_nbar(m, mu, delta):
-    """The normalized lazy matching on all n vertices, from m.dense()."""
+    """The normalized lazy matching on all n vertices, from dense_matching(m)."""
     s = np.diag(mu.inv_sqrt)
     return ((delta - 1.0) / delta * np.diag(mu.support_mask.astype(float))
-            + s @ m.dense() @ s / delta)
+            + s @ dense_matching(m) @ s / delta)
 
 
 def apply_factor(m, mu, delta, x):
@@ -158,7 +159,7 @@ def test_matching_row_sums_equal_measure():
     rng = np.random.default_rng(11)
     mu = random_measure(rng, 14, zero_frac=0.3)
     for m in synthetic_matchings(rng, mu, rounds=5):
-        assert np.abs(m.row_sums() - mu.values).max() < 1e-9
+        assert np.abs(matching_row_sums(m) - mu.values).max() < 1e-9
 
 
 def test_matching_diagonal_independent_of_pair_order():
@@ -436,7 +437,7 @@ def test_normalized_laplacian_range():
     s = np.diag(mu.inv_sqrt)
     i_supp = np.diag(mu.support_mask.astype(float))
     for m in synthetic_matchings(rng, mu, rounds=4):
-        lap = i_supp - s @ m.dense() @ s
+        lap = i_supp - s @ dense_matching(m) @ s
         for _ in range(10):
             v = rng.standard_normal(10)
             q = float(v @ lap @ v)
@@ -526,7 +527,7 @@ def test_laplacian_quadratic_and_trace_identities():
     rng = np.random.default_rng(21)
     mu = random_measure(rng, 8, zero_frac=0.2)
     for m in synthetic_matchings(rng, mu, rounds=3):
-        dense = m.dense()
+        dense = dense_matching(m)
         lap = np.diag(dense.sum(axis=1)) - dense
         for _ in range(5):
             v = rng.standard_normal(8)
@@ -545,3 +546,34 @@ def test_mean_vector_norm_inequality():
         vs = rng.standard_normal((k, 6))
         mean = vs.mean(axis=0)
         assert k * float(mean @ mean) <= float((vs * vs).sum()) + 1e-12
+
+
+@pytest.mark.parametrize("delta", [1, 2, 4])
+def test_potentials_match_dense_oracle_as_the_active_set_shrinks(delta):
+    # the k x k replay against the n x n oracle, with zero-measure vertices,
+    # rounds that remove vertices and walk powers that take squarings
+    rng = np.random.default_rng(90 + delta)
+    for _ in range(5):
+        n = 14
+        mu = random_measure(rng, n, zero_frac=0.3)
+        matchings = synthetic_matchings(rng, mu, rounds=6, delta=delta)
+        active, rounds, want = frozenset(range(n)), [], []
+        for t, m in enumerate(matchings):
+            keep = sorted(active & mu.support)
+            removed = frozenset(v for v in active if v not in keep[:2] and rng.random() < 0.1)
+            rounds.append(SimpleNamespace(matching=m, active_before=tuple(sorted(active)),
+                                          removed=removed))
+            active = active - removed
+            walk = WalkOperator(matchings[:t + 1], delta, ActiveState(active, mu))
+            want.append(dense_walk_and_potential(walk)[1])
+        assert potentials(rounds, mu, delta) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_potentials_reject_an_active_set_without_measure():
+    mu = VertexMeasure([1.0, 1.0, 0.0])
+    m = StochasticMatching.from_pairs(mu.values, [(0, 1, 0.5)])
+    rec = SimpleNamespace(matching=m, active_before=(0, 1, 2), removed=frozenset({0, 1}))
+    with pytest.raises(ValueError, match="no measure"):
+        potentials([rec], mu, 1)
+    with pytest.raises(ValueError, match="power of two"):
+        potentials([rec], mu, 3)
