@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvariantViolation
 from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
 from .graph import (Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
-                    induced_subgraph, tolerance)
+                    induced_subgraph, selected_weight, tolerance)
 from .trimming import trim
 from .verify import MAX_ENUM_N, brute_force_expansion
 
@@ -210,11 +210,9 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     flat = [v for cl in clusters for v in cl]
     if len(flat) != n or set(flat) != set(range(n)):
         raise InvariantViolation("clusters do not partition the vertex set")
-    owner = {}
-    for i, cl in enumerate(clusters):
-        for v in cl:
-            owner[v] = i
-    recount = float(sum(w for u, v, w in g.edges if owner[u] != owner[v]))
+    owner = np.empty(n, dtype=np.intp)
+    owner[flat] = np.repeat(np.arange(len(clusters)), [len(cl) for cl in clusters])
+    recount = selected_weight(g, owner[g.us] != owner[g.vs])
     if abs(recount - charged) > tolerance(recount):
         raise InvariantViolation(
             f"inter-cluster accounting drifted: charged {charged}, recount {recount}")

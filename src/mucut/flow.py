@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .graph import Graph, tolerance
+from .graph import Graph, tolerance, vertex_mask
 
 #: Flow at or below FLOW_ZERO times the network's largest capacity, capped at
 #: FlowNetwork.cap_limit, is rounding residue.
@@ -161,10 +161,11 @@ def edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
     if not 0 < c < math.inf:
         raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
     n = g.vertex_count
+    inside = vertex_mask(n, vertices)
+    keep = inside[g.us] & inside[g.vs]
     net = FlowNetwork(n + 2, source=n, sink=n + 1)
-    for u, v, w in g.edges:
-        if u in vertices and v in vertices:
-            net.add_undirected_edge(u, v, c * w)
+    for u, v, w in zip(g.us[keep].tolist(), g.vs[keep].tolist(), g.ws[keep].tolist()):
+        net.add_undirected_edge(u, v, c * w)
     return net
 
 

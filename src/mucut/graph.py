@@ -7,6 +7,13 @@ edges merge by weight summation, and the expansion of a cut whose lighter
 side carries no measure is the ``INFINITE`` sentinel rather than a float
 infinity.  All types are immutable after construction.
 
+Every query on a vertex set reads it through :func:`vertex_mask`, the one
+place that turns ids into membership and rejects an id that is not an
+integer in [0, n).  The edges a set selects are a boolean mask over the
+graph's edge arrays ``us``/``vs``/``ws`` (``edges`` order), and their weight
+is added one edge at a time in that order by :func:`selected_weight`: the
+bits of a loop over ``edges``, on every interpreter.
+
 Weights, measures, capacities and masses compare up to :func:`tolerance`,
 EPS relative to their scale, and flow at or below ``flow.FLOW_ZERO`` of the
 largest (capped) capacity is zero, so scaling weights and mu together keeps
@@ -76,10 +83,11 @@ class Graph:
     """Undirected weighted graph on dense vertex ids 0..n-1.
 
     Parallel edges are merged by weight summation at construction;
-    self-loops are rejected.
+    self-loops are rejected.  ``us``, ``vs`` and ``ws`` are the columns of
+    ``edges`` as read-only arrays.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "_degrees")
+    __slots__ = ("vertex_count", "edges", "adjacency", "us", "vs", "ws", "_degrees")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence]):
         n = int(vertex_count)
@@ -108,14 +116,16 @@ class Graph:
             adjacency[u].append((v, w, idx))
             adjacency[v].append((u, w, idx))
         arr = np.fromiter(edge_list, _EDGE_DTYPE, len(edge_list))
+        self.us, self.vs, self.ws = (np.ascontiguousarray(arr[f]) for f in "uvw")
         # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the edges
-        ends = np.column_stack((arr["u"], arr["v"])).ravel()
-        degrees = np.bincount(ends, np.repeat(arr["w"], 2), minlength=n)
+        ends = np.column_stack((self.us, self.vs)).ravel()
+        degrees = np.bincount(ends, np.repeat(self.ws, 2), minlength=n)
         self.vertex_count = n
         self.edges = edge_list
         self.adjacency = tuple(tuple(a) for a in adjacency)
-        degrees.setflags(write=False)
         self._degrees = degrees
+        for col in (self.us, self.vs, self.ws, degrees):
+            col.setflags(write=False)
 
     @property
     def edge_count(self) -> int:
@@ -180,15 +190,13 @@ class VertexMeasure:
         return cls(np.full(n, float(value)))
 
     def of(self, subset: Iterable[int]) -> float:
-        """Total measure of a vertex subset (summed in sorted id order)."""
-        idx = sorted(int(v) for v in subset)
-        if not idx:
-            return 0.0
-        return float(self.values[idx].sum())
+        """Total measure of a vertex set (each id once, summed in id order)."""
+        return float(self.values[vertex_mask(len(self.values), subset)].sum())
 
-    def restrict(self, vertices: Sequence[int]) -> "VertexMeasure":
-        """Measure re-indexed to a subgraph's dense ids (vertices[i] -> i)."""
-        return VertexMeasure(self.values[list(vertices)])
+    def restrict(self, vertices: Iterable[int]) -> "VertexMeasure":
+        """Measure re-indexed to the dense ids :func:`induced_subgraph` gives
+        the same set (the i-th smallest id -> i)."""
+        return VertexMeasure(self.values[vertex_mask(len(self.values), vertices)])
 
     def spread(self) -> float | None:
         """max/min over the support; None when the support is empty."""
@@ -204,14 +212,31 @@ class VertexMeasure:
         return f"VertexMeasure(n={len(self.values)}, total={self.total:g}, terminals={len(self.support)})"
 
 
+def vertex_mask(n: int, vertices: Iterable[int]) -> np.ndarray:
+    """Membership of a vertex set as a length-n boolean array.
+
+    Raises GraphInputError for an id that is not an integer in [0, n).
+    """
+    ids = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices))
+    if ids.size and (ids.ndim != 1 or ids.dtype.kind not in "iu" or ids.min() < 0
+                     or ids.max() >= n):
+        raise GraphInputError(f"vertex ids must be integers in [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    mask[ids.astype(np.intp, copy=False)] = True  # an empty list converts to floats
+    return mask
+
+
+def selected_weight(g: Graph, selected: np.ndarray) -> float:
+    """Total weight of the edges a boolean mask over `g.edges` selects,
+    added one at a time in edges order."""
+    ws = g.ws[selected]
+    return float(np.cumsum(ws)[-1]) if len(ws) else 0.0
+
+
 def cut_weight(g: Graph, side: Iterable[int]) -> float:
     """Total weight of edges with exactly one endpoint in the cut side."""
-    side = frozenset(side)
-    total = 0.0
-    for u, v, w in g.edges:
-        if (u in side) != (v in side):
-            total += w
-    return total
+    inside = vertex_mask(g.vertex_count, side)
+    return selected_weight(g, inside[g.us] != inside[g.vs])
 
 
 def mu_expansion_of_cut(g: Graph, mu: VertexMeasure, side: Iterable[int]):
@@ -219,8 +244,8 @@ def mu_expansion_of_cut(g: Graph, mu: VertexMeasure, side: Iterable[int]):
 
     Returns ``INFINITE`` when the lighter side carries no measure.
     """
-    side = frozenset(side)
-    if not side or len(side) >= g.vertex_count:
+    side = np.flatnonzero(vertex_mask(g.vertex_count, side))
+    if not 0 < len(side) < g.vertex_count:
         raise GraphInputError("cut side must be a nonempty proper subset")
     crossing = cut_weight(g, side)
     inside = mu.of(side)
@@ -236,39 +261,36 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Returns (subgraph, to_global) where to_global[local_id] = original id;
     local ids follow ascending original ids.
     """
-    to_global = tuple(sorted(int(v) for v in set(vertices)))
-    if not to_global:
+    inside = vertex_mask(g.vertex_count, vertices)
+    to_global = np.flatnonzero(inside)
+    if not len(to_global):
         raise GraphInputError("cannot induce a subgraph on an empty vertex set")
-    if to_global[0] < 0 or to_global[-1] >= g.vertex_count:
-        raise GraphInputError("vertex out of range for induced subgraph")
-    local = {v: i for i, v in enumerate(to_global)}
-    sub_edges = []
-    for u, v, w in g.edges:
-        iu = local.get(u)
-        iv = local.get(v)
-        if iu is not None and iv is not None:
-            sub_edges.append((iu, iv, w))
-    return Graph(len(to_global), sub_edges), to_global
+    local = np.cumsum(inside) - 1
+    keep = inside[g.us] & inside[g.vs]
+    sub_edges = zip(local[g.us[keep]].tolist(), local[g.vs[keep]].tolist(), g.ws[keep].tolist())
+    return Graph(len(to_global), sub_edges), tuple(to_global.tolist())
 
 
 def connected_components(g: Graph, vertices: Iterable[int] | None = None
                          ) -> tuple[tuple[int, ...], ...]:
     """Components of G[vertices] (default: all of g) as sorted tuples of g's
     ids, ordered by smallest member; no subgraph is built."""
-    inside = range(g.vertex_count) if vertices is None else frozenset(int(v) for v in vertices)
-    seen = set()
+    n = g.vertex_count
+    unseen = np.ones(n, dtype=bool) if vertices is None else vertex_mask(n, vertices)
+    starts = np.flatnonzero(unseen).tolist()
+    unseen = unseen.tolist()  # inside and not yet reached
     comps = []
-    for start in sorted(inside):
-        if start in seen:
+    for start in starts:
+        if not unseen[start]:
             continue
-        seen.add(start)
+        unseen[start] = False
         comp = [start]
         queue = deque([start])
         while queue:
             x = queue.popleft()
             for y, _, _ in g.adjacency[x]:
-                if y in inside and y not in seen:
-                    seen.add(y)
+                if unseen[y]:
+                    unseen[y] = False
                     comp.append(y)
                     queue.append(y)
         comps.append(tuple(sorted(comp)))

@@ -21,7 +21,10 @@ ids: every vertex lists the same arcs in the same order, so the flow, the
 cut and the paths are the same bits.
 
 All ids here are the caller's graph ids: vertices outside A stay in the
-network as isolated nodes, so nothing is relabeled.
+network as isolated nodes, so nothing is relabeled.  A round's cut is
+weighed over the edges with both ends in A and one in the removed side,
+selected by :func:`graph.vertex_mask` masks over the graph's edge arrays
+and added in ``g.edges`` order.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from .cutplayer import WeightedBipartition
 from .errors import InvariantViolation
 from .flow import FlowNetwork, decompose_paths, max_flow
-from .graph import Graph, tolerance
+from .graph import Graph, selected_weight, tolerance, vertex_mask
 from .spectral import ActiveState, StochasticMatching
 
 
@@ -132,15 +135,13 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
 
     cut_expansion = None
     if removed:
-        active = state.active
         # edges into vertices removed in earlier rounds are not part of
         # this round's cut, so only active-active edges count
-        crossing = 0.0
-        for u, v, w in g.edges:
-            if u in active and v in active and (u in removed) != (v in removed):
-                crossing += w
+        active = vertex_mask(g.vertex_count, state.order)
+        cut = vertex_mask(g.vertex_count, removed)
+        crossing = selected_weight(g, active[g.us] & active[g.vs] & (cut[g.us] != cut[g.vs]))
         total = state.mu_active_total
-        mu_rest = mu.of(active - removed)
+        mu_rest = mu.of(state.active - removed)
         mu_removed = mu.of(removed)
         denom = min(mu_removed, mu_rest)
         if denom <= 0.0:

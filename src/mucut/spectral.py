@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import VertexMeasure, tolerance
+from .graph import VertexMeasure, tolerance, vertex_mask
 
 
 def is_power_of_two(k: int) -> bool:
@@ -159,11 +159,10 @@ class ActiveState:
     __slots__ = ("active", "order", "measure", "mask", "sqrt_mu", "mu_active_total")
 
     def __init__(self, active: Iterable[int], measure: VertexMeasure):
-        self.active = frozenset(int(v) for v in active)
-        self.order = tuple(sorted(self.active))
+        mask = vertex_mask(len(measure.values), active)
+        self.order = tuple(np.flatnonzero(mask).tolist())
+        self.active = frozenset(self.order)
         self.measure = measure
-        mask = np.zeros(len(measure.values), dtype=bool)
-        mask[list(self.order)] = True
         mask &= measure.support_mask
         mask.setflags(write=False)
         self.mask = mask

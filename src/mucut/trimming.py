@@ -11,7 +11,8 @@ The network is the matching player's layout (:func:`flow.edge_network` on
 the set, at 3/phi) with the boundary and sink arcs added ahead of the edge
 arcs by :meth:`flow.FlowNetwork.with_terminals`: one source arc per
 boundary edge, to its inside endpoint, then one sink arc per vertex of the
-set.  The min cut read off the solver is the minimal one, which every
+set.  One crossing mask over the graph's edge arrays gives both the boundary
+weight and the boundary arcs, in ``g.edges`` order.  The min cut read off the solver is the minimal one, which every
 maximum flow shares, so the trimmed set does not depend on the arc order.
 """
 
@@ -20,9 +21,11 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+import numpy as np
+
 from .errors import InvariantViolation
 from .flow import edge_network, max_flow
-from .graph import Graph, VertexMeasure, cut_weight, tolerance
+from .graph import Graph, VertexMeasure, cut_weight, selected_weight, tolerance, vertex_mask
 
 
 def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset:
@@ -35,19 +38,20 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
     """
     if not 0.0 < phi < math.inf:
         raise ValueError(f"phi must be positive and finite, got {phi}")
-    a_set = frozenset(int(v) for v in a)
-    if not a_set:
+    inside = vertex_mask(g.vertex_count, a)
+    ids = np.flatnonzero(inside)
+    if not len(ids):
         raise ValueError("cannot trim an empty set")
-    if any(v < 0 or v >= g.vertex_count for v in a_set):
-        raise ValueError("trim set out of range")
+    a_set = frozenset(ids.tolist())
 
-    boundary = cut_weight(g, a_set) if len(a_set) < g.vertex_count else 0.0
+    crossing = inside[g.us] != inside[g.vs]
+    boundary = selected_weight(g, crossing)
     if boundary <= 0.0:
         # no boundary: nothing can be pushed in, the set stays as is (even
         # when its inner expansion was never established)
         return a_set
 
-    mu_a = mu.of(a_set)
+    mu_a = mu.of(ids)
     limit = phi * mu_a / 9.0
     if boundary > limit + tolerance(limit):
         raise ValueError(
@@ -55,10 +59,11 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
 
     # the network keeps g's ids: vertices outside A are isolated nodes
     cap_edge = 3.0 / phi
-    edges = edge_network(g, a_set, cap_edge)
-    sources = [(u if u in a_set else v, cap_edge * w)
-               for u, v, w in g.edges if (u in a_set) != (v in a_set)]
-    sinks = [(v, mu.values[v]) for v in sorted(a_set)]
+    edges = edge_network(g, ids, cap_edge)
+    us = g.us[crossing]
+    ends = np.where(inside[us], us, g.vs[crossing])  # each boundary edge's inside end
+    sources = list(zip(ends.tolist(), (cap_edge * g.ws[crossing]).tolist()))
+    sinks = list(zip(ids.tolist(), mu.values[ids].tolist()))
     sol = max_flow(edges.with_terminals(sources, sinks))
     trimmed = a_set - sol.min_cut_side
     if not trimmed:
@@ -69,7 +74,7 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
     if mu_trimmed < floor - tolerance(mu_a):
         raise InvariantViolation(
             f"trimmed measure {mu_trimmed} below the floor {floor}")
-    new_boundary = cut_weight(g, trimmed) if len(trimmed) < g.vertex_count else 0.0
+    new_boundary = cut_weight(g, trimmed)
     if new_boundary > 2.0 * boundary + tolerance(boundary):
         raise InvariantViolation(
             f"trimmed boundary {new_boundary} exceeds twice the original {boundary}")

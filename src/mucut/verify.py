@@ -13,18 +13,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .errors import GraphInputError
 from .graph import (Graph, Infinite, INFINITE, VertexMeasure, induced_subgraph,
                     mu_expansion_of_cut, tolerance)
 
 MAX_ENUM_N = 20
 _CHUNK = 1 << 16
-
-
-def _edge_arrays(g: Graph):
-    us = np.array([e[0] for e in g.edges], dtype=np.int64)
-    vs = np.array([e[1] for e in g.edges], dtype=np.int64)
-    ws = np.array([e[2] for e in g.edges], dtype=float)
-    return us, vs, ws
 
 
 def _members_from_mask(mask: int, offset: int = 1) -> tuple[int, ...]:
@@ -50,7 +44,7 @@ def brute_force_expansion(g: Graph, mu: VertexMeasure):
     n = g.vertex_count
     if not (2 <= n <= MAX_ENUM_N):
         raise ValueError(f"brute force supports 2 <= n <= {MAX_ENUM_N}, got {n}")
-    us, vs, ws = _edge_arrays(g)
+    us, vs, ws = g.us, g.vs, g.ws
     tail = mu.values[1:]
     total_mu = mu.total
     bits = np.arange(n - 1, dtype=np.int64)
@@ -103,6 +97,8 @@ def brute_force_near_expansion(g: Graph, mu: VertexMeasure, a: Iterable[int]):
     k = len(order)
     if k == 0:
         raise ValueError("near-expansion of an empty set is undefined")
+    if order[0] < 0 or order[-1] >= g.vertex_count:
+        raise GraphInputError(f"vertex id out of range for n={g.vertex_count}")
     if k > MAX_ENUM_N:
         raise ValueError(f"brute force supports |a| <= {MAX_ENUM_N}, got {k}")
     if k == 1:

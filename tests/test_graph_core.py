@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mucut import (Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
-                   induced_subgraph, mu_expansion_of_cut)
+from mucut import (ActiveState, Graph, INFINITE, VertexMeasure, connected_components,
+                   cut_weight, edge_network, induced_subgraph, mu_expansion_of_cut, trim)
 from mucut.errors import GraphInputError
 
 from helpers import adjacency_recount_cut, clique_edges, random_connected_graph
@@ -43,6 +43,61 @@ def test_weighted_degrees_match_a_sequential_sum():
         assert g.weighted_degrees().tobytes() == want.tobytes()
         assert not g.weighted_degrees().flags.writeable
     assert Graph(0, []).weighted_degrees().tobytes() == b""
+
+
+def test_edge_arrays_are_the_read_only_columns_of_edges():
+    g = Graph(4, [(2, 0, 1.5), (3, 1), (0, 2, 0.25), (1, 2, 2.0)])  # (0, 2) merges
+    assert g.edges == ((0, 2, 1.75), (1, 2, 2.0), (1, 3, 1.0))
+    empty = Graph(0, [])
+    for graph in (g, empty):
+        columns = [list(col) for col in zip(*graph.edges)] or [[], [], []]
+        for arr, col in zip((graph.us, graph.vs, graph.ws), columns):
+            assert arr.tolist() == col
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0
+    assert (g.us.dtype.kind, g.vs.dtype.kind, g.ws.dtype.kind) == ("i", "i", "f")
+
+
+def test_cut_weight_adds_crossing_weights_in_edge_order():
+    # left to right, 1.0 absorbs each 1e-16; a pairwise sum gathers them first
+    g = Graph(12, [(0, 1, 1.0)] + [(0, v, 1e-16) for v in range(2, 12)])
+    assert float(np.sum(g.ws)) != 1.0
+    assert cut_weight(g, [0]) == 1.0
+
+
+def path4():
+    return Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+
+
+#: Every query on a vertex set, applied to (g, mu, set) on path4 with mu = degree.
+SET_QUERIES = {
+    "cut_weight": lambda g, mu, s: cut_weight(g, s),
+    "mu_expansion_of_cut": lambda g, mu, s: mu_expansion_of_cut(g, mu, s),
+    "connected_components": lambda g, mu, s: connected_components(g, s),
+    "induced_subgraph": lambda g, mu, s: induced_subgraph(g, s),
+    "edge_network": lambda g, mu, s: edge_network(g, s, 1.0),
+    "trim": lambda g, mu, s: trim(g, mu, s, 0.5),
+    "VertexMeasure.of": lambda g, mu, s: mu.of(s),
+    "VertexMeasure.restrict": lambda g, mu, s: mu.restrict(s),
+    "ActiveState": lambda g, mu, s: ActiveState(s, mu),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 1.5])
+@pytest.mark.parametrize("query", sorted(SET_QUERIES))
+def test_vertex_set_queries_reject_bad_ids(query, bad):
+    # -1 used to wrap to vertex 3 in mu.of and ActiveState, and to come back
+    # as a component of its own
+    g = path4()
+    with pytest.raises(GraphInputError):
+        SET_QUERIES[query](g, VertexMeasure.from_degrees(g), [0, bad])
+
+
+def test_measure_of_counts_each_vertex_once():
+    mu = VertexMeasure([1.0, 2.0, 4.0])
+    assert mu.of([2, 0, 2]) == 5.0
+    assert mu.restrict([2, 0, 2]).values.tolist() == [1.0, 4.0]
 
 
 def test_cut_weight_matches_independent_recount():

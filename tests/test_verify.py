@@ -5,6 +5,7 @@ import pytest
 
 from mucut import Graph, VertexMeasure, induced_subgraph, mu_expansion_of_cut
 from mucut.cli import main
+from mucut.errors import GraphInputError
 from mucut.graph import Infinite, INFINITE
 from mucut.verify import (brute_force_expansion, brute_force_near_expansion,
                           check_embedding_congestion, validate_partition)
@@ -77,6 +78,14 @@ def test_near_expansion_whole_set_matches_expansion():
 def test_near_expansion_singleton_infinite():
     g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     assert brute_force_near_expansion(g, VertexMeasure([1.0] * 3), [1]) is INFINITE
+
+
+def test_near_expansion_rejects_out_of_range_ids():
+    g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    mu = VertexMeasure.from_degrees(g)
+    for a in ([-1, 0], [4], [0, 1, 4]):
+        with pytest.raises(GraphInputError):
+            brute_force_near_expansion(g, mu, a)
 
 
 def test_near_expansion_dominates_induced_expansion():
