@@ -4,7 +4,9 @@ Graph files are plain text: one edge per line as "u v [w]" (weight
 defaults to 1.0), '#' starts a comment, and an optional first line
 "p <n> <m>" pins the vertex count.  Measure files hold "v value" lines;
 without one the measure defaults to weighted degrees, and vertices absent
-from the file get measure zero.
+from the file get measure zero.  The loaders convert whole token columns
+and build the graph with ``Graph.from_columns``; a malformed file is read
+again line by line only to name its first bad line as path:lineno.
 
 ``--trace`` writes one CSV line per game round, computed after the run
 from the games' round records; the potential column is filled for every
@@ -22,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from types import SimpleNamespace
 
@@ -39,70 +42,106 @@ from .verify import brute_force_expansion, validate_partition, MAX_ENUM_N
 PSI_MAX_TERMINALS = 1024
 
 
-def load_graph(path: str) -> Graph:
-    declared_n = None
-    edges = []
-    max_id = -1
+def _read_lines(path: str, kind: str) -> tuple[list[str], list[list[str]]]:
+    """The file's lines without their comments, and the tokens of each
+    line that holds any."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = re.sub("#.*", "", fh.read()).split("\n")
     except OSError as exc:
-        raise GraphInputError(f"cannot read graph file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if declared_n is not None or edges:
-                raise GraphInputError(f"{path}:{lineno}: stray problem line")
-            try:
-                declared_n = int(parts[1])
-            except (IndexError, ValueError) as exc:
-                raise GraphInputError(f"{path}:{lineno}: bad problem line") from exc
-            continue
-        if len(parts) not in (2, 3):
-            raise GraphInputError(f"{path}:{lineno}: expected 'u v [w]'")
+        raise GraphInputError(f"cannot read {kind} file {path}: {exc}") from exc
+    return lines, [parts for parts in map(str.split, lines) if parts]
+
+
+def _raise_first_bad_line(path: str, lines: list[str], problem, after: int = 0) -> None:
+    """Raise GraphInputError, as path:lineno: message, for the first content
+    line past line `after` for which `problem(line, lineno)` names one."""
+    for lineno, raw in enumerate(lines[after:], after + 1):
+        line = raw.strip()
+        message = line and problem(line, lineno)
+        if message:
+            raise GraphInputError(f"{path}:{lineno}: {message}")
+    raise GraphInputError(f"{path}: malformed file")
+
+
+def _edge_problem(line: str, lineno: int) -> str | None:
+    parts = line.split()
+    if parts[0] == "p":
+        return "stray problem line"
+    if len(parts) not in (2, 3):
+        return "expected 'u v [w]'"
+    try:
+        int(parts[0]), int(parts[1]), float(parts[2]) if len(parts) == 3 else 1.0
+    except ValueError:
+        return f"bad edge line {line!r}"
+    return None
+
+
+def load_graph(path: str) -> Graph:
+    """Read an edge-list file: its columns are converted whole and handed to
+    :meth:`Graph.from_columns`; only a malformed file is read line by line
+    again, to name its first bad line."""
+    lines, rows = _read_lines(path, "graph")
+    declared_n = None
+    after = 0  # the problem line, if any
+    if rows and rows[0][0] == "p":
+        after = next(i for i, line in enumerate(lines, 1) if line.strip())
         try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise GraphInputError(f"{path}:{lineno}: bad edge line {line!r}") from exc
-        edges.append((u, v, w))
-        max_id = max(max_id, u, v)
-    n = declared_n if declared_n is not None else max_id + 1
+            declared_n = int(rows[0][1])
+        except (IndexError, ValueError) as exc:
+            raise GraphInputError(f"{path}:{after}: bad problem line") from exc
+        rows = rows[1:]
+    try:
+        widths = set(map(len, rows))
+        if not widths <= {2, 3}:
+            raise ValueError("an edge line has neither 2 nor 3 tokens")
+        if 2 in widths:
+            rows = [(*parts, "1")[:3] for parts in rows]  # w defaults to 1.0
+        us, vs, ws = zip(*rows) if rows else ((), (), ())
+        us, vs, ws = list(map(int, us)), list(map(int, vs)), list(map(float, ws))
+    except ValueError:
+        _raise_first_bad_line(path, lines, _edge_problem, after)
+    n = declared_n if declared_n is not None else max(max(us, default=-1), max(vs, default=-1)) + 1
     if n <= 0:
         raise GraphInputError(f"{path}: no vertices")
-    return Graph(n, edges)
+    return Graph.from_columns(n, us, vs, ws)
 
 
 def load_measure(path: str | None, g: Graph) -> VertexMeasure:
+    """Read a measure file as columns, as :func:`load_graph` reads a graph."""
     if path is None:
         return VertexMeasure.from_degrees(g)
-    values = np.zeros(g.vertex_count)
-    given: dict[int, int] = {}  # vertex -> line that gave its value
+    n = g.vertex_count
+    lines, rows = _read_lines(path, "measure")
+    values = np.zeros(n)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise GraphInputError(f"cannot read measure file {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphInputError(f"{path}:{lineno}: expected 'v value'")
-        try:
-            v, val = int(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise GraphInputError(f"{path}:{lineno}: bad measure line") from exc
-        if not (0 <= v < g.vertex_count):
-            raise GraphInputError(f"{path}:{lineno}: vertex {v} out of range")
-        if v in given:
-            raise GraphInputError(f"{path}:{lineno}: vertex {v} already given on line {given[v]}")
-        given[v] = lineno
-        values[v] = val
+        if set(map(len, rows)) - {2}:
+            raise ValueError("a measure line has not 2 tokens")
+        vs, vals = zip(*rows) if rows else ((), ())
+        vs, vals = list(map(int, vs)), list(map(float, vals))
+        if vs and not (0 <= min(vs) and max(vs) < n and len(set(vs)) == len(vs)):
+            raise ValueError("a vertex out of range or given twice")
+    except ValueError:
+        given: dict[int, int] = {}  # vertex -> line that gave its value
+
+        def problem(line: str, lineno: int) -> str | None:
+            parts = line.split()
+            if len(parts) != 2:
+                return "expected 'v value'"
+            try:
+                v = int(parts[0])
+                float(parts[1])
+            except ValueError:
+                return "bad measure line"
+            if not 0 <= v < n:
+                return f"vertex {v} out of range"
+            if v in given:
+                return f"vertex {v} already given on line {given[v]}"
+            given[v] = lineno
+            return None
+
+        _raise_first_bad_line(path, lines, problem)
+    values[vs] = vals
     return VertexMeasure(values)
 
 

@@ -36,7 +36,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import EPS, tolerance
+from .graph import EPS, ordered_sum, tolerance
 from .spectral import ActiveState
 
 
@@ -53,11 +53,11 @@ class WeightedBipartition:
 
     @cached_property
     def source_mass(self) -> float:
-        return float(sum(w for _, w in self.sources))
+        return ordered_sum(w for _, w in self.sources)
 
     @cached_property
     def target_mass(self) -> float:
-        return float(sum(w for _, w in self.targets))
+        return ordered_sum(w for _, w in self.targets)
 
 
 def _mass_prefix(ids, mu, target_mass):

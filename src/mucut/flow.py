@@ -22,7 +22,8 @@ stripping keeps a current-arc pointer per vertex as well.
 
 Both flow problems the algorithm poses on a vertex subset, the matching
 player's and trimming's, share one layout: :func:`edge_network` lays out
-the subset's edges on the graph's ids plus a source and a sink, and the
+the subset's edges on the graph's ids plus a source and a sink, filling
+its arc lists from the graph's edge mask by slices, and the
 caller adds its terminal arcs, (vertex, capacity) pairs from the source
 and to the sink, with :meth:`FlowNetwork.with_terminals`.  That returns a
 new network with the terminal arcs ahead of the edge arcs in every
@@ -41,8 +42,10 @@ import copy
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvariantViolation
-from .graph import Graph, tolerance, vertex_mask
+from .graph import Graph, ordered_sum, tolerance, vertex_mask
 
 #: Flow at or below FLOW_ZERO times the network's largest capacity, capped at
 #: FlowNetwork.cap_limit, is rounding residue.
@@ -139,7 +142,7 @@ class FlowNetwork:
         """EPS / FLOW_ZERO times the source's outgoing capacity.  No arc needs
         more than the source can send, so capping arcs here keeps the flow
         value and the min cut, and keeps `zero` within tolerance of it."""
-        return tolerance(sum(self.cap[a] for a in self.adj[self.source])) / FLOW_ZERO
+        return tolerance(ordered_sum(self.cap[a] for a in self.adj[self.source])) / FLOW_ZERO
 
     @property
     def zero(self) -> float:
@@ -163,9 +166,19 @@ def edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
     n = g.vertex_count
     inside = vertex_mask(n, vertices)
     keep = inside[g.us] & inside[g.vs]
+    us, vs = g.us[keep], g.vs[keep]
+    with np.errstate(over="ignore"):
+        caps = c * g.ws[keep]
+    _check_capacity(float(caps.max(initial=0.0)))  # c * w > 0 may overflow to inf
+    # edge i is arc 2i, u -> v, and its twin 2i + 1, v -> u, both at c * w
+    tails = np.column_stack((us, vs)).ravel()
     net = FlowNetwork(n + 2, source=n, sink=n + 1)
-    for u, v, w in zip(g.us[keep].tolist(), g.vs[keep].tolist(), g.ws[keep].tolist()):
-        net.add_undirected_edge(u, v, c * w)
+    net.to = np.column_stack((vs, us)).ravel().tolist()
+    net.cap = np.repeat(caps, 2).tolist()
+    # each vertex's arcs in increasing id order, as an arc-by-arc build lists them
+    order = np.argsort(tails, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(tails, minlength=n + 2)).tolist()
+    net.adj = [order[a:b] for a, b in zip([0] + ends, ends)]
     return net
 
 
@@ -176,6 +189,7 @@ class FlowSolution:
     value: float
     arc_flows: tuple[float, ...]
     min_cut_side: frozenset
+    zero: float  #: the network's `zero`, the threshold the solve used
 
 
 def max_flow(net: FlowNetwork) -> FlowSolution:
@@ -298,7 +312,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
         if f > 0.0:
             flows[a] = f
     side = frozenset([v for v, d in enumerate(level) if d >= 0])
-    return FlowSolution(value=total, arc_flows=tuple(flows), min_cut_side=side)
+    return FlowSolution(value=total, arc_flows=tuple(flows), min_cut_side=side, zero=zero)
 
 
 def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
@@ -310,12 +324,13 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
     a vertex the enclosed cycle is cancelled.  Emits at most one path per
     arc and conserves the source-to-sink value.  Each vertex keeps a pointer
     to its first arc that may still carry flow: flows only fall, so an arc
-    at or below zero is passed over once and never scanned again.
+    at or below zero is passed over once and never scanned again.  Zero
+    is the solver's, ``sol.zero``, so the capacities are not scanned again.
     """
     s, t = net.source, net.sink
     to = net.to
     adj = net.adj
-    zero = net.zero
+    zero = sol.zero
     flow = list(sol.arc_flows)  # arcs at or below zero are never walked
     ptr = [0] * net.node_count  # each vertex's first arc that may carry flow
     paths = []
@@ -365,7 +380,7 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
 
     if len(paths) > net.arc_count:
         raise InvariantViolation("path decomposition emitted more paths than arcs")
-    total = sum(p[2] for p in paths)
+    total = ordered_sum(p[2] for p in paths)
     if abs(total - sol.value) > tolerance(sol.value):
         raise InvariantViolation(
             f"path decomposition total {total} does not match flow value {sol.value}")

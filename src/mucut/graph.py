@@ -7,6 +7,13 @@ edges merge by weight summation, and the expansion of a cut whose lighter
 side carries no measure is the ``INFINITE`` sentinel rather than a float
 infinity.  All types are immutable after construction.
 
+A graph is built from columns: ``Graph(n, edges)`` turns its tuples into
+id and weight arrays and :meth:`Graph.from_columns` takes them as they are
+(``induced_subgraph`` hands over its relabeled columns); both check them in
+bulk, merge parallel edges with a stable sort and one ``bincount`` and lay
+out CSR adjacency; the edges are read one at a time only to name the
+first bad one when a check fails.
+
 Every query on a vertex set reads it through :func:`vertex_mask`, the one
 place that turns ids into membership and rejects an id that is not an
 integer in [0, n).  The edges a set selects are a boolean mask over the
@@ -75,61 +82,106 @@ class Infinite:
 
 INFINITE = Infinite()
 
-#: One (u, v, w) edge as a numpy record.
-_EDGE_DTYPE = np.dtype([("u", np.intp), ("v", np.intp), ("w", float)])
-
-
 class Graph:
     """Undirected weighted graph on dense vertex ids 0..n-1.
 
     Parallel edges are merged by weight summation at construction;
-    self-loops are rejected.  ``us``, ``vs`` and ``ws`` are the columns of
-    ``edges`` as read-only arrays.
+    self-loops are rejected.  ``edges`` lists the merged edges (u, v, w),
+    u < v, in increasing (u, v) order, and ``us``, ``vs`` and ``ws`` are its
+    columns as read-only arrays.  Adjacency is CSR, also read-only: vertex
+    x's incident edges are ``eids[indptr[x]:indptr[x + 1]]``, in ``edges``
+    order, and ``nbrs`` holds their other endpoints at the same positions.
+
+    ``Graph(n, edges)`` takes (u, v) or (u, v, w) tuples and
+    :meth:`from_columns` takes the columns; both run one validate-and-merge
+    pass over the columns.
     """
 
-    __slots__ = ("vertex_count", "edges", "adjacency", "us", "vs", "ws", "_degrees")
+    __slots__ = ("vertex_count", "us", "vs", "ws", "indptr", "nbrs", "eids", "_degrees",
+                 "_edges")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence]):
-        n = int(vertex_count)
-        if n < 0:
-            raise GraphInputError("vertex_count must be non-negative")
-        merged: dict[tuple[int, int], float] = {}
-        for e in edges:
-            if len(e) not in (2, 3):
-                raise GraphInputError(f"edge {e!r} is neither (u, v) nor (u, v, w)")
-            try:
-                u, v, w = index(e[0]), index(e[1]), float(e[2]) if len(e) == 3 else 1.0
-            except (TypeError, ValueError) as exc:
-                raise GraphInputError(f"edge {e!r} needs integer ids and a real weight") from exc
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphInputError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphInputError(f"self-loop at vertex {u} rejected")
-            if not (w > 0.0 and math.isfinite(w)):
-                raise GraphInputError(f"edge ({u},{v}) has weight {w}; weights must be "
-                                      "positive and finite")
-            key = (u, v) if u <= v else (v, u)
-            merged[key] = merged.get(key, 0.0) + w
-        edge_list = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
-        adjacency: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-        for idx, (u, v, w) in enumerate(edge_list):
-            adjacency[u].append((v, w, idx))
-            adjacency[v].append((u, w, idx))
-        arr = np.fromiter(edge_list, _EDGE_DTYPE, len(edge_list))
-        self.us, self.vs, self.ws = (np.ascontiguousarray(arr[f]) for f in "uvw")
-        # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the edges
-        ends = np.column_stack((self.us, self.vs)).ravel()
-        degrees = np.bincount(ends, np.repeat(self.ws, 2), minlength=n)
+        n = _vertex_count(vertex_count)
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        try:
+            widths = set(map(len, edges))
+            if not widths <= {2, 3}:
+                raise ValueError("an edge is neither (u, v) nor (u, v, w)")
+            rows = [(*e, 1.0)[:3] for e in edges] if 2 in widths else edges  # w = 1.0
+            us, vs, ws = zip(*rows) if rows else ((), (), ())
+            columns = (np.fromiter(map(index, us), np.intp, len(us)),
+                       np.fromiter(map(index, vs), np.intp, len(vs)),
+                       np.fromiter(map(float, ws), float, len(ws)))
+        except (TypeError, ValueError, OverflowError):
+            _check_edges(n, edges)  # raises for the first malformed edge
+            raise
+        self._build(n, *columns, edges)
+
+    @classmethod
+    def from_columns(cls, vertex_count: int, us, vs, ws) -> "Graph":
+        """The graph on the edges (us[i], vs[i], ws[i]): integer id columns
+        and real weights, checked and merged as ``Graph(n, edges)`` checks
+        and merges their rows, with the same errors."""
+        g = cls.__new__(cls)
+        g._build(_vertex_count(vertex_count), us, vs, ws, zip(us, vs, ws))
+        return g
+
+    def _build(self, n: int, us, vs, ws, rows: Iterable[Sequence]) -> None:
+        """Check the columns in bulk, merge them and lay out the adjacency.
+
+        Only when a check fails are `rows`, the same edges as tuples, read
+        one at a time to name the first bad one.  Parallel weights are added
+        in input order from 0.0: a stable sort puts each pair's edges in a
+        run, in input order, and ``bincount`` adds each run in turn.
+        """
+        try:
+            us, vs, ws = np.asarray(us), np.asarray(vs), np.asarray(ws, dtype=float)
+            valid = us.ndim == 1 and us.shape == vs.shape == ws.shape and (
+                not us.size or (us.dtype.kind in "iu" and vs.dtype.kind in "iu"
+                                and min(us.min(), vs.min()) >= 0 and max(us.max(), vs.max()) < n
+                                and not (us == vs).any() and (ws > 0.0).all()
+                                and np.isfinite(ws).all()))
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            _check_edges(n, rows)
+            raise GraphInputError("edge columns must be flat, of one length, with integer ids")
+        lo = np.minimum(us, vs).astype(np.intp)
+        hi = np.maximum(us, vs).astype(np.intp)
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        ws = np.bincount(np.cumsum(first) - 1, ws[order])
+        us, vs = lo[order][first], hi[order][first]
+        # vertex x's incidences in edges order: a stable sort of u0, v0, u1, v1, ...
+        ends = np.column_stack((us, vs)).ravel()
+        order = np.argsort(ends, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
         self.vertex_count = n
-        self.edges = edge_list
-        self.adjacency = tuple(tuple(a) for a in adjacency)
-        self._degrees = degrees
-        for col in (self.us, self.vs, self.ws, degrees):
+        self.us, self.vs, self.ws = us, vs, ws
+        self._edges = None
+        self.indptr = indptr
+        self.nbrs = np.column_stack((vs, us)).ravel()[order]
+        self.eids = order >> 1
+        # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the edges
+        self._degrees = np.bincount(ends, np.repeat(ws, 2), minlength=n)
+        for col in (us, vs, ws, indptr, self.nbrs, self.eids, self._degrees):
             col.setflags(write=False)
 
     @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The merged edges as (u, v, w) tuples of Python numbers, built on
+        first use: the algorithm reads only the columns."""
+        if self._edges is None:
+            self._edges = tuple(zip(self.us.tolist(), self.vs.tolist(), self.ws.tolist()))
+        return self._edges
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.us)
 
     def weighted_degrees(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
@@ -138,18 +190,46 @@ class Graph:
     def edge_id(self, u: int, v: int) -> int | None:
         """Index in `edges` of the (merged) edge between u and v, or None if absent."""
         if 0 <= u < self.vertex_count:
-            for x, _, idx in self.adjacency[u]:
-                if x == v:
-                    return idx
+            lo = self.indptr[u]
+            row = self.nbrs[lo:self.indptr[u + 1]].tolist()
+            if v in row:
+                return int(self.eids[lo + row.index(v)])
         return None
 
     def edge_weight(self, u: int, v: int) -> float | None:
         """Weight of the (merged) edge between u and v, or None if absent."""
         idx = self.edge_id(u, v)
-        return None if idx is None else self.edges[idx][2]
+        return None if idx is None else float(self.ws[idx])
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
+
+
+def _vertex_count(vertex_count) -> int:
+    n = int(vertex_count)
+    if n < 0:
+        raise GraphInputError("vertex_count must be non-negative")
+    return n
+
+
+def _check_edges(n: int, edges: Iterable[Sequence]) -> None:
+    """Raise GraphInputError for the first edge, in the order given, that is
+    not (u, v[, w]), has an id that is not an integer in [0, n), is a
+    self-loop or has a weight that is not positive and finite."""
+    for e in edges:
+        if len(e) not in (2, 3):
+            raise GraphInputError(f"edge {e!r} is neither (u, v) nor (u, v, w)")
+        try:
+            u, v, w = index(e[0]), index(e[1]), float(e[2]) if len(e) == 3 else 1.0
+        except (TypeError, ValueError) as exc:
+            raise GraphInputError(f"edge {e!r} needs integer ids and a real weight") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphInputError(f"self-loop at vertex {u} rejected")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise GraphInputError(f"edge ({u},{v}) has weight {w}; weights must be "
+                                  "positive and finite")
 
 
 class VertexMeasure:
@@ -226,6 +306,16 @@ def vertex_mask(n: int, vertices: Iterable[int]) -> np.ndarray:
     return mask
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum of floats added one at a time in the order given, from 0.0: the
+    bits of a plain loop on every interpreter (builtin ``sum`` compensates
+    its rounding from Python 3.12)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def selected_weight(g: Graph, selected: np.ndarray) -> float:
     """Total weight of the edges a boolean mask over `g.edges` selects,
     added one at a time in edges order."""
@@ -267,8 +357,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         raise GraphInputError("cannot induce a subgraph on an empty vertex set")
     local = np.cumsum(inside) - 1
     keep = inside[g.us] & inside[g.vs]
-    sub_edges = zip(local[g.us[keep]].tolist(), local[g.vs[keep]].tolist(), g.ws[keep].tolist())
-    return Graph(len(to_global), sub_edges), tuple(to_global.tolist())
+    sub = Graph.from_columns(len(to_global), local[g.us[keep]], local[g.vs[keep]], g.ws[keep])
+    return sub, tuple(to_global.tolist())
 
 
 def connected_components(g: Graph, vertices: Iterable[int] | None = None
@@ -279,6 +369,7 @@ def connected_components(g: Graph, vertices: Iterable[int] | None = None
     unseen = np.ones(n, dtype=bool) if vertices is None else vertex_mask(n, vertices)
     starts = np.flatnonzero(unseen).tolist()
     unseen = unseen.tolist()  # inside and not yet reached
+    ptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
     comps = []
     for start in starts:
         if not unseen[start]:
@@ -288,7 +379,7 @@ def connected_components(g: Graph, vertices: Iterable[int] | None = None
         queue = deque([start])
         while queue:
             x = queue.popleft()
-            for y, _, _ in g.adjacency[x]:
+            for y in nbrs[ptr[x]:ptr[x + 1]]:
                 if unseen[y]:
                     unseen[y] = False
                     comp.append(y)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .cutplayer import WeightedBipartition
 from .errors import InvariantViolation
 from .flow import FlowNetwork, decompose_paths, max_flow
-from .graph import Graph, selected_weight, tolerance, vertex_mask
+from .graph import Graph, ordered_sum, selected_weight, tolerance, vertex_mask
 from .spectral import ActiveState, StochasticMatching
 
 
@@ -130,7 +130,7 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
         if abs(got - m) > tolerance(source_total):
             raise InvariantViolation(f"source {v} routed {got} instead of {m}")
 
-    matched_weight = float(sum(w for _, _, w, _ in kept))
+    matched_weight = ordered_sum(w for _, _, w, _ in kept)
     matching = StochasticMatching.from_pairs(mu.values, [(a, b, w) for a, b, w, _ in kept])
 
     cut_expansion = None

@@ -196,7 +196,10 @@ def validate_partition(g: Graph, mu: VertexMeasure, result, phi: float,
     for i, cl in enumerate(clusters):
         for v in cl:
             owner[v] = i
-    recount = float(sum(w for u, v, w in g.edges if exact and owner[u] != owner[v]))
+    recount = 0.0  # one edge at a time, in edges order, as the library adds it
+    for u, v, w in g.edges:
+        if exact and owner[u] != owner[v]:
+            recount += w
     reported = float(result.inter_cluster_edge_weight)
     weight_ok = abs(recount - reported) <= tolerance(recount)
 

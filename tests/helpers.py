@@ -1,8 +1,16 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: the cut
-recount walks adjacency lists, the min-cut enumerator sums arc capacities
+recount walks CSR incidence lists, the min-cut enumerator sums arc capacities
 over explicit subsets, and the conductance enumerator is plain Python.
+`reference_graph` is `Graph.__init__` as it was before graphs were built
+from columns (each edge checked on its own, a dict merge, per-vertex
+adjacency tuples), with `reference_edge_id` and `reference_components`
+reading its tuples: the library's graph must have the same edges, columns
+and degrees bit for bit, the same edge ids and components, and fail with
+the same message.  `reference_edge_network` is `flow.edge_network` as it
+was before it filled its arc lists by slices: the library's must have the
+same arc ids, heads, capacities and adjacency lists.
 `reference_max_flow` and `reference_decompose_paths` are the flow solver
 and path stripper as they were before phases stopped at the sink and were
 pruned to the vertices that reach it: the library's must match them bit
@@ -39,15 +47,21 @@ import copy
 import itertools
 import math
 from collections import deque
+from operator import index
+from types import SimpleNamespace
 
 import numpy as np
 
 from mucut import Graph, VertexMeasure
 from mucut.cutplayer import WeightedBipartition
-from mucut.errors import InvariantViolation
+from mucut.errors import GraphInputError, InvariantViolation
 from mucut.flow import FlowNetwork, FlowSolution, _check_capacity
-from mucut.graph import EPS, tolerance
+from mucut.graph import EPS, tolerance, vertex_mask
 from mucut.spectral import ActiveState, LazyFactor, StochasticMatching, WalkOperator, _project
+
+
+#: One (u, v, w) edge as a numpy record, as `reference_graph` builds its columns.
+_EDGE_DTYPE = np.dtype([("u", np.intp), ("v", np.intp), ("w", float)])
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 1.0,
@@ -106,14 +120,104 @@ def write_measure(path, mu: VertexMeasure) -> str:
 
 
 def adjacency_recount_cut(g: Graph, side) -> float:
-    """Independent cut recount: scan each member's incidence list."""
+    """Independent cut recount: scan each member's CSR incidence list."""
     side = set(side)
+    ptr, nbrs, eids = g.indptr.tolist(), g.nbrs.tolist(), g.eids.tolist()
     total = 0.0
     for u in side:
-        for v, w, _ in g.adjacency[u]:
-            if v not in side:
-                total += w
+        for i in range(ptr[u], ptr[u + 1]):
+            if nbrs[i] not in side:
+                total += g.edges[eids[i]][2]
     return total
+
+
+def reference_graph(vertex_count: int, edges) -> SimpleNamespace:
+    """The former `Graph.__init__`, kept verbatim as an oracle: each edge
+    checked and converted on its own, parallel edges merged through a dict
+    by (min, max) key in input order, and per-vertex (v, w, idx) adjacency
+    tuples."""
+    self = SimpleNamespace()
+    n = int(vertex_count)
+    if n < 0:
+        raise GraphInputError("vertex_count must be non-negative")
+    merged: dict[tuple[int, int], float] = {}
+    for e in edges:
+        if len(e) not in (2, 3):
+            raise GraphInputError(f"edge {e!r} is neither (u, v) nor (u, v, w)")
+        try:
+            u, v, w = index(e[0]), index(e[1]), float(e[2]) if len(e) == 3 else 1.0
+        except (TypeError, ValueError) as exc:
+            raise GraphInputError(f"edge {e!r} needs integer ids and a real weight") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInputError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphInputError(f"self-loop at vertex {u} rejected")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise GraphInputError(f"edge ({u},{v}) has weight {w}; weights must be "
+                                  "positive and finite")
+        key = (u, v) if u <= v else (v, u)
+        merged[key] = merged.get(key, 0.0) + w
+    edge_list = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
+    adjacency: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
+    for idx, (u, v, w) in enumerate(edge_list):
+        adjacency[u].append((v, w, idx))
+        adjacency[v].append((u, w, idx))
+    arr = np.fromiter(edge_list, _EDGE_DTYPE, len(edge_list))
+    self.us, self.vs, self.ws = (np.ascontiguousarray(arr[f]) for f in "uvw")
+    # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the edges
+    ends = np.column_stack((self.us, self.vs)).ravel()
+    degrees = np.bincount(ends, np.repeat(self.ws, 2), minlength=n)
+    self.vertex_count = n
+    self.edges = edge_list
+    self.adjacency = tuple(tuple(a) for a in adjacency)
+    self._degrees = degrees
+    return self
+
+
+def reference_edge_id(ref: SimpleNamespace, u: int, v: int) -> int | None:
+    """The former `Graph.edge_id` on a :func:`reference_graph`."""
+    if 0 <= u < ref.vertex_count:
+        for x, _, idx in ref.adjacency[u]:
+            if x == v:
+                return idx
+    return None
+
+
+def reference_components(ref: SimpleNamespace) -> tuple[tuple[int, ...], ...]:
+    """The former `connected_components` of a whole :func:`reference_graph`:
+    BFS over its adjacency tuples."""
+    unseen = [True] * ref.vertex_count
+    comps = []
+    for start in range(ref.vertex_count):
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        comp = [start]
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y, _, _ in ref.adjacency[x]:
+                if unseen[y]:
+                    unseen[y] = False
+                    comp.append(y)
+                    queue.append(y)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def reference_edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
+    """The former `flow.edge_network`, kept verbatim as an oracle: every edge
+    with both endpoints in `vertices`, added arc by arc as an undirected
+    edge at c*w in g.edges order."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
+    n = g.vertex_count
+    inside = vertex_mask(n, vertices)
+    keep = inside[g.us] & inside[g.vs]
+    net = FlowNetwork(n + 2, source=n, sink=n + 1)
+    for u, v, w in zip(g.us[keep].tolist(), g.vs[keep].tolist(), g.ws[keep].tolist()):
+        net.add_undirected_edge(u, v, c * w)
+    return net
 
 
 def enumerate_min_cut(net: FlowNetwork) -> float:
@@ -315,7 +419,8 @@ def reference_max_flow(net: FlowNetwork) -> FlowSolution:
                 reachable.add(y)
                 queue.append(y)
     flows = tuple(max(0.0, cap[i] - resid[i]) for i in range(len(resid)))
-    return FlowSolution(value=total, arc_flows=flows, min_cut_side=frozenset(reachable))
+    return FlowSolution(value=total, arc_flows=flows, min_cut_side=frozenset(reachable),
+                        zero=zero)
 
 
 def reference_decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:

@@ -63,6 +63,90 @@ def test_load_measure_default_and_file(tmp_path):
     assert list(mu.values) == [3.5, 0.0, 1.0]  # absent vertices get zero
 
 
+GRAPH_FILE_ERRORS = [
+    ("0 1\np 3 1\n", "{path}:2: stray problem line"),
+    ("p 3 1\n# again\np 3 1\n", "{path}:3: stray problem line"),
+    ("p\n0 1\n", "{path}:1: bad problem line"),
+    ("\np x 1\n", "{path}:2: bad problem line"),
+    ("# header\n0 1 2 3\n", "{path}:2: expected 'u v [w]'"),
+    ("0 1\n2\n", "{path}:2: expected 'u v [w]'"),
+    ("0 1\n0 x  # comment\n", "{path}:2: bad edge line '0 x'"),
+    ("0 1.5 2\n", "{path}:1: bad edge line '0 1.5 2'"),
+    ("0 1 heavy\n", "{path}:1: bad edge line '0 1 heavy'"),
+    ("0 x\n0 1 2 3\np 3 1\n", "{path}:1: bad edge line '0 x'"),
+    ("0 1 2 3\n0 x\n", "{path}:1: expected 'u v [w]'"),
+    ("0 1\np 3 1\n0 x\n", "{path}:2: stray problem line"),
+    ("p 3 1\n0 5\n", "edge (0,5) out of range for n=3"),
+    ("p 3 1\n-1 2\n", "edge (-1,2) out of range for n=3"),
+    ("1 1\n", "self-loop at vertex 1 rejected"),
+    ("0 1 -2\n", "edge (0,1) has weight -2.0; weights must be positive and finite"),
+    ("0 1 nan\n", "edge (0,1) has weight nan; weights must be positive and finite"),
+    ("0 1 inf\n", "edge (0,1) has weight inf; weights must be positive and finite"),
+    ("p 3 2\n0 1 0\n0 5\n", "edge (0,1) has weight 0.0; weights must be positive and finite"),
+    ("p 3 2\n0 5\n1 1\n", "edge (0,5) out of range for n=3"),
+    ("p 3 2\n1 1\n0 5\n", "self-loop at vertex 1 rejected"),
+    ("# only a comment\n\n   \n", "{path}: no vertices"),
+    ("p 0 0\n", "{path}: no vertices"),
+    ("p -2 0\n", "{path}: no vertices"),
+]
+
+MEASURE_FILE_ERRORS = [
+    ("0 1.0 2\n", "{path}:1: expected 'v value'"),
+    ("# header\n0\n", "{path}:2: expected 'v value'"),
+    ("p 3 1\n", "{path}:1: expected 'v value'"),
+    ("x 1.0\n", "{path}:1: bad measure line"),
+    ("0 1.0\n1 heavy\n", "{path}:2: bad measure line"),
+    ("0 1.0\n9 1.0\n", "{path}:2: vertex 9 out of range"),
+    ("-1 1.0\n", "{path}:1: vertex -1 out of range"),
+    ("0 1.0\n1 2.0\n# vertex 0 again\n0 5.0\n", "{path}:4: vertex 0 already given on line 1"),
+    ("0 1\n0 2\n1 x\n", "{path}:2: vertex 0 already given on line 1"),
+    ("1 x\n0 1\n0 2\n", "{path}:1: bad measure line"),
+    ("0 1\n9 1\n0 2\n", "{path}:2: vertex 9 out of range"),
+    ("0 1\n1 1\n1 2\n0 3\n", "{path}:3: vertex 1 already given on line 2"),
+    ("0 -1.0\n", "measure values must be finite and non-negative"),
+    ("0 nan\n", "measure values must be finite and non-negative"),
+]
+
+
+@pytest.mark.parametrize("content, message", GRAPH_FILE_ERRORS)
+def test_load_graph_error_messages(tmp_path, content, message):
+    # each malformed file fails with the message of its first bad line, or,
+    # for a well-formed file, of its first bad edge in file order
+    p = tmp_path / "g.txt"
+    p.write_text(content)
+    with pytest.raises(GraphInputError) as err:
+        load_graph(str(p))
+    assert str(err.value) == message.format(path=p)
+
+
+@pytest.mark.parametrize("content, message", MEASURE_FILE_ERRORS)
+def test_load_measure_error_messages(tmp_path, content, message):
+    p = tmp_path / "g.txt"
+    p.write_text("p 4 3\n0 1\n1 2\n2 3\n")
+    m = tmp_path / "mu.txt"
+    m.write_text(content)
+    with pytest.raises(GraphInputError) as err:
+        load_measure(str(m), load_graph(str(p)))
+    assert str(err.value) == message.format(path=m)
+
+
+def test_load_graph_reads_crlf_and_comment_lines(tmp_path):
+    text = "# header\n\np 5 4  # n and m\n0 1\n   # indented\n1 2 2.5\n\n2 3 # tail\n3 4 0.5\n"
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    g, h = load_graph(str(lf)), load_graph(str(crlf))
+    assert g.vertex_count == h.vertex_count == 5
+    assert g.edges == h.edges == ((0, 1, 1.0), (1, 2, 2.5), (2, 3, 1.0), (3, 4, 0.5))
+    mu = tmp_path / "mu.txt"
+    mu.write_bytes(b"# measure\r\n0 2.0\r\n\r\n   # none for 1\r\n4 0.5 # last\r\n")
+    assert load_measure(str(mu), h).values.tolist() == [2.0, 0.0, 0.0, 0.0, 0.5]
+    # line numbers count CRLF lines as the LF file counts them
+    crlf.write_bytes(b"0 1\r\n# c\r\n1 x\r\n")
+    with pytest.raises(GraphInputError, match=r":3: bad edge line '1 x'$"):
+        load_graph(str(crlf))
+
+
 def test_repeated_measure_vertex_exits_2(k8_file, tmp_path, capsys):
     m = tmp_path / "mu.txt"
     m.write_text("0 1.0\n1 2.0\n# vertex 0 again\n0 5.0\n")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from mucut import Graph, GameParams, VertexMeasure, run_cut_matching
 from mucut.flow import FlowNetwork, decompose_paths, edge_network, max_flow
 
 from helpers import (assert_fair, conservation_errors, enumerate_min_cut,
-                     random_connected_graph, reference_decompose_paths, reference_max_flow,
-                     reference_with_arcs_first)
+                     random_connected_graph, reference_decompose_paths, reference_edge_network,
+                     reference_max_flow, reference_with_arcs_first)
 
 
 def random_network(rng, directed_bias=0.5):
@@ -189,8 +191,7 @@ def test_decompose_cancels_cycles():
     for i, (u, v, c) in enumerate(net.arcs()):
         if (u, v) in {(1, 2), (2, 3), (3, 1)}:
             flows[i] = 1.0
-    doctored = type(sol)(value=sol.value, arc_flows=tuple(flows),
-                         min_cut_side=sol.min_cut_side)
+    doctored = dataclasses.replace(sol, arc_flows=tuple(flows))
     dec = decompose_paths(net, doctored)
     assert sum(p[2] for p in dec) == pytest.approx(1.0)
     for _, _, _, seq in dec:
@@ -436,8 +437,7 @@ def with_circulation(net, sol, rng):
                     push = min(net.cap[c] - flows[c] for c in cycle) / 2.0
                     for c in cycle:
                         flows[c] += push
-                    return type(sol)(value=sol.value, arc_flows=tuple(flows),
-                                     min_cut_side=sol.min_cut_side)
+                    return dataclasses.replace(sol, arc_flows=tuple(flows))
                 if v not in on_path and v not in ends:
                     on_path.add(v)
                     arcs.append(a)
@@ -465,6 +465,7 @@ def test_solver_matches_reference_bit_for_bit():
         assert sol.value.hex() == ref.value.hex()
         assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
         assert sol.min_cut_side == ref.min_cut_side
+        assert sol.zero == ref.zero == net.zero  # the solver's threshold, not a new scan
         assert decompose_paths(net, sol) == reference_decompose_paths(net, ref)
         if net.sink not in sol.min_cut_side and sol.value == 0.0:
             seen.add("no flow")
@@ -508,6 +509,7 @@ def test_round_networks_match_reference_bit_for_bit(monkeypatch):
         assert sol.value.hex() == ref.value.hex()
         assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
         assert sol.min_cut_side == ref.min_cut_side
+        assert sol.zero == ref.zero == net.zero
         assert decompose_paths(net, sol) == reference_decompose_paths(net, ref)
         seen.append(level_features(net))
         return sol
@@ -533,3 +535,26 @@ def test_round_networks_match_reference_bit_for_bit(monkeypatch):
     run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.05), rng)
     assert len(seen) - grid_rounds >= 10
     assert any("sink shares its level" in f for f in seen[grid_rounds:])
+
+
+def test_edge_network_matches_the_arc_by_arc_build():
+    # the sliced build gives the arc-by-arc build's arc ids, heads,
+    # capacities (bit for bit) and every vertex's adjacency order
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        n = int(rng.integers(1, 25))
+        g = random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 2.0)), weighted=True)
+        subset = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+        c = float(rng.choice([1.0, 3.0, 10.0 / 3.0, rng.uniform(0.1, 50.0)]))
+        net, ref = edge_network(g, subset, c), reference_edge_network(g, subset, c)
+        assert (net.node_count, net.source, net.sink) == (ref.node_count, ref.source, ref.sink)
+        assert net.to == ref.to
+        assert [x.hex() for x in net.cap] == [x.hex() for x in ref.cap]
+        assert all(type(x) is float for x in net.cap) and all(type(x) is int for x in net.to)
+        assert net.adj == ref.adj
+
+
+def test_edge_network_rejects_an_overflowing_capacity():
+    g = Graph(3, [(0, 1, 1e300), (1, 2, 1.0)])
+    with pytest.raises(ValueError, match="got inf"):
+        edge_network(g, range(3), 1e10)

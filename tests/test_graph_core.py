@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from mucut import (ActiveState, Graph, INFINITE, VertexMeasure, connected_compon
                    cut_weight, edge_network, induced_subgraph, mu_expansion_of_cut, trim)
 from mucut.errors import GraphInputError
 
-from helpers import adjacency_recount_cut, clique_edges, random_connected_graph
+from helpers import (adjacency_recount_cut, clique_edges, random_connected_graph,
+                     reference_components, reference_edge_id, reference_graph)
 
 
 def path3():
@@ -260,3 +262,112 @@ def test_graph_takes_numpy_ids_and_weights():
     g = Graph(3, [(np.int64(0), np.intp(2), np.float64(2.5)), (np.int32(1), 2)])
     assert g.edges == ((0, 2, 2.5), (1, 2, 1.0))
     assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+
+
+def random_edge_input(rng: np.random.Generator) -> tuple[int, list]:
+    """Edges as a caller might pass them: unsorted, parallel in both
+    orientations, 2- and 3-tuples, Python or numpy ids and weights, and
+    weights whose sum depends on the order they are added in."""
+    n = int(rng.integers(0, 12))
+    if n < 2:
+        return n, []
+    edges = []
+    for _ in range(int(rng.integers(0, 4 * n))):
+        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        w = float(rng.choice([1.0, 1e-16, 0.1, 0.2, 0.3, 3.0, rng.uniform(0.01, 5.0)]))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            edges.append((u, v))
+        elif kind == 1:
+            edges.append((np.int64(u), np.intp(v), np.float64(w)))
+        else:
+            edges.append((u, v, w))
+        if rng.random() < 0.3:  # the same pair again, maybe reversed
+            edges.append((v, u, w / 3.0) if rng.random() < 0.5 else (u, v, 1e-16))
+    return n, edges
+
+
+def assert_same_graph(g: Graph, ref) -> None:
+    assert g.vertex_count == ref.vertex_count
+    assert g.edges == ref.edges
+    assert [w.hex() for _, _, w in g.edges] == [w.hex() for _, _, w in ref.edges]
+    for got, want in ((g.us, ref.us), (g.vs, ref.vs)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert [w.hex() for w in g.ws.tolist()] == [w.hex() for w in ref.ws.tolist()]
+    assert g.weighted_degrees().tobytes() == ref._degrees.tobytes()
+    for x, incident in enumerate(ref.adjacency):  # CSR rows list the former tuples' order
+        row = slice(g.indptr[x], g.indptr[x + 1])
+        assert g.nbrs[row].tolist() == [v for v, _, _ in incident]
+        assert g.eids[row].tolist() == [idx for _, _, idx in incident]
+    for u in range(-1, g.vertex_count + 1):
+        for v in range(-1, g.vertex_count + 1):
+            assert g.edge_id(u, v) == reference_edge_id(ref, u, v)
+    assert connected_components(g) == reference_components(ref)
+
+
+def test_graph_matches_the_former_per_edge_build():
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        n, edges = random_edge_input(rng)
+        ref = reference_graph(n, edges)
+        assert_same_graph(Graph(n, edges), ref)
+        assert_same_graph(Graph(n, iter(edges)), ref)
+        rows = [(*e, 1.0)[:3] for e in edges]
+        us, vs, ws = (np.array(col) for col in zip(*rows)) if rows else ([], [], [])
+        assert_same_graph(Graph.from_columns(n, us, vs, ws), ref)
+
+
+def test_parallel_weights_add_in_input_order():
+    # (1.0 + 1e-16) + 1e-16 rounds to 1.0, 1e-16 + 1e-16 + 1.0 does not
+    g = Graph(2, [(0, 1, 1.0), (1, 0, 1e-16), (0, 1, 1e-16)])
+    h = Graph(2, [(0, 1, 1e-16), (1, 0, 1e-16), (0, 1, 1.0)])
+    assert g.edges[0][2] == 1.0
+    assert h.edges[0][2] == 1e-16 + 1e-16 + 1.0 != 1.0
+
+
+BAD_EDGE_INPUTS = [
+    [(0, 1), (0, 1, 5.0, "x")],
+    [(0, 1, 1.0), (0,)],
+    [(0, 5, 1.0), (0, "x")],
+    [(0, "x"), (0, 5)],
+    [(0, 1, -1.0), (0, 5)],
+    [(0, 1), (2, 2), (0, 9)],
+    [(0, 1), (1, 2, float("nan"))],
+    [(0, 1), (1, 2, "heavy")],
+    [(0, 1), (1, 2, "2.5"), (3, 2 ** 70)],
+    [(0, 1), (-1, 2)],
+    [(0.0, 1)],
+    [(True, 2, 1.0), (0, 2 ** 70, 1.0)],
+]
+
+
+@pytest.mark.parametrize("edges", BAD_EDGE_INPUTS)
+def test_graph_names_the_first_bad_edge_as_before(edges):
+    with pytest.raises(GraphInputError) as want:
+        reference_graph(3, edges)
+    with pytest.raises(GraphInputError) as got:
+        Graph(3, edges)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([0, 1], [1, 3], [1.0, 1.0]), "edge (1,3) out of range for n=3"),
+    (([0, 1], [1, 1], [1.0, 1.0]), "self-loop at vertex 1 rejected"),
+    (([0], [1], [np.inf]), "edge (0,1) has weight inf; weights must be positive and finite"),
+    ((np.array([0.0]), np.array([1.0]), [1.0]), "needs integer ids and a real weight"),
+    (([0, 1], [1], [1.0, 1.0]), "edge columns must be flat, of one length, with integer ids"),
+])
+def test_from_columns_rejects_bad_columns(columns, message):
+    with pytest.raises(GraphInputError, match=re.escape(message)):
+        Graph.from_columns(3, *columns)
+
+
+def test_from_columns_takes_numpy_and_python_columns():
+    want = Graph(4, [(2, 0, 1.5), (3, 1), (0, 2, 0.25)])
+    for cols in (([2, 3, 0], [0, 1, 2], [1.5, 1.0, 0.25]),
+                 (np.array([2, 3, 0], np.int32), np.array([0, 1, 2], np.uint8),
+                  np.array([1.5, 1.0, 0.25]))):
+        g = Graph.from_columns(4, *cols)
+        assert g.edges == want.edges
+        assert g.us.dtype == g.vs.dtype == np.intp
+    assert Graph.from_columns(3, [], [], []).edges == ()

@@ -333,3 +333,27 @@ def test_one_edge_network_serves_successive_rounds():
         assert (edges.to, edges.cap, edges.adj) == before
         served += 1
     assert served >= 10
+
+
+LIGHT_TAIL = [1.0] + [1e-16] * 10  # 1.0 added ten times 1e-16, one at a time, is 1.0
+
+
+def test_masses_add_one_at_a_time_in_order():
+    # a compensated sum (builtin sum from Python 3.12) would give 1.000000000000001
+    bip = manual_bip(list(enumerate(LIGHT_TAIL)), [(11 + i, w) for i, w in enumerate(LIGHT_TAIL)])
+    assert bip.source_mass.hex() == bip.target_mass.hex() == (1.0).hex()
+
+
+def test_matched_weight_adds_paths_one_at_a_time_in_order(monkeypatch):
+    # a real flow rounds paths this light away, so the stripper hands over
+    # one path per source at exactly its mass
+    k = len(LIGHT_TAIL)
+    g = Graph(2 * k, [(i, k + i, 1.0) for i in range(k)])
+    mu = VertexMeasure([1.0] * (2 * k))
+    n = g.vertex_count
+    paths = tuple((n, n + 1, w, (n, i, k + i, n + 1)) for i, w in enumerate(LIGHT_TAIL))
+    monkeypatch.setattr("mucut.matching.decompose_paths", lambda net, sol: paths)
+    bip = manual_bip(list(enumerate(LIGHT_TAIL)), [(k + i, 1.0) for i in range(k)])
+    rec = solve_round(g, ActiveState(range(2 * k), mu), bip, c=10.0)
+    assert not rec.removed
+    assert rec.matched_weight.hex() == (1.0).hex()
