@@ -97,8 +97,8 @@ class Graph:
     pass over the columns.
     """
 
-    __slots__ = ("vertex_count", "us", "vs", "ws", "indptr", "nbrs", "eids", "_degrees",
-                 "_edges")
+    __slots__ = ("vertex_count", "edges", "us", "vs", "ws", "indptr", "nbrs", "eids",
+                 "_degrees")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence]):
         n = _vertex_count(vertex_count)
@@ -161,8 +161,8 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
         self.vertex_count = n
+        self.edges = tuple(zip(us.tolist(), vs.tolist(), ws.tolist()))
         self.us, self.vs, self.ws = us, vs, ws
-        self._edges = None
         self.indptr = indptr
         self.nbrs = np.column_stack((vs, us)).ravel()[order]
         self.eids = order >> 1
@@ -172,16 +172,8 @@ class Graph:
             col.setflags(write=False)
 
     @property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """The merged edges as (u, v, w) tuples of Python numbers, built on
-        first use: the algorithm reads only the columns."""
-        if self._edges is None:
-            self._edges = tuple(zip(self.us.tolist(), self.vs.tolist(), self.ws.tolist()))
-        return self._edges
-
-    @property
     def edge_count(self) -> int:
-        return len(self.us)
+        return len(self.edges)
 
     def weighted_degrees(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
@@ -199,7 +191,7 @@ class Graph:
     def edge_weight(self, u: int, v: int) -> float | None:
         """Weight of the (merged) edge between u and v, or None if absent."""
         idx = self.edge_id(u, v)
-        return None if idx is None else float(self.ws[idx])
+        return None if idx is None else self.edges[idx][2]
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
