@@ -81,6 +81,12 @@ def load_graph(path: str) -> Graph:
     """Read an edge-list file: its columns are converted whole and handed to
     :meth:`Graph.from_columns`; only a malformed file is read line by line
     again, to name its first bad line."""
+    return Graph.from_columns(*_edge_columns(path))
+
+
+def _edge_columns(path: str) -> tuple[int, list[int], list[int], list[float]]:
+    """The vertex count and the id and weight columns of an edge-list file;
+    its text and tokens are freed before the graph is built."""
     lines, rows = _read_lines(path, "graph")
     declared_n = None
     after = 0  # the problem line, if any
@@ -104,7 +110,7 @@ def load_graph(path: str) -> Graph:
     n = declared_n if declared_n is not None else max(max(us, default=-1), max(vs, default=-1)) + 1
     if n <= 0:
         raise GraphInputError(f"{path}: no vertices")
-    return Graph.from_columns(n, us, vs, ws)
+    return n, us, vs, ws
 
 
 def load_measure(path: str | None, g: Graph) -> VertexMeasure:
