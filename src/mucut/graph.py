@@ -7,12 +7,12 @@ edges merge by weight summation, and the expansion of a cut whose lighter
 side carries no measure is the ``INFINITE`` sentinel rather than a float
 infinity.  All types are immutable after construction.
 
-A graph is built from columns: ``Graph(n, edges)`` turns its tuples into
-id and weight arrays and :meth:`Graph.from_columns` takes them as they are
-(``induced_subgraph`` hands over its relabeled columns); both check them in
-bulk, merge parallel edges with a stable sort and one ``bincount`` and lay
-out CSR adjacency; the edges are read one at a time only to name the
-first bad one when a check fails.
+A graph is built from columns (``Graph(n, edges)`` pads its tuples and
+hands over theirs): :func:`merge_pairs` checks them in bulk and merges
+parallel edges with a stable sort and one ``bincount``, and
+:func:`vertex_sums` adds the weights at each vertex, as they do for a
+round's matching (``spectral.StochasticMatching``); the edges are read one
+at a time only to name the first bad one when a check fails.
 
 Every query on a vertex set reads it through :func:`vertex_mask`, the one
 place that turns ids into membership and rejects an id that is not an
@@ -103,19 +103,11 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[Sequence]):
         n = _vertex_count(vertex_count)
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)
-        try:
-            widths = set(map(len, edges))
-            if not widths <= {2, 3}:
-                raise ValueError("an edge is neither (u, v) nor (u, v, w)")
-            rows = [(*e, 1.0)[:3] for e in edges] if 2 in widths else edges  # w = 1.0
-            us, vs, ws = zip(*rows) if rows else ((), (), ())
-            columns = (np.fromiter(map(index, us), np.intp, len(us)),
-                       np.fromiter(map(index, vs), np.intp, len(vs)),
-                       np.fromiter(map(float, ws), float, len(ws)))
-        except (TypeError, ValueError, OverflowError):
+        widths = set(map(len, edges))
+        if not widths <= {2, 3}:
             _check_edges(n, edges)  # raises for the first malformed edge
-            raise
-        self._build(n, *columns, edges)
+        rows = [(*e, 1.0)[:3] for e in edges] if 2 in widths else edges  # w = 1.0
+        self._build(n, *(zip(*rows) if rows else ((), (), ())), edges)
 
     @classmethod
     def from_columns(cls, vertex_count: int, us, vs, ws) -> "Graph":
@@ -127,34 +119,16 @@ class Graph:
         return g
 
     def _build(self, n: int, us, vs, ws, rows: Iterable[Sequence]) -> None:
-        """Check the columns in bulk, merge them and lay out the adjacency.
-
-        Only when a check fails are `rows`, the same edges as tuples, read
-        one at a time to name the first bad one.  Parallel weights are added
-        in input order from 0.0: a stable sort puts each pair's edges in a
-        run, in input order, and ``bincount`` adds each run in turn.
-        """
+        """Check and merge the columns and lay out the adjacency; `rows`, the
+        same edges as tuples, are read only to name the first bad one."""
         try:
-            us, vs, ws = np.asarray(us), np.asarray(vs), np.asarray(ws, dtype=float)
-            valid = us.ndim == 1 and us.shape == vs.shape == ws.shape and (
-                not us.size or (us.dtype.kind in "iu" and vs.dtype.kind in "iu"
-                                and min(us.min(), vs.min()) >= 0 and max(us.max(), vs.max()) < n
-                                and not (us == vs).any() and (ws > 0.0).all()
-                                and np.isfinite(ws).all()))
+            us, vs, ws = merge_pairs(n, us, vs, ws)
+            valid = not (us == vs).any()
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
             _check_edges(n, rows)
             raise GraphInputError("edge columns must be flat, of one length, with integer ids")
-        lo = np.minimum(us, vs).astype(np.intp)
-        hi = np.maximum(us, vs).astype(np.intp)
-        key = lo * n + hi
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        ws = np.bincount(np.cumsum(first) - 1, ws[order])
-        us, vs = lo[order][first], hi[order][first]
         # vertex x's incidences in edges order: a stable sort of u0, v0, u1, v1, ...
         ends = np.column_stack((us, vs)).ravel()
         order = np.argsort(ends, kind="stable")
@@ -166,8 +140,7 @@ class Graph:
         self.indptr = indptr
         self.nbrs = np.column_stack((vs, us)).ravel()[order]
         self.eids = order >> 1
-        # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the edges
-        self._degrees = np.bincount(ends, np.repeat(ws, 2), minlength=n)
+        self._degrees = vertex_sums(n, us, vs, ws)
         for col in (us, vs, ws, indptr, self.nbrs, self.eids, self._degrees):
             col.setflags(write=False)
 
@@ -181,6 +154,10 @@ class Graph:
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Index in `edges` of the (merged) edge between u and v, or None if absent."""
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise GraphInputError(f"vertex ids must be integers, not ({u!r}, {v!r})") from None
         if 0 <= u < self.vertex_count:
             lo = self.indptr[u]
             row = self.nbrs[lo:self.indptr[u + 1]].tolist()
@@ -198,9 +175,9 @@ class Graph:
 
 
 def _vertex_count(vertex_count) -> int:
-    n = int(vertex_count)
+    n = index(vertex_count) if hasattr(type(vertex_count), "__index__") else -1
     if n < 0:
-        raise GraphInputError("vertex_count must be non-negative")
+        raise GraphInputError(f"vertex_count must be a non-negative integer, not {vertex_count!r}")
     return n
 
 
@@ -212,7 +189,7 @@ def _check_edges(n: int, edges: Iterable[Sequence]) -> None:
         if len(e) not in (2, 3):
             raise GraphInputError(f"edge {e!r} is neither (u, v) nor (u, v, w)")
         try:
-            u, v, w = index(e[0]), index(e[1]), float(e[2]) if len(e) == 3 else 1.0
+            u, v, w = index(e[0]), index(e[1]), _real(e[2]) if len(e) == 3 else 1.0
         except (TypeError, ValueError) as exc:
             raise GraphInputError(f"edge {e!r} needs integer ids and a real weight") from exc
         if not (0 <= u < n and 0 <= v < n):
@@ -222,6 +199,54 @@ def _check_edges(n: int, edges: Iterable[Sequence]) -> None:
         if not (w > 0.0 and math.isfinite(w)):
             raise GraphInputError(f"edge ({u},{v}) has weight {w}; weights must be "
                                   "positive and finite")
+
+
+def _real(x) -> float:
+    """``float(x)``; TypeError unless x is a real number (a str, bytes or
+    complex value is not, although ``float`` may parse it)."""
+    if np.asarray(x).dtype.kind not in "biufO":
+        raise TypeError(f"{x!r} is not a real number")
+    return float(x)
+
+
+def _reals(values) -> np.ndarray:
+    """`values` as a new float64 array, each checked as :func:`_real` checks it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "O":  # say, Python ints beyond 64 bits
+        return np.array([_real(x) for x in arr.flat]).reshape(arr.shape)
+    if arr.dtype.kind not in "biuf":
+        raise TypeError(f"values of dtype {arr.dtype} are not real numbers")
+    return arr.astype(float)
+
+
+def merge_pairs(n: int, us, vs, ws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pairs (u, v, w), u <= v, sorted by (u, v), of flat columns
+    of one length with integer ids in [0, n) and positive, finite real
+    weights, else ValueError (TypeError for weights that are not reals).  A
+    stable sort puts each pair's entries, either way round, in a run in input
+    order, and ``bincount`` adds each run from 0.0: a dict merge's bits."""
+    us, vs, ws = np.asarray(us), np.asarray(vs), _reals(ws)
+    if not (us.ndim == 1 and us.shape == vs.shape == ws.shape and (
+            not us.size or us.dtype.kind in "biu" and vs.dtype.kind in "biu")):
+        raise ValueError("pair columns must be flat, of one length, with integer ids")
+    lo = np.minimum(us, vs).astype(np.intp)
+    hi = np.maximum(us, vs).astype(np.intp)
+    if us.size and not (lo.min() >= 0 and hi.max() < n and 0.0 < ws.min() <= ws.max() < math.inf):
+        raise ValueError(f"pair ids must be in [0, {n}) and weights positive and finite")
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    ws = np.bincount(np.cumsum(first) - 1, ws[order]).astype(float, copy=False)  # no weights: int
+    return lo[order][first], hi[order][first], ws
+
+
+def vertex_sums(n: int, us, vs, ws) -> np.ndarray:
+    """Sum of the weights of the pairs (us[i], vs[i], ws[i]) at each of the n
+    vertices, added in pair order (u0, v0, u1, v1, ...) as a loop would."""
+    ends = np.column_stack((us, vs)).ravel()
+    return np.bincount(ends, np.repeat(ws, 2), minlength=n).astype(float, copy=False)
 
 
 class VertexMeasure:
@@ -235,7 +260,10 @@ class VertexMeasure:
     __slots__ = ("values", "support", "support_mask", "total", "sqrt", "inv_sqrt", "pseudo_inv")
 
     def __init__(self, values):
-        vals = np.array(values, dtype=float)
+        try:
+            vals = _reals(values)
+        except (TypeError, ValueError):
+            raise GraphInputError("measure values must be real numbers") from None
         if vals.ndim != 1:
             raise GraphInputError("measure must be a flat vector")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):

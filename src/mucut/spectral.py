@@ -2,9 +2,11 @@
 
 One round's response is a measure-stochastic matching: off-diagonal pair
 weights between active terminals plus a diagonal completion so that every
-row sums to the vertex measure.  A round keeps only its pairs and a
-reference to the measure's values; the completion is derived from them
-when read, and checked once, when the matching is built.  Writing Nbar_i
+row sums to the vertex measure.  Its pairs form a weighted graph, and
+``graph.merge_pairs``/``vertex_sums`` merge and row-sum them as they do a
+graph's edges.  A round keeps only its pairs and a reference to the
+measure's values; the completion is derived from them when read, and
+checked once, when the matching is built.  Writing Nbar_i
 for the normalized lazy form of matching i and P for the projection away
 from the active sqrt measure, the walk after t rounds is
 
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import VertexMeasure, tolerance, vertex_mask
+from .graph import VertexMeasure, merge_pairs, tolerance, vertex_mask, vertex_sums
 
 
 def is_power_of_two(k: int) -> bool:
@@ -60,36 +62,26 @@ class StochasticMatching:
     Off-diagonal entries are symmetric pair weights between active
     terminals; the diagonal completion tops every row up to the measure.
     Self-pairs cancel against the completion, so only strict pairs are
-    stored explicitly.  The pairs come as arrays (us, vs, ws) with u < v,
-    merged and sorted by (u, v), together with the measure's values, which
-    the matching keeps by reference; a writable array, pairs or measure, is
-    copied.  The diagonal is not stored: ``diagonal`` derives it from the
-    pairs and the measure.  The one stochasticity check, in the
-    constructor, rejects a row whose pairs outweigh its measure beyond
-    rounding.
+    stored explicitly.  The pairs come as columns (us, vs, ws) in any order
+    and orientation and are checked and merged as a graph's edges are
+    (:func:`graph.merge_pairs`), self-pairs then dropped; the measure's
+    values are kept by reference, a writable array copied.  The diagonal is
+    not stored: ``diagonal`` derives it from the pairs and the measure.  The
+    one stochasticity check, in the constructor, rejects a row whose pairs
+    outweigh its measure beyond rounding.
     """
 
     __slots__ = ("mu_values", "_us", "_vs", "_ws")
 
     def __init__(self, us, vs, ws, mu_values):
-        us = np.asarray(us, dtype=np.intp)
-        vs = np.asarray(vs, dtype=np.intp)
-        ws = np.asarray(ws, dtype=float)
-        if not (ws.ndim == 1 and us.shape == vs.shape == ws.shape):
-            raise ValueError("pair arrays must be flat and of equal length")
-        if np.any(us >= vs):
-            raise ValueError("off-diagonal entries must connect distinct vertices, u < v")
-        if np.any(us[1:] < us[:-1]) or np.any((us[1:] == us[:-1]) & (vs[1:] <= vs[:-1])):
-            raise ValueError("pairs must be merged and sorted by (u, v)")
-        if np.any(ws <= 0):
-            raise ValueError("matching weights must be positive")
         mu = np.asarray(mu_values, dtype=float)
-        # a caller's writable array is copied, never frozen under it
-        mu, us, vs, ws = (arr.copy() if arr.flags.writeable else arr for arr in (mu, us, vs, ws))
-        for arr in (mu, us, vs, ws):
+        mu = mu.copy() if mu.flags.writeable else mu  # never frozen in a caller's hands
+        us, vs, ws = merge_pairs(len(mu), us, vs, ws)
+        strict = us != vs
+        self._us, self._vs, self._ws = us[strict], vs[strict], ws[strict]
+        for arr in (mu, self._us, self._vs, self._ws):
             arr.setflags(write=False)
         self.mu_values = mu
-        self._us, self._vs, self._ws = us, vs, ws
         slack = self._slack()
         if slack.min(initial=0.0) < -tolerance(mu.max(initial=0.0)):
             raise InvariantViolation(
@@ -97,35 +89,13 @@ class StochasticMatching:
 
     @classmethod
     def from_pairs(cls, mu_values, pairs: Iterable[Sequence]) -> "StochasticMatching":
-        """Build the completed matrix from raw endpoint pairs.
-
-        Self-pairs are dropped: they add equal amounts to a row sum and to
-        the diagonal, so the completion mu - rowsum reproduces them.  The
-        weights of a pair and its reverse add up in the order given, in
-        their own type, so pass Python or float64 weights.
-        """
-        merged: dict[tuple[int, int], float] = {}
-        for u, v, w in pairs:
-            if u < v:
-                key = u, v
-            elif v < u:
-                key = v, u
-            else:
-                continue
-            merged[key] = merged.get(key, 0.0) + w
-        keys = sorted(merged)
-        k = len(keys)
-        us = np.fromiter((u for u, _ in keys), np.intp, k)
-        vs = np.fromiter((v for _, v in keys), np.intp, k)
-        ws = np.fromiter(map(merged.__getitem__, keys), float, k)
-        return cls(us, vs, ws, mu_values)
+        """Build the completed matrix from raw endpoint pairs (u, v, w), as
+        the constructor builds it from their columns."""
+        return cls(*(tuple(zip(*pairs)) or ((), (), ())), mu_values)
 
     def _slack(self) -> np.ndarray:
         """mu - row sums of the pairs, the row sums accumulated in sorted pair order."""
-        # bincount adds in input order: u0, v0, u1, v1, ... as a loop over the pairs
-        ends = np.column_stack((self._us, self._vs)).ravel()
-        row = np.bincount(ends, np.repeat(self._ws, 2), minlength=len(self.mu_values))
-        return self.mu_values - row
+        return self.mu_values - vertex_sums(len(self.mu_values), self._us, self._vs, self._ws)
 
     @property
     def diagonal(self) -> np.ndarray:

@@ -685,8 +685,9 @@ DENSE_LIMIT = 64
 
 def matching_row_sums(m: StochasticMatching) -> np.ndarray:
     sums = m.diagonal.copy()
-    np.add.at(sums, m._us, m._ws)
-    np.add.at(sums, m._vs, m._ws)
+    for u, v, w in m.off_diagonal:
+        sums[u] += w
+        sums[v] += w
     return sums
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mucut import (ActiveState, Graph, INFINITE, VertexMeasure, connected_components,
                    cut_weight, edge_network, induced_subgraph, mu_expansion_of_cut, trim)
 from mucut.errors import GraphInputError
+from mucut.graph import merge_pairs, vertex_sums
 
 from helpers import (adjacency_recount_cut, clique_edges, random_connected_graph,
                      reference_components, reference_edge_id, reference_graph)
@@ -334,7 +335,7 @@ BAD_EDGE_INPUTS = [
     [(0, 1), (2, 2), (0, 9)],
     [(0, 1), (1, 2, float("nan"))],
     [(0, 1), (1, 2, "heavy")],
-    [(0, 1), (1, 2, "2.5"), (3, 2 ** 70)],
+    [(0, 1), (1, 2, 2.5), (3, 2 ** 70)],
     [(0, 1), (-1, 2)],
     [(0.0, 1)],
     [(True, 2, 1.0), (0, 2 ** 70, 1.0)],
@@ -348,6 +349,136 @@ def test_graph_names_the_first_bad_edge_as_before(edges):
     with pytest.raises(GraphInputError) as got:
         Graph(3, edges)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("weight", ["2.5", b"2.5", np.str_("2.5")])
+def test_graph_rejects_a_weight_that_only_float_parses(weight):
+    # float("2.5") is 2.5, yet a string is not a real weight
+    message = f"edge (1, 2, {weight!r}) needs integer ids and a real weight"
+    with pytest.raises(GraphInputError) as rows:
+        Graph(3, [(0, 1), (1, 2, weight), (3, 2 ** 70)])
+    with pytest.raises(GraphInputError) as columns:
+        Graph.from_columns(3, [0, 1], [1, 2], [1.0, weight])
+    assert str(rows.value) == str(columns.value) == message
+
+
+def test_graph_takes_bool_ids_and_bool_or_int_weights():
+    for edges in ([(True, 2)], [(True, 2, 1.0), (0, 2, 3)], [(0, 1, True), (1, 2, 2 ** 70)],
+                  [(0, 1, np.int64(3)), (2, 1, np.float32(0.1))]):
+        want = reference_graph(3, edges)
+        for g in (Graph(3, edges), Graph.from_columns(3, *zip(*[(*e, 1.0)[:3] for e in edges]))):
+            assert [(u, v, w.hex()) for u, v, w in g.edges] == \
+                [(u, v, w.hex()) for u, v, w in want.edges]
+
+
+@pytest.mark.parametrize("values", [["1.0", "2"], np.array(["1.0", "2"]), [b"1", 2.0],
+                                    [1 + 0j, 2], [1.0, None], [[1.0], [2.0, 3.0]]])
+def test_measure_rejects_values_that_are_not_reals(values):
+    with pytest.raises(GraphInputError, match="measure values must be real numbers"):
+        VertexMeasure(values)
+
+
+def test_measure_takes_bool_int_and_float_values():
+    for values in ([True, 0, 2.5], [1, 0, 2 ** 70], np.array([1, 0, 3], np.uint8),
+                   np.array([0.5, 0.0, 2.0], np.float32)):
+        mu = VertexMeasure(values)
+        assert mu.values.dtype == np.float64
+        assert mu.values.tolist() == [float(x) for x in values]
+
+
+@pytest.mark.parametrize("n", [2.9, 3.0, "3", None, -1])
+def test_graph_vertex_count_must_be_an_integer(n):
+    with pytest.raises(GraphInputError, match="vertex_count must be a non-negative integer"):
+        Graph(n, [(0, 1)])
+    with pytest.raises(GraphInputError, match="vertex_count must be a non-negative integer"):
+        Graph.from_columns(n, [0], [1], [1.0])
+
+
+def test_graph_vertex_count_takes_numpy_integers():
+    assert Graph(np.int64(3), [(0, 2)]).vertex_count == 3
+    assert type(Graph.from_columns(np.uint8(3), [0], [2], [1.0]).vertex_count) is int
+
+
+@pytest.mark.parametrize("u, v", [(1.5, 0), (0.0, 1), (0, 1.0), ("0", 1), (np.float64(0), 1)])
+def test_edge_lookups_reject_non_integer_ids(u, v):
+    g = Graph(3, [(0, 1, 2.0)])
+    with pytest.raises(GraphInputError, match="vertex ids must be integers"):
+        g.edge_id(u, v)
+    with pytest.raises(GraphInputError, match="vertex ids must be integers"):
+        g.edge_weight(u, v)
+
+
+def test_edge_lookups_take_numpy_and_out_of_range_ids():
+    g = Graph(3, [(0, 1, 2.0)])
+    assert g.edge_id(np.int64(1), np.uint8(0)) == 0
+    assert g.edge_weight(np.int32(0), 1) == 2.0
+    assert g.edge_id(-1, 0) is None and g.edge_weight(0, 3) is None
+
+
+def dict_merge(pairs):
+    """Pairs merged by a plain dict in the order given, keyed by (min, max)."""
+    merged = {}
+    for u, v, w in pairs:
+        key = (min(int(u), int(v)), max(int(u), int(v)))
+        merged[key] = merged.get(key, 0.0) + float(w)
+    return [(u, v, merged[u, v].hex()) for u, v in sorted(merged)]
+
+
+def loop_sums(n, us, vs, ws):
+    """Per-vertex weight sums by a plain loop over the pairs."""
+    sums = [0.0] * n
+    for u, v, w in zip(us, vs, ws):
+        sums[u] += w
+        sums[v] += w
+    return [x.hex() for x in sums]
+
+
+def test_merge_pairs_and_vertex_sums_match_plain_loops():
+    rng = np.random.default_rng(19)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        count = int(rng.integers(0, 5 * n)) if rng.random() < 0.9 else 0
+        us = rng.integers(0, n, size=count)
+        vs = rng.integers(0, n, size=count)
+        ws = rng.choice([1.0, 1e-16, 0.1, 0.2, 0.3, 3.0, float(rng.uniform(0.01, 5.0))],
+                        size=count)
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            cols = us.tolist(), vs.tolist(), ws.tolist()
+        else:
+            dtype = np.int32 if kind == 1 else np.uint8
+            cols = us.astype(dtype), vs.astype(dtype), ws
+            seen.add(dtype.__name__)
+        got = merge_pairs(n, *cols)
+        assert [(u, v, w.hex()) for u, v, w in zip(*(c.tolist() for c in got))] == \
+            dict_merge(zip(*cols))
+        assert got[0].dtype == got[1].dtype == np.intp and got[2].dtype == np.float64
+        assert [x.hex() for x in vertex_sums(n, *got).tolist()] == loop_sums(n, *(
+            c.tolist() for c in got))
+        raw = us.astype(np.intp), vs.astype(np.intp), ws  # unmerged, in input order
+        assert [x.hex() for x in vertex_sums(n, *raw).tolist()] == loop_sums(n, *(
+            c.tolist() for c in raw))
+        keys = list(zip(us.tolist(), vs.tolist()))
+        if not keys:
+            seen.add("empty")
+        if len({(min(k), max(k)) for k in keys}) < len(keys):
+            seen.add("repeated pair")
+        if any(u > v for u, v in keys) and any(u < v for u, v in keys):
+            seen.add("both orientations")
+        if any(u == v for u, v in keys):
+            seen.add("self-pair")
+    assert seen == {"int32", "uint8", "empty", "repeated pair", "both orientations",
+                    "self-pair"}
+
+
+@pytest.mark.parametrize("columns", [([0, 1], [1], [1.0, 1.0]), ([[0]], [[1]], [[1.0]]),
+                                     ([0], [3], [1.0]), ([-1], [1], [1.0]), ([0.0], [1], [1.0]),
+                                     ([0], [1], [0.0]), ([0], [1], [np.nan]),
+                                     ([0], [1], [np.inf])])
+def test_merge_pairs_rejects_bad_columns(columns):
+    with pytest.raises(ValueError, match="pair columns must be flat|pair ids must be in"):
+        merge_pairs(3, *columns)
 
 
 @pytest.mark.parametrize("columns, message", [

@@ -213,18 +213,32 @@ def test_from_pairs_matches_reference():
 
 
 def test_matching_constructor_takes_sorted_pair_arrays():
+    # sorted, merged u < v columns, and any other pair columns, which it
+    # merges as from_pairs merges their rows
     diag = [0.5, 0.0, 0.25, 0.0]
     mu = [1.0, 1.0, 0.75, 1.0]  # diag plus the row sums of the two pairs
     m = StochasticMatching([0, 1], [2, 3], [0.5, 1.0], mu)
     assert m.off_diagonal == ((0, 2, 0.5), (1, 3, 1.0))
     assert m.diagonal.tobytes() == np.array(diag).tobytes()
     assert not m.diagonal.flags.writeable
-    for us, vs, ws in (([2], [0], [0.5]),             # u > v
-                       ([1], [1], [0.5]),             # self-pair
-                       ([1, 0], [3, 2], [1.0, 0.5]),  # unsorted
-                       ([0, 0], [2, 2], [0.5, 0.5]),  # not merged
-                       ([0], [2], [0.0]),             # zero weight
-                       ([0, 1], [2, 3], [0.5])):      # lengths differ
+    for us, vs, ws in (([2, 3], [0, 1], [0.5, 1.0]),               # u > v
+                       ([0, 1, 1], [2, 1, 3], [0.5, 9.0, 1.0]),    # self-pair
+                       ([1, 0], [3, 2], [1.0, 0.5]),               # unsorted
+                       ([0, 2, 1], [2, 0, 3], [0.25, 0.25, 1.0]),  # repeated, both ways
+                       (np.array([1, 0], np.int32), np.array([3, 2], np.uint8),
+                        np.array([1.0, 0.5]))):                    # numpy ids
+        got = StochasticMatching(us, vs, ws, mu)
+        for want in (StochasticMatching.from_pairs(mu, zip(us, vs, ws)),
+                     reference_from_pairs(mu, zip(us, vs, ws)), m):
+            assert got.off_diagonal == want.off_diagonal
+            assert all(type(x) is int for u, v, _ in got.off_diagonal for x in (u, v))
+            assert got.diagonal.tobytes() == want.diagonal.tobytes()
+    for us, vs, ws in (([0], [2], [0.0]),             # zero weight
+                       ([0], [2], [-0.5]),            # negative weight
+                       ([0, 1], [2, 3], [0.5]),       # lengths differ
+                       ([0, 1], [2], [0.5, 1.0]),
+                       ([0], [4], [0.5]),             # id out of range
+                       ([-1], [2], [0.5])):
         with pytest.raises(ValueError):
             StochasticMatching(us, vs, ws, mu)
     with pytest.raises(InvariantViolation, match="exceeds the measure"):
