@@ -229,10 +229,10 @@ def merge_pairs(n: int, us, vs, ws) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if not (us.ndim == 1 and us.shape == vs.shape == ws.shape and (
             not us.size or us.dtype.kind in "biu" and vs.dtype.kind in "biu")):
         raise ValueError("pair columns must be flat, of one length, with integer ids")
-    lo = np.minimum(us, vs).astype(np.intp)
-    hi = np.maximum(us, vs).astype(np.intp)
-    if us.size and not (lo.min() >= 0 and hi.max() < n and 0.0 < ws.min() <= ws.max() < math.inf):
+    if us.size and not (0 <= min(us.min(), vs.min()) and max(us.max(), vs.max()) < n
+                        and 0.0 < ws.min() <= ws.max() < math.inf):  # before a cast can wrap
         raise ValueError(f"pair ids must be in [0, {n}) and weights positive and finite")
+    lo, hi = np.minimum(us, vs).astype(np.intp), np.maximum(us, vs).astype(np.intp)
     key = lo * n + hi
     order = np.argsort(key, kind="stable")
     key = key[order]

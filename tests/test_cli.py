@@ -88,6 +88,9 @@ GRAPH_FILE_ERRORS = [
     ("# only a comment\n\n   \n", "{path}: no vertices"),
     ("p 0 0\n", "{path}: no vertices"),
     ("p -2 0\n", "{path}: no vertices"),
+    ("p 3\n0 2\n18446744073709551615 1\n1 18446744073709551615\n",
+     "edge (18446744073709551615,1) out of range for n=3"),
+    ("p 3\n18446744073709551615 0\n", "edge (18446744073709551615,0) out of range for n=3"),
 ]
 
 MEASURE_FILE_ERRORS = [

@@ -339,6 +339,8 @@ BAD_EDGE_INPUTS = [
     [(0, 1), (-1, 2)],
     [(0.0, 1)],
     [(True, 2, 1.0), (0, 2 ** 70, 1.0)],
+    [(0, 2), (2 ** 64 - 1, 1), (1, 2 ** 64 - 1)],
+    [(2 ** 64 - 1, 0)],
 ]
 
 
@@ -475,7 +477,11 @@ def test_merge_pairs_and_vertex_sums_match_plain_loops():
 @pytest.mark.parametrize("columns", [([0, 1], [1], [1.0, 1.0]), ([[0]], [[1]], [[1.0]]),
                                      ([0], [3], [1.0]), ([-1], [1], [1.0]), ([0.0], [1], [1.0]),
                                      ([0], [1], [0.0]), ([0], [1], [np.nan]),
-                                     ([0], [1], [np.inf])])
+                                     ([0], [1], [np.inf]), ([2 ** 64 - 1], [0], [1.0]),
+                                     (np.array([0, 2 ** 64 - 1, 1], np.uint64),
+                                      np.array([2, 1, 2 ** 64 - 1], np.uint64), [1.0] * 3),
+                                     (np.array([0, 1]), np.array([2, 2 ** 64 - 1], np.uint64),
+                                      [1.0, 1.0])])
 def test_merge_pairs_rejects_bad_columns(columns):
     with pytest.raises(ValueError, match="pair columns must be flat|pair ids must be in"):
         merge_pairs(3, *columns)
@@ -487,6 +493,15 @@ def test_merge_pairs_rejects_bad_columns(columns):
     (([0], [1], [np.inf]), "edge (0,1) has weight inf; weights must be positive and finite"),
     ((np.array([0.0]), np.array([1.0]), [1.0]), "needs integer ids and a real weight"),
     (([0, 1], [1], [1.0, 1.0]), "edge columns must be flat, of one length, with integer ids"),
+    # a uint64 id of 2**63 or more must not wrap to a negative id that
+    # lands the last two pairs on the key of (0, 2)
+    ((np.array([0, 2 ** 64 - 1, 1], np.uint64), np.array([2, 1, 2 ** 64 - 1], np.uint64),
+      [1.0] * 3), "edge (18446744073709551615,1) out of range for n=3"),
+    ((np.array([0, 1]), np.array([2, 2 ** 64 - 1], np.uint64), [1.0, 1.0]),
+     "edge (1,18446744073709551615) out of range for n=3"),
+    # numpy makes a list that mixes np.uint64 and signed ids float64
+    (([np.uint64(0), np.int64(1)], [1, 2], [1.0, 1.0]),
+     "edge columns must be flat, of one length, with integer ids"),
 ])
 def test_from_columns_rejects_bad_columns(columns, message):
     with pytest.raises(GraphInputError, match=re.escape(message)):
