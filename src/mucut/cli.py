@@ -84,7 +84,7 @@ def load_graph(path: str) -> Graph:
     return Graph.from_columns(*_edge_columns(path))
 
 
-def _edge_columns(path: str) -> tuple[int, list[int], list[int], list[float]]:
+def _edge_columns(path: str) -> tuple[int, list[int], list[int], np.ndarray]:
     """The vertex count and the id and weight columns of an edge-list file;
     its text and tokens are freed before the graph is built."""
     lines, rows = _read_lines(path, "graph")
@@ -104,7 +104,8 @@ def _edge_columns(path: str) -> tuple[int, list[int], list[int], list[float]]:
         if 2 in widths:
             rows = [(*parts, "1")[:3] for parts in rows]  # w defaults to 1.0
         us, vs, ws = zip(*rows) if rows else ((), (), ())
-        us, vs, ws = list(map(int, us)), list(map(int, vs)), list(map(float, ws))
+        us, vs = list(map(int, us)), list(map(int, vs))
+        ws = np.fromiter(map(float, ws), float, len(ws))  # float64: no dtype scan in the build
     except ValueError:
         _raise_first_bad_line(path, lines, _edge_problem, after)
     n = declared_n if declared_n is not None else max(max(us, default=-1), max(vs, default=-1)) + 1

@@ -16,10 +16,11 @@ at a time only to name the first bad one when a check fails.
 
 Every query on a vertex set reads it through :func:`vertex_mask`, the one
 place that turns ids into membership and rejects an id that is not an
-integer in [0, n).  The edges a set selects are a boolean mask over the
-graph's edge arrays ``us``/``vs``/``ws`` (``edges`` order), and their weight
-is added one edge at a time in that order by :func:`selected_weight`: the
-bits of a loop over ``edges``, on every interpreter.
+integer in [0, n).  A graph stores its edges once, as the sorted arrays
+``us``/``vs``/``ws`` (``edges`` builds their tuples on each read); the edges
+a set selects are a boolean mask over them, and their weight is added one
+edge at a time in that order by :func:`selected_weight`: the bits of a loop
+over ``edges``, on every interpreter.
 
 Weights, measures, capacities and masses compare up to :func:`tolerance`,
 EPS relative to their scale, and flow at or below ``flow.FLOW_ZERO`` of the
@@ -86,24 +87,22 @@ class Graph:
     """Undirected weighted graph on dense vertex ids 0..n-1.
 
     Parallel edges are merged by weight summation at construction;
-    self-loops are rejected.  ``edges`` lists the merged edges (u, v, w),
-    u < v, in increasing (u, v) order, and ``us``, ``vs`` and ``ws`` are its
-    columns as read-only arrays.  Adjacency is CSR, also read-only: vertex
-    x's incident edges are ``eids[indptr[x]:indptr[x + 1]]``, in ``edges``
-    order, and ``nbrs`` holds their other endpoints at the same positions.
+    self-loops are rejected.  The merged edges (u, v, w), u < v, in
+    increasing (u, v) order, are stored once, as the read-only columns
+    ``us``, ``vs`` and ``ws``; ``edges`` builds their tuples on each read,
+    and :meth:`edge_id` finds a pair by binary search on them.
 
     ``Graph(n, edges)`` takes (u, v) or (u, v, w) tuples and
     :meth:`from_columns` takes the columns; both run one validate-and-merge
     pass over the columns.
     """
 
-    __slots__ = ("vertex_count", "edges", "us", "vs", "ws", "indptr", "nbrs", "eids",
-                 "_degrees")
+    __slots__ = ("vertex_count", "us", "vs", "ws", "_degrees")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence]):
         n = _vertex_count(vertex_count)
         edges = edges if isinstance(edges, (list, tuple)) else list(edges)
-        widths = set(map(len, edges))
+        widths = {len(e) if hasattr(e, "__len__") else None for e in edges}
         if not widths <= {2, 3}:
             _check_edges(n, edges)  # raises for the first malformed edge
         rows = [(*e, 1.0)[:3] for e in edges] if 2 in widths else edges  # w = 1.0
@@ -115,12 +114,13 @@ class Graph:
         and real weights, checked and merged as ``Graph(n, edges)`` checks
         and merges their rows, with the same errors."""
         g = cls.__new__(cls)
-        g._build(_vertex_count(vertex_count), us, vs, ws, zip(us, vs, ws))
+        rows = zip(*(c if np.iterable(c) else () for c in (us, vs, ws)))  # a scalar column: no rows
+        g._build(_vertex_count(vertex_count), us, vs, ws, rows)
         return g
 
     def _build(self, n: int, us, vs, ws, rows: Iterable[Sequence]) -> None:
-        """Check and merge the columns and lay out the adjacency; `rows`, the
-        same edges as tuples, are read only to name the first bad one."""
+        """Check and merge the columns; `rows`, the same edges as tuples, are
+        read only to name the first bad one."""
         try:
             us, vs, ws = merge_pairs(n, us, vs, ws)
             valid = not (us == vs).any()
@@ -129,24 +129,20 @@ class Graph:
         if not valid:
             _check_edges(n, rows)
             raise GraphInputError("edge columns must be flat, of one length, with integer ids")
-        # vertex x's incidences in edges order: a stable sort of u0, v0, u1, v1, ...
-        ends = np.column_stack((us, vs)).ravel()
-        order = np.argsort(ends, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
         self.vertex_count = n
-        self.edges = tuple(zip(us.tolist(), vs.tolist(), ws.tolist()))
         self.us, self.vs, self.ws = us, vs, ws
-        self.indptr = indptr
-        self.nbrs = np.column_stack((vs, us)).ravel()[order]
-        self.eids = order >> 1
         self._degrees = vertex_sums(n, us, vs, ws)
-        for col in (us, vs, ws, indptr, self.nbrs, self.eids, self._degrees):
+        for col in (us, vs, ws, self._degrees):
             col.setflags(write=False)
 
     @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The merged edges as (u, v, w) tuples, built from the columns on each read."""
+        return tuple(zip(self.us.tolist(), self.vs.tolist(), self.ws.tolist()))
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.ws)
 
     def weighted_degrees(self) -> np.ndarray:
         """Per-vertex sum of incident edge weights."""
@@ -155,20 +151,20 @@ class Graph:
     def edge_id(self, u: int, v: int) -> int | None:
         """Index in `edges` of the (merged) edge between u and v, or None if absent."""
         try:
-            u, v = index(u), index(v)
+            u, v = sorted((index(u), index(v)))
         except TypeError:
             raise GraphInputError(f"vertex ids must be integers, not ({u!r}, {v!r})") from None
-        if 0 <= u < self.vertex_count:
-            lo = self.indptr[u]
-            row = self.nbrs[lo:self.indptr[u + 1]].tolist()
-            if v in row:
-                return int(self.eids[lo + row.index(v)])
+        if 0 <= u and v < self.vertex_count:  # the rows of u, then v among them
+            lo, hi = np.searchsorted(self.us, (u, u + 1)).tolist()
+            i = lo + int(np.searchsorted(self.vs[lo:hi], v))
+            if i < hi and self.vs[i] == v:
+                return i
         return None
 
     def edge_weight(self, u: int, v: int) -> float | None:
         """Weight of the (merged) edge between u and v, or None if absent."""
         idx = self.edge_id(u, v)
-        return None if idx is None else self.edges[idx][2]
+        return None if idx is None else float(self.ws[idx])
 
     def __repr__(self):
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
@@ -186,7 +182,7 @@ def _check_edges(n: int, edges: Iterable[Sequence]) -> None:
     not (u, v[, w]), has an id that is not an integer in [0, n), is a
     self-loop or has a weight that is not positive and finite."""
     for e in edges:
-        if len(e) not in (2, 3):
+        if not hasattr(e, "__len__") or len(e) not in (2, 3):
             raise GraphInputError(f"edge {e!r} is neither (u, v) nor (u, v, w)")
         try:
             u, v, w = index(e[0]), index(e[1]), _real(e[2]) if len(e) == 3 else 1.0
@@ -386,12 +382,14 @@ def connected_components(g: Graph, vertices: Iterable[int] | None = None
     """Components of G[vertices] (default: all of g) as sorted tuples of g's
     ids, ordered by smallest member; no subgraph is built."""
     n = g.vertex_count
-    unseen = np.ones(n, dtype=bool) if vertices is None else vertex_mask(n, vertices)
-    starts = np.flatnonzero(unseen).tolist()
-    unseen = unseen.tolist()  # inside and not yet reached
-    ptr, nbrs = g.indptr.tolist(), g.nbrs.tolist()
+    inside = np.ones(n, dtype=bool) if vertices is None else vertex_mask(n, vertices)
+    ends = np.column_stack((g.us, g.vs))[inside[g.us] & inside[g.vs]]  # the edges in the set
+    tails = ends.ravel()  # each vertex's neighbours in edges order
+    nbrs = ends[:, ::-1].ravel()[np.argsort(tails, kind="stable")].tolist()
+    ptr = [0] + np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    unseen = [True] * n
     comps = []
-    for start in starts:
+    for start in np.flatnonzero(inside).tolist():
         if not unseen[start]:
             continue
         unseen[start] = False

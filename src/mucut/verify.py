@@ -248,5 +248,5 @@ def check_embedding_congestion(host: Graph, paths) -> float:
             loads[idx] = loads.get(idx, 0.0) + w
     worst = 0.0
     for idx, load in loads.items():
-        worst = max(worst, load / host.edges[idx][2])
+        worst = max(worst, load / float(host.ws[idx]))
     return worst

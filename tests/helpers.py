@@ -120,14 +120,18 @@ def write_measure(path, mu: VertexMeasure) -> str:
 
 
 def adjacency_recount_cut(g: Graph, side) -> float:
-    """Independent cut recount: scan each member's CSR incidence list."""
+    """Independent cut recount: scan each member's incidence list, built
+    from `g.edges`."""
     side = set(side)
-    ptr, nbrs, eids = g.indptr.tolist(), g.nbrs.tolist(), g.eids.tolist()
+    incident = [[] for _ in range(g.vertex_count)]
+    for u, v, w in g.edges:
+        incident[u].append((v, w))
+        incident[v].append((u, w))
     total = 0.0
     for u in side:
-        for i in range(ptr[u], ptr[u + 1]):
-            if nbrs[i] not in side:
-                total += g.edges[eids[i]][2]
+        for v, w in incident[u]:
+            if v not in side:
+                total += w
     return total
 
 

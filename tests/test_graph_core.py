@@ -241,14 +241,21 @@ def test_connected_components_ordering():
 
 def test_connected_components_of_subset_match_induced_subgraph():
     rng = np.random.default_rng(13)
-    for _ in range(40):
+    for trial in range(60):
         n = int(rng.integers(2, 30))
         g = random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0)))
+        if trial >= 40:  # isolated vertices among the others
+            k = int(rng.integers(1, 6))
+            perm = rng.permutation(n + k).tolist()
+            g = Graph(n + k, [(perm[u], perm[v], w) for u, v, w in g.edges])
+            n += k
+            assert sum(len(c) == 1 for c in connected_components(g)) == k
         subset = {int(v) for v in rng.integers(0, n, size=int(rng.integers(1, n + 1)))}
         sub, order = induced_subgraph(g, subset)
         expected = tuple(tuple(order[v] for v in comp) for comp in connected_components(sub))
         assert connected_components(g, subset) == expected
         assert connected_components(g, sorted(subset, reverse=True)) == expected
+        assert connected_components(g, []) == ()
 
 
 @pytest.mark.parametrize("edge", [(0, 1, 5.0, "x"), (0,), (0.7, 1.9, 1.0), (0, 1.0),
@@ -296,10 +303,6 @@ def assert_same_graph(g: Graph, ref) -> None:
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert [w.hex() for w in g.ws.tolist()] == [w.hex() for w in ref.ws.tolist()]
     assert g.weighted_degrees().tobytes() == ref._degrees.tobytes()
-    for x, incident in enumerate(ref.adjacency):  # CSR rows list the former tuples' order
-        row = slice(g.indptr[x], g.indptr[x + 1])
-        assert g.nbrs[row].tolist() == [v for v, _, _ in incident]
-        assert g.eids[row].tolist() == [idx for _, _, idx in incident]
     for u in range(-1, g.vertex_count + 1):
         for v in range(-1, g.vertex_count + 1):
             assert g.edge_id(u, v) == reference_edge_id(ref, u, v)
@@ -415,6 +418,34 @@ def test_edge_lookups_take_numpy_and_out_of_range_ids():
     assert g.edge_id(np.int64(1), np.uint8(0)) == 0
     assert g.edge_weight(np.int32(0), 1) == 2.0
     assert g.edge_id(-1, 0) is None and g.edge_weight(0, 3) is None
+    for far in (2**70, np.uint64(2**64 - 1), -1, np.int64(-2**63), 3):
+        for u, v in ((far, 1), (1, far), (far, far), (far, 0)):
+            assert g.edge_id(u, v) is None and g.edge_weight(u, v) is None
+
+
+def test_edge_lookups_return_python_numbers():
+    g = Graph(5, [(2, 3, 0.5), (0, 1, 2.0), (3, 1, 1.5), (0, 2, 1.0), (0, 4, 0.25)])
+    found = set()
+    for idx, (u, v, w) in enumerate(g.edges):
+        for a, b in ((u, v), (v, u), (np.uint64(u), np.int8(v))):
+            got_id, got_w = g.edge_id(a, b), g.edge_weight(a, b)
+            assert type(got_id) is int and got_id == idx
+            assert type(got_w) is float and got_w == w
+        found.add((u, v))
+    for u, v in itertools.product(range(5), repeat=2):
+        if (min(u, v), max(u, v)) not in found:
+            assert g.edge_id(u, v) is None and g.edge_weight(u, v) is None
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(3, [5]), "edge 5 is neither (u, v) nor (u, v, w)"),
+    (lambda: Graph(3, [(0, 1), None]), "edge None is neither (u, v) nor (u, v, w)"),
+    (lambda: Graph.from_columns(3, 5, [1], [1.0]), "edge columns must be flat"),
+    (lambda: Graph.from_columns(3, [0], [1], 2.0), "edge columns must be flat"),
+], ids=["int-edge", "none-edge", "int-id-column", "float-weight-column"])
+def test_edges_without_a_length_raise_graph_input_error(build, message):
+    with pytest.raises(GraphInputError, match=re.escape(message)):
+        build()
 
 
 def dict_merge(pairs):
