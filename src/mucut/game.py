@@ -7,10 +7,66 @@ set.  Failures to route remove a sparse cut from the active set.  The
 outcome keeps each round's :class:`RoundRecord` as the matching player
 returned it; every view of a round (the CLI's trace CSV, its potential)
 is computed from those records.  Every id, in the rounds and in their
-records, is an id of the graph passed in.  The run ends when the removed
-measure passes its threshold or the round budget is spent, and is
-classified as a certified expander, a balanced cut, or a small cut whose
-complement is a near-expander.
+records, is an id of the graph passed in.  The run ends at the first of:
+the removed measure passes its threshold; the walk holds its k x k product
+(see :class:`spectral.WalkOperator`; k = |supp mu|) and the potential
+psi = ||W||_F^2 after the round is at most tau = 1/(16 k^2); or T rounds
+are played.  It is classified as a balanced cut (removed measure past the
+threshold), a small cut whose complement is a near-expander (some
+removal), or a certified expander (none).
+
+Why a mixed walk ends the game
+------------------------------
+Write s = sqrt(mu) on the k terminals, C = Nbar_{t-1} ... Nbar_0 for the
+walk's product after t rounds, P for the projection away from s on the
+active set A, and sigma = ||P C||_2.  Then psi = ||(C^T P C)^delta||_F^2
+is the sum of the (4 delta)-th powers of the singular values of P C, so
+sigma <= psi^(1/(4 delta)).
+
+* Mass view.  Let every terminal u start with mu(u) of its own commodity,
+  and let round i move, for each pair (u, v, w) of its matching, the share
+  w/(delta mu(u)) of all u holds to v and the share w/(delta mu(v)) of all
+  v holds to u: w/delta each way, as u always holds mu(u) in all.  That is
+  the lazy factor Nbar_i in mu-coordinates, so after t rounds the
+  S-commodity found in a set Y is x_Y^T C x_S, with x_S = s on S and zero
+  elsewhere.  The mass moves on the paths the matching player routed the
+  pair on, which load an edge e with at most c w_e per round, so at most
+  t c w(E(S, V-S)) / delta of any commodity ever leaves S.
+* Certified (A = V).  C fixes s on both sides, so for mu(S) <= mu(V)/2
+  the S-commodity outside S is at least (1 - sigma) mu(S) mu(V-S) / mu(V),
+  and Phi(S) >= (1 - sigma) delta / (2 c t).
+* Near-expander (removed set R, A = V - R).  The same count, with the
+  commodity that leaks into R, gives w(E(S, V-S)) >= (1 - sqrt(2) sigma)
+  delta / (2 c t) mu(S) for S inside A with mu(S) <= mu(A)/2: edges into R
+  count, as trimming needs.  The run stops below stop_threshold =
+  mu(V) c phi / 70, and the cut is at most 7/c sparse (the game checks
+  it), so w(E(A, R)) <= 7 mu(R) / c <= phi mu(V) / 10, within trim's
+  phi mu(A) / 9 whenever c phi <= 7.
+* The threshold.  The T-round analysis drives psi below 1/k^2 w.h.p.;
+  then sigma^2 <= k^(-1/delta), the n^(-1/delta) <= 1/20 that
+  ``default_delta`` provides when every vertex is a terminal.  The game
+  checks psi itself, against tau = 1/(16 k^2).
+* Fewer rounds.  The certificate uses the round count only through the
+  congestion c t, and its level falls as 1/t: a game that mixes at t < T
+  proves a level T/t times higher than the same mixing proves at T.
+* The constants.  With the defaults (c = round(1/(phi ln n)),
+  T = ceil(2 log2(n)^2), delta from ``default_delta``) the level reaches
+  phi/6 only while t <= 3 (1 - sigma) delta / (c phi).  On instance 0 of
+  benchmark seed 1 the 30 x 30 terminal grid (k = 90, delta = 2, c = 7)
+  mixes at t = 61 and proves phi/12.6, where T = 193 proved phi/40; its
+  50-vertex planted blocks (k = 50, delta = 1, c = 5) mix at t = 26-29
+  and prove phi/15 to phi/17, where T = 64 proved phi/37.  So the chain
+  alone does not reach phi/6 at these sizes, with or without the early
+  stop; ``decompose`` brute-forces small clusters against phi/6 as before.
+* Rounding.  Every factor is nonnegative with spectral norm at most 1, so
+  a relative error in its entries is one in its norm.  With u = 2^-53 and
+  d the most pairs at one vertex in a round, the computed P C is within
+  eta = 2((d + 6) t + k + 4) u of the exact one in spectral norm, and for
+  delta <= 4 (n < 20^8) the computed G^delta, G = C^T P C, is within
+  sqrt(k) (2 delta eta + 304 k u) of the exact one in Frobenius norm, to
+  first order in u.  As tau is 16 times below the 1/k^2 above, an error
+  up to 3/(4k) there still leaves the exact psi below 1/k^2: at k = 1024,
+  t = 200 and d = k the bound is 1.3e-8, against 7.3e-4.
 """
 
 from __future__ import annotations
@@ -29,17 +85,19 @@ from .graph import Graph, VertexMeasure, is_connected, mu_expansion_of_cut, tole
 from .graph import induced_subgraph  # noqa: F401
 from .flow import edge_network
 from .matching import RoundRecord, solve_matching_round
-from .spectral import (ActiveState, WalkOperator, default_delta, is_power_of_two, projections,
-                       sample_unit_vector)
+from .spectral import (ActiveState, WalkOperator, default_delta, is_power_of_two, potential,
+                       projections, sample_unit_vector)
 
 
 @dataclass(frozen=True)
 class GameParams:
     """Knobs of one game run; build with :meth:`for_graph` for the defaults.
 
-    stop_threshold is mu(V) * c * phi / 70: the run stops once the removed
-    measure exceeds it.  Nothing here concerns tracing: the potential is
-    computed from the outcome's round records, outside the game.
+    rounds_T caps the rounds: a game stops earlier once its walk has mixed
+    (psi <= 1/(16 k^2), see the module docstring).  stop_threshold is
+    mu(V) * c * phi / 70: the run stops once the removed measure exceeds
+    it.  Nothing here concerns tracing: the trace's potentials are computed
+    from the outcome's round records, outside the game.
     """
 
     phi: float
@@ -99,7 +157,8 @@ class CutMatchingOutcome:
 
 def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
                      rng: np.random.Generator) -> CutMatchingOutcome:
-    """Play up to T rounds on a connected graph and classify the outcome."""
+    """Play until the walk mixes, the removed measure passes its threshold or
+    T rounds are played, on a connected graph, and classify the outcome."""
     n = g.vertex_count
     if len(mu.values) != n:
         raise ValueError("measure length does not match the graph")
@@ -121,6 +180,8 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
     state = ActiveState(active, mu)
     walk = WalkOperator([], params.delta, state)
     c = float(params.capacity_c)
+    k = len(walk.support)
+    tau = 1.0 / (16.0 * k * k)  # the mixing threshold; see the module docstring
     edges = None  # the active set's edge arcs, built by the first round that needs them
     t = 0
 
@@ -139,14 +200,15 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
             state = walk.state = ActiveState(active, mu)
             edges = None
         t += 1
+        if walk.product is not None and potential(walk.product, state, params.delta) <= tau:
+            break  # mixed: the round budget exists only to reach this
 
-    mu_removed = mu.of(removed_all)
-    if t == params.rounds_T and not removed_all:
-        variant = Variant.CERTIFIED_EXPANDER
-    elif mu_removed > params.stop_threshold:
+    if mu.of(removed_all) > params.stop_threshold:
         variant = Variant.BALANCED_CUT
-    else:
+    elif removed_all:
         variant = Variant.NEAR_EXPANDER_CUT
+    else:
+        variant = Variant.CERTIFIED_EXPANDER
 
     if removed_all:
         # recompute the cumulative cut quality rather than trusting the rounds

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable, Sequence
 from operator import index
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,8 +101,11 @@ class Graph:
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence]):
         n = _vertex_count(vertex_count)
-        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
-        widths = {len(e) if hasattr(e, "__len__") else None for e in edges}
+        try:
+            edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        except TypeError:
+            raise GraphInputError(f"edges must be an iterable of rows, not {edges!r}") from None
+        widths = {len(e) if isinstance(e, _ROW_TYPES) else None for e in edges}
         if not widths <= {2, 3}:
             _check_edges(n, edges)  # raises for the first malformed edge
         rows = [(*e, 1.0)[:3] for e in edges] if 2 in widths else edges  # w = 1.0
@@ -177,12 +180,17 @@ def _vertex_count(vertex_count) -> int:
     return n
 
 
+#: What an edge row may be: an ordered sequence, never a dict or a set,
+#: whose iteration order is not the order (u, v[, w])
+_ROW_TYPES = (tuple, list, np.ndarray, Sequence)
+
+
 def _check_edges(n: int, edges: Iterable[Sequence]) -> None:
     """Raise GraphInputError for the first edge, in the order given, that is
-    not (u, v[, w]), has an id that is not an integer in [0, n), is a
+    not a row (u, v[, w]), has an id that is not an integer in [0, n), is a
     self-loop or has a weight that is not positive and finite."""
     for e in edges:
-        if not hasattr(e, "__len__") or len(e) not in (2, 3):
+        if not isinstance(e, _ROW_TYPES) or len(e) not in (2, 3):
             raise GraphInputError(f"edge {e!r} is neither (u, v) nor (u, v, w)")
         try:
             u, v, w = index(e[0]), index(e[1]), _real(e[2]) if len(e) == 3 else 1.0
@@ -383,10 +391,20 @@ def connected_components(g: Graph, vertices: Iterable[int] | None = None
     ids, ordered by smallest member; no subgraph is built."""
     n = g.vertex_count
     inside = np.ones(n, dtype=bool) if vertices is None else vertex_mask(n, vertices)
-    ends = np.column_stack((g.us, g.vs))[inside[g.us] & inside[g.vs]]  # the edges in the set
-    tails = ends.ravel()  # each vertex's neighbours in edges order
-    nbrs = ends[:, ::-1].ravel()[np.argsort(tails, kind="stable")].tolist()
-    ptr = [0] + np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    keep = inside[g.us] & inside[g.vs]  # the edges in the set, sorted by (u, v)
+    us, vs = g.us[keep], g.vs[keep]
+    # x's neighbours are its lower ones (the us of the edges sorted by v), then
+    # its upper ones (the vs of its rows: us is sorted already).  The j-th end
+    # of either half lands at j plus the other half's ends at smaller ids.
+    by_v = np.argsort(vs, kind="stable")
+    n_lower, n_upper = np.bincount(vs, minlength=n), np.bincount(us, minlength=n)
+    lower_end, upper_end = np.cumsum(n_lower), np.cumsum(n_upper)
+    rank = np.arange(len(us))
+    nbrs = np.empty(2 * len(us), dtype=np.intp)
+    nbrs[rank + (upper_end - n_upper)[vs[by_v]]] = us[by_v]
+    nbrs[rank + lower_end[us]] = vs
+    nbrs = nbrs.tolist()
+    ptr = [0] + (lower_end + upper_end).tolist()
     unseen = [True] * n
     comps = []
     for start in np.flatnonzero(inside).tolist():

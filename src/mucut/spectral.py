@@ -23,8 +23,11 @@ at least k^2 numbers, the walk multiplies it out into the k x k product
 C = Nbar_{t-1} ... Nbar_0 and applies that instead.  One evaluation
 therefore costs min(2 delta t (k + pairs), 2 delta k^2), plus
 k (k + pairs) per added round once the product exists.  The potential
-psi = ||W||_F^2 is never needed by the game; ``potentials`` replays a
-game's round records into the same k x k product to report it after each
+psi = ||W||_F^2 is read off that product by :func:`potential`: the game
+does so after every round once its walk holds the product, and stops at
+the first psi <= 1/(16 k^2) (see ``game``); it never forms the product
+earlier for it.  ``potentials`` replays a game's round records into the
+same k x k product, through the same function, to report psi after each
 round.  The dense n x n oracles live in the tests.
 """
 
@@ -208,33 +211,43 @@ class LazyFactor:
         return out
 
 
+def potential(c: np.ndarray, state: ActiveState, delta: int) -> float:
+    """The potential psi = ||W||_F^2 of the walk whose k x k product is c.
+
+    c = Nbar_{t-1} ... Nbar_0 in support coordinates and P the projection
+    for ``state``'s active set.  W = (P C C^T P)^delta has the nonzero
+    spectrum of G^delta for G = C^T P C, so psi = ||G^delta||_F^2, with
+    G^delta taken by log2(delta) squarings.  The game's stop test and
+    :func:`potentials` both call this, so their values agree bit for bit.
+    """
+    if state.mu_active_total <= 0.0:
+        raise ValueError("active set carries no measure; projection undefined")
+    support = np.flatnonzero(state.measure.support_mask)
+    mask, sqrt_mu = state.mask[support], state.sqrt_mu[support]
+    b = mask[:, None] * c - np.outer(sqrt_mu, sqrt_mu @ c) / state.mu_active_total  # P C
+    g = b.T @ b
+    for _ in range(int(delta).bit_length() - 1):
+        g = g @ g
+    return float(np.vdot(g, g))
+
+
 def potentials(rounds, measure: VertexMeasure, delta: int) -> list[float]:
     """The potential psi = ||W||_F^2 after each of a game's round records.
 
     The rounds' factors are multiplied into the k x k product
-    C = Nbar_{t-1} ... Nbar_0, one ``LazyFactor.times`` per round.  With P
-    the projection for the active set after the round, W = (P C C^T P)^delta
-    has the nonzero spectrum of G^delta for G = C^T P C, so
-    psi = ||G^delta||_F^2, with G^delta taken by log2(delta) squarings.
+    C = Nbar_{t-1} ... Nbar_0, one ``LazyFactor.times`` per round, and
+    :func:`potential` reads psi off it for the active set after the round.
     """
     if not is_power_of_two(int(delta)):
         raise ValueError(f"delta must be a power of two, got {delta}")
-    support = np.flatnonzero(measure.support_mask)
-    c = np.eye(len(support))
+    c = np.eye(len(measure.support))
     state = None
     psis = []
     for rec in rounds:
         c = LazyFactor(rec.matching, measure, delta).times(c)
         if state is None or rec.removed:
             state = ActiveState(frozenset(rec.active_before) - rec.removed, measure)
-            if state.mu_active_total <= 0.0:
-                raise ValueError("active set carries no measure; projection undefined")
-            mask, sqrt_mu = state.mask[support], state.sqrt_mu[support]
-        b = mask[:, None] * c - np.outer(sqrt_mu, sqrt_mu @ c) / state.mu_active_total  # P C
-        g = b.T @ b
-        for _ in range(int(delta).bit_length() - 1):
-            g = g @ g
-        psis.append(float(np.vdot(g, g)))
+        psis.append(potential(c, state, delta))
     return psis
 
 

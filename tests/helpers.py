@@ -747,6 +747,32 @@ def dense_walk_and_potential(w: WalkOperator, limit: int = DENSE_LIMIT) -> tuple
     return walk, psi
 
 
+def extended_potential(rounds, mu: VertexMeasure, delta: int) -> np.longdouble:
+    """psi after the last of a game's rounds in numpy's extended precision,
+    from dense factors on the support: each matching's diagonal is mu minus
+    its pair sums, taken in that precision, not the stored float one."""
+    support = np.flatnonzero(mu.support_mask)
+    pos = {int(v): i for i, v in enumerate(support)}
+    vals = mu.values[support].astype(np.longdouble)
+    inv_sqrt = 1 / np.sqrt(vals)
+    lazy = np.longdouble(delta - 1) / delta
+    c = np.eye(len(support), dtype=np.longdouble)
+    active = set(rounds[0].active_before)
+    for rec in rounds:
+        m = np.zeros_like(c)
+        for u, v, w in rec.matching.off_diagonal:
+            if u in pos and v in pos:
+                m[pos[u], pos[v]] = m[pos[v], pos[u]] = w
+        m[np.diag_indices_from(m)] = vals - m.sum(axis=1)
+        c = (lazy * np.eye(len(support)) + inv_sqrt[:, None] * m * inv_sqrt / delta) @ c
+        active -= rec.removed
+    mask = np.array([int(v) in active for v in support])
+    s = np.where(mask, np.sqrt(vals), 0)
+    b = mask[:, None] * c - np.outer(s, s @ c) / vals[mask].sum()
+    g = np.linalg.matrix_power(b.T @ b, delta)
+    return (g * g).sum()
+
+
 def psi_sequence(g: Graph, mu: VertexMeasure, out, delta: int) -> list:
     """Recompute psi(0..T) offline from a game's round records."""
     values = []

@@ -3,13 +3,18 @@ import gc
 import numpy as np
 import pytest
 
-from mucut import (Graph, GameParams, Variant, VertexMeasure, cut_weight,
-                   induced_subgraph, mu_expansion_of_cut, run_cut_matching)
+from mucut import (ActiveState, Graph, GameParams, Variant, VertexMeasure, WalkOperator,
+                   cut_weight, induced_subgraph, mu_expansion_of_cut, potentials,
+                   run_cut_matching)
 from mucut.cli import main
+from mucut.spectral import potential
 from mucut.verify import check_embedding_congestion
 
-from helpers import (clique_edges, dense_walk_and_potential, dumbbell_graph, matching_row_sums,
-                     psi_sequence, random_connected_graph, random_measure, write_graph)
+from helpers import (clique_edges, dense_walk_and_potential, dumbbell_graph, extended_potential,
+                     matching_row_sums, psi_sequence, random_connected_graph, random_measure,
+                     write_graph)
+from test_decompose import two_weakly_joined_cliques
+from test_golden import GOLDEN
 
 
 def test_params_defaults():
@@ -239,3 +244,75 @@ def test_same_seed_reproduces_run():
     assert len(a.rounds) == len(b.rounds)
     for ra, rb in zip(a.rounds, b.rounds):
         assert ra.matching.off_diagonal == rb.matching.off_diagonal
+
+
+def random_early_stop(delta=None):
+    # a 30-vertex game that mixes in about 30 of its T = 49 rounds
+    rng = np.random.default_rng(4)
+    g = random_connected_graph(rng, 30, extra=2.0)
+    mu = VertexMeasure.from_degrees(g)
+    return g, mu, GameParams.for_graph(g, mu, 0.1, delta=delta), rng
+
+
+def golden_game(make):
+    g, mu, phi, seed = make()
+    return g, mu, GameParams.for_graph(g, mu, phi), np.random.default_rng(seed)
+
+
+STOP_CASES = {f"golden-{make.__name__}": (lambda make=make: golden_game(make)) for make in GOLDEN}
+STOP_CASES["random-delta1"] = random_early_stop
+STOP_CASES["random-delta2"] = lambda: random_early_stop(delta=2)
+
+
+@pytest.mark.parametrize("case", list(STOP_CASES))
+def test_game_stops_at_the_first_mixed_product_round(case):
+    g, mu, params, rng = STOP_CASES[case]()
+    out = run_cut_matching(g, mu, params, rng)
+    assert len(out.rounds) <= params.rounds_T
+    k = len(mu.support)
+    tau = 1.0 / (16.0 * k * k)
+    psis = potentials(out.rounds, mu, params.delta)
+    walk = WalkOperator([], params.delta, ActiveState(range(g.vertex_count), mu))
+    held = []  # whether the game's walk held its product after each round
+    for rec in out.rounds:
+        walk.extend(rec.matching)
+        held.append(walk.product is not None)
+    assert all(psi > tau for psi, h in zip(psis[:-1], held[:-1]) if h)
+    stopped = len(out.rounds) < params.rounds_T and out.variant is not Variant.BALANCED_CUT
+    if stopped:
+        assert held[-1]
+        psi = potential(out.walk.product, out.walk.state, params.delta)  # the game's last check
+        assert psi <= tau
+        assert psi == psis[-1]
+    # planted_blocks' game ends at its removal threshold; every other one mixes before T
+    assert stopped == (case != "golden-planted_blocks")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 4, 5])
+def test_unmixed_two_cliques_game_plays_every_round(seed):
+    # psi stays at 2.9-4.5, far above tau: the game certifies at T, as before
+    g, mu = two_weakly_joined_cliques()
+    params = GameParams.for_graph(g, mu, 0.05)
+    out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
+    assert out.variant is Variant.CERTIFIED_EXPANDER
+    assert len(out.rounds) == params.rounds_T == 18
+    assert out.walk.product is not None
+    assert potential(out.walk.product, out.walk.state, params.delta) > 1.0
+
+
+@pytest.mark.parametrize("case", list(STOP_CASES))
+def test_stop_potential_rounding_within_the_stated_bound(case):
+    # the game module's bound on ||fl(G^delta) - G^delta||_F, which the factor
+    # 16 in tau covers up to 3/(4k), against psi in extended precision
+    g, mu, params, rng = STOP_CASES[case]()
+    out = run_cut_matching(g, mu, params, rng)
+    k, t, delta = len(mu.support), len(out.rounds), params.delta
+    d = max(np.bincount(np.ravel([p[:2] for p in rec.matching.off_diagonal]), minlength=1).max()
+            for rec in out.rounds if rec.matching.off_diagonal)
+    u = 2.0 ** -53
+    eta = 2 * ((d + 6) * t + k + 4) * u
+    bound = np.sqrt(k) * (2 * delta * eta + 304 * k * u)
+    assert bound <= 3 / (4 * k)
+    got = potentials(out.rounds, mu, delta)[-1]
+    exact = extended_potential(out.rounds, mu, delta)
+    assert abs(np.sqrt(got) - np.sqrt(exact)) <= bound

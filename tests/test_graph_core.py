@@ -448,6 +448,18 @@ def test_edges_without_a_length_raise_graph_input_error(build, message):
         build()
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([{0: 1, 1: 2}], "edge {0: 1, 1: 2} is neither (u, v) nor (u, v, w)"),
+    ([(0, 1), {0, 2}], "edge {0, 2} is neither (u, v) nor (u, v, w)"),
+    (5, "edges must be an iterable of rows, not 5"),
+], ids=["dict-row", "set-row", "int-edges"])
+def test_graph_rejects_unordered_rows_and_edges_that_are_not_iterable(edges, message):
+    # a dict or set row used to become the edge of its keys in iteration
+    # order, and an int raised a bare TypeError
+    with pytest.raises(GraphInputError, match=re.escape(message)):
+        Graph(3, edges)
+
+
 def dict_merge(pairs):
     """Pairs merged by a plain dict in the order given, keyed by (min, max)."""
     merged = {}
