@@ -35,7 +35,7 @@ from .errors import GraphInputError
 from .game import GameParams
 from .graph import Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
 from .spectral import is_power_of_two, potentials
-from .verify import brute_force_expansion, validate_partition, MAX_ENUM_N
+from .verify import DEFAULT_VERIFY_MAX_N, MAX_ENUM_N, brute_force_expansion, validate_partition
 
 #: The trace fills psi for games on at most this many terminals, where the
 #: k x k product holds at most 8 MB.
@@ -307,7 +307,7 @@ def cmd_verify(args) -> int:
             raise GraphInputError(f"{args.partition}: 'phi' must be positive and finite")
         loaded = SimpleNamespace(clusters=[tuple(c) for c in clusters],
                                  inter_cluster_edge_weight=float(weight))
-        max_n = 16 if args.verify_max_n is None else args.verify_max_n
+        max_n = DEFAULT_VERIFY_MAX_N if args.verify_max_n is None else args.verify_max_n
         report = validate_partition(g, mu, loaded, phi, check_level=args.check_level,
                                     max_n=max_n)
         _emit_json(dataclasses.asdict(report), args.json_out)
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="recursive expander decomposition")
     _add_files(p_dec)
     _add_game(p_dec)
-    p_dec.add_argument("--verify-max-n", type=int, default=16, dest="verify_max_n",
+    p_dec.add_argument("--verify-max-n", type=int, default=DEFAULT_VERIFY_MAX_N,
+                       dest="verify_max_n",
                        help="brute-force size cap for certificates; game-certified clusters "
                             "below 20 vertices are brute-forced regardless")
     p_dec.set_defaults(func=cmd_decompose)
@@ -372,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="expansion level clusters must meet (default phi/6)")
     # unset by default, so that the brute-force mode can reject it
     p_ver.add_argument("--verify-max-n", type=int, default=None, dest="verify_max_n",
-                       help="brute-force size cap for partition clusters (default 16)")
+                       help="brute-force size cap for partition clusters "
+                            f"(default {DEFAULT_VERIFY_MAX_N})")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

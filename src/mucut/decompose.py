@@ -23,7 +23,7 @@ from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
 from .graph import (Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
                     induced_subgraph, selected_weight, tolerance)
 from .trimming import trim
-from .verify import MAX_ENUM_N, brute_force_expansion
+from .verify import DEFAULT_VERIFY_MAX_N, MAX_ENUM_N, brute_force_expansion
 
 
 class OutcomeKind(enum.Enum):
@@ -97,7 +97,7 @@ class DecomposeConfig:
     delta: Optional[int] = None
     log_base: float = 2.0
     depth_limit: Optional[int] = None
-    verify_max_n: int = 16  # brute-force size cap for certificates, in [1, MAX_ENUM_N]
+    verify_max_n: int = DEFAULT_VERIFY_MAX_N  # brute-force cap for certificates, in [1, MAX_ENUM_N]
     trace_hook: Optional[object] = None  # callable fed each game's CutMatchingOutcome
 
 

@@ -21,19 +21,18 @@ other arc only ever gained residual capacity, so its flow is zero.  Path
 stripping keeps a current-arc pointer per vertex as well.
 
 Both flow problems the algorithm poses on a vertex subset, the matching
-player's and trimming's, share one layout: :func:`edge_network` lays out
-the subset's edges on the graph's ids plus a source and a sink, filling
-its arc lists from the graph's edge mask by slices, and the
-caller adds its terminal arcs, (vertex, capacity) pairs from the source
-and to the sink, with :meth:`FlowNetwork.with_terminals`.  That returns a
-new network with the terminal arcs ahead of the edge arcs in every
-adjacency list and leaves the edge network as it is, so the matching
-player builds it once per active set and shares it between rounds.  It
-fills the new arcs' slots by slice assignment and rebuilds only the
-terminals' adjacency lists, so its Python work is per terminal.  Arc ids
-are therefore not those of an arc-by-arc build, while each vertex's
-adjacency order is, and the solver and the path stripper read arcs only
-in adjacency order.
+player's and trimming's, share one layout: :func:`edge_network` is the
+:class:`FlowNetwork` constructor on the subset's edge columns, on the
+graph's ids plus a source and a sink, and the caller adds its terminal
+arcs, (vertex, capacity) pairs from the source and to the sink, with
+:meth:`FlowNetwork.with_terminals`.  That returns a new network with the
+terminal arcs ahead of the edge arcs in every adjacency list, so the
+matching player builds the edge network once per active set and shares it
+between rounds.  It fills the new arcs' slots by slice assignment and
+rebuilds only the terminals' adjacency lists, so its Python work is per
+terminal.  Arc ids are therefore not those of one build with the terminal
+arcs first, while each vertex's adjacency order is, and the solver and the
+path stripper read arcs only in adjacency order.
 """
 
 from __future__ import annotations
@@ -52,48 +51,54 @@ from .graph import Graph, ordered_sum, tolerance, vertex_mask
 FLOW_ZERO = 1e-12
 
 
-def _check_capacity(capacity: float) -> None:
-    if not 0 <= capacity < math.inf:
-        raise ValueError(f"capacity must be non-negative and finite, got {capacity}")
+def _check(node_count: int, ids: np.ndarray, caps: np.ndarray, name, barred=()) -> None:
+    """ValueError, naming arc `name(i)`, for the first id i not an integer in
+    [0, node_count) or in `barred`, else the first capacity that is not
+    non-negative and finite."""
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {ids.dtype}")
+    bad = (ids < 0) | (ids >= node_count)
+    for v in barred:
+        bad |= ids == v
+    if bad.any():
+        other = " other than the source {} and the sink {}".format(*barred) if barred else ""
+        raise ValueError(f"{name(int(np.argmax(bad)))}: vertex ids must be integers in "
+                         f"[0, {node_count}){other}")
+    bad = ~((caps >= 0.0) & (caps < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name(i)}: capacity must be non-negative and finite, got {caps[i]}")
 
 
 class FlowNetwork:
-    """Directed arc-list network with residual twins; solves never change it."""
+    """Directed arc-list network with residual twins, laid out once from arc
+    columns and never changed after.  Arc 2i runs tails[i] -> heads[i] at
+    caps[i], its twin 2i + 1 back at back_caps[i] (0 for a directed arc,
+    caps[i] for an undirected edge); each vertex lists its arcs in
+    increasing id.  Ids and capacities are checked first, in bulk."""
 
     __slots__ = ("node_count", "source", "sink", "to", "cap", "adj")
 
-    def __init__(self, node_count: int, source: int, sink: int):
+    def __init__(self, node_count: int, source: int, sink: int, tails, heads, caps, back_caps):
         if not (0 <= source < node_count and 0 <= sink < node_count):
             raise ValueError("source/sink out of range")
         if source == sink:
             raise ValueError("source and sink must differ")
-        self.node_count = int(node_count)
-        self.source = int(source)
-        self.sink = int(sink)
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(node_count)]
-
-    def _push(self, u: int, v: int, c: float) -> int:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(float(c))
-        self.adj[u].append(idx)
-        return idx
-
-    def add_arc(self, u: int, v: int, capacity: float) -> int:
-        """Directed arc u -> v; its twin carries zero capacity."""
-        _check_capacity(capacity)
-        idx = self._push(u, v, capacity)
-        self._push(v, u, 0.0)
-        return idx
-
-    def add_undirected_edge(self, u: int, v: int, capacity: float) -> int:
-        """Undirected edge: twin arcs each carrying the full capacity."""
-        _check_capacity(capacity)
-        idx = self._push(u, v, capacity)
-        self._push(v, u, capacity)
-        return idx
+        tails, heads = np.asarray(tails), np.asarray(heads)
+        caps, back_caps = np.asarray(caps, dtype=float), np.asarray(back_caps, dtype=float)
+        if not (tails.ndim == 1 and tails.shape == heads.shape == caps.shape == back_caps.shape):
+            raise ValueError("arc columns must be flat and of one length")
+        ends = np.column_stack((tails, heads)).ravel()  # arc a leaves ends[a]
+        cap = np.column_stack((caps, back_caps)).ravel()
+        _check(node_count, ends, cap,
+               lambda a: f"arc {a // 2} ({tails[a // 2]} -> {heads[a // 2]})")
+        ends = ends.astype(np.intp, copy=False)  # no arcs: an empty list converts to floats
+        self.node_count, self.source, self.sink = int(node_count), int(source), int(sink)
+        self.to = ends.reshape(-1, 2)[:, ::-1].ravel().tolist()
+        self.cap = cap.tolist()
+        order = np.argsort(ends, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(ends, minlength=node_count)).tolist()
+        self.adj = [order[a:b] for a, b in zip([0] + bounds, bounds)]
 
     def with_terminals(self, sources, targets) -> "FlowNetwork":
         """A new network: an arc source -> v for each (v, capacity) in
@@ -101,19 +106,19 @@ class FlowNetwork:
         after this network's, each with its zero-capacity twin.
 
         Every vertex lists its new arcs and twins, in the order given, ahead
-        of its old ones: the adjacency :meth:`add_arc` would give for these
-        arcs followed by this network's.  A terminal is any vertex but the
-        source and the sink, and may repeat, on one side or on both.  This
-        network is not changed: its lists are copied (``adj`` shallowly,
-        with a new list only for the vertices the new arcs touch).
+        of its old ones, as the constructor lists them when they come first.
+        A terminal is any vertex but the source and the sink (the check bars
+        both), and may repeat, on one side or on both.  This network is not
+        changed: its lists are copied (``adj`` shallowly, with a new list
+        only for the vertices the new arcs touch).
         """
         s, t = self.source, self.sink
         src = [v for v, _ in sources]
         tgt = [v for v, _ in targets]
         caps = [float(c) for _, c in sources] + [float(c) for _, c in targets]
-        bad = [c for c in caps if not 0.0 <= c < math.inf]
-        if bad:
-            _check_capacity(bad[0])
+        _check(self.node_count, np.array(src + tgt), np.array(caps),
+               lambda i: (f"source arc {i} ({s} -> {src[i]})" if i < len(src) else
+                          f"sink arc {i - len(src)} ({tgt[i - len(src)]} -> {t})"), barred=(s, t))
         base = len(self.to)
         mid = base + 2 * len(src)  # the first sink arc
         end = base + 2 * len(caps)
@@ -148,10 +153,6 @@ class FlowNetwork:
     def zero(self) -> float:
         return FLOW_ZERO * min(max(self.cap, default=0.0), self.cap_limit)
 
-    def arcs(self):
-        """(tail, head, capacity) for every stored arc slot, twins included."""
-        return [(self.to[i ^ 1], self.to[i], self.cap[i]) for i in range(len(self.to))]
-
 
 def edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
     """Every edge of g with both endpoints in the set `vertices`, as an
@@ -166,20 +167,9 @@ def edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
     n = g.vertex_count
     inside = vertex_mask(n, vertices)
     keep = inside[g.us] & inside[g.vs]
-    us, vs = g.us[keep], g.vs[keep]
     with np.errstate(over="ignore"):
-        caps = c * g.ws[keep]
-    _check_capacity(float(caps.max(initial=0.0)))  # c * w > 0 may overflow to inf
-    # edge i is arc 2i, u -> v, and its twin 2i + 1, v -> u, both at c * w
-    tails = np.column_stack((us, vs)).ravel()
-    net = FlowNetwork(n + 2, source=n, sink=n + 1)
-    net.to = np.column_stack((vs, us)).ravel().tolist()
-    net.cap = np.repeat(caps, 2).tolist()
-    # each vertex's arcs in increasing id order, as an arc-by-arc build lists them
-    order = np.argsort(tails, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(tails, minlength=n + 2)).tolist()
-    net.adj = [order[a:b] for a, b in zip([0] + ends, ends)]
-    return net
+        caps = c * g.ws[keep]  # c * w > 0 may overflow to inf, which the check rejects
+    return FlowNetwork(n + 2, n, n + 1, g.us[keep], g.vs[keep], caps, caps)
 
 
 @dataclass(frozen=True)

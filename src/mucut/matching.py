@@ -15,10 +15,11 @@ Only the terminal arcs change from round to round, and the edge arcs only
 when a cut shrinks A.  So the game builds the edge arcs once per active
 set, with :func:`flow.edge_network`, and each round's :func:`build_pi_problem`
 adds just its source and sink arcs with :meth:`flow.FlowNetwork.with_terminals`,
-ahead of the edge arcs in every terminal's adjacency.  The network is then the one an arc-by-arc build
-(terminal arcs first, then the edges in g.edges order) gives, up to arc
-ids: every vertex lists the same arcs in the same order, so the flow, the
-cut and the paths are the same bits.
+ahead of the edge arcs in every terminal's adjacency.  Up to arc ids, the
+network is then the constructor's build of all the round's arcs at once
+(terminal arcs first, then the edges in g.edges order): every vertex lists
+the same arcs in the same order, so the flow, the cut and the paths are
+the same bits.
 
 All ids here are the caller's graph ids: vertices outside A stay in the
 network as isolated nodes, so nothing is relabeled.  A round's cut is
@@ -67,8 +68,8 @@ def build_pi_problem(edges: FlowNetwork, state: ActiveState,
 
     `edges` comes from :func:`flow.edge_network` on the same active set and
     is left as it is.  A terminal lists its source twins, then its sink arcs,
-    then its edge arcs; arc ids are not those of an arc-by-arc build, but
-    every adjacency order is.
+    then its edge arcs; arc ids are not those of one build of all these
+    arcs, but every adjacency order is.
     """
     total = state.mu_active_total
     if bip.target_mass < total / 2.0 - tolerance(total):

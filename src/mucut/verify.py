@@ -18,6 +18,7 @@ from .graph import (Graph, Infinite, INFINITE, VertexMeasure, induced_subgraph,
                     mu_expansion_of_cut, tolerance)
 
 MAX_ENUM_N = 20
+DEFAULT_VERIFY_MAX_N = 16  # the default size cap of brute-forced certificates and checks
 _CHUNK = 1 << 16
 
 
@@ -175,7 +176,7 @@ class ValidationReport:
 
 def validate_partition(g: Graph, mu: VertexMeasure, result, phi: float,
                        check_level: Optional[float] = None,
-                       max_n: int = 16) -> ValidationReport:
+                       max_n: int = DEFAULT_VERIFY_MAX_N) -> ValidationReport:
     """Re-derive every claim of a decomposition result from scratch.
 
     Exactness of the partition, the inter-cluster weight recount, and a

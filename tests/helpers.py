@@ -8,9 +8,19 @@ from columns (each edge checked on its own, a dict merge, per-vertex
 adjacency tuples), with `reference_edge_id` and `reference_components`
 reading its tuples: the library's graph must have the same edges, columns
 and degrees bit for bit, the same edge ids and components, and fail with
-the same message.  `reference_edge_network` is `flow.edge_network` as it
-was before it filled its arc lists by slices: the library's must have the
-same arc ids, heads, capacities and adjacency lists.
+the same message.  `reference_network` is the former arc-by-arc build of a
+`FlowNetwork` (`add_arc` and `add_undirected_edge` over `_push`): the
+constructor, which lays a network out from arc columns, must give the same
+arc ids, heads, capacities and adjacency lists bit for bit.
+`reference_edge_network`, `reference_build_pi_problem` and
+`reference_trim_network` build through it, so they share no layout code
+with the library.  Test fixtures build through `network`, the constructor
+on (tail, head, capacity, back capacity) rows, and `arcs_of` reads any
+network's arcs as (tail, head, capacity) rows for the min-cut enumerator
+and the fairness and conservation checks.
+`reference_edge_network` is `flow.edge_network` as it was before it filled
+its arc lists in bulk: the library's must have the same arc ids, heads,
+capacities and adjacency lists.
 `reference_max_flow` and `reference_decompose_paths` are the flow solver
 and path stripper as they were before phases stopped at the sink and were
 pruned to the vertices that reach it: the library's must match them bit
@@ -55,7 +65,7 @@ import numpy as np
 from mucut import Graph, VertexMeasure
 from mucut.cutplayer import WeightedBipartition
 from mucut.errors import GraphInputError, InvariantViolation
-from mucut.flow import FlowNetwork, FlowSolution, _check_capacity
+from mucut.flow import FlowNetwork, FlowSolution
 from mucut.graph import EPS, tolerance, vertex_mask
 from mucut.spectral import ActiveState, LazyFactor, StochasticMatching, WalkOperator, _project
 
@@ -209,6 +219,48 @@ def reference_components(ref: SimpleNamespace) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
+def _check_capacity(capacity: float) -> None:
+    if not 0 <= capacity < math.inf:
+        raise ValueError(f"capacity must be non-negative and finite, got {capacity}")
+
+
+def network(node_count: int, source: int, sink: int, arcs) -> FlowNetwork:
+    """The `FlowNetwork` of (tail, head, capacity, back capacity) rows: row i
+    is arc 2i and its twin 2i + 1 (back capacity 0 for a directed arc, the
+    capacity for an undirected edge)."""
+    return FlowNetwork(node_count, source, sink, *(tuple(zip(*arcs)) or ((),) * 4))
+
+
+def reference_network(node_count: int, source: int, sink: int, arcs) -> FlowNetwork:
+    """The former arc-by-arc build, kept as an oracle: `FlowNetwork.__init__`
+    with empty lists, then per (tail, head, capacity, back capacity) row the
+    former `_push` of the arc and then of its twin, each appending to `to`,
+    `cap` and the tail's adjacency list (`add_arc` for a back capacity of 0,
+    `add_undirected_edge` for one equal to the capacity).  It checks the
+    capacities as they did, and no vertex id."""
+    if not (0 <= source < node_count and 0 <= sink < node_count):
+        raise ValueError("source/sink out of range")
+    if source == sink:
+        raise ValueError("source and sink must differ")
+    net = FlowNetwork.__new__(FlowNetwork)
+    net.node_count, net.source, net.sink = int(node_count), int(source), int(sink)
+    net.to, net.cap = [], []
+    net.adj = [[] for _ in range(node_count)]
+    for u, v, c, back in arcs:
+        _check_capacity(c)
+        _check_capacity(back)
+        for tail, head, capacity in ((u, v, c), (v, u, back)):
+            net.adj[tail].append(len(net.to))
+            net.to.append(head)
+            net.cap.append(float(capacity))
+    return net
+
+
+def arcs_of(net: FlowNetwork) -> list:
+    """(tail, head, capacity) for every arc slot of `net`, twins included."""
+    return [(net.to[i ^ 1], net.to[i], net.cap[i]) for i in range(len(net.to))]
+
+
 def reference_edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
     """The former `flow.edge_network`, kept verbatim as an oracle: every edge
     with both endpoints in `vertices`, added arc by arc as an undirected
@@ -218,17 +270,16 @@ def reference_edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
     n = g.vertex_count
     inside = vertex_mask(n, vertices)
     keep = inside[g.us] & inside[g.vs]
-    net = FlowNetwork(n + 2, source=n, sink=n + 1)
-    for u, v, w in zip(g.us[keep].tolist(), g.vs[keep].tolist(), g.ws[keep].tolist()):
-        net.add_undirected_edge(u, v, c * w)
-    return net
+    return reference_network(n + 2, n, n + 1, [
+        (u, v, c * w, c * w)
+        for u, v, w in zip(g.us[keep].tolist(), g.vs[keep].tolist(), g.ws[keep].tolist())])
 
 
 def enumerate_min_cut(net: FlowNetwork) -> float:
     """Exhaustive min s-t cut capacity over all 2^(n-2) vertex splits."""
     s, t = net.source, net.sink
     others = [v for v in range(net.node_count) if v not in (s, t)]
-    arcs = net.arcs()
+    arcs = arcs_of(net)
     best = None
     for r in range(len(others) + 1):
         for combo in itertools.combinations(others, r):
@@ -253,15 +304,10 @@ def reference_build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipart
         raise ValueError("source mass above an eighth of the active measure")
     n = g.vertex_count
     active = state.active
-    net = FlowNetwork(n + 2, source=n, sink=n + 1)
-    for v, m in bip.sources:
-        net.add_arc(n, v, m)
-    for v, mb in bip.targets:
-        net.add_arc(v, n + 1, mb)
-    for u, v, w in g.edges:
-        if u in active and v in active:
-            net.add_undirected_edge(u, v, c * w)
-    return net
+    arcs = [(n, v, m, 0.0) for v, m in bip.sources]
+    arcs += [(v, n + 1, mb, 0.0) for v, mb in bip.targets]
+    arcs += [(u, v, c * w, c * w) for u, v, w in g.edges if u in active and v in active]
+    return reference_network(n + 2, n, n + 1, arcs)
 
 
 def reference_with_arcs_first(net: FlowNetwork, arcs) -> FlowNetwork:
@@ -316,18 +362,17 @@ def reference_trim_network(g: Graph, mu: VertexMeasure, a, phi: float) -> FlowNe
     a = frozenset(a)
     n = g.vertex_count
     s, t = n, n + 1
-    net = FlowNetwork(n + 2, source=s, sink=t)
     cap_edge = 3.0 / phi
+    arcs = []
     for u, v, w in g.edges:
         if u in a and v in a:
-            net.add_undirected_edge(u, v, cap_edge * w)
+            arcs.append((u, v, cap_edge * w, cap_edge * w))
         elif u in a:
-            net.add_arc(s, u, cap_edge * w)
+            arcs.append((s, u, cap_edge * w, 0.0))
         elif v in a:
-            net.add_arc(s, v, cap_edge * w)
-    for v in sorted(a):
-        net.add_arc(v, t, mu.values[v])
-    return net
+            arcs.append((s, v, cap_edge * w, 0.0))
+    arcs += [(v, t, mu.values[v], 0.0) for v in sorted(a)]
+    return reference_network(n + 2, s, t, arcs)
 
 
 def reference_walk_apply(walk: WalkOperator, x) -> np.ndarray:
@@ -636,8 +681,7 @@ def reference_check_bipartition(state: ActiveState, u, bip: WeightedBipartition)
 def assert_fair(net: FlowNetwork, sol: FlowSolution, tol: float = 1e-9):
     """Every arc leaving the min-cut source side must be saturated."""
     side = sol.min_cut_side
-    arcs = net.arcs()
-    for i, (u, v, c) in enumerate(arcs):
+    for i, (u, v, c) in enumerate(arcs_of(net)):
         if u in side and v not in side and c > 0:
             assert abs(sol.arc_flows[i] - c) <= tol * max(1.0, c), (
                 f"cut arc {u}->{v} carries {sol.arc_flows[i]} of {c}")
@@ -671,7 +715,7 @@ def conductance_enumerator(g: Graph):
 def conservation_errors(net: FlowNetwork, sol: FlowSolution) -> float:
     """Largest conservation violation at any interior node."""
     balance = [0.0] * net.node_count
-    for i, (u, v, _) in enumerate(net.arcs()):
+    for i, (u, v, _) in enumerate(arcs_of(net)):
         f = sol.arc_flows[i]
         balance[u] -= f
         balance[v] += f

@@ -7,33 +7,36 @@ import mucut.matching
 from mucut import Graph, GameParams, VertexMeasure, run_cut_matching
 from mucut.flow import FlowNetwork, decompose_paths, edge_network, max_flow
 
-from helpers import (assert_fair, conservation_errors, enumerate_min_cut,
+from helpers import (arcs_of, assert_fair, conservation_errors, enumerate_min_cut, network,
                      random_connected_graph, reference_decompose_paths, reference_edge_network,
-                     reference_max_flow, reference_with_arcs_first)
+                     reference_max_flow, reference_network, reference_with_arcs_first)
+
+
+def undirected(u, v, c):
+    """An undirected edge's row: the arc and its twin both at c."""
+    return (u, v, c, c)
 
 
 def random_network(rng, directed_bias=0.5):
     """Random small network with integer capacities in 1..5."""
     n = int(rng.integers(4, 11))
     s, t = 0, n - 1
-    net = FlowNetwork(n, s, t)
     directed = rng.random() < directed_bias
-    added = 0
+    arcs = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < 0.45:
                 c = float(rng.integers(1, 6))
                 if directed:
                     if rng.random() < 0.5:
-                        net.add_arc(u, v, c)
+                        arcs.append((u, v, c, 0.0))
                     else:
-                        net.add_arc(v, u, c)
+                        arcs.append((v, u, c, 0.0))
                 else:
-                    net.add_undirected_edge(u, v, c)
-                added += 1
-    if added == 0:
-        net.add_arc(s, t, float(rng.integers(1, 6)))
-    return net
+                    arcs.append(undirected(u, v, c))
+    if not arcs:
+        arcs.append((s, t, float(rng.integers(1, 6)), 0.0))
+    return network(n, s, t, arcs)
 
 
 def fractional_arcs(rng):
@@ -46,34 +49,25 @@ def fractional_arcs(rng):
 
 
 def scaled_network(n, arcs, scale):
-    net = FlowNetwork(n, 0, n - 1)
-    for u, v, c, undirected in arcs:
-        (net.add_undirected_edge if undirected else net.add_arc)(u, v, scale * c)
-    return net
+    return network(n, 0, n - 1, [(u, v, scale * c, scale * c if both_ways else 0.0)
+                                 for u, v, c, both_ways in arcs])
 
 
 def test_single_arc():
-    net = FlowNetwork(2, 0, 1)
-    net.add_arc(0, 1, 2.0)
+    net = network(2, 0, 1, [(0, 1, 2.0, 0.0)])
     sol = max_flow(net)
     assert sol.value == 2.0
     assert sol.min_cut_side == {0}
 
 
 def test_two_disjoint_paths():
-    net = FlowNetwork(4, 0, 3)
-    net.add_arc(0, 1, 1.0)
-    net.add_arc(0, 2, 1.0)
-    net.add_arc(1, 3, 1.0)
-    net.add_arc(2, 3, 1.0)
+    net = network(4, 0, 3, [(0, 1, 1.0, 0.0), (0, 2, 1.0, 0.0), (1, 3, 1.0, 0.0),
+                            (2, 3, 1.0, 0.0)])
     assert max_flow(net).value == 2.0
 
 
 def test_bottleneck_and_cut_side():
-    net = FlowNetwork(4, 0, 3)
-    net.add_arc(0, 1, 5.0)
-    net.add_arc(1, 2, 1.5)
-    net.add_arc(2, 3, 5.0)
+    net = network(4, 0, 3, [(0, 1, 5.0, 0.0), (1, 2, 1.5, 0.0), (2, 3, 5.0, 0.0)])
     sol = max_flow(net)
     assert sol.value == pytest.approx(1.5)
     assert sol.min_cut_side == {0, 1}
@@ -97,7 +91,7 @@ def test_flows_respect_capacities():
     for _ in range(40):
         net = random_network(rng)
         sol = max_flow(net)
-        for i, (_, _, c) in enumerate(net.arcs()):
+        for i, (_, _, c) in enumerate(arcs_of(net)):
             assert -1e-12 <= sol.arc_flows[i] <= c + 1e-12
 
 
@@ -112,30 +106,22 @@ def test_value_invariant_under_arc_permutation():
                     arcs.append((u, v, float(rng.integers(1, 6))))
         values = []
         for order in range(3):
-            net = FlowNetwork(n, 0, n - 1)
             perm = rng.permutation(len(arcs))
-            for k in perm:
-                u, v, c = arcs[int(k)]
-                net.add_arc(u, v, c)
+            net = network(n, 0, n - 1, [(*arcs[int(k)], 0.0) for k in perm])
             values.append(max_flow(net).value)
         assert len(set(values)) == 1
 
 
 def test_real_capacities():
-    net = FlowNetwork(4, 0, 3)
-    net.add_arc(0, 1, 1.0 / 3.0)
-    net.add_arc(0, 2, 0.25)
-    net.add_arc(1, 3, 0.5)
-    net.add_arc(2, 3, 0.5)
+    net = network(4, 0, 3, [(0, 1, 1.0 / 3.0, 0.0), (0, 2, 0.25, 0.0), (1, 3, 0.5, 0.0),
+                            (2, 3, 0.5, 0.0)])
     sol = max_flow(net)
     assert sol.value == pytest.approx(1.0 / 3.0 + 0.25, abs=1e-12)
     assert_fair(net, sol)
 
 
 def test_decompose_single_path():
-    net = FlowNetwork(3, 0, 2)
-    net.add_arc(0, 1, 2.0)
-    net.add_arc(1, 2, 2.0)
+    net = network(3, 0, 2, [(0, 1, 2.0, 0.0), (1, 2, 2.0, 0.0)])
     sol = max_flow(net)
     dec = decompose_paths(net, sol)
     assert len(dec) == 1
@@ -144,8 +130,7 @@ def test_decompose_single_path():
 
 
 def test_decompose_zero_flow():
-    net = FlowNetwork(3, 0, 2)
-    net.add_arc(0, 1, 1.0)  # no arc reaches the sink
+    net = network(3, 0, 2, [(0, 1, 1.0, 0.0)])  # no arc reaches the sink
     sol = max_flow(net)
     assert sol.value == 0.0
     assert len(decompose_paths(net, sol)) == 0
@@ -162,7 +147,7 @@ def test_decompose_conserves_value_and_support():
         # per-arc usage stays within the solved flow
         used = [0.0] * net.arc_count
         arc_of = {}
-        for i, (u, v, _) in enumerate(net.arcs()):
+        for i, (u, v, _) in enumerate(arcs_of(net)):
             arc_of.setdefault((u, v), []).append(i)
         for _, _, w, seq in dec:
             for a, b in zip(seq, seq[1:]):
@@ -179,16 +164,12 @@ def test_decompose_conserves_value_and_support():
 
 def test_decompose_cancels_cycles():
     # a flow with a gratuitous cycle: emitted paths must not include it
-    net = FlowNetwork(5, 0, 4)
-    a = net.add_arc(0, 1, 1.0)
-    net.add_arc(1, 2, 1.0)
-    net.add_arc(2, 3, 1.0)
-    net.add_arc(3, 1, 1.0)
-    net.add_arc(1, 4, 1.0)
+    net = network(5, 0, 4, [(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (2, 3, 1.0, 0.0),
+                            (3, 1, 1.0, 0.0), (1, 4, 1.0, 0.0)])
     sol = max_flow(net)
     # hand-build a solution that pushes the cycle 1->2->3->1 on top
     flows = list(sol.arc_flows)
-    for i, (u, v, c) in enumerate(net.arcs()):
+    for i, (u, v, c) in enumerate(arcs_of(net)):
         if (u, v) in {(1, 2), (2, 3), (3, 1)}:
             flows[i] = 1.0
     doctored = dataclasses.replace(sol, arc_flows=tuple(flows))
@@ -200,26 +181,95 @@ def test_decompose_cancels_cycles():
 
 def test_source_sink_validation():
     with pytest.raises(ValueError):
-        FlowNetwork(3, 1, 1)
+        network(3, 1, 1, [])
     with pytest.raises(ValueError):
-        FlowNetwork(3, 0, 5)
+        network(3, 0, 5, [])
+    with pytest.raises(ValueError, match="integers, got float64"):
+        network(3, 0, 2, [(0, 1.0, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="flat and of one length"):
+        FlowNetwork(3, 0, 2, [0, 1], [1], [1.0], [0.0])
     # an infinite arc once made the flow zero everywhere (the cap and the
     # zero threshold became inf), and a NaN arc silently carried nothing
     for bad in (-1.0, float("inf"), float("nan")):
-        net = FlowNetwork(3, 0, 2)
-        with pytest.raises(ValueError, match="capacity"):
-            net.add_arc(0, 1, bad)
-        with pytest.raises(ValueError, match="capacity"):
-            net.add_undirected_edge(0, 1, bad)
-        assert net.arc_count == 0
-        net = FlowNetwork(4, 0, 3)
-        net.add_undirected_edge(1, 2, 1.0)
+        for arc in ((0, 1, bad, 0.0), (0, 1, bad, bad), (0, 1, 1.0, bad)):
+            with pytest.raises(ValueError, match=r"^arc 1 \(0 -> 1\): capacity .* got"):
+                network(3, 0, 2, [(1, 2, 1.0, 1.0), arc])
+        net = network(4, 0, 3, [(1, 2, 1.0, 1.0)])
         before = (list(net.to), list(net.cap), [list(arcs) for arcs in net.adj])
         with pytest.raises(ValueError, match="capacity"):
             net.with_terminals([(1, 1.0), (2, bad)], [(2, 1.0)])
         with pytest.raises(ValueError, match="capacity"):
             net.with_terminals([(1, 1.0)], [(1, 1.0), (2, bad)])
         assert (net.to, net.cap, net.adj) == before
+
+
+@pytest.mark.parametrize("arcs, sources, targets, named", [
+    ([(0, 1), (1, -1)], None, None, r"arc 1 \(1 -> -1\)"),
+    ([(-1, 2)], None, None, r"arc 0 \(-1 -> 2\)"),
+    ([(0, 1), (2, 3), (4, 1)], None, None, r"arc 2 \(4 -> 1\)"),
+    ([(1, 2)], [(1, 1.0), (-1, 1.0)], [], r"source arc 1 \(0 -> -1\)"),
+    ([(1, 2)], [(0, 1.0)], [(2, 1.0)], r"source arc 0 \(0 -> 0\)"),
+    ([(1, 2)], [(3, 1.0)], [], r"source arc 0 \(0 -> 3\)"),
+    ([(1, 2)], [(1, 1.0)], [(2, 1.0), (3, 1.0)], r"sink arc 1 \(3 -> 3\)"),
+    ([(1, 2)], [], [(0, 1.0)], r"sink arc 0 \(0 -> 3\)"),
+    ([(1, 2)], [], [(4, 1.0)], r"sink arc 0 \(4 -> 3\)"),
+], ids=["negative head", "negative tail", "id past the end", "negative source terminal",
+        "source terminal at the source", "source terminal at the sink",
+        "sink terminal at the sink", "sink terminal at the source", "sink terminal past the end"])
+def test_bad_vertex_ids_are_rejected_at_build_time(arcs, sources, targets, named):
+    # a negative id once filed its arc under another vertex through Python's
+    # negative indexing, after which max_flow never returned, and an id past
+    # the end raised a bare IndexError; a network is never solved here
+    rows = [(u, v, 1.0, 0.0) for u, v in arcs]
+    message = f"^{named}: vertex ids must be integers in \\[0, 4\\)"
+    if sources is None:
+        with pytest.raises(ValueError, match=message + "$"):
+            network(4, 0, 3, rows)
+        return
+    net = network(4, 0, 3, rows)
+    with pytest.raises(ValueError, match=message + " other than the source 0 and the sink 3$"):
+        net.with_terminals(sources, targets)
+
+
+def random_layout_arcs(rng, n):
+    """(tail, head, capacity, back capacity) rows on n vertices: directed
+    arcs and undirected edges, self-arcs, parallel arcs, zero capacities,
+    and some vertices left isolated."""
+    used = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+    arcs = []
+    for _ in range(int(rng.integers(0, 3 * n + 1))):
+        u, v = (int(x) for x in rng.choice(used, size=2))
+        c = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.1, 5.0))
+        arcs.append((u, v, c, c if rng.random() < 0.5 else 0.0))
+        if rng.random() < 0.15:
+            arcs.append(arcs[-1])
+    return arcs
+
+
+def test_constructor_matches_the_arc_by_arc_build():
+    # the columns layout gives the former arc-by-arc build's arc ids, heads,
+    # capacities (bit for bit) and every vertex's adjacency order
+    rng = np.random.default_rng(22)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 15))
+        arcs = random_layout_arcs(rng, n)
+        net, ref = network(n, 0, n - 1, arcs), reference_network(n, 0, n - 1, arcs)
+        assert (net.node_count, net.source, net.sink) == (ref.node_count, ref.source, ref.sink)
+        assert net.to == ref.to and all(type(x) is int for x in net.to)
+        assert [x.hex() for x in net.cap] == [x.hex() for x in ref.cap]
+        assert all(type(x) is float for x in net.cap)
+        assert net.adj == ref.adj
+        seen |= {"directed" if back == 0.0 < c else "undirected" if back > 0.0 else "zero"
+                 for _, _, c, back in arcs}
+        seen |= {"self-arc" for u, v, _, _ in arcs if u == v}
+        if len(set(arcs)) < len(arcs):
+            seen.add("parallel")
+        if not all(net.adj):
+            seen.add("isolated")
+        if not arcs:
+            seen.add("no arcs")
+    assert seen == {"directed", "undirected", "zero", "self-arc", "parallel", "isolated", "no arcs"}
 
 
 def random_terminals(rng, vertices):
@@ -275,9 +325,9 @@ def test_flows_only_on_pushed_arcs_survive_a_cancellation():
     # phase 1 pushes s->a->b->t; phase 2 pushes s->c->b->a->d->t along the
     # twin of a->b, which cancels a->b's flow back to exactly zero
     s, a, b, c, d, t = range(6)
-    net = FlowNetwork(6, s, t)
-    ids = {arc: net.add_arc(*arc, 1.0)
-           for arc in ((s, a), (s, c), (a, b), (b, t), (c, b), (a, d), (d, t))}
+    arcs = ((s, a), (s, c), (a, b), (b, t), (c, b), (a, d), (d, t))
+    net = network(6, s, t, [(*arc, 1.0, 0.0) for arc in arcs])
+    ids = {arc: 2 * i for i, arc in enumerate(arcs)}
     sol = max_flow(net)
     ref = reference_max_flow(net)
     assert sol.value == 2.0
@@ -355,27 +405,26 @@ def oracle_network(rng):
         side = int(rng.integers(3, 7))
         n = side * side + 2
         s, t = n - 2, n - 1
-        net = FlowNetwork(n, s, t)
+        arcs = []
         for r in range(side):
             for c in range(side):
                 v = r * side + c
                 if c + 1 < side:
-                    net.add_undirected_edge(v, v + 1, float(rng.uniform(0.2, 2.0)))
+                    arcs.append(undirected(v, v + 1, float(rng.uniform(0.2, 2.0))))
                 if r + 1 < side:
-                    net.add_undirected_edge(v, v + side, float(rng.uniform(0.2, 2.0)))
+                    arcs.append(undirected(v, v + side, float(rng.uniform(0.2, 2.0))))
         cells = rng.permutation(side * side)
         k = max(1, side // 2)
-        for v in cells[:k]:
-            net.add_arc(s, int(v), float(rng.uniform(1.0, 4.0)))
-        for v in cells[k:3 * k]:
-            net.add_arc(int(v), t, float(rng.uniform(1.0, 4.0)))
+        arcs += [(s, int(v), float(rng.uniform(1.0, 4.0)), 0.0) for v in cells[:k]]
+        arcs += [(int(v), t, float(rng.uniform(1.0, 4.0)), 0.0) for v in cells[k:3 * k]]
+        net = network(n, s, t, arcs)
         features.add("grid")
         return net, features | level_features(net)
     core = int(rng.integers(4, 12))
     tail = int(rng.integers(0, 12)) if rng.random() < 0.5 else 0
     n = core + tail
     s, t = 0, core - 1
-    net = FlowNetwork(n, s, t)
+    arcs = []
     unreachable = rng.random() < 0.15
     pairs = [(u, v) for u in range(core) for v in range(core)
              if u != v and rng.random() < 0.3 and not (unreachable and v == t)]
@@ -392,24 +441,25 @@ def oracle_network(rng):
         else:
             c = float(rng.uniform(0.1, 5.0))
         if rng.random() < 0.5 and u < v:
-            net.add_undirected_edge(u, v, c)
+            arcs.append(undirected(u, v, c))
         else:
-            net.add_arc(u, v, c)
+            arcs.append((u, v, c, 0.0))
         if rng.random() < 0.15:
-            net.add_arc(u, v, float(rng.uniform(0.1, 3.0)))
+            arcs.append((u, v, float(rng.uniform(0.1, 3.0)), 0.0))
             features.add("parallel")
     if tail:
         # a chain s -> core+0 -> ... -> core+tail-1, with an arc back into
         # the core from its middle; its far end lies past any sink level
         prev = s
         for v in range(core, n):
-            net.add_arc(prev, v, float(rng.uniform(0.5, 3.0)))
+            arcs.append((prev, v, float(rng.uniform(0.5, 3.0)), 0.0))
             prev = v
         if tail > 2 and not unreachable:
-            net.add_arc(core + tail // 2, int(rng.integers(1, core)), 1.0)
+            arcs.append((core + tail // 2, int(rng.integers(1, core)), 1.0, 0.0))
         features.add("tail")
     if unreachable:
         features.add("unreachable")
+    net = network(n, s, t, arcs)
     return net, features | level_features(net)
 
 

@@ -8,7 +8,7 @@ from mucut.matching import build_pi_problem, solve_matching_round
 from mucut.spectral import ActiveState
 from mucut.verify import check_embedding_congestion
 
-from helpers import (clique_edges, matching_row_sums, orthogonalized_projection,
+from helpers import (arcs_of, clique_edges, matching_row_sums, orthogonalized_projection,
                      random_connected_graph, random_measure, reference_build_pi_problem)
 
 
@@ -32,9 +32,9 @@ def test_build_pi_arc_arithmetic():
     mu = VertexMeasure([1.0] * 4)
     bip = manual_bip([(0, 0.5)], [(1, 1.0), (2, 1.0), (3, 1.0)])
     net = pi_problem(g, ActiveState(range(4), mu), bip, c=1.0)
-    capacity_arcs = [a for a in net.arcs() if a[2] > 0]
+    capacity_arcs = [a for a in arcs_of(net) if a[2] > 0]
     assert len(capacity_arcs) == 1 + 3 + 2 * 6
-    source_caps = [c for (u, v, c) in net.arcs() if u == net.source]
+    source_caps = [c for (u, v, c) in arcs_of(net) if u == net.source]
     assert sum(source_caps) == pytest.approx(bip.source_mass)
 
 
