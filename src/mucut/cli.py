@@ -34,12 +34,8 @@ from .decompose import DecomposeConfig, decompose, balanced_or_expander, Outcome
 from .errors import GraphInputError
 from .game import GameParams
 from .graph import Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
-from .spectral import is_power_of_two, potentials
+from .spectral import PSI_MAX_TERMINALS, is_power_of_two, potentials
 from .verify import DEFAULT_VERIFY_MAX_N, MAX_ENUM_N, brute_force_expansion, validate_partition
-
-#: The trace fills psi for games on at most this many terminals, where the
-#: k x k product holds at most 8 MB.
-PSI_MAX_TERMINALS = 1024
 
 
 def _read_lines(path: str, kind: str) -> tuple[list[str], list[list[str]]]:

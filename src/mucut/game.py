@@ -15,6 +15,22 @@ are played.  It is classified as a balanced cut (removed measure past the
 threshold), a small cut whose complement is a near-expander (some
 removal), or a certified expander (none).
 
+When the walk takes its product
+-------------------------------
+A round's projections u = W r, for the round's random unit vector r, are
+at hand before its matching, and n ||W r||^2 = n sum_v mu(v) u_v^2 is an
+unbiased estimate of psi, whatever the units.  The first round at which
+it is at most 64 tau, on at most ``PSI_MAX_TERMINALS`` terminals,
+multiplies the walk out after adding its matching; the walk also does so
+itself once its chain holds k^2 numbers.  The estimate decides only from
+which round psi is checked; a stop needs the exact psi <= tau.  Near
+mixing psi about halves each round, so the margin 64 starts the checks a
+few rounds before the stop (a median of 5 on the benchmark's whisker
+games, seeds 1-3); each check costs O(k^3), and an earlier start only
+adds checks.  An estimate too high by the margin, or a round whose
+removal drops psi by more, forms the product later, which can only delay
+the stop.
+
 Why a mixed walk ends the game
 ------------------------------
 Write s = sqrt(mu) on the k terminals, C = Nbar_{t-1} ... Nbar_0 for the
@@ -51,13 +67,16 @@ sigma <= psi^(1/(4 delta)).
   proves a level T/t times higher than the same mixing proves at T.
 * The constants.  With the defaults (c = round(1/(phi ln n)),
   T = ceil(2 log2(n)^2), delta from ``default_delta``) the level reaches
-  phi/6 only while t <= 3 (1 - sigma) delta / (c phi).  On instance 0 of
-  benchmark seed 1 the 30 x 30 terminal grid (k = 90, delta = 2, c = 7)
-  mixes at t = 61 and proves phi/12.6, where T = 193 proved phi/40; its
-  50-vertex planted blocks (k = 50, delta = 1, c = 5) mix at t = 26-29
-  and prove phi/15 to phi/17, where T = 64 proved phi/37.  So the chain
-  alone does not reach phi/6 at these sizes, with or without the early
-  stop; ``decompose`` brute-forces small clusters against phi/6 as before.
+  phi/6 only while t <= 3 (1 - sigma) delta / (c phi).  With sigma at the
+  k^(-1/(2 delta)) that tau guarantees, on instance 0 of benchmark seed 1:
+  the 30 x 30 terminal grid (k = 90, delta = 2, c = 7) mixes at t = 32
+  and proves phi/6.6, where T = 193 proved phi/40; its 50-vertex planted
+  blocks (k = 50, delta = 1, c = 5) mix at t = 26-29 and prove phi/15 to
+  phi/17, where T = 64 proved phi/37; the whisker game (k = 503,
+  delta = 2, c = 3) stops at t = 35 with a near-expander at phi/7.5, where
+  T = 162 gave phi/35.  So the chain alone does not reach phi/6 at these
+  sizes, with or without the early stop; ``decompose`` brute-forces small
+  clusters against phi/6 as before.
 * Rounding.  Every factor is nonnegative with spectral norm at most 1, so
   a relative error in its entries is one in its norm.  With u = 2^-53 and
   d the most pairs at one vertex in a round, the computed P C is within
@@ -85,8 +104,8 @@ from .graph import Graph, VertexMeasure, is_connected, mu_expansion_of_cut, tole
 from .graph import induced_subgraph  # noqa: F401
 from .flow import edge_network
 from .matching import RoundRecord, solve_matching_round
-from .spectral import (ActiveState, WalkOperator, default_delta, is_power_of_two, potential,
-                       projections, sample_unit_vector)
+from .spectral import (PSI_MAX_TERMINALS, ActiveState, WalkOperator, default_delta,
+                       is_power_of_two, potential, projections, sample_unit_vector)
 
 
 @dataclass(frozen=True)
@@ -188,12 +207,16 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
     while mu.of(removed_all) <= params.stop_threshold and t < params.rounds_T:
         r = sample_unit_vector(n, rng)
         u = projections(walk, r)
+        # n ||W r||^2 estimates psi before this round without bias
+        near_mixed = k <= PSI_MAX_TERMINALS and n * float(mu.values @ (u * u)) <= 64 * tau
         bip = rst_partition(state, u)
         if edges is None:
             edges = edge_network(g, state.active, c)
         rec = solve_matching_round(g, state, edges, bip, c, round_index=t)
         records.append(rec)
         walk.extend(rec.matching)
+        if near_mixed:
+            walk.multiply_out()
         if rec.removed:
             active = active - rec.removed
             removed_all = removed_all | rec.removed

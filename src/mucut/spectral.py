@@ -18,17 +18,19 @@ factor is zero off the support, so a vector of length k = |supp mu| is
 carried through and scattered back to all n vertices once, at the end.
 Each matching's normalized lazy factor is fused once, when the matching is
 added to the walk, into a diagonal plus symmetric pair triples; applying it
-is one product and one ``np.bincount``.  Once the chain of factors holds
-at least k^2 numbers, the walk multiplies it out into the k x k product
-C = Nbar_{t-1} ... Nbar_0 and applies that instead.  One evaluation
-therefore costs min(2 delta t (k + pairs), 2 delta k^2), plus
-k (k + pairs) per added round once the product exists.  The potential
-psi = ||W||_F^2 is read off that product by :func:`potential`: the game
-does so after every round once its walk holds the product, and stops at
-the first psi <= 1/(16 k^2) (see ``game``); it never forms the product
-earlier for it.  ``potentials`` replays a game's round records into the
-same k x k product, through the same function, to report psi after each
-round.  The dense n x n oracles live in the tests.
+is one product and one ``np.bincount``.  Once the walk holds the k x k
+product C = Nbar_{t-1} ... Nbar_0 it applies that instead.  The walk forms
+C by itself once the chain of factors holds k^2 numbers; the game forms it
+earlier, at the first round whose projections estimate psi within 64
+times the stop threshold (at most ``PSI_MAX_TERMINALS`` terminals).  Once
+its walk holds C, the game reads the potential psi = ||W||_F^2 off it
+after every round by :func:`potential` and stops at the first
+psi <= 1/(16 k^2) (see ``game``).
+One evaluation costs 2 delta t (k + pairs) through the chain or
+2 delta k^2 through C, plus k (k + pairs) per added round once C exists.
+``potentials`` replays a game's round records into the same k x k
+product, through the same functions, to report psi after each round.  The
+dense n x n oracles live in the tests.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import VertexMeasure, merge_pairs, tolerance, vertex_mask, vertex_sums
+
+#: The most terminals for which the walk's k x k product is formed for its
+#: potential (at most 8 MB): by the game's stop test and by the trace's psi.
+PSI_MAX_TERMINALS = 1024
+#: Columns per block of :meth:`LazyFactor.times`, which bounds its temporaries.
+TIMES_BLOCK = 64
 
 
 def is_power_of_two(k: int) -> bool:
@@ -199,16 +207,22 @@ class LazyFactor:
             out += np.bincount(self.rows, self.vals * y[self.cols], len(y))
         return out
 
-    def times(self, c: np.ndarray) -> np.ndarray:
-        """Nbar C for a k x k matrix C: its rows scaled by ``dg`` plus one
-        scatter of the pair rows, in k (k + pairs) operations."""
-        out = self.dg[:, None] * c
-        if self.rows.size:
-            k = len(c)
-            flat = (self.rows[:, None] * k + np.arange(k)).ravel()
-            out += np.bincount(flat, (self.vals[:, None] * c[self.cols]).ravel(),
-                               k * k).reshape(k, k)
-        return out
+    def times(self, c: np.ndarray) -> None:
+        """Overwrite the k x k matrix C with Nbar C.  Each block of
+        ``TIMES_BLOCK`` columns is its rows scaled by ``dg`` plus one
+        scatter of the pair rows, so the temporaries stay at that width;
+        column j becomes ``apply(c[:, j])`` bit for bit.  k (k + pairs)
+        operations."""
+        k = len(c)
+        for j in range(0, k, TIMES_BLOCK):
+            block = c[:, j:j + TIMES_BLOCK]
+            width = block.shape[1]
+            res = self.dg[:, None] * block
+            if self.rows.size:
+                flat = (self.rows[:, None] * width + np.arange(width)).ravel()
+                res += np.bincount(flat, (self.vals[:, None] * block[self.cols]).ravel(),
+                                   k * width).reshape(k, width)
+            c[:, j:j + TIMES_BLOCK] = res
 
 
 def potential(c: np.ndarray, state: ActiveState, delta: int) -> float:
@@ -224,8 +238,13 @@ def potential(c: np.ndarray, state: ActiveState, delta: int) -> float:
         raise ValueError("active set carries no measure; projection undefined")
     support = np.flatnonzero(state.measure.support_mask)
     mask, sqrt_mu = state.mask[support], state.sqrt_mu[support]
-    b = mask[:, None] * c - np.outer(sqrt_mu, sqrt_mu @ c) / state.mu_active_total  # P C
+    b = mask[:, None] * c  # P C, built in place
+    o = np.outer(sqrt_mu, sqrt_mu @ c)
+    o /= state.mu_active_total
+    b -= o
+    del o
     g = b.T @ b
+    del b
     for _ in range(int(delta).bit_length() - 1):
         g = g @ g
     return float(np.vdot(g, g))
@@ -244,7 +263,7 @@ def potentials(rounds, measure: VertexMeasure, delta: int) -> list[float]:
     state = None
     psis = []
     for rec in rounds:
-        c = LazyFactor(rec.matching, measure, delta).times(c)
+        LazyFactor(rec.matching, measure, delta).times(c)
         if state is None or rec.removed:
             state = ActiveState(frozenset(rec.active_before) - rec.removed, measure)
         psis.append(potential(c, state, delta))
@@ -256,18 +275,22 @@ class WalkOperator:
 
     Each matching's :class:`LazyFactor` is built once, by the constructor or
     by :meth:`extend`; the game extends one walk round by round and swaps in
-    a new ``state`` when its active set shrinks.  While the chain of factors
-    holds fewer than k^2 numbers (``chain_size``: k diagonal entries plus
-    the pair entries per factor, k = |supp mu|), ``apply`` runs through the
-    chain.  The ``extend`` that brings it to k^2 multiplies the chain out
-    into ``product``, the k x k matrix C = Nbar_{t-1} ... Nbar_0, and drops
-    the factors; later rounds left-multiply C by their factor, and
-    ``apply`` uses C C^T.  The product never holds more numbers than the
-    chain it replaces.
+    a new ``state`` when its active set shrinks.  Until the walk holds its
+    k x k product (k = |supp mu|), ``apply`` runs through the chain of
+    factors.  :meth:`multiply_out` multiplies the chain into ``product``,
+    the matrix C = Nbar_{t-1} ... Nbar_0, and drops the factors; later
+    rounds left-multiply C by their factor in place, and ``apply`` uses
+    C C^T.  ``product_round`` is the number of rounds the product held when
+    it was formed (None while there is none).  The walk multiplies out by
+    itself at the ``extend`` that brings the chain to k^2 numbers
+    (``chain_size``: k diagonal entries plus the pair entries per factor),
+    so the product never holds more numbers than the chain it replaces;
+    the game calls :meth:`multiply_out` earlier, once its round's
+    projections estimate that the walk is near mixing (see ``game``).
     """
 
-    __slots__ = ("matchings", "factors", "chain_size", "product", "delta", "state", "measure",
-                 "support")
+    __slots__ = ("matchings", "factors", "chain_size", "product", "product_round", "delta",
+                 "state", "measure", "support")
 
     def __init__(self, matchings: Sequence[StochasticMatching], delta: int, state: ActiveState):
         if not is_power_of_two(int(delta)):
@@ -280,6 +303,7 @@ class WalkOperator:
         self.factors: list[LazyFactor] = []
         self.chain_size = 0
         self.product: np.ndarray | None = None
+        self.product_round: int | None = None
         for m in matchings:
             self.extend(m)
 
@@ -292,16 +316,23 @@ class WalkOperator:
         self.matchings.append(m)
         f = LazyFactor(m, self.measure, self.delta)
         if self.product is not None:
-            self.product = f.times(self.product)
+            f.times(self.product)
             return
         self.factors.append(f)
         k = len(self.support)
         self.chain_size += k + f.rows.size
         if self.chain_size >= k * k:
-            c = np.eye(k)
-            for factor in self.factors:
-                c = factor.times(c)
-            self.product, self.factors = c, []
+            self.multiply_out()
+
+    def multiply_out(self) -> None:
+        """Form the product from the chain, in place in one k x k array, and
+        drop the factors; a walk that holds its product is left as it is."""
+        if self.product is not None:
+            return
+        c = np.eye(len(self.support))
+        for factor in self.factors:
+            factor.times(c)
+        self.product, self.factors, self.product_round = c, [], self.rounds
 
     def apply(self, x) -> np.ndarray:
         state, sup, c = self.state, self.support, self.product

@@ -272,18 +272,22 @@ def test_game_stops_at_the_first_mixed_product_round(case):
     k = len(mu.support)
     tau = 1.0 / (16.0 * k * k)
     psis = potentials(out.rounds, mu, params.delta)
-    walk = WalkOperator([], params.delta, ActiveState(range(g.vertex_count), mu))
-    held = []  # whether the game's walk held its product after each round
+    taken = out.walk.product_round  # rounds in the product when the game formed it
+    chain = WalkOperator([], params.delta, ActiveState(range(g.vertex_count), mu))
     for rec in out.rounds:
-        walk.extend(rec.matching)
-        held.append(walk.product is not None)
-    assert all(psi > tau for psi, h in zip(psis[:-1], held[:-1]) if h)
+        chain.extend(rec.matching)
+    # the game forms the product no later than the chain-size rule would
+    assert chain.product_round is None or (taken is not None and taken <= chain.product_round)
+    checked = [] if taken is None else psis[taken - 1:]  # the game's psi after each round
+    assert all(psi > tau for psi in checked[:-1])
     stopped = len(out.rounds) < params.rounds_T and out.variant is not Variant.BALANCED_CUT
     if stopped:
-        assert held[-1]
+        assert 1 <= taken <= len(out.rounds)
+        # the product came early enough: no earlier round had mixed
+        assert all(psi > tau for psi in psis[:-1])
         psi = potential(out.walk.product, out.walk.state, params.delta)  # the game's last check
         assert psi <= tau
-        assert psi == psis[-1]
+        assert psi == psis[-1] == checked[-1]
     # planted_blocks' game ends at its removal threshold; every other one mixes before T
     assert stopped == (case != "golden-planted_blocks")
 

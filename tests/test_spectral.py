@@ -7,8 +7,8 @@ import pytest
 from mucut import Graph, VertexMeasure
 from mucut.errors import InvariantViolation
 from mucut.graph import tolerance
-from mucut.spectral import (ActiveState, LazyFactor, StochasticMatching, WalkOperator,
-                            default_delta, is_power_of_two, potentials, projections,
+from mucut.spectral import (TIMES_BLOCK, ActiveState, LazyFactor, StochasticMatching,
+                            WalkOperator, default_delta, is_power_of_two, potentials, projections,
                             sample_unit_vector)
 
 from helpers import (apply_projection, clique_edges, dense_flow_matrix, dense_matching,
@@ -408,6 +408,48 @@ def test_walk_switches_to_product_at_k_squared():
             built = WalkOperator(matchings, delta, state)
             assert built.product.tobytes() == w.product.tobytes()
             assert built.rounds == w.rounds == len(matchings)
+
+
+def test_multiply_out_forms_the_chain_product_once():
+    # formed early, the product is extended to the same bits the chain-size rule gives
+    rng = np.random.default_rng(33)
+    mu = random_measure(rng, 14, zero_frac=0.3)
+    state = ActiveState(range(14), mu)
+    matchings = synthetic_matchings(rng, mu, rounds=14)
+    for delta in (1, 2, 4):
+        at = switch_round(matchings, mu, delta)
+        chain = WalkOperator(matchings, delta, state)
+        assert chain.product_round == at
+        for early in range(at):
+            w = WalkOperator(matchings[:early], delta, state)
+            assert w.product is None and w.product_round is None
+            w.multiply_out()
+            first = w.product
+            w.multiply_out()
+            assert w.product is first and w.product_round == early
+            assert not holds_lazy_factor(w)
+            for m in matchings[early:]:
+                w.extend(m)
+            assert w.product is first and w.product_round == early
+            assert w.product.tobytes() == chain.product.tobytes()
+
+
+def test_times_matches_apply_per_column_in_blocks_and_in_place():
+    # k spans three column blocks, the last one partial; zero-measure
+    # vertices drop their pairs, and one round has no pairs at all
+    rng = np.random.default_rng(34)
+    mu = random_measure(rng, 200, zero_frac=0.25)
+    k = int(mu.support_mask.sum())
+    assert 2 * TIMES_BLOCK < k < 3 * TIMES_BLOCK
+    matchings = synthetic_matchings(rng, mu, rounds=3)
+    matchings.append(StochasticMatching.from_pairs(mu.values, []))
+    for delta in (1, 2):
+        c = np.eye(k)
+        for m in matchings:
+            f = LazyFactor(m, mu, delta)
+            want = np.column_stack([f.apply(c[:, j]) for j in range(k)])
+            f.times(c)
+            assert c.tobytes() == want.tobytes()
 
 
 def test_walk_rejects_vectors_of_the_wrong_length():
