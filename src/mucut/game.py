@@ -86,13 +86,68 @@ sigma <= psi^(1/(4 delta)).
   first order in u.  As tau is 16 times below the 1/k^2 above, an error
   up to 3/(4k) there still leaves the exact psi below 1/k^2: at k = 1024,
   t = 200 and d = k the bound is 1.3e-8, against 7.3e-4.
+
+Ruling out unmixed rounds
+-------------------------
+The exact psi takes two or more k x k products (about 15 ms at k = 503,
+delta = 2, one BLAS thread), and all checks but the last one answer "not
+yet".  On at least ``RITZ_MIN_TERMINALS`` terminals the game first takes a
+lower bound on psi from a block V of b = ``RITZ_BLOCK`` orthonormal
+vectors (:func:`spectral.potential_bound`, O(k^2 b) operations) and runs
+the exact check only when the bound is at most (1 + ``BOUND_SLACK``) tau,
+with the slack 1/64.
+
+* The bound.  For orthonormal V, the Ritz values theta_i of
+  G = C^T P C on span(V) are the eigenvalues of
+  H = V^T G V = (P C V)^T (P C V).  Cauchy interlacing gives
+  theta_i <= lambda_i(G), the i-th largest of each, so
+  ||H^delta||_F^2 = sum theta_i^(2 delta) <= sum lambda_i^(2 delta) = psi.
+  Any other V scales the left side by at most
+  ||V||_2^(4 delta) <= ||V^T V||_inf^(2 delta), which the bound divides
+  by, so it holds for a V orthonormal only to rounding too.
+* The block.  It starts at the round the walk takes its product, from a
+  fixed Gaussian block drawn from a generator of its own (the game's
+  generator gives the same draws as without it), with ``RITZ_WARMUP``
+  power steps: V <- G V, its columns made orthonormal by Gram-Schmidt.
+  Each later round takes one more step.  At the exact checks of the
+  benchmark's whisker games (k = 503, seeds 1-3), G's top eigenvector
+  holds 13-27 % of psi and its top 16 hold 87-94 %; the bound reads
+  59-66 % of psi at the first round and 80-88 % near the stop, so the
+  exact check runs once or twice a game, not 6-8 times.
+* Why no stop moves.  A skipped round is one whose computed psi exceeds
+  tau, shown next, so the game plays the same rounds to the same stop,
+  bit for bit, as with every check run, and every stop comes from the
+  exact psi.
+* The slack.  With E the bound on ||fl(G^delta) - G^delta||_F of the
+  rounding paragraph above, sqrt(fl(psi)) >= sqrt(psi) - E.  The bound
+  is computed as psi is, from P C V in place of P C: to first order,
+  the computed P C V is within eta + 2 k sqrt(b) u of the exact one for
+  a V of norm about 1, so the computed H^delta is within
+  E_b = sqrt(b) (2 delta (eta + 2 k sqrt(b) u) + 304 k u) of the exact
+  one, and E_b <= E for k >= 2 b.  The computed ||V^T V||_inf
+  errs by a relative (k + b) u, which moves the bound's root by a
+  relative delta (k + b) u, below 1e-12.  A bound above (1 + 1/64) tau
+  thus gives sqrt(fl(psi)) > (sqrt(1 + 1/64) - 8 k E) / (4 k), which is
+  at least sqrt(tau) while 8 k E <= sqrt(1 + 1/64) - 1 = 7.8e-3.  At
+  k = 1024, t = 200, d = k and delta = 4, 8 k E = 1.1e-4.  E grows
+  linearly in t, and 8 k E stays below 7.8e-3 up to t = 15,000; T
+  reaches that only past n = 2^86.
+* The size rule.  Per game the bound runs on every round from the
+  product on, plus the warm-up steps: 13-14 times with delta = 1 and about
+  9 with delta = 2, against 6-12 exact checks it replaces by one or two.
+  Timed per game over 4 seeds of whiskered four-cycle unions (one BLAS
+  thread), psi checks and bounds together took 8.8 ms without the bound
+  and 9.8 ms with it at k = 208, 15.3 and 8.9 ms at k = 224, 34 and 18 ms
+  at k = 300, and 107 and 33 ms at k = 503.  So the bound runs from 224
+  terminals on; the benchmark's planted (k = 50) and grid (k = 90) games
+  play without it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -105,7 +160,18 @@ from .graph import induced_subgraph  # noqa: F401
 from .flow import edge_network
 from .matching import RoundRecord, solve_matching_round
 from .spectral import (PSI_MAX_TERMINALS, ActiveState, WalkOperator, default_delta,
-                       is_power_of_two, potential, projections, sample_unit_vector)
+                       is_power_of_two, potential, potential_bound, projections,
+                       sample_unit_vector)
+
+#: The fewest terminals at which a lower bound on psi screens the exact
+#: checks (see "Ruling out unmixed rounds" in the module docstring); below it the k^3 checks
+#: cost less than the bound's steps over a game.
+RITZ_MIN_TERMINALS = 224
+#: Width b of the bound's block, and the power steps it takes when it starts.
+RITZ_BLOCK = 16
+RITZ_WARMUP = 2
+#: A check is skipped only while the bound exceeds (1 + BOUND_SLACK) tau.
+BOUND_SLACK = 1.0 / 64
 
 
 @dataclass(frozen=True)
@@ -172,6 +238,8 @@ class CutMatchingOutcome:
     rounds: tuple[RoundRecord, ...]
     walk: Optional[WalkOperator]
     note: Optional[str] = None
+    #: exact psi evaluations (:func:`spectral.potential`) the game ran
+    psi_checks: int = field(default=0, compare=False)
 
 
 def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
@@ -202,7 +270,8 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
     k = len(walk.support)
     tau = 1.0 / (16.0 * k * k)  # the mixing threshold; see the module docstring
     edges = None  # the active set's edge arcs, built by the first round that needs them
-    t = 0
+    block = None  # the Ritz block, from the round the walk holds its product
+    checks = t = 0
 
     while mu.of(removed_all) <= params.stop_threshold and t < params.rounds_T:
         r = sample_unit_vector(n, rng)
@@ -223,7 +292,18 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
             state = walk.state = ActiveState(active, mu)
             edges = None
         t += 1
-        if walk.product is not None and potential(walk.product, state, params.delta) <= tau:
+        if walk.product is None:
+            continue
+        if k >= RITZ_MIN_TERMINALS:
+            if block is None:  # a fixed start, from a generator of its own
+                block = np.random.default_rng(0).standard_normal((k, RITZ_BLOCK))
+                for _ in range(RITZ_WARMUP):
+                    block = potential_bound(walk.product, state, params.delta, block)[1]
+            bound, block = potential_bound(walk.product, state, params.delta, block)
+            if bound > (1.0 + BOUND_SLACK) * tau:
+                continue  # psi > tau for certain: no check needed
+        checks += 1
+        if potential(walk.product, state, params.delta) <= tau:
             break  # mixed: the round budget exists only to reach this
 
     if mu.of(removed_all) > params.stop_threshold:
@@ -247,4 +327,5 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         r_side=removed_all,
         rounds=tuple(records),
         walk=walk,
+        psi_checks=checks,
     )

@@ -25,7 +25,8 @@ earlier, at the first round whose projections estimate psi within 64
 times the stop threshold (at most ``PSI_MAX_TERMINALS`` terminals).  Once
 its walk holds C, the game reads the potential psi = ||W||_F^2 off it
 after every round by :func:`potential` and stops at the first
-psi <= 1/(16 k^2) (see ``game``).
+psi <= 1/(16 k^2) (see ``game``); on many terminals it skips the rounds
+where the cheaper lower bound :func:`potential_bound` already exceeds that.
 One evaluation costs 2 delta t (k + pairs) through the chain or
 2 delta k^2 through C, plus k (k + pairs) per added round once C exists.
 ``potentials`` replays a game's round records into the same k x k
@@ -214,13 +215,15 @@ class LazyFactor:
         column j becomes ``apply(c[:, j])`` bit for bit.  k (k + pairs)
         operations."""
         k = len(c)
+        flats = {}  # width -> scatter index: the full blocks share one
         for j in range(0, k, TIMES_BLOCK):
             block = c[:, j:j + TIMES_BLOCK]
             width = block.shape[1]
             res = self.dg[:, None] * block
             if self.rows.size:
-                flat = (self.rows[:, None] * width + np.arange(width)).ravel()
-                res += np.bincount(flat, (self.vals[:, None] * block[self.cols]).ravel(),
+                if width not in flats:
+                    flats[width] = (self.rows[:, None] * width + np.arange(width)).ravel()
+                res += np.bincount(flats[width], (self.vals[:, None] * block[self.cols]).ravel(),
                                    k * width).reshape(k, width)
             c[:, j:j + TIMES_BLOCK] = res
 
@@ -234,20 +237,70 @@ def potential(c: np.ndarray, state: ActiveState, delta: int) -> float:
     G^delta taken by log2(delta) squarings.  The game's stop test and
     :func:`potentials` both call this, so their values agree bit for bit.
     """
-    if state.mu_active_total <= 0.0:
-        raise ValueError("active set carries no measure; projection undefined")
-    support = np.flatnonzero(state.measure.support_mask)
-    mask, sqrt_mu = state.mask[support], state.sqrt_mu[support]
-    b = mask[:, None] * c  # P C, built in place
-    o = np.outer(sqrt_mu, sqrt_mu @ c)
-    o /= state.mu_active_total
-    b -= o
-    del o
+    b = _project_columns(state, c)
     g = b.T @ b
     del b
     for _ in range(int(delta).bit_length() - 1):
         g = g @ g
     return float(np.vdot(g, g))
+
+
+def potential_bound(c: np.ndarray, state: ActiveState, delta: int,
+                    v: np.ndarray) -> tuple[float, np.ndarray]:
+    """A lower bound on :func:`potential` from a k x b block v, and the block
+    one power step on.
+
+    For orthonormal v, the Ritz values theta_i of G = C^T P C on span(v)
+    are the eigenvalues of H = v^T G v = (P C v)^T (P C v), and Cauchy
+    interlacing gives theta_i <= lambda_i(G), the i-th largest of each; so
+    ||H^delta||_F^2 = sum theta_i^(2 delta) <= sum lambda_i^(2 delta) = psi.
+    Any other v scales the left side by at most ||v||_2^(4 delta): H has
+    the nonzero eigenvalues of G^(1/2) v v^T G^(1/2), which lies below
+    ||v||_2^2 G.  The bound divides by ||v^T v||_inf^(2 delta), at least
+    that, so it holds for every block, orthonormal to rounding or not.
+
+    The next block is G v with orthonormal columns: one block power step,
+    which turns span(v) toward G's top eigenvectors, where the bound nears
+    psi.  2 k^2 b operations, against 2 k^3 and more for psi, all of them
+    matrix products: LAPACK's QR or SVD would page in about 1 MB of
+    library code.
+    """
+    b = _project_columns(state, c @ v)
+    h = b.T @ b
+    for _ in range(int(delta).bit_length() - 1):
+        h = h @ h
+    bound = float(np.vdot(h, h))
+    if bound > 0.0:  # else v or P C v is zero, and 0 is the bound
+        bound /= float(np.abs(v.T @ v).sum(axis=1).max()) ** (2 * int(delta))
+    return bound, _orthonormal(c.T @ b)
+
+
+def _orthonormal(y: np.ndarray) -> np.ndarray:
+    """Orthonormal columns for y's, in order, by classical Gram-Schmidt run
+    twice per column; a column that vanishes against the earlier ones stays
+    zero."""
+    q = np.zeros_like(y, order="F")
+    for j in range(y.shape[1]):
+        x = y[:, j]
+        for _ in range(2):
+            x = x - q[:, :j] @ (q[:, :j].T @ x)
+        norm = math.sqrt(float(x @ x))
+        if norm > 0.0:
+            q[:, j] = x / norm
+    return q
+
+
+def _project_columns(state: ActiveState, x: np.ndarray) -> np.ndarray:
+    """P x for a matrix x of k rows in support coordinates, built in place."""
+    if state.mu_active_total <= 0.0:
+        raise ValueError("active set carries no measure; projection undefined")
+    support = np.flatnonzero(state.measure.support_mask)
+    mask, sqrt_mu = state.mask[support], state.sqrt_mu[support]
+    b = mask[:, None] * x
+    o = np.outer(sqrt_mu, sqrt_mu @ x)
+    o /= state.mu_active_total
+    b -= o
+    return b
 
 
 def potentials(rounds, measure: VertexMeasure, delta: int) -> list[float]:

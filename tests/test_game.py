@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -6,15 +7,17 @@ import pytest
 from mucut import (ActiveState, Graph, GameParams, Variant, VertexMeasure, WalkOperator,
                    cut_weight, induced_subgraph, mu_expansion_of_cut, potentials,
                    run_cut_matching)
+from mucut import game
 from mucut.cli import main
-from mucut.spectral import potential
+from mucut.game import RITZ_MIN_TERMINALS
+from mucut.spectral import potential, sample_unit_vector
 from mucut.verify import check_embedding_congestion
 
 from helpers import (clique_edges, dense_walk_and_potential, dumbbell_graph, extended_potential,
                      matching_row_sums, psi_sequence, random_connected_graph, random_measure,
                      write_graph)
 from test_decompose import two_weakly_joined_cliques
-from test_golden import GOLDEN
+from test_golden import GOLDEN, LARGE_GOLDEN, game_digest, large_whisker
 
 
 def test_params_defaults():
@@ -106,7 +109,7 @@ def test_walk_and_projections_match_dense_oracle_in_game():
     for _ in range(5):
         x = check_rng.standard_normal(8)
         assert np.abs(w.apply(x) - dense_w @ x).max() < 1e-8
-    from mucut.spectral import projections, sample_unit_vector
+    from mucut.spectral import projections
     for _ in range(5):
         r = sample_unit_vector(8, check_rng)
         u = projections(w, r)
@@ -320,3 +323,31 @@ def test_stop_potential_rounding_within_the_stated_bound(case):
     got = potentials(out.rounds, mu, delta)[-1]
     exact = extended_potential(out.rounds, mu, delta)
     assert abs(np.sqrt(got) - np.sqrt(exact)) <= bound
+
+
+def test_ritz_bound_changes_no_stop(monkeypatch):
+    # with the bound proving nothing, every round from the product on runs the
+    # exact check, and the game plays the same rounds to the same stop
+    want_game, want_rounds, want_product_round = LARGE_GOLDEN[:3]
+    g, mu, phi, seed = large_whisker()
+    assert len(mu.support) >= RITZ_MIN_TERMINALS
+    params = GameParams.for_graph(g, mu, phi)
+    monkeypatch.setattr(game, "potential_bound", lambda c, state, delta, v: (-math.inf, v))
+    out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
+    assert len(out.rounds) == want_rounds < params.rounds_T
+    assert out.walk.product_round == want_product_round
+    assert out.psi_checks == want_rounds - want_product_round + 1
+    assert game_digest(out) == want_game
+
+
+def test_ritz_bound_draws_nothing_from_the_game_generator():
+    # and with it, one or two exact checks, and the game's generator is
+    # where one draw per round leaves it
+    g, mu, phi, seed = large_whisker()
+    rng = np.random.default_rng(seed)
+    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, phi), rng)
+    assert 1 <= out.psi_checks <= 2
+    fresh = np.random.default_rng(seed)
+    for _ in out.rounds:
+        sample_unit_vector(g.vertex_count, fresh)
+    assert rng.bit_generator.state == fresh.bit_generator.state

@@ -20,7 +20,9 @@ The instances cover a planted three-block graph whose game removes a
 balanced cut, a grid with zero-measure vertices, a grid with two terminals
 whose game has a round without sources, and an expander with a light
 whisker: its game removes the whisker and plays on with active vertices
-adjacent to removed ones, and its decomposition trims.
+adjacent to removed ones, and its decomposition trims.  A larger expander
+with a whisker, on 303 terminals, pins a game whose psi checks the Ritz
+bound screens (``game.RITZ_MIN_TERMINALS``).
 """
 
 import hashlib
@@ -32,6 +34,7 @@ import pytest
 from mucut import (ActiveState, DecomposeConfig, GameParams, Graph, Infinite, VertexMeasure,
                    WalkOperator, decompose, potentials, run_cut_matching)
 from mucut.cli import main
+from mucut.game import RITZ_MIN_TERMINALS
 
 from helpers import (dense_walk_and_potential, dumbbell_graph, random_connected_graph,
                      write_graph, write_measure)
@@ -80,25 +83,36 @@ def two_terminal_grid():
     return g, VertexMeasure(vals), 0.1, 0
 
 
-def light_whisker():
-    # 8-regular multigraph on 56 vertices, plus a 3-vertex path hung off one
-    # vertex by a 0.05 edge; the path vertices carry measure 0.1 each
-    rng = np.random.default_rng(0)
+def whiskered_cycles(core, seed):
+    # 8-regular multigraph on `core` vertices (four random Hamiltonian
+    # cycles), plus a 3-vertex path hung off one vertex by a 0.05 edge; the
+    # path vertices carry measure 0.1 each
+    rng = np.random.default_rng(seed)
     edges = {}
     for _ in range(4):
-        order = rng.permutation(56).tolist()
-        for i in range(56):
-            u, v = order[i], order[(i + 1) % 56]
+        order = rng.permutation(core).tolist()
+        for i in range(core):
+            u, v = order[i], order[(i + 1) % core]
             key = (min(u, v), max(u, v))
             edges[key] = edges.get(key, 0.0) + 1.0
-    anchor = int(rng.integers(56))
-    edges[(anchor, 56)] = 0.05
-    edges[(56, 57)] = 1.0
-    edges[(57, 58)] = 1.0
-    g = Graph(59, [(u, v, w) for (u, v), w in sorted(edges.items())])
+    anchor = int(rng.integers(core))
+    edges[(anchor, core)] = 0.05
+    edges[(core, core + 1)] = 1.0
+    edges[(core + 1, core + 2)] = 1.0
+    g = Graph(core + 3, [(u, v, w) for (u, v), w in sorted(edges.items())])
     vals = np.array(g.weighted_degrees())
-    vals[56:] = 0.1
-    return g, VertexMeasure(vals), 0.05, 0
+    vals[core:] = 0.1
+    return g, VertexMeasure(vals), 0.05, seed
+
+
+def light_whisker():
+    return whiskered_cycles(56, 0)
+
+
+def large_whisker():
+    # 303 terminals: the one pinned game at or above game.RITZ_MIN_TERMINALS,
+    # whose psi checks the Ritz bound screens
+    return whiskered_cycles(300, 0)
 
 
 def digest(obj) -> str:
@@ -201,6 +215,28 @@ def test_pinned_outputs(make):
     assert sum(1 for rec in out.rounds if not rec.removed and not rec.paths) == want_idle
     assert game_digest(out) == want_game
     assert clusters_digest(decompose(g, mu, phi, rng=seed).clusters) == want_clusters
+
+
+# (game digest, rounds, rounds in the walk's product when formed, clusters
+# digest, result digest), taken with every psi check run exactly
+LARGE_GOLDEN = (
+    "0eb58de3a2de664bc15a76f82837c2f2f79331e49e9409e66b5f59b433cdfdb9", 58, 47,
+    "ff341405f57d4f6c13a5df7650ee7470f451f542bb711367f2a71f2b069506a9",
+    "1abe7591724e2b4a6c03f9bfe80636a6e9ab9bbdd9c2183cd20eb6581d57073e")
+
+
+def test_pinned_large_game():
+    # the Ritz bound only decides which rounds run the exact check, so it
+    # leaves every bit as the exact check alone left it
+    g, mu, phi, seed = large_whisker()
+    want_game, want_rounds, want_product_round, want_clusters, want_result = LARGE_GOLDEN
+    assert len(mu.support) >= RITZ_MIN_TERMINALS
+    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, phi), np.random.default_rng(seed))
+    assert (len(out.rounds), out.walk.product_round) == (want_rounds, want_product_round)
+    assert game_digest(out) == want_game
+    res = decompose(g, mu, phi, rng=seed)
+    assert clusters_digest(res.clusters) == want_clusters
+    assert result_digest(res) == want_result
 
 
 # instance -> (result digest, trace digest, games played by decompose)

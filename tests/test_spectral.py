@@ -8,8 +8,8 @@ from mucut import Graph, VertexMeasure
 from mucut.errors import InvariantViolation
 from mucut.graph import tolerance
 from mucut.spectral import (TIMES_BLOCK, ActiveState, LazyFactor, StochasticMatching,
-                            WalkOperator, default_delta, is_power_of_two, potentials, projections,
-                            sample_unit_vector)
+                            WalkOperator, default_delta, is_power_of_two, potential,
+                            potential_bound, potentials, projections, sample_unit_vector)
 
 from helpers import (apply_projection, clique_edges, dense_flow_matrix, dense_matching,
                      dense_projection_matrix, dense_walk_and_potential, matching_row_sums,
@@ -633,3 +633,54 @@ def test_potentials_reject_an_active_set_without_measure():
         potentials([rec], mu, 1)
     with pytest.raises(ValueError, match="power of two"):
         potentials([rec], mu, 3)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 4])
+def test_potential_bound_is_below_psi_for_any_block(delta):
+    # random, unconverged blocks of every width 1..k, orthonormal or not, on
+    # walks with zero-measure vertices and shrunken active sets; the next
+    # block has orthonormal columns while G v has full rank
+    rng = np.random.default_rng(70 + delta)
+    checked = 0
+    for trial in range(6):
+        mu = random_measure(rng, 12, zero_frac=0.25)
+        dropped = rng.choice(12, size=2 * (trial % 3), replace=False).tolist()
+        state = ActiveState(set(range(12)) - set(dropped), mu)
+        if state.mu_active_total <= 0:
+            continue
+        walk = WalkOperator(synthetic_matchings(rng, mu, rounds=4), delta, state)
+        walk.multiply_out()
+        psi = potential(walk.product, state, delta)
+        dense_w, dense = dense_walk_and_potential(walk)
+        rank = np.linalg.matrix_rank(dense_w)
+        k = len(walk.support)
+        for width in range(1, k + 1):
+            raw = rng.standard_normal((k, width)) * rng.uniform(0.1, 10.0)
+            for v in (raw, np.linalg.qr(raw)[0]):
+                bound, step = potential_bound(walk.product, state, delta, v)
+                assert 0.0 <= bound <= min(psi, dense) * (1 + 1e-12)
+                assert step.shape == (k, width)
+                if width <= rank:
+                    assert np.abs(step.T @ step - np.eye(width)).max() < 1e-9
+                checked += 1
+        # the whole space: the bound is psi, up to rounding, and bit for bit at v = I
+        assert bound == pytest.approx(psi, rel=1e-12)
+        assert potential_bound(walk.product, state, delta, np.eye(k))[0] == psi
+        assert potential_bound(walk.product, state, delta, np.zeros((k, 3)))[0] == 0.0
+    assert checked >= 80
+
+
+def test_potential_bound_power_steps_approach_psi():
+    # a block as wide as G's rank captures psi after a few power steps
+    rng = np.random.default_rng(75)
+    mu = random_measure(rng, 14, zero_frac=0.0)
+    state = ActiveState(range(14), mu)
+    walk = WalkOperator(synthetic_matchings(rng, mu, rounds=3), 1, state)
+    walk.multiply_out()
+    psi = potential(walk.product, state, 1)
+    v = np.linalg.qr(rng.standard_normal((14, 13)))[0]
+    first = potential_bound(walk.product, state, 1, v)[0]
+    for _ in range(30):
+        bound, v = potential_bound(walk.product, state, 1, v)
+    assert first < 0.99 * psi
+    assert bound == pytest.approx(psi, rel=1e-9)
