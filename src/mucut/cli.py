@@ -34,7 +34,7 @@ from .decompose import DecomposeConfig, decompose, balanced_or_expander, Outcome
 from .errors import GraphInputError
 from .game import GameParams
 from .graph import Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
-from .spectral import PSI_MAX_TERMINALS, is_power_of_two, potentials
+from .spectral import PSI_MAX_TERMINALS, potentials
 from .verify import DEFAULT_VERIFY_MAX_N, MAX_ENUM_N, brute_force_expansion, validate_partition
 
 
@@ -197,14 +197,10 @@ def _check_args(args) -> None:
     given = vars(args)
     for flag, ok, want in (
             ("--phi", lambda v: v is None or 0.0 < v < math.inf, "positive, finite"),
-            ("--log-base", lambda v: 1.0 < v < math.inf, "greater than 1, finite"),
             ("--check-level", lambda v: v is None or 0.0 < v < math.inf, "positive, finite"),
-            ("--delta", lambda v: v is None or is_power_of_two(v), "a power of two"),
             ("--verify-max-n", lambda v: v is None or 1 <= v <= MAX_ENUM_N,
              f"in [1, {MAX_ENUM_N}]"),
-            ("--seed", lambda v: v >= 0, "non-negative"),
-            ("--t-factor", lambda v: 0.0 < v < math.inf, "positive, finite"),
-            ("--c-factor", lambda v: 0.0 < v < math.inf, "positive, finite")):
+            ("--seed", lambda v: v >= 0, "non-negative")):
         dest = flag[2:].replace("-", "_")
         if dest in given and not ok(given[dest]):
             raise GraphInputError(f"{flag} must be {want}, got {given[dest]}")
@@ -220,10 +216,6 @@ def cmd_decompose(args) -> int:
     mu = load_measure(args.mu, g)
     trace_lines: list[str] = []
     cfg = DecomposeConfig(
-        t_factor=args.t_factor,
-        c_factor=args.c_factor,
-        delta=args.delta,
-        log_base=args.log_base,
         verify_max_n=args.verify_max_n,
         # each game becomes CSV lines as it ends, so no game is kept
         trace_hook=(lambda game: trace_lines.extend(_trace_lines(game)))
@@ -253,10 +245,8 @@ def cmd_sparse_cut(args) -> int:
     mu = load_measure(args.mu, g)
     if not is_connected(g):
         raise GraphInputError("sparse-cut needs a connected graph; run decompose instead")
-    params = GameParams.for_graph(g, mu, args.phi, t_factor=args.t_factor,
-                                  c_factor=args.c_factor, delta=args.delta)
-    rng = np.random.default_rng(args.seed)
-    outcome = balanced_or_expander(g, mu, params, rng, log_base=args.log_base)
+    params = GameParams.for_graph(g, mu, args.phi)
+    outcome = balanced_or_expander(g, mu, params, np.random.default_rng(args.seed))
     if outcome.kind is OutcomeKind.CERTIFIED:
         expansion = None
     else:
@@ -332,13 +322,6 @@ def _add_game(p: argparse.ArgumentParser) -> None:
     """The flags of the commands that play games: decompose and sparse-cut."""
     p.add_argument("--phi", type=float, required=True, help="target expansion")
     p.add_argument("--seed", type=int, default=0, help="rng seed")
-    p.add_argument("--t-factor", type=float, default=2.0, dest="t_factor",
-                   help="round budget multiplier on log2(n)^2")
-    p.add_argument("--c-factor", type=float, default=1.0, dest="c_factor",
-                   help="numerator of the edge-capacity constant")
-    p.add_argument("--delta", type=int, default=None, help="walk power override (power of 2)")
-    p.add_argument("--log-base", type=float, default=2.0, dest="log_base",
-                   help="log base for the balance threshold")
     p.add_argument("--trace", default=None, help="write per-round CSV here")
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvariantViolation
-from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
+from .game import C_FACTOR, T_FACTOR, CutMatchingOutcome, GameParams, Variant, run_cut_matching
 from .graph import (Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
                     induced_subgraph, selected_weight, tolerance)
 from .trimming import trim
@@ -43,11 +43,13 @@ class BalanceOutcome:
     trimmed: bool
 
 
+#: A trimmed step is unbalanced while the rest holds at most mu(V) / log_LOG_BASE(n).
+LOG_BASE = 2.0
+
+
 def balanced_or_expander(g: Graph, mu: VertexMeasure, params: GameParams,
-                         rng: np.random.Generator, *, log_base: float = 2.0) -> BalanceOutcome:
+                         rng: np.random.Generator) -> BalanceOutcome:
     """Run the game; trim and reclassify when the removed side is small."""
-    if not 1.0 < log_base < math.inf:
-        raise ValueError(f"log_base must exceed 1 and be finite, got {log_base}")
     out = run_cut_matching(g, mu, params, rng)
     everything = frozenset(range(g.vertex_count))
     if out.variant is Variant.CERTIFIED_EXPANDER:
@@ -64,7 +66,7 @@ def balanced_or_expander(g: Graph, mu: VertexMeasure, params: GameParams,
             f"trim precondition {boundary} <= {limit} failed after the game; constants bug")
     trimmed = trim(g, mu, a, params.phi)
     rest = everything - trimmed
-    logn = math.log(g.vertex_count, log_base) if g.vertex_count >= 2 else 1.0
+    logn = math.log(g.vertex_count, LOG_BASE) if g.vertex_count >= 2 else 1.0
     if mu.of(rest) <= mu.total / logn:
         return BalanceOutcome(OutcomeKind.UNBALANCED_EXPANDER_CUT, trimmed, rest, out, True)
     return BalanceOutcome(OutcomeKind.BALANCED_CUT, trimmed, rest, out, True)
@@ -90,12 +92,9 @@ class DecompositionResult:
 
 @dataclass(frozen=True)
 class DecomposeConfig:
-    """Shared knobs for every game spawned by the recursion."""
+    """The recursion's settings; every game it plays uses the game's own
+    constants (:class:`GameParams`)."""
 
-    t_factor: float = 2.0
-    c_factor: float = 1.0
-    delta: Optional[int] = None
-    log_base: float = 2.0
     depth_limit: Optional[int] = None
     verify_max_n: int = DEFAULT_VERIFY_MAX_N  # brute-force cap for certificates, in [1, MAX_ENUM_N]
     trace_hook: Optional[object] = None  # callable fed each game's CutMatchingOutcome
@@ -178,9 +177,7 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
             found.append((component, "zero-measure"))
             continue
         sub, to_global = induced_subgraph(g, component)
-        params = GameParams.for_graph(sub, mu_c, phi, t_factor=cfg.t_factor,
-                                      c_factor=cfg.c_factor, delta=cfg.delta)
-        outcome = balanced_or_expander(sub, mu_c, params, rng, log_base=cfg.log_base)
+        outcome = balanced_or_expander(sub, mu_c, GameParams.for_graph(sub, mu_c, phi), rng)
         if cfg.trace_hook is not None:
             cfg.trace_hook(outcome.game)
         if outcome.kind is OutcomeKind.CERTIFIED:
@@ -229,10 +226,12 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
         recursion_depth=max_depth,
         params={
             "phi": phi,
-            "t_factor": cfg.t_factor,
-            "c_factor": cfg.c_factor,
-            "delta": cfg.delta,
-            "log_base": cfg.log_base,
+            # the game constants; delta is None, as each game takes
+            # default_delta of its own vertex count
+            "t_factor": T_FACTOR,
+            "c_factor": C_FACTOR,
+            "delta": None,
+            "log_base": LOG_BASE,
             "verify_max_n": cfg.verify_max_n,
             "depth_limit": depth_limit,
             "n": n,

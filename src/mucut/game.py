@@ -65,7 +65,7 @@ sigma <= psi^(1/(4 delta)).
 * Fewer rounds.  The certificate uses the round count only through the
   congestion c t, and its level falls as 1/t: a game that mixes at t < T
   proves a level T/t times higher than the same mixing proves at T.
-* The constants.  With the defaults (c = round(1/(phi ln n)),
+* The constants.  With the game's constants (c = round(1/(phi ln n)),
   T = ceil(2 log2(n)^2), delta from ``default_delta``) the level reaches
   phi/6 only while t <= 3 (1 - sigma) delta / (c phi).  With sigma at the
   k^(-1/(2 delta)) that tau guarantees, on instance 0 of benchmark seed 1:
@@ -172,17 +172,25 @@ RITZ_BLOCK = 16
 RITZ_WARMUP = 2
 #: A check is skipped only while the bound exceeds (1 + BOUND_SLACK) tau.
 BOUND_SLACK = 1.0 / 64
+#: The game's constants (see the module docstring): T = ceil(T_FACTOR log2(n)^2)
+#: rounds and capacity c = max(1, round(C_FACTOR / (phi ln n))).  The walk power,
+#: ``default_delta(n)``, stays at most MAX_DELTA below n = 20^8; the rounding
+#: and slack arguments hold only up to it.
+T_FACTOR = 2.0
+C_FACTOR = 1.0
+MAX_DELTA = 4
 
 
 @dataclass(frozen=True)
 class GameParams:
-    """Knobs of one game run; build with :meth:`for_graph` for the defaults.
+    """The constants of one game run; :meth:`for_graph` derives them.
 
     rounds_T caps the rounds: a game stops earlier once its walk has mixed
     (psi <= 1/(16 k^2), see the module docstring).  stop_threshold is
     mu(V) * c * phi / 70: the run stops once the removed measure exceeds
-    it.  Nothing here concerns tracing: the trace's potentials are computed
-    from the outcome's round records, outside the game.
+    it.  delta is a power of two of at most MAX_DELTA.  Nothing here
+    concerns tracing: the trace's potentials are computed from the
+    outcome's round records, outside the game.
     """
 
     phi: float
@@ -198,28 +206,26 @@ class GameParams:
             raise ValueError("rounds_T must be at least 1")
         if self.capacity_c < 1:
             raise ValueError("capacity_c must be at least 1")
-        if not is_power_of_two(self.delta):
-            raise ValueError("delta must be a power of two")
+        if not (is_power_of_two(self.delta) and self.delta <= MAX_DELTA):
+            raise ValueError(f"delta must be a power of two of at most {MAX_DELTA}, "
+                             f"got {self.delta}")
 
     @staticmethod
-    def for_graph(g: Graph, mu: VertexMeasure, phi: float, *, t_factor: float = 2.0,
-                  c_factor: float = 1.0, delta: Optional[int] = None) -> "GameParams":
-        """T = ceil(t_factor * log2(n)^2), c = max(1, round(c_factor / (phi ln n)))."""
+    def for_graph(g: Graph, mu: VertexMeasure, phi: float) -> "GameParams":
+        """T = ceil(2 log2(n)^2), c = max(1, round(1 / (phi ln n))), delta =
+        ``default_delta(n)``."""
         if not 0.0 < phi < math.inf:
             raise ValueError(f"phi must be positive and finite, got {phi}")
-        for name, factor in (("t_factor", t_factor), ("c_factor", c_factor)):
-            if not 0.0 < factor < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {factor}")
         n = g.vertex_count
         log2n = math.log2(n) if n >= 2 else 1.0
         lnn = math.log(n) if n >= 2 else 1.0
-        rounds = max(1, math.ceil(t_factor * log2n * log2n))
-        cap = max(1, round(c_factor / (phi * lnn)))
+        rounds = max(1, math.ceil(T_FACTOR * log2n * log2n))
+        cap = max(1, round(C_FACTOR / (phi * lnn)))
         return GameParams(
             phi=phi,
             rounds_T=rounds,
             capacity_c=cap,
-            delta=default_delta(n) if delta is None else int(delta),
+            delta=default_delta(n),
             stop_threshold=mu.total * cap * phi / 70.0,
         )
 

@@ -190,20 +190,20 @@ def test_bad_phi_exits_2(k8_file):
 @pytest.mark.parametrize("command, flags", [
     ("decompose", ["--phi", "0"]),
     ("decompose", ["--phi", "nan"]),
-    ("decompose", ["--phi", "0.1", "--log-base", "1"]),
-    ("sparse-cut", ["--phi", "0.1", "--log-base", "0.5"]),
-    ("decompose", ["--phi", "0.1", "--delta", "3"]),
+    ("decompose", ["--phi", "inf"]),
+    ("sparse-cut", ["--phi", "0"]),
+    ("decompose", ["--phi", "0.1", "--seed", "-1"]),
     ("decompose", ["--phi", "0.1", "--verify-max-n", "0"]),
     ("decompose", ["--phi", "0.1", "--verify-max-n", "21"]),
     ("sparse-cut", ["--phi", "0.1", "--seed", "-1"]),
-    ("decompose", ["--phi", "0.1", "--t-factor", "inf"]),
-    ("decompose", ["--phi", "0.1", "--c-factor", "nan"]),
+    ("decompose", ["--phi", "-0.5"]),
+    ("decompose", ["--phi", "0.1", "--verify-max-n", "-1"]),
     ("verify", ["--phi", "-0.1"]),
     ("verify", ["--partition", "p.json", "--check-level", "nan"]),
     ("verify", ["--partition", "p.json", "--check-level", "-1"]),
-    ("decompose", ["--phi", "0.1", "--log-base", "inf"]),
-    ("decompose", ["--phi", "0.1", "--t-factor", "0"]),
-    ("sparse-cut", ["--phi", "0.1", "--c-factor", "-5"]),
+    ("decompose", ["--phi", "1e-400"]),  # underflows to 0.0
+    ("decompose", ["--phi", "-0.0"]),
+    ("sparse-cut", ["--phi", "nan"]),
 ])
 def test_bad_flag_values_exit_2(k8_file, capsys, command, flags):
     assert main([command, "--graph", k8_file] + flags) == 2
@@ -436,6 +436,15 @@ def test_verify_partition_json_bytes(tmp_path):
     ("sparse-cut", ["--phi", "0.1", "--verify-max-n", "16"]),
     ("decompose", ["--phi", "0.1", "--dense-limit", "50"]),
     ("sparse-cut", ["--phi", "0.1", "--dense-limit", "50"]),
+    # the game's constants have no flags
+    ("decompose", ["--phi", "0.1", "--t-factor", "2"]),
+    ("sparse-cut", ["--phi", "0.1", "--t-factor", "2"]),
+    ("decompose", ["--phi", "0.1", "--c-factor", "1"]),
+    ("sparse-cut", ["--phi", "0.1", "--c-factor", "1"]),
+    ("decompose", ["--phi", "0.1", "--delta", "2"]),
+    ("sparse-cut", ["--phi", "0.1", "--delta", "2"]),
+    ("decompose", ["--phi", "0.1", "--log-base", "2"]),
+    ("sparse-cut", ["--phi", "0.1", "--log-base", "2"]),
 ])
 def test_flags_a_command_does_not_read_are_unknown(k8_file, command, flags):
     with pytest.raises(SystemExit) as exc:

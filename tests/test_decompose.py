@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import sys
 
 import numpy as np
@@ -44,13 +46,14 @@ def test_decompose_rejects_phi_not_positive_and_finite(phi):
         decompose(g, VertexMeasure.from_degrees(g), phi, rng=0)
 
 
-@pytest.mark.parametrize("log_base", [1.0, 0.5, float("nan"), float("inf")])
-def test_balanced_or_expander_rejects_log_base_at_most_one(log_base):
-    g = dumbbell_graph(4)
-    mu = VertexMeasure.from_degrees(g)
-    params = GameParams.for_graph(g, mu, 0.3)
-    with pytest.raises(ValueError, match="log_base"):
-        balanced_or_expander(g, mu, params, np.random.default_rng(0), log_base=log_base)
+def test_game_constants_have_no_overrides():
+    # game.py's certificate holds for the game's own constants only; a change
+    # that lets a caller set T, c, delta or the balance threshold edits this
+    assert list(inspect.signature(GameParams.for_graph).parameters) == ["g", "mu", "phi"]
+    assert list(inspect.signature(balanced_or_expander).parameters) == [
+        "g", "mu", "params", "rng"]
+    assert [f.name for f in dataclasses.fields(DecomposeConfig)] == [
+        "depth_limit", "verify_max_n", "trace_hook"]
 
 
 def test_single_vertex_certifies():
@@ -171,8 +174,10 @@ def test_params_echo():
     g = dumbbell_graph(4)
     mu = VertexMeasure.from_degrees(g)
     res = decompose(g, mu, 0.1, rng=0)
-    for key in ("phi", "t_factor", "c_factor", "log_base", "n", "mu_total", "mu_spread"):
+    for key in ("phi", "n", "mu_total", "mu_spread"):
         assert key in res.params
+    constants = {key: res.params[key] for key in ("t_factor", "c_factor", "delta", "log_base")}
+    assert constants == {"t_factor": 2.0, "c_factor": 1.0, "delta": None, "log_base": 2.0}
 
 
 def test_deep_recursion_needs_no_call_stack(monkeypatch):
@@ -180,7 +185,7 @@ def test_deep_recursion_needs_no_call_stack(monkeypatch):
     # as the path is long; the driver must not spend a Python frame per level
     driver = importlib.import_module("mucut.decompose")
 
-    def peel_first(g, mu, params, rng, *, log_base=2.0):
+    def peel_first(g, mu, params, rng):
         rest = frozenset(range(1, g.vertex_count))
         return BalanceOutcome(OutcomeKind.BALANCED_CUT, frozenset({0}), rest, None, False)
 
@@ -205,7 +210,7 @@ def test_accounting_drift_is_judged_at_the_recount(monkeypatch):
     # charge that misses the whole crossing weight is a drift
     driver = importlib.import_module("mucut.decompose")
 
-    def split_blocks(g, mu, params, rng, *, log_base=2.0):
+    def split_blocks(g, mu, params, rng):
         everything = frozenset(range(g.vertex_count))
         if g.vertex_count == 4:
             return BalanceOutcome(OutcomeKind.CERTIFIED, everything, frozenset(), None, False)
@@ -265,7 +270,7 @@ def test_cut_side_without_measure_is_a_violation(monkeypatch):
     # broken invariant, not a cluster to keep whole
     driver = importlib.import_module("mucut.decompose")
 
-    def cut_off_the_unmeasured(g, mu, params, rng, *, log_base=2.0):
+    def cut_off_the_unmeasured(g, mu, params, rng):
         rest = frozenset(np.flatnonzero(mu.values == 0.0).tolist())
         everything = frozenset(range(g.vertex_count))
         return BalanceOutcome(OutcomeKind.BALANCED_CUT, everything - rest, rest, None, False)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -38,10 +39,6 @@ def test_params_validation():
             GameParams(phi=phi, rounds_T=1, capacity_c=1, delta=1, stop_threshold=0.0)
         with pytest.raises(ValueError, match="phi"):
             GameParams.for_graph(g, mu, phi)
-    for bad in (float("inf"), float("-inf"), float("nan"), 0.0, -5.0):
-        for name in ("t_factor", "c_factor"):
-            with pytest.raises(ValueError, match=name):
-                GameParams.for_graph(g, mu, 0.1, **{name: bad})
     with pytest.raises(ValueError):
         GameParams(phi=0.1, rounds_T=1, capacity_c=1, delta=3, stop_threshold=0.0)
 
@@ -254,7 +251,19 @@ def random_early_stop(delta=None):
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 30, extra=2.0)
     mu = VertexMeasure.from_degrees(g)
-    return g, mu, GameParams.for_graph(g, mu, 0.1, delta=delta), rng
+    params = GameParams.for_graph(g, mu, 0.1)
+    return g, mu, params if delta is None else dataclasses.replace(params, delta=delta), rng
+
+
+def test_params_reject_delta_above_four():
+    # game.py's rounding and slack arguments hold only for delta <= 4; a
+    # larger power fails at construction, before any game plays
+    g, mu, params, rng = random_early_stop()
+    for delta in (8, 64):
+        with pytest.raises(ValueError, match="delta must be a power of two of at most 4"):
+            dataclasses.replace(params, delta=delta)
+    out = run_cut_matching(g, mu, dataclasses.replace(params, delta=4), rng)
+    assert out.walk.delta == game.MAX_DELTA == 4
 
 
 def golden_game(make):
