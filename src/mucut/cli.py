@@ -32,7 +32,6 @@ import numpy as np
 
 from .decompose import DecomposeConfig, decompose, balanced_or_expander, OutcomeKind
 from .errors import GraphInputError
-from .game import GameParams
 from .graph import Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
 from .spectral import PSI_MAX_TERMINALS, potentials
 from .verify import DEFAULT_VERIFY_MAX_N, MAX_ENUM_N, brute_force_expansion, validate_partition
@@ -175,7 +174,7 @@ def _trace_lines(game) -> list[str]:
     mu = game.walk.measure
     psis = [""] * len(game.rounds)
     if len(mu.support) <= PSI_MAX_TERMINALS:
-        psis = [repr(psi) for psi in potentials(game.rounds, mu, game.walk.delta)]
+        psis = [repr(psi) for psi in potentials(game.rounds, mu, game.params.delta)]
     lines = []
     removed: frozenset = frozenset()
     for rec, psi in zip(game.rounds, psis):
@@ -245,8 +244,8 @@ def cmd_sparse_cut(args) -> int:
     mu = load_measure(args.mu, g)
     if not is_connected(g):
         raise GraphInputError("sparse-cut needs a connected graph; run decompose instead")
-    params = GameParams.for_graph(g, mu, args.phi)
-    outcome = balanced_or_expander(g, mu, params, np.random.default_rng(args.seed))
+    outcome = balanced_or_expander(g, mu, args.phi, np.random.default_rng(args.seed))
+    params = outcome.game.params
     if outcome.kind is OutcomeKind.CERTIFIED:
         expansion = None
     else:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvariantViolation
-from .game import C_FACTOR, T_FACTOR, CutMatchingOutcome, GameParams, Variant, run_cut_matching
+from .game import C_FACTOR, T_FACTOR, CutMatchingOutcome, Variant, run_cut_matching
 from .graph import (Graph, INFINITE, VertexMeasure, connected_components, cut_weight,
                     induced_subgraph, selected_weight, tolerance)
 from .trimming import trim
@@ -47,10 +47,10 @@ class BalanceOutcome:
 LOG_BASE = 2.0
 
 
-def balanced_or_expander(g: Graph, mu: VertexMeasure, params: GameParams,
+def balanced_or_expander(g: Graph, mu: VertexMeasure, phi: float,
                          rng: np.random.Generator) -> BalanceOutcome:
     """Run the game; trim and reclassify when the removed side is small."""
-    out = run_cut_matching(g, mu, params, rng)
+    out = run_cut_matching(g, mu, phi, rng)
     everything = frozenset(range(g.vertex_count))
     if out.variant is Variant.CERTIFIED_EXPANDER:
         return BalanceOutcome(OutcomeKind.CERTIFIED, everything, frozenset(), out, False)
@@ -60,11 +60,11 @@ def balanced_or_expander(g: Graph, mu: VertexMeasure, params: GameParams,
     # small removed side: the surviving side is a near-expander, trim it
     a = out.a_side
     boundary = cut_weight(g, a)
-    limit = params.phi * mu.of(a) / 9.0
+    limit = phi * mu.of(a) / 9.0
     if boundary > limit + tolerance(limit):
         raise InvariantViolation(
             f"trim precondition {boundary} <= {limit} failed after the game; constants bug")
-    trimmed = trim(g, mu, a, params.phi)
+    trimmed = trim(g, mu, a, phi)
     rest = everything - trimmed
     logn = math.log(g.vertex_count, LOG_BASE) if g.vertex_count >= 2 else 1.0
     if mu.of(rest) <= mu.total / logn:
@@ -92,10 +92,9 @@ class DecompositionResult:
 
 @dataclass(frozen=True)
 class DecomposeConfig:
-    """The recursion's settings; every game it plays uses the game's own
-    constants (:class:`GameParams`)."""
+    """The recursion's settings; every game it plays derives its own
+    constants from phi (:class:`game.GameParams`)."""
 
-    depth_limit: Optional[int] = None
     verify_max_n: int = DEFAULT_VERIFY_MAX_N  # brute-force cap for certificates, in [1, MAX_ENUM_N]
     trace_hook: Optional[object] = None  # callable fed each game's CutMatchingOutcome
 
@@ -147,13 +146,9 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     cfg = config or DecomposeConfig()
     if not 1 <= cfg.verify_max_n <= MAX_ENUM_N:
         raise ValueError(f"verify_max_n must be in [1, {MAX_ENUM_N}], got {cfg.verify_max_n}")
-    if cfg.depth_limit is not None and cfg.depth_limit < 0:
-        raise ValueError(f"depth_limit must be non-negative, got {cfg.depth_limit}")
     rng = np.random.default_rng(rng)
     n = g.vertex_count
-    depth_limit = cfg.depth_limit
-    if depth_limit is None:
-        depth_limit = int(4 * math.log2(max(2, n)) ** 2 + 8)
+    depth_limit = int(4 * math.log2(max(2, n)) ** 2 + 8)
 
     found: list[tuple[tuple[int, ...], str]] = []  # (cluster, certificate kind)
     charged = 0.0
@@ -177,7 +172,7 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
             found.append((component, "zero-measure"))
             continue
         sub, to_global = induced_subgraph(g, component)
-        outcome = balanced_or_expander(sub, mu_c, GameParams.for_graph(sub, mu_c, phi), rng)
+        outcome = balanced_or_expander(sub, mu_c, phi, rng)
         if cfg.trace_hook is not None:
             cfg.trace_hook(outcome.game)
         if outcome.kind is OutcomeKind.CERTIFIED:

@@ -160,8 +160,7 @@ from .graph import induced_subgraph  # noqa: F401
 from .flow import edge_network
 from .matching import RoundRecord, solve_matching_round
 from .spectral import (PSI_MAX_TERMINALS, ActiveState, WalkOperator, default_delta,
-                       is_power_of_two, potential, potential_bound, projections,
-                       sample_unit_vector)
+                       potential, potential_bound, projections, sample_unit_vector)
 
 #: The fewest terminals at which a lower bound on psi screens the exact
 #: checks (see "Ruling out unmixed rounds" in the module docstring); below it the k^3 checks
@@ -183,14 +182,13 @@ MAX_DELTA = 4
 
 @dataclass(frozen=True)
 class GameParams:
-    """The constants of one game run; :meth:`for_graph` derives them.
+    """The constants of one game, derived by :meth:`for_graph` when the game
+    starts and kept in its outcome.
 
-    rounds_T caps the rounds: a game stops earlier once its walk has mixed
-    (psi <= 1/(16 k^2), see the module docstring).  stop_threshold is
-    mu(V) * c * phi / 70: the run stops once the removed measure exceeds
-    it.  delta is a power of two of at most MAX_DELTA.  Nothing here
-    concerns tracing: the trace's potentials are computed from the
-    outcome's round records, outside the game.
+    The game plays at most rounds_T rounds (fewer once its walk has mixed,
+    see the module docstring), routes at congestion capacity_c, walks with
+    power delta, and stops once the removed measure exceeds stop_threshold
+    = mu(V) c phi / 70.
     """
 
     phi: float
@@ -198,17 +196,6 @@ class GameParams:
     capacity_c: int
     delta: int
     stop_threshold: float
-
-    def __post_init__(self):
-        if not 0.0 < self.phi < math.inf:
-            raise ValueError(f"phi must be positive and finite, got {self.phi}")
-        if self.rounds_T < 1:
-            raise ValueError("rounds_T must be at least 1")
-        if self.capacity_c < 1:
-            raise ValueError("capacity_c must be at least 1")
-        if not (is_power_of_two(self.delta) and self.delta <= MAX_DELTA):
-            raise ValueError(f"delta must be a power of two of at most {MAX_DELTA}, "
-                             f"got {self.delta}")
 
     @staticmethod
     def for_graph(g: Graph, mu: VertexMeasure, phi: float) -> "GameParams":
@@ -219,13 +206,17 @@ class GameParams:
         n = g.vertex_count
         log2n = math.log2(n) if n >= 2 else 1.0
         lnn = math.log(n) if n >= 2 else 1.0
+        delta = default_delta(n)
+        if delta > MAX_DELTA:
+            raise ValueError(f"delta = {delta} exceeds MAX_DELTA = {MAX_DELTA}, "
+                             "beyond which the stop test's rounding bound is not proven")
         rounds = max(1, math.ceil(T_FACTOR * log2n * log2n))
         cap = max(1, round(C_FACTOR / (phi * lnn)))
         return GameParams(
             phi=phi,
             rounds_T=rounds,
             capacity_c=cap,
-            delta=default_delta(n),
+            delta=delta,
             stop_threshold=mu.total * cap * phi / 70.0,
         )
 
@@ -243,28 +234,31 @@ class CutMatchingOutcome:
     r_side: frozenset
     rounds: tuple[RoundRecord, ...]
     walk: Optional[WalkOperator]
+    params: GameParams
     note: Optional[str] = None
     #: exact psi evaluations (:func:`spectral.potential`) the game ran
     psi_checks: int = field(default=0, compare=False)
 
 
-def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
+def run_cut_matching(g: Graph, mu: VertexMeasure, phi: float,
                      rng: np.random.Generator) -> CutMatchingOutcome:
-    """Play until the walk mixes, the removed measure passes its threshold or
-    T rounds are played, on a connected graph, and classify the outcome."""
+    """Play with the constants :meth:`GameParams.for_graph` derives until the
+    walk mixes, the removed measure passes its threshold or T rounds are
+    played, on a connected graph, and classify the outcome."""
     n = g.vertex_count
     if len(mu.values) != n:
         raise ValueError("measure length does not match the graph")
+    params = GameParams.for_graph(g, mu, phi)
     if not is_connected(g):
         raise ValueError("graph must be connected; split components first")
     if n == 1:
         return CutMatchingOutcome(Variant.CERTIFIED_EXPANDER, frozenset({0}), frozenset(),
-                                  (), None, note="single vertex: no proper cuts")
+                                  (), None, params, note="single vertex: no proper cuts")
     if len(mu.support) <= 1:
         # covers zero-measure graphs too: every proper cut has a
         # zero-measure side, so expansion is vacuously infinite
         return CutMatchingOutcome(Variant.CERTIFIED_EXPANDER, frozenset(range(n)), frozenset(),
-                                  (), None,
+                                  (), None, params,
                                   note="at most one terminal: every proper cut has zero-measure side")
 
     active = frozenset(range(n))
@@ -333,5 +327,6 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, params: GameParams,
         r_side=removed_all,
         rounds=tuple(records),
         walk=walk,
+        params=params,
         psi_checks=checks,
     )

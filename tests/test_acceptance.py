@@ -68,8 +68,8 @@ def test_criterion_03_stochastic_blocked_symmetric_flows():
         n = int(rng.integers(10, 31))
         g = random_connected_graph(rng, n, extra=float(rng.uniform(0.5, 2.5)))
         mu = random_measure(rng, n, zero_frac=0.2)
-        params = GameParams.for_graph(g, mu, phi=float(rng.uniform(0.05, 0.3)))
-        out = run_cut_matching(g, mu, params, rng)
+        out = run_cut_matching(g, mu, float(rng.uniform(0.05, 0.3)), rng)
+        params = out.params
         # replay the flow-matrix recursion densely, checking every round
         big_u = np.diag(mu.values)
         u_inv = np.diag(mu.pseudo_inv)
@@ -101,7 +101,7 @@ def test_criterion_04_potential_startpoint_and_decrease():
 
     drops: dict[int, list] = {}
     for seed in range(100):
-        out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
+        out = run_cut_matching(g, mu, params.phi, np.random.default_rng(seed))
         psis = psi_sequence(g, mu, out, params.delta)
         for rec, prev, psi in zip(out.rounds, psis, psis[1:]):
             if rec.matching.off_diagonal_weight > 0:
@@ -126,9 +126,9 @@ def test_criterion_05_matching_round_contract():
     games.append((dumbbell_graph(10, bridges=2), 0.4))
     for g, phi in games:
         mu = VertexMeasure.from_degrees(g)
-        params = GameParams.for_graph(g, mu, phi)
         for seed in range(3):
-            out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
+            out = run_cut_matching(g, mu, phi, np.random.default_rng(seed))
+            params = out.params
             for rec in out.rounds:
                 assert check_embedding_congestion(g, rec.paths) \
                     <= params.capacity_c * (1 + 1e-9)
@@ -256,8 +256,7 @@ def test_criterion_09_projection_statistics():
     started = time.monotonic()
     g = dumbbell_graph(16)
     mu = VertexMeasure.from_degrees(g)
-    params = GameParams.for_graph(g, mu, 0.05)
-    out = run_cut_matching(g, mu, params, np.random.default_rng(5))
+    out = run_cut_matching(g, mu, 0.05, np.random.default_rng(5))
     dense_w, _ = dense_walk_and_potential(out.walk)
     rows = dense_w * mu.inv_sqrt[:, None]  # v_i = W(i) / sqrt(mu_i)
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,16 @@ from mucut.cli import load_graph, load_measure, main
 from mucut.errors import GraphInputError
 
 from helpers import dumbbell_graph
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_checkout_python(*args):
+    """Run a Python child that imports this checkout's mucut, whatever mucut
+    is installed or on the ambient PYTHONPATH."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture()
@@ -389,17 +400,17 @@ def test_verify_malformed_partition_exits_2(k8_file, tmp_path, content):
 def test_import_leaves_scipy_unloaded():
     # numpy is the only runtime dependency: importing scipy.sparse alone
     # adds about 22 MB of resident memory to every run
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, mucut, mucut.cli; print('scipy' in sys.modules)"],
-                          capture_output=True, text=True)
+    proc = run_checkout_python(
+        "-c", "import sys, mucut, mucut.cli; print('scipy' in sys.modules, mucut.__file__, sep='\\n')")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded, where = proc.stdout.splitlines()
+    assert loaded == "False"
+    assert where.startswith(SRC)
 
 
 def test_console_entry_point(k8_file):
-    proc = subprocess.run([sys.executable, "-m", "mucut.cli", "verify",
-                           "--graph", k8_file], capture_output=True, text=True)
-    assert proc.returncode == 0
+    proc = run_checkout_python("-m", "mucut.cli", "verify", "--graph", k8_file)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n"] == 8
 
 

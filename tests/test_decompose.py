@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mucut import (GameParams, Graph, VertexMeasure, cut_weight, decompose,
-                   induced_subgraph, mu_expansion_of_cut)
+                   induced_subgraph, mu_expansion_of_cut, run_cut_matching)
 from mucut.decompose import BalanceOutcome, DecomposeConfig, OutcomeKind, balanced_or_expander
 from mucut.errors import InvariantViolation
 from mucut.graph import Infinite
@@ -19,8 +19,7 @@ from helpers import clique_edges, dumbbell_graph, random_connected_graph
 def test_balanced_or_expander_on_expander():
     g = Graph(8, clique_edges(range(8)))
     mu = VertexMeasure.from_degrees(g)
-    params = GameParams.for_graph(g, mu, 0.01)
-    out = balanced_or_expander(g, mu, params, np.random.default_rng(1))
+    out = balanced_or_expander(g, mu, 0.01, np.random.default_rng(1))
     assert out.kind is OutcomeKind.CERTIFIED
     assert out.expander_side == frozenset(range(8))
 
@@ -31,12 +30,11 @@ def test_balanced_or_expander_on_dumbbell(seed):
     # carry any source mass at capacity c = 1, so a cut always appears
     g = dumbbell_graph(8)
     mu = VertexMeasure.from_degrees(g)
-    params = GameParams.for_graph(g, mu, 0.3)
-    out = balanced_or_expander(g, mu, params, np.random.default_rng(seed))
+    out = balanced_or_expander(g, mu, 0.3, np.random.default_rng(seed))
     assert out.kind in (OutcomeKind.BALANCED_CUT, OutcomeKind.UNBALANCED_EXPANDER_CUT)
     # either way the returned cut is sparse: at most twice the round bound
     value = mu_expansion_of_cut(g, mu, out.rest)
-    assert value <= 2 * 7.0 / params.capacity_c + 1e-9
+    assert value <= 2 * 7.0 / out.game.params.capacity_c + 1e-9
 
 
 @pytest.mark.parametrize("phi", [0.0, -0.1, float("inf"), float("nan")])
@@ -47,20 +45,20 @@ def test_decompose_rejects_phi_not_positive_and_finite(phi):
 
 
 def test_game_constants_have_no_overrides():
-    # game.py's certificate holds for the game's own constants only; a change
-    # that lets a caller set T, c, delta or the balance threshold edits this
+    # game.py's certificate holds for the game's own constants only: a caller
+    # gives phi, and each game derives T, c, delta and its stop threshold
+    # itself.  A change that lets a caller set any of them edits this
     assert list(inspect.signature(GameParams.for_graph).parameters) == ["g", "mu", "phi"]
-    assert list(inspect.signature(balanced_or_expander).parameters) == [
-        "g", "mu", "params", "rng"]
+    for play in (run_cut_matching, balanced_or_expander):
+        assert list(inspect.signature(play).parameters) == ["g", "mu", "phi", "rng"]
     assert [f.name for f in dataclasses.fields(DecomposeConfig)] == [
-        "depth_limit", "verify_max_n", "trace_hook"]
+        "verify_max_n", "trace_hook"]
 
 
 def test_single_vertex_certifies():
     g = Graph(1, [])
     mu = VertexMeasure([2.0])
-    params = GameParams.for_graph(g, mu, 0.1)
-    out = balanced_or_expander(g, mu, params, np.random.default_rng(0))
+    out = balanced_or_expander(g, mu, 0.1, np.random.default_rng(0))
     assert out.kind is OutcomeKind.CERTIFIED
 
 
@@ -153,12 +151,24 @@ def test_mu_restriction_is_by_vertex_value():
         assert sub_mu.total == pytest.approx(sum(vals[v] for v in cl))
 
 
-def test_depth_limit_guard():
-    g = dumbbell_graph(8)
-    mu = VertexMeasure.from_degrees(g)
-    cfg = DecomposeConfig(depth_limit=0)
-    with pytest.raises(InvariantViolation, match="depth"):
-        decompose(g, mu, 0.3, cfg, rng=5)  # the cut always appears at this phi
+def peel_first(g, mu, phi, rng):
+    """A step that peels only the smallest vertex: on a path, the recursion
+    goes as deep as the path is long."""
+    rest = frozenset(range(1, g.vertex_count))
+    return BalanceOutcome(OutcomeKind.BALANCED_CUT, frozenset({0}), rest, None, False)
+
+
+def path(n):
+    g = Graph(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+    return g, VertexMeasure.from_degrees(g)
+
+
+def test_depth_limit_guard(monkeypatch):
+    # peeling a 400-vertex path needs depth 399, past int(4 log2(400)^2 + 8) = 306
+    driver = importlib.import_module("mucut.decompose")
+    monkeypatch.setattr(driver, "balanced_or_expander", peel_first)
+    with pytest.raises(InvariantViolation, match="depth 307 exceeded the limit 306"):
+        decompose(*path(400), 0.1, rng=0)
 
 
 def test_charge_ratio_reported():
@@ -181,27 +191,21 @@ def test_params_echo():
 
 
 def test_deep_recursion_needs_no_call_stack(monkeypatch):
-    # a step that peels only the smallest vertex drives the recursion as deep
-    # as the path is long; the driver must not spend a Python frame per level
+    # a 260-vertex path peels to depth 259, past a recursion limit of 250 and
+    # within the depth limit int(4 log2(260)^2 + 8) = 265: the driver must
+    # not spend a Python frame per level
     driver = importlib.import_module("mucut.decompose")
-
-    def peel_first(g, mu, params, rng):
-        rest = frozenset(range(1, g.vertex_count))
-        return BalanceOutcome(OutcomeKind.BALANCED_CUT, frozenset({0}), rest, None, False)
-
     monkeypatch.setattr(driver, "balanced_or_expander", peel_first)
-    g = Graph(400, [(v, v + 1, 1.0) for v in range(399)])
-    mu = VertexMeasure.from_degrees(g)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
-        res = decompose(g, mu, 0.1, DecomposeConfig(depth_limit=400), rng=0)
+        res = decompose(*path(260), 0.1, rng=0)
     finally:
         sys.setrecursionlimit(limit)
-    assert res.clusters == tuple((v,) for v in range(400))
+    assert res.clusters == tuple((v,) for v in range(260))
     assert all(c.kind == "singleton" for c in res.per_cluster)
-    assert res.recursion_depth == 399
-    assert res.inter_cluster_edge_weight == 399.0
+    assert res.recursion_depth == 259 < res.params["depth_limit"] == 265
+    assert res.inter_cluster_edge_weight == 259.0
 
 
 def test_accounting_drift_is_judged_at_the_recount(monkeypatch):
@@ -210,7 +214,7 @@ def test_accounting_drift_is_judged_at_the_recount(monkeypatch):
     # charge that misses the whole crossing weight is a drift
     driver = importlib.import_module("mucut.decompose")
 
-    def split_blocks(g, mu, params, rng):
+    def split_blocks(g, mu, phi, rng):
         everything = frozenset(range(g.vertex_count))
         if g.vertex_count == 4:
             return BalanceOutcome(OutcomeKind.CERTIFIED, everything, frozenset(), None, False)
@@ -270,7 +274,7 @@ def test_cut_side_without_measure_is_a_violation(monkeypatch):
     # broken invariant, not a cluster to keep whole
     driver = importlib.import_module("mucut.decompose")
 
-    def cut_off_the_unmeasured(g, mu, params, rng):
+    def cut_off_the_unmeasured(g, mu, phi, rng):
         rest = frozenset(np.flatnonzero(mu.values == 0.0).tolist())
         everything = frozenset(range(g.vertex_count))
         return BalanceOutcome(OutcomeKind.BALANCED_CUT, everything - rest, rest, None, False)
@@ -292,14 +296,3 @@ def test_verify_max_n_out_of_range_is_rejected_before_any_game(monkeypatch, cap)
         decompose(g, VertexMeasure.from_degrees(g), 0.05, DecomposeConfig(verify_max_n=cap))
     assert not played
 
-
-def test_negative_depth_limit_is_rejected_before_any_game(monkeypatch):
-    # malformed input, not a broken guarantee: no InvariantViolation
-    driver = importlib.import_module("mucut.decompose")
-    played = []
-    monkeypatch.setattr(driver, "run_cut_matching", lambda *args: played.append(args))
-    g = dumbbell_graph(8)
-    with pytest.raises(ValueError, match="depth_limit must be non-negative") as exc:
-        decompose(g, VertexMeasure.from_degrees(g), 0.3, DecomposeConfig(depth_limit=-1))
-    assert not isinstance(exc.value, InvariantViolation)
-    assert not played

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mucut.matching
-from mucut import Graph, GameParams, VertexMeasure, run_cut_matching
+from mucut import Graph, VertexMeasure, run_cut_matching
 from mucut.flow import FlowNetwork, decompose_paths, edge_network, max_flow
 
 from helpers import (arcs_of, assert_fair, conservation_errors, enumerate_min_cut, network,
@@ -575,14 +575,14 @@ def test_round_networks_match_reference_bit_for_bit(monkeypatch):
     terminals = n // 10
     values[rng.choice(n, size=terminals, replace=False)] = rng.uniform(1.0, 4.0, terminals)
     mu = VertexMeasure(values)
-    run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.02), rng)
+    run_cut_matching(g, mu, 0.02, rng)
     assert len(seen) >= 10
     assert any("dead below sink level" in f for f in seen)
 
     grid_rounds = len(seen)
     g = regular_expander(rng, 64)
     mu = VertexMeasure.from_degrees(g)
-    run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.05), rng)
+    run_cut_matching(g, mu, 0.05, rng)
     assert len(seen) - grid_rounds >= 10
     assert any("sink shares its level" in f for f in seen[grid_rounds:])
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 
@@ -36,25 +35,40 @@ def test_params_validation():
     mu = VertexMeasure.from_degrees(g)
     for phi in (0.0, -0.1, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="phi"):
-            GameParams(phi=phi, rounds_T=1, capacity_c=1, delta=1, stop_threshold=0.0)
-        with pytest.raises(ValueError, match="phi"):
             GameParams.for_graph(g, mu, phi)
-    with pytest.raises(ValueError):
-        GameParams(phi=0.1, rounds_T=1, capacity_c=1, delta=3, stop_threshold=0.0)
+        with pytest.raises(ValueError, match="phi"):
+            run_cut_matching(g, mu, phi, np.random.default_rng(0))
+
+
+def single_vertex():
+    return Graph(1, []), VertexMeasure([1.0]), 0.1, 0
+
+
+def one_terminal():
+    g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    return g, VertexMeasure([0.0, 5.0, 0.0]), 0.1, 0
+
+
+@pytest.mark.parametrize("make", [*GOLDEN, single_vertex, one_terminal], ids=lambda f: f.__name__)
+def test_outcome_records_the_params_for_graph_derives(make):
+    # the game derives its constants from phi, early returns included, and
+    # its outcome is the one place a caller reads them
+    g, mu, phi, seed = make()
+    out = run_cut_matching(g, mu, phi, np.random.default_rng(seed))
+    assert out.params == GameParams.for_graph(g, mu, phi)
+    assert out.walk is None or out.walk.delta == out.params.delta
 
 
 def test_single_vertex_certifies():
-    g = Graph(1, [])
-    mu = VertexMeasure([1.0])
-    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.1), np.random.default_rng(0))
+    g, mu, phi, seed = single_vertex()
+    out = run_cut_matching(g, mu, phi, np.random.default_rng(seed))
     assert out.variant is Variant.CERTIFIED_EXPANDER
     assert out.note is not None
 
 
 def test_single_terminal_certifies_with_note():
-    g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    mu = VertexMeasure([0.0, 5.0, 0.0])
-    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.1), np.random.default_rng(0))
+    g, mu, phi, seed = one_terminal()
+    out = run_cut_matching(g, mu, phi, np.random.default_rng(seed))
     assert out.variant is Variant.CERTIFIED_EXPANDER
     assert "terminal" in out.note
 
@@ -63,13 +77,13 @@ def test_disconnected_graph_rejected():
     g = Graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     mu = VertexMeasure([1.0] * 4)
     with pytest.raises(ValueError):
-        run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.1), np.random.default_rng(0))
+        run_cut_matching(g, mu, 0.1, np.random.default_rng(0))
 
 
 def test_zero_measure_graph_certifies_with_note():
     g = Graph(2, [(0, 1, 1.0)])
     mu = VertexMeasure([0.0, 0.0])
-    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, 0.1), np.random.default_rng(0))
+    out = run_cut_matching(g, mu, 0.1, np.random.default_rng(0))
     assert out.variant is Variant.CERTIFIED_EXPANDER
     assert out.note is not None
 
@@ -78,8 +92,7 @@ def test_zero_measure_graph_certifies_with_note():
 def test_k8_certifies_across_seeds(seed):
     g = Graph(8, clique_edges(range(8)))
     mu = VertexMeasure.from_degrees(g)
-    params = GameParams.for_graph(g, mu, phi=0.01)
-    out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
+    out = run_cut_matching(g, mu, 0.01, np.random.default_rng(seed))
     assert out.variant is Variant.CERTIFIED_EXPANDER
     assert not out.r_side
 
@@ -98,8 +111,7 @@ def test_walk_and_projections_match_dense_oracle_in_game():
     rng = np.random.default_rng(606)
     g = random_connected_graph(rng, 8, extra=1.0)
     mu = random_measure(rng, 8, zero_frac=0.2)
-    params = GameParams.for_graph(g, mu, 0.2)
-    out = run_cut_matching(g, mu, params, rng)
+    out = run_cut_matching(g, mu, 0.2, rng)
     w = out.walk
     dense_w, _ = dense_walk_and_potential(w)
     check_rng = np.random.default_rng(1)
@@ -119,8 +131,8 @@ def test_walk_and_projections_match_dense_oracle_in_game():
 def test_dumbbell_yields_sparse_cut(seed):
     g = dumbbell_graph(8)
     mu = VertexMeasure.from_degrees(g)
-    params = GameParams.for_graph(g, mu, phi=0.05)
-    out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
+    out = run_cut_matching(g, mu, 0.05, np.random.default_rng(seed))
+    params = out.params
     assert out.variant in (Variant.BALANCED_CUT, Variant.NEAR_EXPANDER_CUT)
     value = mu_expansion_of_cut(g, mu, out.r_side)
     assert value <= 7.0 / params.capacity_c + 1e-9
@@ -135,9 +147,8 @@ def run_game(seed, n=14, phi=0.1, extra=1.0, zero_frac=0.2):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra=extra)
     mu = random_measure(rng, n, zero_frac=zero_frac)
-    params = GameParams.for_graph(g, mu, phi)
-    out = run_cut_matching(g, mu, params, rng)
-    return g, mu, params, out
+    out = run_cut_matching(g, mu, phi, rng)
+    return g, mu, out.params, out
 
 
 def test_matchings_share_the_measure_and_hold_no_dense_array():
@@ -223,9 +234,8 @@ def test_trace_psi_matches_offline_recompute(tmp_path):
     # records of the same game (the CLI's measure is the weighted degrees)
     g = dumbbell_graph(6)
     mu = VertexMeasure.from_degrees(g)
-    params = GameParams.for_graph(g, mu, 0.05)
-    out = run_cut_matching(g, mu, params, np.random.default_rng(8))
-    seq = psi_sequence(g, mu, out, params.delta)
+    out = run_cut_matching(g, mu, 0.05, np.random.default_rng(8))
+    seq = psi_sequence(g, mu, out, out.params.delta)
     trace = tmp_path / "trace.csv"
     assert main(["sparse-cut", "--graph", write_graph(tmp_path / "g.txt", g), "--phi", "0.05",
                  "--seed", "8", "--json-out", str(tmp_path / "out.json"),
@@ -246,40 +256,48 @@ def test_same_seed_reproduces_run():
         assert ra.matching.off_diagonal == rb.matching.off_diagonal
 
 
-def random_early_stop(delta=None):
-    # a 30-vertex game that mixes in about 30 of its T = 49 rounds
+def random_early_stop(monkeypatch, delta=None):
+    # a 30-vertex game that mixes in about 30 of its T = 49 rounds; another
+    # walk power than default_delta(30) = 1 comes from patching the game's
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 30, extra=2.0)
-    mu = VertexMeasure.from_degrees(g)
-    params = GameParams.for_graph(g, mu, 0.1)
-    return g, mu, params if delta is None else dataclasses.replace(params, delta=delta), rng
+    if delta is not None:
+        monkeypatch.setattr(game, "default_delta", lambda n: delta)
+    return g, VertexMeasure.from_degrees(g), 0.1, rng
 
 
-def test_params_reject_delta_above_four():
-    # game.py's rounding and slack arguments hold only for delta <= 4; a
-    # larger power fails at construction, before any game plays
-    g, mu, params, rng = random_early_stop()
+def test_params_reject_delta_above_four(monkeypatch):
+    # game.py's rounding and slack arguments hold only for delta <= 4; the
+    # game refuses a larger power when it derives its constants, before any
+    # round draws its vector
     for delta in (8, 64):
-        with pytest.raises(ValueError, match="delta must be a power of two of at most 4"):
-            dataclasses.replace(params, delta=delta)
-    out = run_cut_matching(g, mu, dataclasses.replace(params, delta=4), rng)
-    assert out.walk.delta == game.MAX_DELTA == 4
+        g, mu, phi, rng = random_early_stop(monkeypatch, delta)
+        drawn = rng.bit_generator.state
+        with pytest.raises(ValueError, match="exceeds MAX_DELTA = 4"):
+            run_cut_matching(g, mu, phi, rng)
+        assert rng.bit_generator.state == drawn
+    out = run_cut_matching(*random_early_stop(monkeypatch, 4))
+    assert out.params.delta == out.walk.delta == game.MAX_DELTA == 4
+    assert out.rounds
 
 
 def golden_game(make):
     g, mu, phi, seed = make()
-    return g, mu, GameParams.for_graph(g, mu, phi), np.random.default_rng(seed)
+    return g, mu, phi, np.random.default_rng(seed)
 
 
-STOP_CASES = {f"golden-{make.__name__}": (lambda make=make: golden_game(make)) for make in GOLDEN}
+STOP_CASES = {f"golden-{make.__name__}": (lambda mp, make=make: golden_game(make))
+              for make in GOLDEN}
 STOP_CASES["random-delta1"] = random_early_stop
-STOP_CASES["random-delta2"] = lambda: random_early_stop(delta=2)
+STOP_CASES["random-delta2"] = lambda mp: random_early_stop(mp, delta=2)
 
 
 @pytest.mark.parametrize("case", list(STOP_CASES))
-def test_game_stops_at_the_first_mixed_product_round(case):
-    g, mu, params, rng = STOP_CASES[case]()
-    out = run_cut_matching(g, mu, params, rng)
+def test_game_stops_at_the_first_mixed_product_round(case, monkeypatch):
+    g, mu, phi, rng = STOP_CASES[case](monkeypatch)
+    out = run_cut_matching(g, mu, phi, rng)
+    params = out.params
+    assert case != "random-delta2" or params.delta == 2
     assert len(out.rounds) <= params.rounds_T
     k = len(mu.support)
     tau = 1.0 / (16.0 * k * k)
@@ -308,8 +326,8 @@ def test_game_stops_at_the_first_mixed_product_round(case):
 def test_unmixed_two_cliques_game_plays_every_round(seed):
     # psi stays at 2.9-4.5, far above tau: the game certifies at T, as before
     g, mu = two_weakly_joined_cliques()
-    params = GameParams.for_graph(g, mu, 0.05)
-    out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
+    out = run_cut_matching(g, mu, 0.05, np.random.default_rng(seed))
+    params = out.params
     assert out.variant is Variant.CERTIFIED_EXPANDER
     assert len(out.rounds) == params.rounds_T == 18
     assert out.walk.product is not None
@@ -317,12 +335,12 @@ def test_unmixed_two_cliques_game_plays_every_round(seed):
 
 
 @pytest.mark.parametrize("case", list(STOP_CASES))
-def test_stop_potential_rounding_within_the_stated_bound(case):
+def test_stop_potential_rounding_within_the_stated_bound(case, monkeypatch):
     # the game module's bound on ||fl(G^delta) - G^delta||_F, which the factor
     # 16 in tau covers up to 3/(4k), against psi in extended precision
-    g, mu, params, rng = STOP_CASES[case]()
-    out = run_cut_matching(g, mu, params, rng)
-    k, t, delta = len(mu.support), len(out.rounds), params.delta
+    g, mu, phi, rng = STOP_CASES[case](monkeypatch)
+    out = run_cut_matching(g, mu, phi, rng)
+    k, t, delta = len(mu.support), len(out.rounds), out.params.delta
     d = max(np.bincount(np.ravel([p[:2] for p in rec.matching.off_diagonal]), minlength=1).max()
             for rec in out.rounds if rec.matching.off_diagonal)
     u = 2.0 ** -53
@@ -340,10 +358,9 @@ def test_ritz_bound_changes_no_stop(monkeypatch):
     want_game, want_rounds, want_product_round = LARGE_GOLDEN[:3]
     g, mu, phi, seed = large_whisker()
     assert len(mu.support) >= RITZ_MIN_TERMINALS
-    params = GameParams.for_graph(g, mu, phi)
     monkeypatch.setattr(game, "potential_bound", lambda c, state, delta, v: (-math.inf, v))
-    out = run_cut_matching(g, mu, params, np.random.default_rng(seed))
-    assert len(out.rounds) == want_rounds < params.rounds_T
+    out = run_cut_matching(g, mu, phi, np.random.default_rng(seed))
+    assert len(out.rounds) == want_rounds < out.params.rounds_T
     assert out.walk.product_round == want_product_round
     assert out.psi_checks == want_rounds - want_product_round + 1
     assert game_digest(out) == want_game
@@ -354,7 +371,7 @@ def test_ritz_bound_draws_nothing_from_the_game_generator():
     # where one draw per round leaves it
     g, mu, phi, seed = large_whisker()
     rng = np.random.default_rng(seed)
-    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, phi), rng)
+    out = run_cut_matching(g, mu, phi, rng)
     assert 1 <= out.psi_checks <= 2
     fresh = np.random.default_rng(seed)
     for _ in out.rounds:

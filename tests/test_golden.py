@@ -31,7 +31,7 @@ import json
 import numpy as np
 import pytest
 
-from mucut import (ActiveState, DecomposeConfig, GameParams, Graph, Infinite, VertexMeasure,
+from mucut import (ActiveState, DecomposeConfig, Graph, Infinite, VertexMeasure,
                    WalkOperator, decompose, potentials, run_cut_matching)
 from mucut.cli import main
 from mucut.game import RITZ_MIN_TERMINALS
@@ -208,7 +208,7 @@ WALK_PRODUCT = {planted_blocks: False, terminal_grid: True, two_terminal_grid: T
 def test_pinned_outputs(make):
     g, mu, phi, seed = make()
     want_clusters, want_game, want_rounds, want_cuts, want_idle = GOLDEN[make]
-    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, phi), np.random.default_rng(seed))
+    out = run_cut_matching(g, mu, phi, np.random.default_rng(seed))
     assert (out.walk.product is not None) == WALK_PRODUCT[make]
     assert len(out.rounds) == want_rounds
     assert sum(1 for rec in out.rounds if rec.removed) == want_cuts
@@ -231,7 +231,7 @@ def test_pinned_large_game():
     g, mu, phi, seed = large_whisker()
     want_game, want_rounds, want_product_round, want_clusters, want_result = LARGE_GOLDEN
     assert len(mu.support) >= RITZ_MIN_TERMINALS
-    out = run_cut_matching(g, mu, GameParams.for_graph(g, mu, phi), np.random.default_rng(seed))
+    out = run_cut_matching(g, mu, phi, np.random.default_rng(seed))
     assert (len(out.rounds), out.walk.product_round) == (want_rounds, want_product_round)
     assert game_digest(out) == want_game
     res = decompose(g, mu, phi, rng=seed)
