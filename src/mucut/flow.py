@@ -1,4 +1,4 @@
-"""Exact max-flow / min-cut over real capacities, with path stripping.
+"""Exact max-flow / min-cut over real capacities, and the flow's paths.
 
 Level-graph augmentation (Dinic: BFS phases, DFS blocking flow) on an arc
 list with residual pairing: arc i and arc i^1 are reverse twins.  Undirected
@@ -17,8 +17,24 @@ set of the final residual network, read off the last phase's BFS (the one
 that cannot reach the sink, so searched everything), so every outward cut
 arc is saturated by construction: the cut is 1-fair.  The solver records
 the arcs of every augmenting path and computes flows on those alone: any
-other arc only ever gained residual capacity, so its flow is zero.  Path
-stripping keeps a current-arc pointer per vertex as well.
+other arc only ever gained residual capacity, so its flow is zero.
+
+The solver also keeps each augmenting path with its push, and
+:func:`decompose_paths` hands these over as the flow's paths, unless a push
+cancelled flow, that is, ran on an arc whose twin carried flow.  Without
+cancellation they are an exact path decomposition of the flow.  Each is a
+simple path, since it climbs one level per arc.  No push takes back another,
+so an arc's flow is the sum of the pushes over it, up to the last bits of
+the solver's ``cap - resid``, and each push is at most the arc's residual,
+so that sum is within the capacity up to rounding.  The pushes add up, in
+push order, to the value bit for bit.  The solver sees every cancellation as
+a residual above the (capped) capacity: a push adds more than ``zero``, at
+least 1e-12 of any capped capacity and so far above its rounding, to the
+residual of each of its arcs' twins, so a twin that carries flow always
+reads above its capacity.  After a cancellation the solver drops its paths,
+and :func:`decompose_paths` strips the arc flows instead, walking
+flow-carrying arcs from the source with a current-arc pointer per vertex
+and cancelling any cycle it closes.
 
 Both flow problems the algorithm poses on a vertex subset, the matching
 player's and trimming's, share one layout: :func:`edge_network` is the
@@ -174,12 +190,17 @@ def edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Max-flow value, per-arc flows, and the source side of a min cut."""
+    """Max-flow value, per-arc flows, the source side of a min cut, and the
+    augmenting paths while they decompose the flow."""
 
     value: float
     arc_flows: tuple[float, ...]
     min_cut_side: frozenset
     zero: float  #: the network's `zero`, the threshold the solve used
+    #: one (source, sink, push, vertex sequence) per augmentation, in push
+    #: order; None once a push cancelled flow, so :func:`decompose_paths`
+    #: strips the flow instead
+    paths: tuple | None
 
 
 def max_flow(net: FlowNetwork) -> FlowSolution:
@@ -221,6 +242,7 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     zero = FLOW_ZERO * min(largest, limit)  # net.zero, without summing again
     total = 0.0
     pushed: list[int] = []  # the arcs of every augmenting path
+    paths: list | None = []  # every augmentation, until one cancels flow
 
     while True:
         level = [-1] * n
@@ -263,6 +285,13 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
         while True:
             if u == t:
                 push = min(map(resid.__getitem__, path))
+                if paths is not None:
+                    for a in path:
+                        if resid[a] > cap[a]:  # a's twin carries flow, which the push cancels
+                            paths = None
+                            break
+                    else:
+                        paths.append((s, t, push, (s, *map(to.__getitem__, path))))
                 for a in path:
                     resid[a] -= push
                     resid[a ^ 1] += push
@@ -302,17 +331,36 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
         if f > 0.0:
             flows[a] = f
     side = frozenset([v for v, d in enumerate(level) if d >= 0])
-    return FlowSolution(value=total, arc_flows=tuple(flows), min_cut_side=side, zero=zero)
+    return FlowSolution(value=total, arc_flows=tuple(flows), min_cut_side=side, zero=zero,
+                        paths=None if paths is None else tuple(paths))
 
 
 def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
-    """Strip the flow into source-to-sink paths; cycles are cancelled, not emitted.
+    """The flow as source-to-sink paths: (source, sink, weight, vertex
+    sequence) tuples whose weights add up to the flow value.
 
-    Returns (source, sink, weight, vertex sequence) tuples.
+    These are the solver's augmentations, ``sol.paths``, unless a push
+    cancelled flow (``sol.paths`` is None); then the flow is stripped.
+    Either way there are at most as many paths as arcs: the stripping
+    empties an arc with every path, and every augmentation saturates an
+    arc whose residual could rise again only by a push on its twin, which
+    would cancel flow, so there is at most one augmentation per twin pair.
+    """
+    paths = _strip_paths(net, sol) if sol.paths is None else sol.paths
+    if len(paths) > net.arc_count:
+        raise InvariantViolation("path decomposition emitted more paths than arcs")
+    total = ordered_sum(p[2] for p in paths)
+    if abs(total - sol.value) > tolerance(sol.value):
+        raise InvariantViolation(
+            f"path decomposition total {total} does not match flow value {sol.value}")
+    return paths
+
+
+def _strip_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
+    """Strip the arc flows into source-to-sink paths; cycles are cancelled, not emitted.
 
     Walks the positive-flow arcs from the source; whenever the walk revisits
-    a vertex the enclosed cycle is cancelled.  Emits at most one path per
-    arc and conserves the source-to-sink value.  Each vertex keeps a pointer
+    a vertex the enclosed cycle is cancelled.  Each vertex keeps a pointer
     to its first arc that may still carry flow: flows only fall, so an arc
     at or below zero is passed over once and never scanned again.  Zero
     is the solver's, ``sol.zero``, so the capacities are not scanned again.
@@ -367,11 +415,4 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
         for a in walk_arcs:
             flow[a] -= push
         paths.append((s, t, push, tuple(walk_nodes)))
-
-    if len(paths) > net.arc_count:
-        raise InvariantViolation("path decomposition emitted more paths than arcs")
-    total = ordered_sum(p[2] for p in paths)
-    if abs(total - sol.value) > tolerance(sol.value):
-        raise InvariantViolation(
-            f"path decomposition total {total} does not match flow value {sol.value}")
     return tuple(paths)

@@ -4,12 +4,17 @@ Poses the auxiliary flow problem on the active set A of the caller's
 graph (super-source to sources at their weights, targets to super-sink at
 theirs, every edge inside A at capacity c times its weight), solves it
 exactly, and either reports full saturation (no cut) or returns the
-source side of the min cut together with the surviving flow.  Path
-endpoints become the round's matching, completed on the diagonal to be
-measure-stochastic.  The round comes back as its one record,
-:class:`RoundRecord`, which the game stores as it is.  Every round takes
-the same path: a round without sources has no source arcs, so its flow is
-zero, nothing is cut and its matching is the diagonal alone.
+source side of the min cut together with the surviving flow.  The flow's
+paths are the solver's own augmenting paths, or the flow stripped into
+paths where a push cancelled flow (:func:`flow.decompose_paths`; see
+:mod:`flow` for why the augmentations are exact).  A path from a removed
+source leaves with it, even where it crosses the saturated cut to a
+surviving target.  The surviving paths' endpoints become the round's
+matching, completed on the diagonal to be measure-stochastic.  The round
+comes back as its one record, :class:`RoundRecord`, which the game stores
+as it is.  Every round takes the same path: a round without sources has no
+source arcs, so its flow is zero, nothing is cut and its matching is the
+diagonal alone.
 
 Only the terminal arcs change from round to round, and the edge arcs only
 when a cut shrinks A.  So the game builds the edge arcs once per active
@@ -107,10 +112,12 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
     for _, _, w, seq in full_paths:
         interior = seq[1:-1]
         if removed and interior[0] in removed:
-            # path rooted in the cut side; with an exact max flow it never
-            # leaves it, so the whole path is discarded
+            # a path from a removed source may cross the saturated cut to a
+            # surviving target; it leaves with its source, since the round's
+            # matching pairs survivors only
             continue
         if removed and any(v in removed for v in interior):
+            # at a max flow no arc into the removed side carries flow
             raise InvariantViolation("a surviving path crosses back into the removed side")
         kept.append((interior[0], interior[-1], w, interior))
 

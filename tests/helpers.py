@@ -23,8 +23,9 @@ its arc lists in bulk: the library's must have the same arc ids, heads,
 capacities and adjacency lists.
 `reference_max_flow` and `reference_decompose_paths` are the flow solver
 and path stripper as they were before phases stopped at the sink and were
-pruned to the vertices that reach it: the library's must match them bit
-for bit.  `reference_build_pi_problem`
+pruned to the vertices that reach it: the library's solver must match
+them bit for bit, and so must its stripping, which `decompose_paths` runs
+when the solution holds no augmenting paths.  `reference_build_pi_problem`
 is the matching round's network built arc by arc, as it was before the
 edge arcs were built once per active set: the library's network must list
 the same arcs in every vertex's adjacency.  `reference_trim_network` is
@@ -469,7 +470,7 @@ def reference_max_flow(net: FlowNetwork) -> FlowSolution:
                 queue.append(y)
     flows = tuple(max(0.0, cap[i] - resid[i]) for i in range(len(resid)))
     return FlowSolution(value=total, arc_flows=flows, min_cut_side=frozenset(reachable),
-                        zero=zero)
+                        zero=zero, paths=None)
 
 
 def reference_decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:

@@ -6,6 +6,7 @@ import pytest
 import mucut.matching
 from mucut import Graph, VertexMeasure, run_cut_matching
 from mucut.flow import FlowNetwork, decompose_paths, edge_network, max_flow
+from mucut.graph import ordered_sum
 
 from helpers import (arcs_of, assert_fair, conservation_errors, enumerate_min_cut, network,
                      random_connected_graph, reference_decompose_paths, reference_edge_network,
@@ -172,7 +173,7 @@ def test_decompose_cancels_cycles():
     for i, (u, v, c) in enumerate(arcs_of(net)):
         if (u, v) in {(1, 2), (2, 3), (3, 1)}:
             flows[i] = 1.0
-    doctored = dataclasses.replace(sol, arc_flows=tuple(flows))
+    doctored = dataclasses.replace(sol, arc_flows=tuple(flows), paths=None)
     dec = decompose_paths(net, doctored)
     assert sum(p[2] for p in dec) == pytest.approx(1.0)
     for _, _, _, seq in dec:
@@ -331,6 +332,7 @@ def test_flows_only_on_pushed_arcs_survive_a_cancellation():
     sol = max_flow(net)
     ref = reference_max_flow(net)
     assert sol.value == 2.0
+    assert sol.paths is None  # so decompose_paths strips the flow
     assert sol.arc_flows[ids[a, b]].hex() == (0.0).hex()
     assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
     assert sol.min_cut_side == ref.min_cut_side
@@ -466,7 +468,8 @@ def oracle_network(rng):
 def with_circulation(net, sol, rng):
     """The solution plus a circulation around one directed cycle of stored
     arcs (even slots, so no edge is used both ways) with spare capacity,
-    or None if none is found."""
+    without the solver's paths, so that it is stripped; or None if no
+    cycle is found."""
     flows = list(sol.arc_flows)
     ends = (net.source, net.sink)
     for start in (int(i) for i in rng.permutation(net.node_count)):
@@ -487,7 +490,7 @@ def with_circulation(net, sol, rng):
                     push = min(net.cap[c] - flows[c] for c in cycle) / 2.0
                     for c in cycle:
                         flows[c] += push
-                    return dataclasses.replace(sol, arc_flows=tuple(flows))
+                    return dataclasses.replace(sol, arc_flows=tuple(flows), paths=None)
                 if v not in on_path and v not in ends:
                     on_path.add(v)
                     arcs.append(a)
@@ -501,10 +504,68 @@ def with_circulation(net, sol, rng):
     return None
 
 
+def assert_augmentations_carry_the_flow(net, sol):
+    """The solver's paths, kept when no push cancelled flow, decompose its
+    flow: simple source-to-sink paths of positive weight, which add up in
+    push order to the value bit for bit, and whose sums on each arc
+    (parallel arcs pooled) are its flow within the solver's zero and stay
+    within its capacity, capped at the network's cap_limit."""
+    s, t = net.source, net.sink
+    assert decompose_paths(net, sol) is sol.paths
+    pooled_flow, pooled_cap, used = {}, {}, {}
+    for i, (u, v, c) in enumerate(arcs_of(net)):
+        pooled_flow[u, v] = pooled_flow.get((u, v), 0.0) + sol.arc_flows[i]
+        pooled_cap[u, v] = pooled_cap.get((u, v), 0.0) + min(c, net.cap_limit)
+    for source, sink, w, seq in sol.paths:
+        assert (source, sink, seq[0], seq[-1]) == (s, t, s, t)
+        assert len(set(seq)) == len(seq) and w > sol.zero
+        for step in zip(seq, seq[1:]):
+            used[step] = used.get(step, 0.0) + w
+    assert ordered_sum(p[2] for p in sol.paths).hex() == sol.value.hex()
+    for step, f in pooled_flow.items():
+        assert abs(used.get(step, 0.0) - f) <= sol.zero
+        assert used.get(step, 0.0) <= pooled_cap[step] + sol.zero
+
+
+def assert_paths_match_reference(net, sol, ref):
+    """The stripping, forced by dropping the solver's paths, gives the
+    reference stripper's paths bit for bit; the solver's own paths, where
+    it kept them, carry its flow."""
+    stripped = decompose_paths(net, dataclasses.replace(sol, paths=None))
+    want = reference_decompose_paths(net, ref)
+    assert [(*p[:2], p[2].hex(), p[3]) for p in stripped] == \
+        [(*p[:2], p[2].hex(), p[3]) for p in want]
+    if sol.paths is not None:
+        assert_augmentations_carry_the_flow(net, sol)
+
+
+def test_augmentations_carry_the_flow_on_random_networks():
+    # whenever no push cancelled flow, the paths the solver pushed are a path
+    # decomposition of its flow, and decompose_paths returns them as they are
+    rng = np.random.default_rng(41)
+    kept = cancelled = 0
+    for k in range(300):
+        if k % 3 == 0:
+            net = random_network(rng)
+        elif k % 3 == 1:
+            net = scaled_network(*fractional_arcs(rng), float(rng.choice([1e-9, 1.0, 1e9])))
+        else:
+            net = oracle_network(rng)[0]
+        sol = max_flow(net)
+        if sol.paths is None:
+            cancelled += 1
+            continue
+        kept += 1
+        assert len(sol.paths) <= net.arc_count // 2  # one per twin pair at most
+        assert_augmentations_carry_the_flow(net, sol)
+    assert kept >= 200 and cancelled >= 5
+
+
 def test_solver_matches_reference_bit_for_bit():
     # the truncated-phase solver must push the same paths in the same order
     # as the former one: same bits for the value and every arc flow, same
-    # min cut, and the same stripped paths, cycles cancelled alike
+    # min cut, and the same stripped paths, cycles cancelled alike; its own
+    # paths, where it keeps them, carry its flow
     rng = np.random.default_rng(8)
     seen = set()
     cycles = 0
@@ -516,7 +577,7 @@ def test_solver_matches_reference_bit_for_bit():
         assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
         assert sol.min_cut_side == ref.min_cut_side
         assert sol.zero == ref.zero == net.zero  # the solver's threshold, not a new scan
-        assert decompose_paths(net, sol) == reference_decompose_paths(net, ref)
+        assert_paths_match_reference(net, sol, ref)
         if net.sink not in sol.min_cut_side and sol.value == 0.0:
             seen.add("no flow")
         if max(net.cap, default=0.0) > net.cap_limit:
@@ -560,7 +621,7 @@ def test_round_networks_match_reference_bit_for_bit(monkeypatch):
         assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
         assert sol.min_cut_side == ref.min_cut_side
         assert sol.zero == ref.zero == net.zero
-        assert decompose_paths(net, sol) == reference_decompose_paths(net, ref)
+        assert_paths_match_reference(net, sol, ref)
         seen.append(level_features(net))
         return sol
 

@@ -31,9 +31,11 @@ import json
 import numpy as np
 import pytest
 
+import mucut.matching
 from mucut import (ActiveState, DecomposeConfig, Graph, Infinite, VertexMeasure,
                    WalkOperator, decompose, potentials, run_cut_matching)
 from mucut.cli import main
+from mucut.flow import max_flow
 from mucut.game import RITZ_MIN_TERMINALS
 
 from helpers import (dense_walk_and_potential, dumbbell_graph, random_connected_graph,
@@ -182,16 +184,16 @@ def trace_digest(games) -> str:
 GOLDEN = {
     planted_blocks: (
         "895ed137d83fdeb4104649d7579603c30514695f91c8d59c86740d4dff75c4d3",
-        "045cb181510d5d0e606712e5cd137f758f995d38ea77e3db19d65d359195bd20", 9, 1, 0),
+        "f1ea55110aea60819a2be1a63912bed5da523a5104fa5cbf2e97490347ea22c0", 9, 1, 0),
     terminal_grid: (
         "d26fc37e6fcf876c23fa0db6826bff407cc0c52519985856a36ad551970ab01e",
-        "ad7bf3337c04ac520df2feebdf048afe54c368854c428fb308846b74893cfb51", 35, 0, 0),
+        "8ed1b1a1e5cce7d6a0ed2ec21e095301bc9a40058089fbbb51d75d6d5cc18e92", 34, 0, 0),
     two_terminal_grid: (
         "94f3cf6134b64acc1f2129fdcd2d47181bf7d3201ef5c129bfd854b1c3a22d7b",
-        "4be821f453c6b69d84200c1b48b7c2c9cb274feb44376bd5907d1bad094edf86", 2, 0, 0),
+        "185428928ef00af7907de8113e9e0fa6169b6065254f5d65e57ee27c9454cd5e", 2, 0, 0),
     light_whisker: (
         "23594f26c1225d1e2f4ec9fc84a7b4c62d13aa946f4c03b2434bfbea3306d63d",
-        "c02e5b6b7a3e9b6240e5c72091e24dc207c88c917a1089c97d49d8f1c0d45767", 45, 1, 0),
+        "670dbb8c2dc6663019153e5985296c392536f62edf7e42e7d5d4b812a75968b3", 44, 1, 0),
 }
 
 
@@ -220,7 +222,7 @@ def test_pinned_outputs(make):
 # (game digest, rounds, rounds in the walk's product when formed, clusters
 # digest, result digest), taken with every psi check run exactly
 LARGE_GOLDEN = (
-    "0eb58de3a2de664bc15a76f82837c2f2f79331e49e9409e66b5f59b433cdfdb9", 58, 47,
+    "14081bd72839aa30341464f7501e5e57764a8ccaa8ac7048dc1bdcca4c9c693e", 57, 47,
     "ff341405f57d4f6c13a5df7650ee7470f451f542bb711367f2a71f2b069506a9",
     "1abe7591724e2b4a6c03f9bfe80636a6e9ab9bbdd9c2183cd20eb6581d57073e")
 
@@ -243,16 +245,16 @@ def test_pinned_large_game():
 DECOMPOSE_GOLDEN = {
     planted_blocks: (
         "928486fdf3b50c20feaa2fc9413885bc4c5bff97fb6a7b0788672c3066188d82",
-        "c62cff18d28f12425084fb6c60749233f147a65e88368aeeabe8d05570312e55", 5),
+        "891cd5588d10925335cbab839813d2794a0b1a4a0de2a3c4213f9eb681a14c90", 5),
     terminal_grid: (
         "9482c7cdffe7dda65f126f8a2cd204fab246a336eb8e870eb7b69ff04cdbd275",
-        "fa5bb44e0ccb66f0ff9007a4cbc3fc9f08dc753f6a2e4bfb8f1d25ce58d0165f", 1),
+        "aa62aaee960cf3137861abdcd1ddd36ed7fbdf26c1077902328419dfdd0b9b02", 1),
     two_terminal_grid: (
         "5c3e9a5da03bc70d3f94a0d38e9466ac5510c3941ee5cae4607e62311180e704",
-        "1987d760980b92b088fb09f9fbb85a68d6cc4b1a46276bf4c85a280bbf46cb2a", 1),
+        "a31de7dbc925dbd77cdb4a00fa7b89d8b3f09ffbcec4027f88992080a1faeae6", 1),
     light_whisker: (
         "a059e2d6b796ca09634514c1d37b1d58c1a03ac8bded2d1f2032be784100ac42",
-        "89f331fe380ef89a159636385d2b6c274117faf2348a36cce59c22005f8444c4", 2),
+        "a3cb3869bc433f45c36430f843df74d4e69c99354495ffd823750fe798a8382b", 2),
 }
 
 
@@ -268,21 +270,43 @@ def test_pinned_decomposition(make):
     assert result_digest(res) == want_result
 
 
+# instance -> (matching rounds its decomposition plays, rounds whose flow
+# decompose_paths strips because a push cancelled flow)
+STRIPPED_ROUNDS = {light_whisker: (49, 0), planted_blocks: (118, 0)}
+
+
+@pytest.mark.parametrize("make", list(STRIPPED_ROUNDS), ids=lambda f: f.__name__)
+def test_rounds_take_the_solvers_paths(make, monkeypatch):
+    # a change to max_flow that cancels flow more often, or stops keeping its
+    # paths, sends rounds back through the stripping and shows here
+    stripped = []
+
+    def solved(net):
+        sol = max_flow(net)
+        stripped.append(sol.paths is None)
+        return sol
+
+    monkeypatch.setattr(mucut.matching, "max_flow", solved)
+    g, mu, phi, seed = make()
+    decompose(g, mu, phi, rng=seed)
+    assert (len(stripped), sum(stripped)) == STRIPPED_ROUNDS[make]
+
+
 # (instance, command, flags) -> (JSON SHA-256, trace CSV SHA-256); light_whisker
 # reads its measure file, planted_blocks the default measure (weighted degrees)
 CLI_GOLDEN = {
     (light_whisker, "decompose", ("--mu",)): (
         "dc8b3cdcbe18ee0a7eaf909899cffb502e21555b870bb091fc751f263a21246b",
-        "c66f29f42c7d2a0b32b3679f438fb5c4c3df951160493f3b56f6be0f14b660b3"),
+        "19ace41a157015243e449dfdc16f1335c40d6b1c25b6ba85e7210ffabeb2df27"),
     (light_whisker, "sparse-cut", ("--mu",)): (
         "2373ea6fbc3003e0ccaaf86e72e67c60b8134b5e83a46a363d8b9f6674bf8416",
-        "92a8783fb24066d1f57e9febbfdccf95867141a9b759059424985f801751222a"),
+        "07f668602bd806f8a8d45cd7078d91f6daf934363e8643f4973fa67735b902e4"),
     (planted_blocks, "decompose", ()): (
         "20b3f84c7b20577af1b50db396f1c2b853def5785a2a7c03e5f83b14ee315d1a",
-        "5722d64c6fd480ae2baf055d1d9d6ccab638aa1d34a44e976a4cbcd4ecdc8386"),
+        "8dfdec0722527452b69a56c6da3ea65fd9a8d06fe7660fdeb1e7019db4bc45b6"),
     (planted_blocks, "sparse-cut", ()): (
         "17077ba34eee6ccff6c89c6f5ea68790a9c69c4f628516e5de0e2883c1f3bbd7",
-        "d682bfd8a8a938b628a0dbc9a9660d041ad4fc9e4876bbf040da9f675646345a"),
+        "e16251d79b36c1e73028de5a9755081ab46a9e15c3e984271779ab4891982925"),
 }
 
 

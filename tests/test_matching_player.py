@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from mucut.spectral import ActiveState
 from mucut.verify import check_embedding_congestion
 
 from helpers import (arcs_of, clique_edges, matching_row_sums, orthogonalized_projection,
-                     random_connected_graph, random_measure, reference_build_pi_problem)
+                     random_connected_graph, random_measure, reference_build_pi_problem,
+                     reference_decompose_paths)
 
 
 def manual_bip(sources, targets, eta=0.0, case_two=False):
@@ -105,6 +108,30 @@ def test_disconnected_sources_yield_zero_expansion_cut():
     assert res.removed
     assert res.cut_expansion == 0.0
     assert res.cut_expansion <= 7.0 / 1.0
+
+
+def test_removed_source_path_to_a_surviving_target_is_dropped(monkeypatch):
+    # sources 0 and 1 hang off target 2 by one 0.25 edge, so the min cut
+    # removes them, and the flow they send ends at 2 across the saturated
+    # cut; source 10 routes in full inside the survivors' clique
+    g = Graph(16, [(0, 1, 10.0), (1, 2, 0.25)] + clique_edges(range(2, 16)))
+    mu = VertexMeasure([1.0] * 16)
+    bip = manual_bip([(0, 0.75), (1, 0.75), (10, 0.5)], [(v, 1.0) for v in range(2, 10)])
+    full = []
+
+    def spied(net, sol):
+        full[:] = decompose_paths(net, sol)
+        return tuple(full)
+
+    monkeypatch.setattr("mucut.matching.decompose_paths", spied)
+    res = solve_round(g, ActiveState(range(16), mu), bip, c=1.0)
+    assert res.removed == {0, 1}
+    crossing = [(seq[1], seq[-2], w) for _, _, w, seq in full if seq[1] in res.removed]
+    assert crossing and all(b not in res.removed and 2 <= b < 10 for _, b, _ in crossing)
+    assert sum(w for _, _, w in crossing) == pytest.approx(0.25)
+    assert res.paths and all(a == 10 for a, _, _, _ in res.paths)
+    assert all(not {u, v} & res.removed for u, v, _ in res.matching.off_diagonal)
+    assert res.matched_weight == pytest.approx(0.5)
 
 
 def test_self_pairs_fold_into_the_diagonal():
@@ -256,6 +283,10 @@ def assert_network_matches_reference(net, ref):
     assert arcs_by_adjacency(net, sol.arc_flows) == arcs_by_adjacency(ref, want.arc_flows)
     got = [(a, b, w.hex(), seq) for a, b, w, seq in decompose_paths(net, sol)]
     assert got == [(a, b, w.hex(), seq) for a, b, w, seq in decompose_paths(ref, want)]
+    # and the stripping, forced by dropping the solver's paths, strips alike
+    got = [(a, b, w.hex(), seq)
+           for a, b, w, seq in decompose_paths(net, dataclasses.replace(sol, paths=None))]
+    assert got == [(a, b, w.hex(), seq) for a, b, w, seq in reference_decompose_paths(ref, want)]
     return sol
 
 
