@@ -30,7 +30,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .decompose import DecomposeConfig, decompose, balanced_or_expander, OutcomeKind
+from .decompose import (GAME_CERTIFIES_FROM_N, DecomposeConfig, decompose, balanced_or_expander,
+                        OutcomeKind)
 from .errors import GraphInputError
 from .graph import Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
 from .spectral import PSI_MAX_TERMINALS, potentials
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--verify-max-n", type=int, default=DEFAULT_VERIFY_MAX_N,
                        dest="verify_max_n",
                        help="brute-force size cap for certificates; game-certified clusters "
-                            "below 20 vertices are brute-forced regardless")
+                            f"below {GAME_CERTIFIES_FROM_N} vertices are brute-forced regardless")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_cut = sub.add_parser("sparse-cut", help="one balanced-cut-or-expander step")

@@ -154,7 +154,7 @@ def decompose(g: Graph, mu: VertexMeasure, phi: float,
     charged = 0.0
     max_depth = 0
     # LIFO worklist of (component, depth); each component is connected in g
-    # and sorted.  Children are pushed in reverse so that they pop in order.
+    # and sorted.  Children go on in reverse so that they pop in order.
     stack = [(comp, 0) for comp in reversed(connected_components(g))]
     while stack:
         outcome = None  # the last game's records and walk go before the next game plays

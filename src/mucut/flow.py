@@ -9,32 +9,31 @@ sink's layer is never searched.  A backward BFS from the sink, which reads
 only levels below d, then unlevels every vertex with no level-graph path to
 it.  Such a vertex stays dead for the whole phase, so dropping it only
 spares the DFS, which walks current-arc pointers, from backing out of it:
-the same paths are pushed in the same order and the result keeps its
-bits.  Where nearly every vertex is a terminal, the sink's layer is most
+it augments along the same paths in the same order and the result keeps
+its bits.  Where nearly every vertex is a terminal, the sink's layer is most
 of the graph, and the search ends at the first vertex of the layer below
 it with a residual sink arc.  The min cut returned is the source-reachable
 set of the final residual network, read off the last phase's BFS (the one
 that cannot reach the sink, so searched everything), so every outward cut
-arc is saturated by construction: the cut is 1-fair.  The solver records
-the arcs of every augmenting path and computes flows on those alone: any
-other arc only ever gained residual capacity, so its flow is zero.
+arc is saturated by construction: the cut is 1-fair.
 
-The solver also keeps each augmenting path with its push, and
-:func:`decompose_paths` hands these over as the flow's paths, unless a push
-cancelled flow, that is, ran on an arc whose twin carried flow.  Without
-cancellation they are an exact path decomposition of the flow.  Each is a
-simple path, since it climbs one level per arc.  No push takes back another,
-so an arc's flow is the sum of the pushes over it, up to the last bits of
-the solver's ``cap - resid``, and each push is at most the arc's residual,
-so that sum is within the capacity up to rounding.  The pushes add up, in
-push order, to the value bit for bit.  The solver sees every cancellation as
-a residual above the (capped) capacity: a push adds more than ``zero``, at
-least 1e-12 of any capped capacity and so far above its rounding, to the
-residual of each of its arcs' twins, so a twin that carries flow always
-reads above its capacity.  After a cancellation the solver drops its paths,
-and :func:`decompose_paths` strips the arc flows instead, walking
-flow-carrying arcs from the source with a current-arc pointer per vertex
-and cancelling any cycle it closes.
+The solver keeps each augmenting path with its push, and these are the
+flow's paths unless a push cancelled flow, that is, ran on an arc whose
+twin carried flow.  Without cancellation they are an exact path
+decomposition of the flow.  Each is a simple path, since it climbs one
+level per arc.  No push takes back another, so an arc's flow is the sum of
+the pushes over it, up to the last bits of the solver's ``cap - resid``,
+and each push is at most the arc's residual, so that sum is within the
+capacity up to rounding.  The pushes add up, in push order, to the value
+bit for bit.  The solver sees every cancellation as a residual above the
+(capped) capacity: a push adds more than ``zero``, at least 1e-12 of any
+capped capacity and so far above its rounding, to the residual of each of
+its arcs' twins, so a twin that carries flow always reads above its
+capacity.  After a cancellation the solver strips its final flow
+``cap - resid`` instead (an arc on no augmenting path only ever gained
+residual, so its flow clamps to 0.0), walking flow-carrying arcs from the
+source with a current-arc pointer per vertex and cancelling any cycle it
+closes.
 
 Both flow problems the algorithm poses on a vertex subset, the matching
 player's and trimming's, share one layout: :func:`edge_network` is the
@@ -190,17 +189,14 @@ def edge_network(g: Graph, vertices, c: float) -> FlowNetwork:
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Max-flow value, per-arc flows, the source side of a min cut, and the
-    augmenting paths while they decompose the flow."""
+    """Max-flow value, the source side of a min cut, and the flow's paths."""
 
     value: float
-    arc_flows: tuple[float, ...]
     min_cut_side: frozenset
-    zero: float  #: the network's `zero`, the threshold the solve used
-    #: one (source, sink, push, vertex sequence) per augmentation, in push
-    #: order; None once a push cancelled flow, so :func:`decompose_paths`
-    #: strips the flow instead
-    paths: tuple | None
+    #: (source, sink, weight, vertex sequence) tuples whose weights add up to
+    #: the value: the augmentations in push order, or the stripped flow's
+    #: paths if a push cancelled flow
+    paths: tuple
 
 
 def max_flow(net: FlowNetwork) -> FlowSolution:
@@ -241,8 +237,8 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
     adj = net.adj
     zero = FLOW_ZERO * min(largest, limit)  # net.zero, without summing again
     total = 0.0
-    pushed: list[int] = []  # the arcs of every augmenting path
-    paths: list | None = []  # every augmentation, until one cancels flow
+    paths = []  # every augmentation
+    cancelled = False
 
     while True:
         level = [-1] * n
@@ -285,18 +281,14 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
         while True:
             if u == t:
                 push = min(map(resid.__getitem__, path))
-                if paths is not None:
-                    for a in path:
-                        if resid[a] > cap[a]:  # a's twin carries flow, which the push cancels
-                            paths = None
-                            break
-                    else:
-                        paths.append((s, t, push, (s, *map(to.__getitem__, path))))
+                if not cancelled:
+                    # an arc above its capacity has a twin with flow to cancel
+                    cancelled = any(resid[a] > cap[a] for a in path)
+                    paths.append((s, t, push, (s, *map(to.__getitem__, path))))
                 for a in path:
                     resid[a] -= push
                     resid[a ^ 1] += push
                 total += push
-                pushed += path
                 # the bottleneck is now at 0, so some arc on the path is spent
                 for k, a in enumerate(path):
                     if resid[a] <= zero:
@@ -323,30 +315,23 @@ def max_flow(net: FlowNetwork) -> FlowSolution:
                 u = to[path.pop() ^ 1]
                 it[u] += 1
 
-    # an arc on no augmenting path only ever gained residual, so its flow
-    # c - r is at most 0 and clamps to 0.0
-    flows = [0.0] * len(cap)
-    for a in pushed:
-        f = cap[a] - resid[a]
-        if f > 0.0:
-            flows[a] = f
+    if cancelled:
+        paths = _strip_paths(net, [max(c - r, 0.0) for c, r in zip(cap, resid)], zero)
     side = frozenset([v for v, d in enumerate(level) if d >= 0])
-    return FlowSolution(value=total, arc_flows=tuple(flows), min_cut_side=side, zero=zero,
-                        paths=None if paths is None else tuple(paths))
+    return FlowSolution(value=total, min_cut_side=side, paths=tuple(paths))
 
 
 def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
-    """The flow as source-to-sink paths: (source, sink, weight, vertex
-    sequence) tuples whose weights add up to the flow value.
+    """The flow as source-to-sink paths, ``sol.paths``, checked: (source,
+    sink, weight, vertex sequence) tuples whose weights add up to the flow
+    value.
 
-    These are the solver's augmentations, ``sol.paths``, unless a push
-    cancelled flow (``sol.paths`` is None); then the flow is stripped.
-    Either way there are at most as many paths as arcs: the stripping
-    empties an arc with every path, and every augmentation saturates an
-    arc whose residual could rise again only by a push on its twin, which
-    would cancel flow, so there is at most one augmentation per twin pair.
+    There are at most as many paths as arcs: the stripping empties an arc
+    with every path, and every augmentation saturates an arc whose residual
+    could rise again only by a push on its twin, which would cancel flow, so
+    there is at most one augmentation per twin pair.
     """
-    paths = _strip_paths(net, sol) if sol.paths is None else sol.paths
+    paths = sol.paths
     if len(paths) > net.arc_count:
         raise InvariantViolation("path decomposition emitted more paths than arcs")
     total = ordered_sum(p[2] for p in paths)
@@ -356,20 +341,18 @@ def decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
     return paths
 
 
-def _strip_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
-    """Strip the arc flows into source-to-sink paths; cycles are cancelled, not emitted.
+def _strip_paths(net: FlowNetwork, flow: list, zero: float) -> list:
+    """Strip the per-arc flows into source-to-sink paths; cycles are cancelled, not emitted.
 
-    Walks the positive-flow arcs from the source; whenever the walk revisits
+    Walks the arcs above `zero` from the source; whenever the walk revisits
     a vertex the enclosed cycle is cancelled.  Each vertex keeps a pointer
     to its first arc that may still carry flow: flows only fall, so an arc
-    at or below zero is passed over once and never scanned again.  Zero
-    is the solver's, ``sol.zero``, so the capacities are not scanned again.
+    at or below zero is passed over once and never scanned again.  `flow`
+    is used up.
     """
     s, t = net.source, net.sink
     to = net.to
     adj = net.adj
-    zero = sol.zero
-    flow = list(sol.arc_flows)  # arcs at or below zero are never walked
     ptr = [0] * net.node_count  # each vertex's first arc that may carry flow
     paths = []
 
@@ -415,4 +398,4 @@ def _strip_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
         for a in walk_arcs:
             flow[a] -= push
         paths.append((s, t, push, tuple(walk_nodes)))
-    return tuple(paths)
+    return paths

@@ -5,9 +5,10 @@ graph (super-source to sources at their weights, targets to super-sink at
 theirs, every edge inside A at capacity c times its weight), solves it
 exactly, and either reports full saturation (no cut) or returns the
 source side of the min cut together with the surviving flow.  The flow's
-paths are the solver's own augmenting paths, or the flow stripped into
-paths where a push cancelled flow (:func:`flow.decompose_paths`; see
-:mod:`flow` for why the augmentations are exact).  A path from a removed
+paths are those :func:`flow.max_flow` returns, its own augmenting paths or,
+where a push cancelled flow, its flow stripped into paths (see :mod:`flow`
+for why the augmentations are exact), checked by
+:func:`flow.decompose_paths`.  A path from a removed
 source leaves with it, even where it crosses the saturated cut to a
 surviving target.  The surviving paths' endpoints become the round's
 matching, completed on the diagonal to be measure-stochastic.  The round

@@ -47,7 +47,7 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
     crossing = inside[g.us] != inside[g.vs]
     boundary = selected_weight(g, crossing)
     if boundary <= 0.0:
-        # no boundary: nothing can be pushed in, the set stays as is (even
+        # no boundary: no flow can enter, the set stays as is (even
         # when its inner expansion was never established)
         return a_set
 

@@ -17,15 +17,17 @@ arc ids, heads, capacities and adjacency lists bit for bit.
 with the library.  Test fixtures build through `network`, the constructor
 on (tail, head, capacity, back capacity) rows, and `arcs_of` reads any
 network's arcs as (tail, head, capacity) rows for the min-cut enumerator
-and the fairness and conservation checks.
+and the fairness and conservation checks, which read a solution's flow off
+its paths, pooled per (tail, head) step by `path_flows`.
 `reference_edge_network` is `flow.edge_network` as it was before it filled
 its arc lists in bulk: the library's must have the same arc ids, heads,
 capacities and adjacency lists.
 `reference_max_flow` and `reference_decompose_paths` are the flow solver
 and path stripper as they were before phases stopped at the sink and were
 pruned to the vertices that reach it: the library's solver must match
-them bit for bit, and so must its stripping, which `decompose_paths` runs
-when the solution holds no augmenting paths.  `reference_build_pi_problem`
+them bit for bit, and so must its stripping, which `max_flow` runs when a
+push cancelled flow.  `reference_max_flow` returns a `ReferenceFlow`, which
+holds the per-arc flows the stripping starts from.  `reference_build_pi_problem`
 is the matching round's network built arc by arc, as it was before the
 edge arcs were built once per active set: the library's network must list
 the same arcs in every vertex's adjacency.  `reference_trim_network` is
@@ -58,6 +60,7 @@ import copy
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from operator import index
 from types import SimpleNamespace
 
@@ -394,7 +397,18 @@ def reference_walk_apply(walk: WalkOperator, x) -> np.ndarray:
     return out
 
 
-def reference_max_flow(net: FlowNetwork) -> FlowSolution:
+@dataclass(frozen=True)
+class ReferenceFlow:
+    """`reference_max_flow`'s result: the value, per-arc flows, the source
+    side of a min cut and the zero the solve used."""
+
+    value: float
+    arc_flows: tuple[float, ...]
+    min_cut_side: frozenset
+    zero: float
+
+
+def reference_max_flow(net: FlowNetwork) -> ReferenceFlow:
     """The former `max_flow`, kept verbatim as an oracle: full BFS phases, a
     DFS restarted at the source after every augmentation, and a separate
     residual-reachability BFS for the min cut."""
@@ -469,11 +483,11 @@ def reference_max_flow(net: FlowNetwork) -> FlowSolution:
                 reachable.add(y)
                 queue.append(y)
     flows = tuple(max(0.0, cap[i] - resid[i]) for i in range(len(resid)))
-    return FlowSolution(value=total, arc_flows=flows, min_cut_side=frozenset(reachable),
-                        zero=zero, paths=None)
+    return ReferenceFlow(value=total, arc_flows=flows, min_cut_side=frozenset(reachable),
+                         zero=zero)
 
 
-def reference_decompose_paths(net: FlowNetwork, sol: FlowSolution) -> tuple:
+def reference_decompose_paths(net: FlowNetwork, sol: ReferenceFlow) -> tuple:
     """The former `decompose_paths`, kept verbatim as an oracle: each step
     rescans the vertex's arcs from the first.
 
@@ -679,13 +693,41 @@ def reference_check_bipartition(state: ActiveState, u, bip: WeightedBipartition)
             f"energy: sources capture {captured:g} < {p_all / 80.0:g} of the projection energy")
 
 
+def path_flows(sol: FlowSolution) -> dict:
+    """The flow of a solution's paths pooled per (tail, head) step, over
+    all parallel arcs, each step's weights added in path order."""
+    used = {}
+    for _, _, w, seq in sol.paths:
+        for step in zip(seq, seq[1:]):
+            used[step] = used.get(step, 0.0) + w
+    return used
+
+
+def paths_hex(paths) -> list:
+    """(source, sink, weight, vertex sequence) paths with their weights in
+    hex, to compare bit for bit."""
+    return [(a, b, w.hex(), seq) for a, b, w, seq in paths]
+
+
+def pooled_caps(net: FlowNetwork) -> dict:
+    """Each (tail, head) step's capacity, over all its parallel arcs."""
+    caps = {}
+    for u, v, c in arcs_of(net):
+        caps[u, v] = caps.get((u, v), 0.0) + c
+    return caps
+
+
 def assert_fair(net: FlowNetwork, sol: FlowSolution, tol: float = 1e-9):
-    """Every arc leaving the min-cut source side must be saturated."""
+    """Every arc leaving the min-cut source side must be saturated by the
+    solution's paths, and no path may cross back into it."""
     side = sol.min_cut_side
-    for i, (u, v, c) in enumerate(arcs_of(net)):
-        if u in side and v not in side and c > 0:
-            assert abs(sol.arc_flows[i] - c) <= tol * max(1.0, c), (
-                f"cut arc {u}->{v} carries {sol.arc_flows[i]} of {c}")
+    flows = path_flows(sol)
+    for (u, v), c in pooled_caps(net).items():
+        if u in side and v not in side:
+            f = flows.get((u, v), 0.0)
+            assert abs(f - c) <= tol * max(1.0, c), f"cut arcs {u}->{v} carry {f} of {c}"
+    back = [step for step in flows if step[0] not in side and step[1] in side]
+    assert not back, f"paths cross back into the source side at {back}"
 
 
 def conductance_enumerator(g: Graph):
@@ -714,10 +756,10 @@ def conductance_enumerator(g: Graph):
 
 
 def conservation_errors(net: FlowNetwork, sol: FlowSolution) -> float:
-    """Largest conservation violation at any interior node."""
+    """Largest conservation violation of the solution's paths at any
+    interior node."""
     balance = [0.0] * net.node_count
-    for i, (u, v, _) in enumerate(arcs_of(net)):
-        f = sol.arc_flows[i]
+    for (u, v), f in path_flows(sol).items():
         balance[u] -= f
         balance[v] += f
     worst = 0.0

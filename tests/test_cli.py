@@ -489,6 +489,15 @@ def test_every_registered_flag_is_read(dumbbell_file, tmp_path):
         assert registered - reads == set(), command
 
 
+def test_verify_max_n_help_names_the_game_certification_size(monkeypatch):
+    # the help text is built from the rule, so the two cannot drift apart
+    monkeypatch.setattr(cli, "GAME_CERTIFIES_FROM_N", 37)
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flag = next(a for a in commands["decompose"]._actions if "--verify-max-n" in a.option_strings)
+    assert flag.help.endswith("below 37 vertices are brute-forced regardless")
+
+
 def test_readme_lists_every_registered_flag():
     """The README's "Flags by subcommand" list names exactly the flags the
     subcommands register."""

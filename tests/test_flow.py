@@ -3,14 +3,40 @@ import dataclasses
 import numpy as np
 import pytest
 
+import mucut.flow
 import mucut.matching
 from mucut import Graph, VertexMeasure, run_cut_matching
-from mucut.flow import FlowNetwork, decompose_paths, edge_network, max_flow
+from mucut.flow import (FlowNetwork, _strip_paths as strip_paths, decompose_paths, edge_network,
+                        max_flow)
 from mucut.graph import ordered_sum
 
 from helpers import (arcs_of, assert_fair, conservation_errors, enumerate_min_cut, network,
-                     random_connected_graph, reference_decompose_paths, reference_edge_network,
-                     reference_max_flow, reference_network, reference_with_arcs_first)
+                     path_flows, paths_hex, pooled_caps, random_connected_graph,
+                     reference_decompose_paths, reference_edge_network, reference_max_flow,
+                     reference_network, reference_with_arcs_first)
+
+
+@pytest.fixture
+def strips(monkeypatch):
+    """Every (per-arc flow, zero) that max_flow strips into paths, as the
+    stripping receives them."""
+    seen = []
+
+    def spy(net, flow, zero):
+        seen.append((list(flow), zero))
+        return strip_paths(net, flow, zero)
+
+    monkeypatch.setattr(mucut.flow, "_strip_paths", spy)
+    return seen
+
+
+def solve(net, strips):
+    """max_flow's solution, and the (per-arc flow, zero) it stripped, or
+    None if no push cancelled flow."""
+    before = len(strips)
+    sol = max_flow(net)
+    assert len(strips) - before <= 1
+    return sol, strips[before] if len(strips) > before else None
 
 
 def undirected(u, v, c):
@@ -91,9 +117,9 @@ def test_flows_respect_capacities():
     rng = np.random.default_rng(77)
     for _ in range(40):
         net = random_network(rng)
-        sol = max_flow(net)
-        for i, (_, _, c) in enumerate(arcs_of(net)):
-            assert -1e-12 <= sol.arc_flows[i] <= c + 1e-12
+        caps = pooled_caps(net)
+        for step, f in path_flows(max_flow(net)).items():
+            assert 0.0 < f <= caps.get(step, 0.0) + 1e-12
 
 
 def test_value_invariant_under_arc_permutation():
@@ -145,7 +171,9 @@ def test_decompose_conserves_value_and_support():
         dec = decompose_paths(net, sol)
         assert sum(p[2] for p in dec) == pytest.approx(sol.value, abs=1e-9)
         assert len(dec) <= net.arc_count
-        # per-arc usage stays within the solved flow
+        # per-arc usage stays within the flow of the reference solver, which
+        # pushes the same paths
+        flows = reference_max_flow(net).arc_flows
         used = [0.0] * net.arc_count
         arc_of = {}
         for i, (u, v, _) in enumerate(arcs_of(net)):
@@ -154,27 +182,28 @@ def test_decompose_conserves_value_and_support():
             for a, b in zip(seq, seq[1:]):
                 hit = None
                 for i in arc_of.get((a, b), []):
-                    if sol.arc_flows[i] > 1e-12:
+                    if flows[i] > 1e-12:
                         hit = i
                         break
                 assert hit is not None, f"path step ({a},{b}) has no flow-bearing arc"
                 used[hit] += w
         for i in range(net.arc_count):
-            assert used[i] <= sol.arc_flows[i] + 1e-9
+            assert used[i] <= flows[i] + 1e-9
 
 
 def test_decompose_cancels_cycles():
     # a flow with a gratuitous cycle: emitted paths must not include it
     net = network(5, 0, 4, [(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (2, 3, 1.0, 0.0),
                             (3, 1, 1.0, 0.0), (1, 4, 1.0, 0.0)])
-    sol = max_flow(net)
-    # hand-build a solution that pushes the cycle 1->2->3->1 on top
-    flows = list(sol.arc_flows)
+    ref = reference_max_flow(net)
+    # hand-build a flow that pushes the cycle 1->2->3->1 on top
+    flows = list(ref.arc_flows)
     for i, (u, v, c) in enumerate(arcs_of(net)):
         if (u, v) in {(1, 2), (2, 3), (3, 1)}:
             flows[i] = 1.0
-    doctored = dataclasses.replace(sol, arc_flows=tuple(flows), paths=None)
-    dec = decompose_paths(net, doctored)
+    doctored = dataclasses.replace(ref, arc_flows=tuple(flows))
+    dec = strip_paths(net, flows, net.zero)
+    assert paths_hex(dec) == paths_hex(reference_decompose_paths(net, doctored))
     assert sum(p[2] for p in dec) == pytest.approx(1.0)
     for _, _, _, seq in dec:
         assert len(set(seq)) == len(seq)  # simple paths only
@@ -322,21 +351,26 @@ def test_with_terminals_matches_arcs_first_reference():
                     "zero capacity", "on both sides"}
 
 
-def test_flows_only_on_pushed_arcs_survive_a_cancellation():
+def test_flows_only_on_pushed_arcs_survive_a_cancellation(strips):
     # phase 1 pushes s->a->b->t; phase 2 pushes s->c->b->a->d->t along the
     # twin of a->b, which cancels a->b's flow back to exactly zero
     s, a, b, c, d, t = range(6)
     arcs = ((s, a), (s, c), (a, b), (b, t), (c, b), (a, d), (d, t))
     net = network(6, s, t, [(*arc, 1.0, 0.0) for arc in arcs])
     ids = {arc: 2 * i for i, arc in enumerate(arcs)}
-    sol = max_flow(net)
+    sol, stripped = solve(net, strips)
     ref = reference_max_flow(net)
     assert sol.value == 2.0
-    assert sol.paths is None  # so decompose_paths strips the flow
-    assert sol.arc_flows[ids[a, b]].hex() == (0.0).hex()
-    assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
+    assert stripped is not None  # the cancellation sends the flow to the stripping
+    flow, zero = stripped
+    assert flow[ids[a, b]].hex() == (0.0).hex()
+    assert [f.hex() for f in flow] == [f.hex() for f in ref.arc_flows]
+    assert zero == net.zero
     assert sol.min_cut_side == ref.min_cut_side
-    assert decompose_paths(net, sol) == reference_decompose_paths(net, ref)
+    want = paths_hex(reference_decompose_paths(net, ref))
+    assert paths_hex(decompose_paths(net, sol)) == want == [(s, t, (1.0).hex(), (s, a, d, t)),
+                                                            (s, t, (1.0).hex(), (s, c, b, t))]
+    assert paths_hex(strip_paths(net, list(ref.arc_flows), net.zero)) == want
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e9])
@@ -465,12 +499,11 @@ def oracle_network(rng):
     return net, features | level_features(net)
 
 
-def with_circulation(net, sol, rng):
-    """The solution plus a circulation around one directed cycle of stored
-    arcs (even slots, so no edge is used both ways) with spare capacity,
-    without the solver's paths, so that it is stripped; or None if no
-    cycle is found."""
-    flows = list(sol.arc_flows)
+def with_circulation(net, ref, rng):
+    """The reference solver's flow plus a circulation around one directed
+    cycle of stored arcs (even slots, so no edge is used both ways) with
+    spare capacity; or None if no cycle is found."""
+    flows = list(ref.arc_flows)
     ends = (net.source, net.sink)
     for start in (int(i) for i in rng.permutation(net.node_count)):
         if start in ends:
@@ -490,7 +523,7 @@ def with_circulation(net, sol, rng):
                     push = min(net.cap[c] - flows[c] for c in cycle) / 2.0
                     for c in cycle:
                         flows[c] += push
-                    return dataclasses.replace(sol, arc_flows=tuple(flows), paths=None)
+                    return dataclasses.replace(ref, arc_flows=tuple(flows))
                 if v not in on_path and v not in ends:
                     on_path.add(v)
                     arcs.append(a)
@@ -504,44 +537,49 @@ def with_circulation(net, sol, rng):
     return None
 
 
-def assert_augmentations_carry_the_flow(net, sol):
+def assert_augmentations_carry_the_flow(net, sol, ref):
     """The solver's paths, kept when no push cancelled flow, decompose its
     flow: simple source-to-sink paths of positive weight, which add up in
-    push order to the value bit for bit, and whose sums on each arc
-    (parallel arcs pooled) are its flow within the solver's zero and stay
-    within its capacity, capped at the network's cap_limit."""
-    s, t = net.source, net.sink
+    push order to the value bit for bit, and whose sums on each step
+    (parallel arcs pooled) are the reference solver's flow within the zero
+    and stay within its capacity, capped at the network's cap_limit."""
+    s, t, zero = net.source, net.sink, net.zero
     assert decompose_paths(net, sol) is sol.paths
-    pooled_flow, pooled_cap, used = {}, {}, {}
+    pooled_flow, pooled_cap = {}, {}
     for i, (u, v, c) in enumerate(arcs_of(net)):
-        pooled_flow[u, v] = pooled_flow.get((u, v), 0.0) + sol.arc_flows[i]
+        pooled_flow[u, v] = pooled_flow.get((u, v), 0.0) + ref.arc_flows[i]
         pooled_cap[u, v] = pooled_cap.get((u, v), 0.0) + min(c, net.cap_limit)
     for source, sink, w, seq in sol.paths:
         assert (source, sink, seq[0], seq[-1]) == (s, t, s, t)
-        assert len(set(seq)) == len(seq) and w > sol.zero
-        for step in zip(seq, seq[1:]):
-            used[step] = used.get(step, 0.0) + w
+        assert len(set(seq)) == len(seq) and w > zero
     assert ordered_sum(p[2] for p in sol.paths).hex() == sol.value.hex()
+    used = path_flows(sol)
+    assert used.keys() <= pooled_flow.keys()
     for step, f in pooled_flow.items():
-        assert abs(used.get(step, 0.0) - f) <= sol.zero
-        assert used.get(step, 0.0) <= pooled_cap[step] + sol.zero
+        assert abs(used.get(step, 0.0) - f) <= zero
+        assert used.get(step, 0.0) <= pooled_cap[step] + zero
 
 
-def assert_paths_match_reference(net, sol, ref):
-    """The stripping, forced by dropping the solver's paths, gives the
-    reference stripper's paths bit for bit; the solver's own paths, where
-    it kept them, carry its flow."""
-    stripped = decompose_paths(net, dataclasses.replace(sol, paths=None))
-    want = reference_decompose_paths(net, ref)
-    assert [(*p[:2], p[2].hex(), p[3]) for p in stripped] == \
-        [(*p[:2], p[2].hex(), p[3]) for p in want]
-    if sol.paths is not None:
-        assert_augmentations_carry_the_flow(net, sol)
+def assert_paths_match_reference(net, sol, ref, stripped):
+    """Stripping the reference solver's flow gives the reference stripper's
+    paths bit for bit.  Where the solve stripped (`stripped`, the flow and
+    zero it stripped, is not None), it stripped the reference's flow and
+    zero bit for bit into those paths; else its own paths carry the flow."""
+    want = paths_hex(reference_decompose_paths(net, ref))
+    assert paths_hex(strip_paths(net, list(ref.arc_flows), net.zero)) == want
+    if stripped is None:
+        assert_augmentations_carry_the_flow(net, sol, ref)
+        return
+    flow, zero = stripped
+    assert [f.hex() for f in flow] == [f.hex() for f in ref.arc_flows]
+    assert zero == ref.zero == net.zero  # the solver's threshold, not a new scan
+    assert paths_hex(sol.paths) == want
 
 
-def test_augmentations_carry_the_flow_on_random_networks():
+def test_augmentations_carry_the_flow_on_random_networks(strips):
     # whenever no push cancelled flow, the paths the solver pushed are a path
-    # decomposition of its flow, and decompose_paths returns them as they are
+    # decomposition of its flow, and decompose_paths returns them as they are;
+    # otherwise they are the stripped flow's
     rng = np.random.default_rng(41)
     kept = cancelled = 0
     for k in range(300):
@@ -551,45 +589,46 @@ def test_augmentations_carry_the_flow_on_random_networks():
             net = scaled_network(*fractional_arcs(rng), float(rng.choice([1e-9, 1.0, 1e9])))
         else:
             net = oracle_network(rng)[0]
-        sol = max_flow(net)
-        if sol.paths is None:
+        sol, stripped = solve(net, strips)
+        assert_paths_match_reference(net, sol, reference_max_flow(net), stripped)
+        if stripped is None:
+            kept += 1
+            assert len(sol.paths) <= net.arc_count // 2  # one per twin pair at most
+        else:
             cancelled += 1
-            continue
-        kept += 1
-        assert len(sol.paths) <= net.arc_count // 2  # one per twin pair at most
-        assert_augmentations_carry_the_flow(net, sol)
     assert kept >= 200 and cancelled >= 5
 
 
-def test_solver_matches_reference_bit_for_bit():
+def test_solver_matches_reference_bit_for_bit(strips):
     # the truncated-phase solver must push the same paths in the same order
-    # as the former one: same bits for the value and every arc flow, same
-    # min cut, and the same stripped paths, cycles cancelled alike; its own
-    # paths, where it keeps them, carry its flow
+    # as the former one: same bits for the value, same min cut, its own paths
+    # carrying the reference's flow, or, after a cancellation, the same
+    # flow stripped into the same paths, cycles cancelled alike
     rng = np.random.default_rng(8)
     seen = set()
     cycles = 0
     for _ in range(300):
         net, features = oracle_network(rng)
-        sol = max_flow(net)
+        sol, stripped = solve(net, strips)
         ref = reference_max_flow(net)
         assert sol.value.hex() == ref.value.hex()
-        assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
         assert sol.min_cut_side == ref.min_cut_side
-        assert sol.zero == ref.zero == net.zero  # the solver's threshold, not a new scan
-        assert_paths_match_reference(net, sol, ref)
+        assert_paths_match_reference(net, sol, ref, stripped)
         if net.sink not in sol.min_cut_side and sol.value == 0.0:
             seen.add("no flow")
         if max(net.cap, default=0.0) > net.cap_limit:
             seen.add("capped")
+        if stripped is not None:
+            seen.add("stripped")
         seen |= features
-        doctored = with_circulation(net, sol, rng)
+        doctored = with_circulation(net, ref, rng)
         if doctored is not None:
             cycles += 1
-            assert decompose_paths(net, doctored) == reference_decompose_paths(net, doctored)
+            assert paths_hex(strip_paths(net, list(doctored.arc_flows), net.zero)) == \
+                paths_hex(reference_decompose_paths(net, doctored))
     assert seen >= {"grid", "zero", "huge", "parallel", "tail", "unreachable",
                     "no flow", "capped", "dead below sink level", "sink level >= 4",
-                    "sink shares its level"}
+                    "sink shares its level", "stripped"}
     assert cycles >= 100
 
 
@@ -606,7 +645,7 @@ def regular_expander(rng, n, cycles=4):
     return Graph(n, [(u, v, w) for (u, v), w in sorted(weights.items())])
 
 
-def test_round_networks_match_reference_bit_for_bit(monkeypatch):
+def test_round_networks_match_reference_bit_for_bit(monkeypatch, strips):
     # every round network of two games solves to the reference's bits: a
     # terminal grid, where the flow runs long paths through zero-measure
     # vertices and some round's first phase has a dead vertex to prune, and
@@ -615,13 +654,11 @@ def test_round_networks_match_reference_bit_for_bit(monkeypatch):
     seen = []
 
     def both(net):
-        sol = max_flow(net)
+        sol, stripped = solve(net, strips)
         ref = reference_max_flow(net)
         assert sol.value.hex() == ref.value.hex()
-        assert [f.hex() for f in sol.arc_flows] == [f.hex() for f in ref.arc_flows]
         assert sol.min_cut_side == ref.min_cut_side
-        assert sol.zero == ref.zero == net.zero
-        assert_paths_match_reference(net, sol, ref)
+        assert_paths_match_reference(net, sol, ref, stripped)
         seen.append(level_features(net))
         return sol
 

@@ -17,7 +17,8 @@ check that scaling edge weights and the measure by one factor leaves the
 clusters unchanged: the mu-expansion has no units.
 
 The instances cover a planted three-block graph whose game removes a
-balanced cut, a grid with zero-measure vertices, a grid with two terminals
+balanced cut, a grid with zero-measure vertices, a larger one some of whose
+rounds cancel flow, so that their paths are stripped, a grid with two terminals
 whose game has a round without sources, and an expander with a light
 whisker: its game removes the whisker and plays on with active vertices
 adjacent to removed ones, and its decomposition trims.  A larger expander
@@ -31,11 +32,12 @@ import json
 import numpy as np
 import pytest
 
+import mucut.flow
 import mucut.matching
 from mucut import (ActiveState, DecomposeConfig, Graph, Infinite, VertexMeasure,
                    WalkOperator, decompose, potentials, run_cut_matching)
 from mucut.cli import main
-from mucut.flow import max_flow
+from mucut.flow import _strip_paths as strip_paths, max_flow
 from mucut.game import RITZ_MIN_TERMINALS
 
 from helpers import (dense_walk_and_potential, dumbbell_graph, random_connected_graph,
@@ -72,6 +74,15 @@ def terminal_grid():
     rng = np.random.default_rng(5)
     g = grid(6, 8, rng)
     vals = np.where(rng.random(48) < 0.3, rng.uniform(0.5, 3.0, 48), 0.0)
+    return g, VertexMeasure(vals), 0.1, 11
+
+
+def stripping_grid():
+    # 4 of its game's 58 rounds push flow back along an arc, so max_flow
+    # strips their flow into paths
+    rng = np.random.default_rng(0)
+    g = grid(8, 10, rng)
+    vals = np.where(rng.random(80) < 0.3, rng.uniform(0.5, 3.0, 80), 0.0)
     return g, VertexMeasure(vals), 0.1, 11
 
 
@@ -188,6 +199,9 @@ GOLDEN = {
     terminal_grid: (
         "d26fc37e6fcf876c23fa0db6826bff407cc0c52519985856a36ad551970ab01e",
         "8ed1b1a1e5cce7d6a0ed2ec21e095301bc9a40058089fbbb51d75d6d5cc18e92", 34, 0, 0),
+    stripping_grid: (
+        "519af45641ff1375d2a5d9af03eb463547a5c54fc5ecf641ea9b2b8af2156c6b",
+        "ab84d338083fb6b9bb07769c9d8e3dc1fe2afab5f551002d4851b83e90ff6b22", 58, 0, 0),
     two_terminal_grid: (
         "94f3cf6134b64acc1f2129fdcd2d47181bf7d3201ef5c129bfd854b1c3a22d7b",
         "185428928ef00af7907de8113e9e0fa6169b6065254f5d65e57ee27c9454cd5e", 2, 0, 0),
@@ -199,11 +213,11 @@ GOLDEN = {
 
 # instance -> whether its game's walk ends as one k x k product: planted_blocks'
 # 9 rounds on 48 terminals stay below the k^2 switch, so the pins cover both
-# walk paths (its decomposition's 16-vertex games switch).  The other three
+# walk paths (its decomposition's 16-vertex games switch).  The other four
 # games end at the first round after the switch whose psi is at most
 # 1/(16 k^2), before their T rounds.
-WALK_PRODUCT = {planted_blocks: False, terminal_grid: True, two_terminal_grid: True,
-                light_whisker: True}
+WALK_PRODUCT = {planted_blocks: False, terminal_grid: True, stripping_grid: True,
+                two_terminal_grid: True, light_whisker: True}
 
 
 @pytest.mark.parametrize("make", list(GOLDEN), ids=lambda f: f.__name__)
@@ -270,26 +284,30 @@ def test_pinned_decomposition(make):
     assert result_digest(res) == want_result
 
 
-# instance -> (matching rounds its decomposition plays, rounds whose flow
-# decompose_paths strips because a push cancelled flow)
-STRIPPED_ROUNDS = {light_whisker: (49, 0), planted_blocks: (118, 0)}
+# instance -> (matching rounds its decomposition plays, flows max_flow strips
+# because a push cancelled flow)
+STRIPPED_ROUNDS = {light_whisker: (49, 0), planted_blocks: (118, 0), stripping_grid: (58, 4)}
 
 
 @pytest.mark.parametrize("make", list(STRIPPED_ROUNDS), ids=lambda f: f.__name__)
 def test_rounds_take_the_solvers_paths(make, monkeypatch):
     # a change to max_flow that cancels flow more often, or stops keeping its
-    # paths, sends rounds back through the stripping and shows here
-    stripped = []
+    # paths, sends solves through the stripping and shows here
+    rounds, stripped = [], []
 
     def solved(net):
-        sol = max_flow(net)
-        stripped.append(sol.paths is None)
-        return sol
+        rounds.append(net)
+        return max_flow(net)
+
+    def strip(net, flow, zero):
+        stripped.append(net)
+        return strip_paths(net, flow, zero)
 
     monkeypatch.setattr(mucut.matching, "max_flow", solved)
+    monkeypatch.setattr(mucut.flow, "_strip_paths", strip)
     g, mu, phi, seed = make()
     decompose(g, mu, phi, rng=seed)
-    assert (len(stripped), sum(stripped)) == STRIPPED_ROUNDS[make]
+    assert (len(rounds), len(stripped)) == STRIPPED_ROUNDS[make]
 
 
 # (instance, command, flags) -> (JSON SHA-256, trace CSV SHA-256); light_whisker
@@ -349,7 +367,7 @@ def test_potentials_match_dense_oracle(make):
         for t, rec in enumerate(game.rounds):
             state = ActiveState(frozenset(rec.active_before) - rec.removed, game_mu)
             walk = WalkOperator([r.matching for r in game.rounds[:t + 1]], delta, state)
-            want.append(dense_walk_and_potential(walk)[1])
+            want.append(dense_walk_and_potential(walk, limit=g.vertex_count)[1])
         assert potentials(game.rounds, game_mu, delta) == pytest.approx(want, rel=1e-9, abs=1e-12)
         checked += len(want)
     assert checked

@@ -1,18 +1,16 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from mucut import Graph, VertexMeasure, induced_subgraph
 from mucut.cutplayer import WeightedBipartition, rst_partition
-from mucut.flow import decompose_paths, edge_network, max_flow
+from mucut.flow import _strip_paths as strip_paths, decompose_paths, edge_network, max_flow
 from mucut.matching import build_pi_problem, solve_matching_round
 from mucut.spectral import ActiveState
 from mucut.verify import check_embedding_congestion
 
 from helpers import (arcs_of, clique_edges, matching_row_sums, orthogonalized_projection,
-                     random_connected_graph, random_measure, reference_build_pi_problem,
-                     reference_decompose_paths)
+                     paths_hex, random_connected_graph, random_measure,
+                     reference_build_pi_problem, reference_decompose_paths, reference_max_flow)
 
 
 def manual_bip(sources, targets, eta=0.0, case_two=False):
@@ -273,20 +271,19 @@ def arcs_by_adjacency(net, values):
 
 
 def assert_network_matches_reference(net, ref):
-    """Same arcs in every adjacency, and the same flow, cut and paths, bit for bit."""
+    """Same arcs in every adjacency, and the same value, cut and paths, bit for bit."""
     assert (net.node_count, net.source, net.sink, net.arc_count) == \
         (ref.node_count, ref.source, ref.sink, ref.arc_count)
     assert arcs_by_adjacency(net, net.cap) == arcs_by_adjacency(ref, ref.cap)
     sol, want = max_flow(net), max_flow(ref)
     assert sol.value.hex() == want.value.hex()
     assert sol.min_cut_side == want.min_cut_side
-    assert arcs_by_adjacency(net, sol.arc_flows) == arcs_by_adjacency(ref, want.arc_flows)
-    got = [(a, b, w.hex(), seq) for a, b, w, seq in decompose_paths(net, sol)]
-    assert got == [(a, b, w.hex(), seq) for a, b, w, seq in decompose_paths(ref, want)]
-    # and the stripping, forced by dropping the solver's paths, strips alike
-    got = [(a, b, w.hex(), seq)
-           for a, b, w, seq in decompose_paths(net, dataclasses.replace(sol, paths=None))]
-    assert got == [(a, b, w.hex(), seq) for a, b, w, seq in reference_decompose_paths(ref, want)]
+    assert paths_hex(decompose_paths(net, sol)) == paths_hex(decompose_paths(ref, want))
+    # and the stripping, forced on the reference solver's flows, strips alike
+    flow, ref_flow = reference_max_flow(net), reference_max_flow(ref)
+    assert arcs_by_adjacency(net, flow.arc_flows) == arcs_by_adjacency(ref, ref_flow.arc_flows)
+    got = strip_paths(net, list(flow.arc_flows), net.zero)
+    assert paths_hex(got) == paths_hex(reference_decompose_paths(ref, ref_flow))
     return sol
 
 
