@@ -10,7 +10,9 @@ again line by line only to name its first bad line as path:lineno.
 
 ``--trace`` writes one CSV line per game round, computed after the run
 from the games' round records; the potential column is filled for every
-game on at most PSI_MAX_TERMINALS terminals.
+game whose walk runs a stop test (see ``spectral.potentials``).  Output
+files are opened before any input is read, as shell redirection opens
+them: an unwritable one fails before any game, a failed run leaves it empty.
 
 Each subcommand registers only the flags it reads, so a flag it would
 ignore is malformed input.  Exit codes: 0 success, 2 malformed input
@@ -21,9 +23,11 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -34,7 +38,7 @@ from .decompose import (GAME_CERTIFIES_FROM_N, DecomposeConfig, decompose, balan
                         OutcomeKind)
 from .errors import GraphInputError
 from .graph import Graph, Infinite, VertexMeasure, is_connected, mu_expansion_of_cut
-from .spectral import PSI_MAX_TERMINALS, potentials
+from .spectral import potentials
 from .verify import DEFAULT_VERIFY_MAX_N, MAX_ENUM_N, brute_force_expansion, validate_partition
 
 
@@ -154,13 +158,18 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
+@contextlib.contextmanager
+def _outputs(*paths):
+    """A file opened for writing for each path given, None for each None."""
+    with contextlib.ExitStack() as stack:
+        yield [None if path is None else
+               stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+               for path in paths]
+
+
+def _emit_json(payload: dict, out) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    (sys.stdout if out is None else out).write(text)
 
 
 def _trace_lines(game) -> list[str]:
@@ -168,27 +177,24 @@ def _trace_lines(game) -> list[str]:
 
     mu_R is the measure removed so far; psi, the potential after the
     round, is replayed from the records through one k x k product per game
-    and left empty for games on more than PSI_MAX_TERMINALS terminals.
+    and left empty where :func:`spectral.potentials` gives None.
     """
     if not game.rounds:  # a single vertex or terminal: no walk was built
         return []
     mu = game.walk.measure
-    psis = [""] * len(game.rounds)
-    if len(mu.support) <= PSI_MAX_TERMINALS:
-        psis = [repr(psi) for psi in potentials(game.rounds, mu, game.params.delta)]
     lines = []
     removed: frozenset = frozenset()
-    for rec, psi in zip(game.rounds, psis):
+    for rec, psi in zip(game.rounds, potentials(game.rounds, mu, game.params.delta)):
         removed = removed | rec.removed
         lines.append(f"{rec.index},{len(rec.active_before) - len(rec.removed)},"
-                     f"{mu.of(removed)!r},{rec.matched_weight!r},{psi}\n")
+                     f"{mu.of(removed)!r},{rec.matched_weight!r},"
+                     f"{'' if psi is None else repr(psi)}\n")
     return lines
 
 
-def _write_trace(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,active_size,mu_R,matching_weight,psi\n")
-        fh.writelines(lines)
+def _write_trace(out, lines) -> None:
+    out.write("t,active_size,mu_R,matching_weight,psi\n")
+    out.writelines(lines)
 
 
 def _check_args(args) -> None:
@@ -209,70 +215,84 @@ def _check_args(args) -> None:
         for flag in ("--phi", "--check-level", "--verify-max-n"):
             if given[flag[2:].replace("-", "_")] is not None:
                 raise GraphInputError(f"verify {flag} applies only with --partition")
+    # outputs are opened for writing first: a shared path would empty the
+    # input or interleave the two outputs
+    files = [given[dest] for dest in ("partition", "json_out", "trace") if given.get(dest)]
+    if len({os.path.realpath(f) for f in files}) < len(files):
+        raise GraphInputError("--partition, --json-out and --trace must name different files")
 
 
 def cmd_decompose(args) -> int:
-    g = load_graph(args.graph)
-    mu = load_measure(args.mu, g)
-    trace_lines: list[str] = []
-    cfg = DecomposeConfig(
-        verify_max_n=args.verify_max_n,
-        # each game becomes CSV lines as it ends, so no game is kept
-        trace_hook=(lambda game: trace_lines.extend(_trace_lines(game)))
-        if args.trace is not None else None,
-    )
-    result = decompose(g, mu, args.phi, cfg, rng=args.seed)
-    payload = {
-        "clusters": [list(c) for c in result.clusters],
-        "inter_cluster_edge_weight": result.inter_cluster_edge_weight,
-        "phi": args.phi,
-        "seed": args.seed,
-        "params": result.params,
-        "certificates": [
-            {"kind": c.kind, "expansion": c.expansion} for c in result.per_cluster
-        ],
-        "depth": result.recursion_depth,
-        "charge_ratio": result.charge_ratio,
-    }
-    _emit_json(payload, args.json_out)
-    if args.trace is not None:
-        _write_trace(args.trace, trace_lines)
-    return 0
+    with _outputs(args.json_out, args.trace) as (json_out, trace):
+        g = load_graph(args.graph)
+        mu = load_measure(args.mu, g)
+        trace_lines: list[str] = []
+        cfg = DecomposeConfig(
+            verify_max_n=args.verify_max_n,
+            # each game becomes CSV lines as it ends, so no game is kept
+            trace_hook=(lambda game: trace_lines.extend(_trace_lines(game)))
+            if trace is not None else None,
+        )
+        result = decompose(g, mu, args.phi, cfg, rng=args.seed)
+        payload = {
+            "clusters": [list(c) for c in result.clusters],
+            "inter_cluster_edge_weight": result.inter_cluster_edge_weight,
+            "phi": args.phi,
+            "seed": args.seed,
+            "params": result.params,
+            "certificates": [
+                {"kind": c.kind, "expansion": c.expansion} for c in result.per_cluster
+            ],
+            "depth": result.recursion_depth,
+            "charge_ratio": result.charge_ratio,
+        }
+        _emit_json(payload, json_out)
+        if trace is not None:
+            _write_trace(trace, trace_lines)
+        return 0
 
 
 def cmd_sparse_cut(args) -> int:
-    g = load_graph(args.graph)
-    mu = load_measure(args.mu, g)
-    if not is_connected(g):
-        raise GraphInputError("sparse-cut needs a connected graph; run decompose instead")
-    outcome = balanced_or_expander(g, mu, args.phi, np.random.default_rng(args.seed))
-    params = outcome.game.params
-    if outcome.kind is OutcomeKind.CERTIFIED:
-        expansion = None
-    else:
-        expansion = mu_expansion_of_cut(g, mu, outcome.rest)
-    payload = {
-        "case": outcome.kind.value,
-        "expander_side": sorted(outcome.expander_side),
-        "rest": sorted(outcome.rest),
-        "cut_expansion": expansion,
-        "trimmed": outcome.trimmed,
-        "phi": args.phi,
-        "seed": args.seed,
-        "params": {
-            "rounds_T": params.rounds_T,
-            "capacity_c": params.capacity_c,
-            "delta": params.delta,
-            "stop_threshold": params.stop_threshold,
-        },
-    }
-    _emit_json(payload, args.json_out)
-    if args.trace is not None:
-        _write_trace(args.trace, _trace_lines(outcome.game))
-    return 0
+    with _outputs(args.json_out, args.trace) as (json_out, trace):
+        g = load_graph(args.graph)
+        mu = load_measure(args.mu, g)
+        if not is_connected(g):
+            raise GraphInputError("sparse-cut needs a connected graph; run decompose instead")
+        outcome = balanced_or_expander(g, mu, args.phi, np.random.default_rng(args.seed))
+        params = outcome.game.params
+        if outcome.kind is OutcomeKind.CERTIFIED:
+            expansion = None
+        else:
+            expansion = mu_expansion_of_cut(g, mu, outcome.rest)
+        payload = {
+            "case": outcome.kind.value,
+            "expander_side": sorted(outcome.expander_side),
+            "rest": sorted(outcome.rest),
+            "cut_expansion": expansion,
+            "trimmed": outcome.trimmed,
+            "phi": args.phi,
+            "seed": args.seed,
+            "params": {
+                "rounds_T": params.rounds_T,
+                "capacity_c": params.capacity_c,
+                "delta": params.delta,
+                "stop_threshold": params.stop_threshold,
+            },
+        }
+        _emit_json(payload, json_out)
+        if trace is not None:
+            _write_trace(trace, _trace_lines(outcome.game))
+        return 0
 
 
 def cmd_verify(args) -> int:
+    with _outputs(args.json_out) as (json_out,):
+        _emit_json(_verification(args), json_out)
+    return 0
+
+
+def _verification(args) -> dict:
+    """The JSON payload of ``verify``: a partition's report or a brute-force expansion."""
     g = load_graph(args.graph)
     mu = load_measure(args.mu, g)
     if args.partition is not None:
@@ -296,19 +316,16 @@ def cmd_verify(args) -> int:
         max_n = DEFAULT_VERIFY_MAX_N if args.verify_max_n is None else args.verify_max_n
         report = validate_partition(g, mu, loaded, phi, check_level=args.check_level,
                                     max_n=max_n)
-        _emit_json(dataclasses.asdict(report), args.json_out)
-        return 0
+        return dataclasses.asdict(report)
     if not 2 <= g.vertex_count <= MAX_ENUM_N:
         raise GraphInputError(
             f"brute-force expansion needs 2 <= n <= {MAX_ENUM_N}; got {g.vertex_count}")
     value, witness = brute_force_expansion(g, mu)
-    payload = {
+    return {
         "expansion": value,
         "witness": None if witness is None else list(witness),
         "n": g.vertex_count,
     }
-    _emit_json(payload, args.json_out)
-    return 0
 
 
 def _add_files(p: argparse.ArgumentParser) -> None:

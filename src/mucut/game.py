@@ -8,28 +8,14 @@ outcome keeps each round's :class:`RoundRecord` as the matching player
 returned it; every view of a round (the CLI's trace CSV, its potential)
 is computed from those records.  Every id, in the rounds and in their
 records, is an id of the graph passed in.  The run ends at the first of:
-the removed measure passes its threshold; the walk holds its k x k product
-(see :class:`spectral.WalkOperator`; k = |supp mu|) and the potential
-psi = ||W||_F^2 after the round is at most tau = 1/(16 k^2); or T rounds
-are played.  It is classified as a balanced cut (removed measure past the
-threshold), a small cut whose complement is a near-expander (some
-removal), or a certified expander (none).
-
-When the walk takes its product
--------------------------------
-A round's projections u = W r, for the round's random unit vector r, are
-at hand before its matching, and n ||W r||^2 = n sum_v mu(v) u_v^2 is an
-unbiased estimate of psi, whatever the units.  The first round at which
-it is at most 64 tau, on at most ``PSI_MAX_TERMINALS`` terminals,
-multiplies the walk out after adding its matching; the walk also does so
-itself once its chain holds k^2 numbers.  The estimate decides only from
-which round psi is checked; a stop needs the exact psi <= tau.  Near
-mixing psi about halves each round, so the margin 64 starts the checks a
-few rounds before the stop (a median of 5 on the benchmark's whisker
-games, seeds 1-3); each check costs O(k^3), and an earlier start only
-adds checks.  An estimate too high by the margin, or a round whose
-removal drops psi by more, forms the product later, which can only delay
-the stop.
+the removed measure passes its threshold; the walk has mixed, that is, it
+holds its k x k product (k = |supp mu| <= ``spectral.PSI_MAX_TERMINALS``)
+and the potential psi = ||W||_F^2 after the round is at most
+tau = 1/(16 k^2) (:meth:`spectral.WalkOperator.mixed`; ``spectral`` says
+when the product forms); or T rounds are played.  It is classified as a
+balanced cut (removed measure past the threshold), a small cut whose
+complement is a near-expander (some removal), or a certified expander
+(none).
 
 Why a mixed walk ends the game
 ------------------------------
@@ -60,8 +46,8 @@ sigma <= psi^(1/(4 delta)).
   phi mu(A) / 9 whenever c phi <= 7.
 * The threshold.  The T-round analysis drives psi below 1/k^2 w.h.p.;
   then sigma^2 <= k^(-1/delta), the n^(-1/delta) <= 1/20 that
-  ``default_delta`` provides when every vertex is a terminal.  The game
-  checks psi itself, against tau = 1/(16 k^2).
+  ``default_delta`` provides when every vertex is a terminal.  The walk's
+  stop test checks psi itself, against tau = 1/(16 k^2).
 * Fewer rounds.  The certificate uses the round count only through the
   congestion c t, and its level falls as 1/t: a game that mixes at t < T
   proves a level T/t times higher than the same mixing proves at T.
@@ -91,11 +77,11 @@ Ruling out unmixed rounds
 -------------------------
 The exact psi takes two or more k x k products (about 15 ms at k = 503,
 delta = 2, one BLAS thread), and all checks but the last one answer "not
-yet".  On at least ``RITZ_MIN_TERMINALS`` terminals the game first takes a
-lower bound on psi from a block V of b = ``RITZ_BLOCK`` orthonormal
-vectors (:func:`spectral.potential_bound`, O(k^2 b) operations) and runs
-the exact check only when the bound is at most (1 + ``BOUND_SLACK``) tau,
-with the slack 1/64.
+yet".  On at least ``spectral.RITZ_MIN_TERMINALS`` terminals the walk's
+stop test first takes a lower bound on psi from a block V of
+b = ``RITZ_BLOCK`` orthonormal vectors (:func:`spectral.potential_bound`,
+O(k^2 b) operations) and runs the exact check only when the bound is at
+most (1 + ``BOUND_SLACK``) tau, with the slack 1/64.
 
 * The bound.  For orthonormal V, the Ritz values theta_i of
   G = C^T P C on span(V) are the eigenvalues of
@@ -103,8 +89,10 @@ with the slack 1/64.
   theta_i <= lambda_i(G), the i-th largest of each, so
   ||H^delta||_F^2 = sum theta_i^(2 delta) <= sum lambda_i^(2 delta) = psi.
   Any other V scales the left side by at most
-  ||V||_2^(4 delta) <= ||V^T V||_inf^(2 delta), which the bound divides
-  by, so it holds for a V orthonormal only to rounding too.
+  ||V||_2^(4 delta) <= ||V^T V||_inf^(2 delta), as H has the nonzero
+  eigenvalues of G^(1/2) V V^T G^(1/2), which lies below ||V||_2^2 G; the
+  bound divides by that, so it holds for a V orthonormal only to rounding
+  too.
 * The block.  It starts at the round the walk takes its product, from a
   fixed Gaussian block drawn from a generator of its own (the game's
   generator gives the same draws as without it), with ``RITZ_WARMUP``
@@ -147,7 +135,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -159,18 +147,8 @@ from .graph import Graph, VertexMeasure, is_connected, mu_expansion_of_cut, tole
 from .graph import induced_subgraph  # noqa: F401
 from .flow import edge_network
 from .matching import RoundRecord, solve_matching_round
-from .spectral import (PSI_MAX_TERMINALS, ActiveState, WalkOperator, default_delta,
-                       potential, potential_bound, projections, sample_unit_vector)
+from .spectral import ActiveState, WalkOperator, default_delta, projections, sample_unit_vector
 
-#: The fewest terminals at which a lower bound on psi screens the exact
-#: checks (see "Ruling out unmixed rounds" in the module docstring); below it the k^3 checks
-#: cost less than the bound's steps over a game.
-RITZ_MIN_TERMINALS = 224
-#: Width b of the bound's block, and the power steps it takes when it starts.
-RITZ_BLOCK = 16
-RITZ_WARMUP = 2
-#: A check is skipped only while the bound exceeds (1 + BOUND_SLACK) tau.
-BOUND_SLACK = 1.0 / 64
 #: The game's constants (see the module docstring): T = ceil(T_FACTOR log2(n)^2)
 #: rounds and capacity c = max(1, round(C_FACTOR / (phi ln n))).  The walk power,
 #: ``default_delta(n)``, stays at most MAX_DELTA below n = 20^8; the rounding
@@ -236,8 +214,6 @@ class CutMatchingOutcome:
     walk: Optional[WalkOperator]
     params: GameParams
     note: Optional[str] = None
-    #: exact psi evaluations (:func:`spectral.potential`) the game ran
-    psi_checks: int = field(default=0, compare=False)
 
 
 def run_cut_matching(g: Graph, mu: VertexMeasure, phi: float,
@@ -264,47 +240,29 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, phi: float,
     active = frozenset(range(n))
     removed_all: frozenset = frozenset()
     records: list[RoundRecord] = []
-    state = ActiveState(active, mu)
-    walk = WalkOperator([], params.delta, state)
+    walk = WalkOperator([], params.delta, ActiveState(active, mu))
     c = float(params.capacity_c)
-    k = len(walk.support)
-    tau = 1.0 / (16.0 * k * k)  # the mixing threshold; see the module docstring
     edges = None  # the active set's edge arcs, built by the first round that needs them
-    block = None  # the Ritz block, from the round the walk holds its product
-    checks = t = 0
+    t = 0
 
     while mu.of(removed_all) <= params.stop_threshold and t < params.rounds_T:
         r = sample_unit_vector(n, rng)
         u = projections(walk, r)
-        # n ||W r||^2 estimates psi before this round without bias
-        near_mixed = k <= PSI_MAX_TERMINALS and n * float(mu.values @ (u * u)) <= 64 * tau
-        bip = rst_partition(state, u)
+        energy = n * float(mu.values @ (u * u))  # n ||W r||^2 estimates psi without bias
+        bip = rst_partition(walk.state, u)
         if edges is None:
-            edges = edge_network(g, state.active, c)
-        rec = solve_matching_round(g, state, edges, bip, c, round_index=t)
+            edges = edge_network(g, walk.state.active, c)
+        rec = solve_matching_round(g, walk.state, edges, bip, c, round_index=t)
         records.append(rec)
-        walk.extend(rec.matching)
-        if near_mixed:
-            walk.multiply_out()
+        walk.extend(rec.matching, energy)
         if rec.removed:
             active = active - rec.removed
             removed_all = removed_all | rec.removed
-            state = walk.state = ActiveState(active, mu)
+            walk.state = ActiveState(active, mu)
             edges = None
         t += 1
-        if walk.product is None:
-            continue
-        if k >= RITZ_MIN_TERMINALS:
-            if block is None:  # a fixed start, from a generator of its own
-                block = np.random.default_rng(0).standard_normal((k, RITZ_BLOCK))
-                for _ in range(RITZ_WARMUP):
-                    block = potential_bound(walk.product, state, params.delta, block)[1]
-            bound, block = potential_bound(walk.product, state, params.delta, block)
-            if bound > (1.0 + BOUND_SLACK) * tau:
-                continue  # psi > tau for certain: no check needed
-        checks += 1
-        if potential(walk.product, state, params.delta) <= tau:
-            break  # mixed: the round budget exists only to reach this
+        if walk.mixed():
+            break  # the round budget exists only to reach this
 
     if mu.of(removed_all) > params.stop_threshold:
         variant = Variant.BALANCED_CUT
@@ -328,5 +286,4 @@ def run_cut_matching(g: Graph, mu: VertexMeasure, phi: float,
         rounds=tuple(records),
         walk=walk,
         params=params,
-        psi_checks=checks,
     )

@@ -19,19 +19,26 @@ carried through and scattered back to all n vertices once, at the end.
 Each matching's normalized lazy factor is fused once, when the matching is
 added to the walk, into a diagonal plus symmetric pair triples; applying it
 is one product and one ``np.bincount``.  Once the walk holds the k x k
-product C = Nbar_{t-1} ... Nbar_0 it applies that instead.  The walk forms
-C by itself once the chain of factors holds k^2 numbers; the game forms it
-earlier, at the first round whose projections estimate psi within 64
-times the stop threshold (at most ``PSI_MAX_TERMINALS`` terminals).  Once
-its walk holds C, the game reads the potential psi = ||W||_F^2 off it
-after every round by :func:`potential` and stops at the first
-psi <= 1/(16 k^2) (see ``game``); on many terminals it skips the rounds
-where the cheaper lower bound :func:`potential_bound` already exceeds that.
-One evaluation costs 2 delta t (k + pairs) through the chain or
+product C = Nbar_{t-1} ... Nbar_0 it applies that instead.
+
+The walk alone decides when it forms C and whether it has mixed.  A
+round's projections u = W r come before its matching, and
+n ||W r||^2 = n sum_v mu(v) u_v^2 estimates psi = ||W||_F^2 without bias.
+:meth:`WalkOperator.extend` forms C at the first round whose estimate is
+at most 64 tau, tau = 1/(16 k^2), on at most ``PSI_MAX_TERMINALS``
+terminals, and on any number once its chain holds k^2 numbers.  The
+estimate decides only from which round psi is checked: near mixing psi
+about halves each round, so the margin 64 starts the O(k^3) checks a few
+rounds before the stop (a median of 5 on the benchmark's whisker games,
+seeds 1-3), and an estimate too high, or a removal that drops psi by more,
+can only delay the stop.  :meth:`WalkOperator.mixed`, the game's stop
+test, answers psi <= tau by :func:`potential`, after the cheaper
+:func:`potential_bound` has had its chance to rule the round out on
+``RITZ_MIN_TERMINALS`` or more (the argument is in ``game``).  One
+evaluation of psi costs 2 delta t (k + pairs) through the chain or
 2 delta k^2 through C, plus k (k + pairs) per added round once C exists.
-``potentials`` replays a game's round records into the same k x k
-product, through the same functions, to report psi after each round.  The
-dense n x n oracles live in the tests.
+:func:`potentials` replays a game's round records through a walk that
+holds C from the start.  The dense n x n oracles live in the tests.
 """
 
 from __future__ import annotations
@@ -44,9 +51,18 @@ import numpy as np
 from .errors import InvariantViolation
 from .graph import VertexMeasure, merge_pairs, tolerance, vertex_mask, vertex_sums
 
-#: The most terminals for which the walk's k x k product is formed for its
-#: potential (at most 8 MB): by the game's stop test and by the trace's psi.
+#: The most terminals on which the walk runs its stop test and the trace
+#: reports psi; its k x k product then takes at most 8 MB.
 PSI_MAX_TERMINALS = 1024
+#: The fewest terminals at which a lower bound on psi screens the exact
+#: checks (see "Ruling out unmixed rounds" in ``game``); below it the k^3
+#: checks cost less than the bound's steps over a game.
+RITZ_MIN_TERMINALS = 224
+#: Width b of the bound's block, and the power steps it takes when it starts.
+RITZ_BLOCK = 16
+RITZ_WARMUP = 2
+#: A check is skipped only while the bound exceeds (1 + BOUND_SLACK) tau.
+BOUND_SLACK = 1.0 / 64
 #: Columns per block of :meth:`LazyFactor.times`, which bounds its temporaries.
 TIMES_BLOCK = 64
 
@@ -234,8 +250,8 @@ def potential(c: np.ndarray, state: ActiveState, delta: int) -> float:
     c = Nbar_{t-1} ... Nbar_0 in support coordinates and P the projection
     for ``state``'s active set.  W = (P C C^T P)^delta has the nonzero
     spectrum of G^delta for G = C^T P C, so psi = ||G^delta||_F^2, with
-    G^delta taken by log2(delta) squarings.  The game's stop test and
-    :func:`potentials` both call this, so their values agree bit for bit.
+    G^delta taken by log2(delta) squarings.  :meth:`WalkOperator.mixed`
+    and :func:`potentials` both call this, so their values agree bit for bit.
     """
     b = _project_columns(state, c)
     g = b.T @ b
@@ -250,20 +266,13 @@ def potential_bound(c: np.ndarray, state: ActiveState, delta: int,
     """A lower bound on :func:`potential` from a k x b block v, and the block
     one power step on.
 
-    For orthonormal v, the Ritz values theta_i of G = C^T P C on span(v)
-    are the eigenvalues of H = v^T G v = (P C v)^T (P C v), and Cauchy
-    interlacing gives theta_i <= lambda_i(G), the i-th largest of each; so
-    ||H^delta||_F^2 = sum theta_i^(2 delta) <= sum lambda_i^(2 delta) = psi.
-    Any other v scales the left side by at most ||v||_2^(4 delta): H has
-    the nonzero eigenvalues of G^(1/2) v v^T G^(1/2), which lies below
-    ||v||_2^2 G.  The bound divides by ||v^T v||_inf^(2 delta), at least
-    that, so it holds for every block, orthonormal to rounding or not.
-
-    The next block is G v with orthonormal columns: one block power step,
-    which turns span(v) toward G's top eigenvectors, where the bound nears
-    psi.  2 k^2 b operations, against 2 k^3 and more for psi, all of them
-    matrix products: LAPACK's QR or SVD would page in about 1 MB of
-    library code.
+    The bound is ||H^delta||_F^2 for H = (P C v)^T (P C v), divided by
+    ||v^T v||_inf^(2 delta), which holds for every block (see "Ruling out
+    unmixed rounds" in ``game``).  The next block is G v, G = C^T P C, with
+    orthonormal columns: one block power step, which turns span(v) toward
+    G's top eigenvectors, where the bound nears psi.  2 k^2 b operations,
+    against 2 k^3 and more for psi, all of them matrix products: LAPACK's
+    QR or SVD would page in about 1 MB of library code.
     """
     b = _project_columns(state, c @ v)
     h = b.T @ b
@@ -303,23 +312,23 @@ def _project_columns(state: ActiveState, x: np.ndarray) -> np.ndarray:
     return b
 
 
-def potentials(rounds, measure: VertexMeasure, delta: int) -> list[float]:
-    """The potential psi = ||W||_F^2 after each of a game's round records.
-
-    The rounds' factors are multiplied into the k x k product
-    C = Nbar_{t-1} ... Nbar_0, one ``LazyFactor.times`` per round, and
-    :func:`potential` reads psi off it for the active set after the round.
+def potentials(rounds, measure: VertexMeasure, delta: int) -> list[float | None]:
+    """The potential psi = ||W||_F^2 after each of a game's round records,
+    None for each past ``PSI_MAX_TERMINALS`` terminals, where no walk runs
+    its stop test.  The records replay through a walk that holds its
+    product from the start: one ``LazyFactor.times`` and one
+    :func:`potential` per round.
     """
-    if not is_power_of_two(int(delta)):
-        raise ValueError(f"delta must be a power of two, got {delta}")
-    c = np.eye(len(measure.support))
-    state = None
+    if not rounds or len(measure.support) > PSI_MAX_TERMINALS:
+        return [None] * len(rounds)
+    walk = WalkOperator([], delta, ActiveState(rounds[0].active_before, measure))
+    walk.multiply_out()
     psis = []
     for rec in rounds:
-        LazyFactor(rec.matching, measure, delta).times(c)
-        if state is None or rec.removed:
-            state = ActiveState(frozenset(rec.active_before) - rec.removed, measure)
-        psis.append(potential(c, state, delta))
+        walk.extend(rec.matching, math.inf)
+        if rec.removed:
+            walk.state = ActiveState(frozenset(rec.active_before) - rec.removed, measure)
+        psis.append(potential(walk.product, walk.state, delta))
     return psis
 
 
@@ -327,23 +336,20 @@ class WalkOperator:
     """Implicit delta-powered projected walk over a stack of matchings.
 
     Each matching's :class:`LazyFactor` is built once, by the constructor or
-    by :meth:`extend`; the game extends one walk round by round and swaps in
-    a new ``state`` when its active set shrinks.  Until the walk holds its
-    k x k product (k = |supp mu|), ``apply`` runs through the chain of
-    factors.  :meth:`multiply_out` multiplies the chain into ``product``,
-    the matrix C = Nbar_{t-1} ... Nbar_0, and drops the factors; later
-    rounds left-multiply C by their factor in place, and ``apply`` uses
-    C C^T.  ``product_round`` is the number of rounds the product held when
-    it was formed (None while there is none).  The walk multiplies out by
-    itself at the ``extend`` that brings the chain to k^2 numbers
-    (``chain_size``: k diagonal entries plus the pair entries per factor),
-    so the product never holds more numbers than the chain it replaces;
-    the game calls :meth:`multiply_out` earlier, once its round's
-    projections estimate that the walk is near mixing (see ``game``).
+    by :meth:`extend`; the game extends one walk round by round, swaps in a
+    new ``state`` when its active set shrinks, and asks :meth:`mixed` after
+    each round.  ``rounds`` counts the matchings, which the round records
+    keep.  Until the walk holds its k x k product (k = |supp mu|), ``apply``
+    runs through the chain of factors; :meth:`multiply_out` multiplies them
+    into ``product``, C = Nbar_{t-1} ... Nbar_0, formed after
+    ``product_round`` rounds, and later rounds left-multiply C in place.
+    ``chain_size`` counts k diagonal entries plus the pair entries per
+    factor, so C never holds more numbers than the chain it replaces.
+    ``psi_checks`` counts the exact psi evaluations of :meth:`mixed`.
     """
 
-    __slots__ = ("matchings", "factors", "chain_size", "product", "product_round", "delta",
-                 "state", "measure", "support")
+    __slots__ = ("rounds", "factors", "chain_size", "product", "product_round", "delta",
+                 "state", "measure", "support", "tau", "block", "psi_checks")
 
     def __init__(self, matchings: Sequence[StochasticMatching], delta: int, state: ActiveState):
         if not is_power_of_two(int(delta)):
@@ -352,21 +358,21 @@ class WalkOperator:
         self.state = state
         self.measure = state.measure
         self.support = np.flatnonzero(self.measure.support_mask)
-        self.matchings: list[StochasticMatching] = []
+        k = max(len(self.support), 1)
+        self.tau = 1.0 / (16.0 * k * k)  # the mixing threshold; see ``game``
+        self.rounds = self.chain_size = self.psi_checks = 0
         self.factors: list[LazyFactor] = []
-        self.chain_size = 0
         self.product: np.ndarray | None = None
         self.product_round: int | None = None
+        self.block: np.ndarray | None = None  # the Ritz block, from the first screen on
         for m in matchings:
-            self.extend(m)
+            self.extend(m, math.inf)
 
-    @property
-    def rounds(self) -> int:
-        return len(self.matchings)
-
-    def extend(self, m: StochasticMatching) -> None:
-        """Append one round's matching; its factor becomes the outermost, next to P."""
-        self.matchings.append(m)
+    def extend(self, m: StochasticMatching, energy: float) -> None:
+        """Append one round's matching; its factor becomes the outermost, next
+        to P.  ``energy``, the round's estimate n ||W r||^2 of psi
+        (``math.inf`` for none), can multiply the walk out (module docstring)."""
+        self.rounds += 1
         f = LazyFactor(m, self.measure, self.delta)
         if self.product is not None:
             f.times(self.product)
@@ -374,7 +380,7 @@ class WalkOperator:
         self.factors.append(f)
         k = len(self.support)
         self.chain_size += k + f.rows.size
-        if self.chain_size >= k * k:
+        if self.chain_size >= k * k or (k <= PSI_MAX_TERMINALS and energy <= 64 * self.tau):
             self.multiply_out()
 
     def multiply_out(self) -> None:
@@ -386,6 +392,24 @@ class WalkOperator:
         for factor in self.factors:
             factor.times(c)
         self.product, self.factors, self.product_round = c, [], self.rounds
+
+    def mixed(self) -> bool:
+        """The stop test psi <= tau, False while there is no product or past
+        ``PSI_MAX_TERMINALS`` terminals.  The Ritz block starts from its own
+        generator with ``RITZ_WARMUP`` steps and takes one step per call."""
+        c, k = self.product, len(self.support)
+        if c is None or k > PSI_MAX_TERMINALS:
+            return False
+        if k >= RITZ_MIN_TERMINALS:
+            if self.block is None:
+                self.block = np.random.default_rng(0).standard_normal((k, RITZ_BLOCK))
+                for _ in range(RITZ_WARMUP):
+                    self.block = potential_bound(c, self.state, self.delta, self.block)[1]
+            bound, self.block = potential_bound(c, self.state, self.delta, self.block)
+            if bound > (1.0 + BOUND_SLACK) * self.tau:
+                return False  # psi > tau for certain: no check needed
+        self.psi_checks += 1
+        return potential(c, self.state, self.delta) <= self.tau
 
     def apply(self, x) -> np.ndarray:
         state, sup, c = self.state, self.support, self.product

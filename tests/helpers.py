@@ -379,10 +379,11 @@ def reference_trim_network(g: Graph, mu: VertexMeasure, a, phi: float) -> FlowNe
     return reference_network(n + 2, s, t, arcs)
 
 
-def reference_walk_apply(walk: WalkOperator, x) -> np.ndarray:
-    """W x through the chain of factors, rebuilt from `walk.matchings`."""
+def reference_walk_apply(walk: WalkOperator, matchings, x) -> np.ndarray:
+    """W x through the chain of factors, rebuilt from the `matchings` the walk
+    was extended by."""
     state, sup = walk.state, walk.support
-    factors = [LazyFactor(m, walk.measure, walk.delta) for m in walk.matchings]
+    factors = [LazyFactor(m, walk.measure, walk.delta) for m in matchings]
     mask, sqrt_mu, total = state.mask[sup], state.sqrt_mu[sup], state.mu_active_total
     y = np.asarray(x, dtype=float)[sup]
     for _ in range(walk.delta):
@@ -799,14 +800,15 @@ def apply_projection(state: ActiveState, x) -> np.ndarray:
     return _project(state.mask, state.sqrt_mu, state.mu_active_total, np.asarray(x, dtype=float))
 
 
-def dense_flow_matrix(w: WalkOperator) -> np.ndarray:
-    """Materialize the stochastic flow matrix by its round recursion (oracle)."""
+def dense_flow_matrix(w: WalkOperator, matchings) -> np.ndarray:
+    """Materialize the stochastic flow matrix of `w`, extended by `matchings`,
+    by its round recursion (oracle)."""
     mu = w.measure
     n = len(mu.values)
     big_u = np.diag(mu.values)
     u_inv = np.diag(mu.pseudo_inv)
     f = big_u.copy()
-    for m in w.matchings:
+    for m in matchings:
         lazy = (w.delta - 1.0) / w.delta
         n_t = lazy * big_u + dense_matching(m) / w.delta
         f = n_t @ u_inv @ f @ u_inv @ n_t
@@ -820,12 +822,14 @@ def dense_projection_matrix(state: ActiveState) -> np.ndarray:
     return i_t - np.outer(state.sqrt_mu, state.sqrt_mu) / state.mu_active_total
 
 
-def dense_walk_and_potential(w: WalkOperator, limit: int = DENSE_LIMIT) -> tuple[np.ndarray, float]:
-    """Dense walk matrix and its potential tr(W^2) (test oracle only)."""
+def dense_walk_and_potential(w: WalkOperator, matchings,
+                             limit: int = DENSE_LIMIT) -> tuple[np.ndarray, float]:
+    """Dense walk matrix and its potential tr(W^2) for `w`, extended by
+    `matchings` (test oracle only)."""
     n = len(w.measure.values)
     if n > limit:
         raise ValueError(f"dense oracle limited to {limit} vertices, got {n}")
-    f = dense_flow_matrix(w)
+    f = dense_flow_matrix(w, matchings)
     s = np.diag(w.measure.inv_sqrt)
     p = dense_projection_matrix(w.state)
     x = p @ s @ f @ s @ p
@@ -865,12 +869,13 @@ def psi_sequence(g: Graph, mu: VertexMeasure, out, delta: int) -> list:
     values = []
     active = frozenset(range(g.vertex_count))
     stack = []
-    _, psi = dense_walk_and_potential(WalkOperator(stack, delta, ActiveState(active, mu)))
+    _, psi = dense_walk_and_potential(WalkOperator(stack, delta, ActiveState(active, mu)), stack)
     values.append(psi)
     for rec in out.rounds:
         stack = stack + [rec.matching]
         active = active - rec.removed
-        _, psi = dense_walk_and_potential(WalkOperator(stack, delta, ActiveState(active, mu)))
+        _, psi = dense_walk_and_potential(WalkOperator(stack, delta, ActiveState(active, mu)),
+                                          stack)
         values.append(psi)
     return values
 

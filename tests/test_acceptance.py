@@ -96,7 +96,7 @@ def test_criterion_04_potential_startpoint_and_decrease():
     params = GameParams.for_graph(g, mu, phi=0.1)
 
     state0 = ActiveState(range(16), mu)
-    _, psi0 = dense_walk_and_potential(WalkOperator([], params.delta, state0))
+    _, psi0 = dense_walk_and_potential(WalkOperator([], params.delta, state0), [])
     assert abs(psi0 - (len(mu.support) - 1)) < 1e-9
 
     drops: dict[int, list] = {}
@@ -257,7 +257,7 @@ def test_criterion_09_projection_statistics():
     g = dumbbell_graph(16)
     mu = VertexMeasure.from_degrees(g)
     out = run_cut_matching(g, mu, 0.05, np.random.default_rng(5))
-    dense_w, _ = dense_walk_and_potential(out.walk)
+    dense_w, _ = dense_walk_and_potential(out.walk, [rec.matching for rec in out.rounds])
     rows = dense_w * mu.inv_sqrt[:, None]  # v_i = W(i) / sqrt(mu_i)
 
     n = 32

@@ -231,6 +231,62 @@ def test_internal_value_error_exits_3(k8_file, monkeypatch, capsys):
     assert "internal check failed: solver bug" in capsys.readouterr().err
 
 
+def test_failed_run_leaves_its_output_files_empty(k8_file, tmp_path, monkeypatch):
+    # the outputs are opened before the run, as shell redirection opens them
+    def broken(*args, **kwargs):
+        raise ValueError("solver bug")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+    out.write_text("stale")
+    assert main(["decompose", "--graph", k8_file, "--phi", "0.1", "--json-out", str(out),
+                 "--trace", str(trace)]) == 3
+    assert out.read_text() == trace.read_text() == ""
+
+
+def refuse(*args, **kwargs):
+    pytest.fail("the command read its input or played a game")
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    (["decompose", "--phi", "0.1"], ["--json-out", "--trace"]),
+    (["decompose", "--phi", "0.1"], ["--trace"]),
+    (["sparse-cut", "--phi", "0.1"], ["--json-out", "--trace"]),
+    (["sparse-cut", "--phi", "0.1"], ["--trace"]),
+    (["verify"], ["--json-out"]),
+    (["verify", "--partition", "part.json"], ["--json-out"]),
+], ids=["decompose", "decompose-trace", "sparse-cut", "sparse-cut-trace", "verify",
+        "verify-partition"])
+def test_unwritable_output_fails_before_any_game(dumbbell_file, tmp_path, monkeypatch, capsys,
+                                                 argv, outputs):
+    for name in ("load_graph", "decompose", "balanced_or_expander", "validate_partition",
+                 "brute_force_expansion"):
+        monkeypatch.setattr(cli, name, refuse)
+    missing = tmp_path / "missing"
+    flags = [arg for flag in outputs for arg in (flag, str(missing / f"out{flag}"))]
+    assert main(argv + ["--graph", dumbbell_file] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["verify", "--partition"], ["--json-out"]),
+    (["decompose", "--phi", "0.1", "--json-out"], ["--trace"]),
+    (["sparse-cut", "--phi", "0.1", "--trace"], ["--json-out"]),
+], ids=["verify", "decompose", "sparse-cut"])
+def test_files_must_differ(dumbbell_file, tmp_path, monkeypatch, capsys, argv, flags):
+    # the outputs are opened first, so one path twice would empty the
+    # partition before it is read, or mix the JSON into the trace
+    monkeypatch.setattr(cli, "load_graph", refuse)
+    part = tmp_path / "part.json"
+    part.write_text('{"clusters": [[0]], "inter_cluster_edge_weight": 0.0}')
+    twice = [str(part)] + flags + [str(tmp_path / "." / "part.json")]
+    assert main(argv + twice + ["--graph", dumbbell_file]) == 2
+    assert "must name different files" in capsys.readouterr().err
+    assert part.read_text().startswith('{"clusters"')
+
+
 def test_under_certified_cluster_exits_3(tmp_path, capsys):
     # two 4-cliques joined by two light edges: the game certifies the whole
     # graph at seed 0, but its brute-forced expansion is below phi/6
@@ -274,6 +330,17 @@ def test_trace_csv(dumbbell_file, tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     float(first[4])  # psi recorded: the game has at most PSI_MAX_TERMINALS terminals
+
+
+def test_trace_leaves_psi_empty_past_the_terminal_limit(dumbbell_file, tmp_path, monkeypatch):
+    # no walk on more than PSI_MAX_TERMINALS terminals runs a stop test, and
+    # the trace reports no psi for it
+    monkeypatch.setattr(spectral, "PSI_MAX_TERMINALS", 1)
+    trace = tmp_path / "trace.csv"
+    assert main(["decompose", "--graph", dumbbell_file, "--phi", "0.05", "--seed", "7",
+                 "--json-out", str(tmp_path / "out.json"), "--trace", str(trace)]) == 0
+    rows = trace.read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[4] == "" for row in rows)
 
 
 def test_trace_extends_its_product_once_per_round(dumbbell_file, tmp_path, monkeypatch):

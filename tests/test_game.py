@@ -7,10 +7,9 @@ import pytest
 from mucut import (ActiveState, Graph, GameParams, Variant, VertexMeasure, WalkOperator,
                    cut_weight, induced_subgraph, mu_expansion_of_cut, potentials,
                    run_cut_matching)
-from mucut import game
+from mucut import game, spectral
 from mucut.cli import main
-from mucut.game import RITZ_MIN_TERMINALS
-from mucut.spectral import potential, sample_unit_vector
+from mucut.spectral import RITZ_MIN_TERMINALS, potential, sample_unit_vector
 from mucut.verify import check_embedding_congestion
 
 from helpers import (clique_edges, dense_walk_and_potential, dumbbell_graph, extended_potential,
@@ -113,7 +112,7 @@ def test_walk_and_projections_match_dense_oracle_in_game():
     mu = random_measure(rng, 8, zero_frac=0.2)
     out = run_cut_matching(g, mu, 0.2, rng)
     w = out.walk
-    dense_w, _ = dense_walk_and_potential(w)
+    dense_w, _ = dense_walk_and_potential(w, [rec.matching for rec in out.rounds])
     check_rng = np.random.default_rng(1)
     for _ in range(5):
         x = check_rng.standard_normal(8)
@@ -305,7 +304,7 @@ def test_game_stops_at_the_first_mixed_product_round(case, monkeypatch):
     taken = out.walk.product_round  # rounds in the product when the game formed it
     chain = WalkOperator([], params.delta, ActiveState(range(g.vertex_count), mu))
     for rec in out.rounds:
-        chain.extend(rec.matching)
+        chain.extend(rec.matching, math.inf)
     # the game forms the product no later than the chain-size rule would
     assert chain.product_round is None or (taken is not None and taken <= chain.product_round)
     checked = [] if taken is None else psis[taken - 1:]  # the game's psi after each round
@@ -352,17 +351,33 @@ def test_stop_potential_rounding_within_the_stated_bound(case, monkeypatch):
     assert abs(np.sqrt(got) - np.sqrt(exact)) <= bound
 
 
+def test_game_runs_no_psi_check_past_the_terminal_limit(monkeypatch):
+    # 20 terminals, past a limit of 4: the walk multiplies out by its chain
+    # size alone and never runs the stop test, so the game ends at T or at
+    # its removal threshold
+    monkeypatch.setattr(spectral, "PSI_MAX_TERMINALS", 4)
+    g = random_connected_graph(np.random.default_rng(0), 20)
+    mu = VertexMeasure.from_degrees(g)
+    out = run_cut_matching(g, mu, 0.05, np.random.default_rng(0))
+    assert len(mu.support) == 20
+    assert out.walk.psi_checks == 0
+    assert len(out.rounds) == out.params.rounds_T or out.variant is Variant.BALANCED_CUT
+    chain = WalkOperator([rec.matching for rec in out.rounds], out.params.delta,
+                         ActiveState(range(20), mu))
+    assert out.walk.product_round == chain.product_round is not None
+
+
 def test_ritz_bound_changes_no_stop(monkeypatch):
     # with the bound proving nothing, every round from the product on runs the
     # exact check, and the game plays the same rounds to the same stop
     want_game, want_rounds, want_product_round = LARGE_GOLDEN[:3]
     g, mu, phi, seed = large_whisker()
     assert len(mu.support) >= RITZ_MIN_TERMINALS
-    monkeypatch.setattr(game, "potential_bound", lambda c, state, delta, v: (-math.inf, v))
+    monkeypatch.setattr(spectral, "potential_bound", lambda c, state, delta, v: (-math.inf, v))
     out = run_cut_matching(g, mu, phi, np.random.default_rng(seed))
     assert len(out.rounds) == want_rounds < out.params.rounds_T
     assert out.walk.product_round == want_product_round
-    assert out.psi_checks == want_rounds - want_product_round + 1
+    assert out.walk.psi_checks == want_rounds - want_product_round + 1
     assert game_digest(out) == want_game
 
 
@@ -372,7 +387,7 @@ def test_ritz_bound_draws_nothing_from_the_game_generator():
     g, mu, phi, seed = large_whisker()
     rng = np.random.default_rng(seed)
     out = run_cut_matching(g, mu, phi, rng)
-    assert 1 <= out.psi_checks <= 2
+    assert 1 <= out.walk.psi_checks <= 2
     fresh = np.random.default_rng(seed)
     for _ in out.rounds:
         sample_unit_vector(g.vertex_count, fresh)

@@ -23,7 +23,7 @@ whose game has a round without sources, and an expander with a light
 whisker: its game removes the whisker and plays on with active vertices
 adjacent to removed ones, and its decomposition trims.  A larger expander
 with a whisker, on 303 terminals, pins a game whose psi checks the Ritz
-bound screens (``game.RITZ_MIN_TERMINALS``).
+bound screens (``spectral.RITZ_MIN_TERMINALS``).
 """
 
 import hashlib
@@ -38,7 +38,7 @@ from mucut import (ActiveState, DecomposeConfig, Graph, Infinite, VertexMeasure,
                    WalkOperator, decompose, potentials, run_cut_matching)
 from mucut.cli import main
 from mucut.flow import _strip_paths as strip_paths, max_flow
-from mucut.game import RITZ_MIN_TERMINALS
+from mucut.spectral import RITZ_MIN_TERMINALS
 
 from helpers import (dense_walk_and_potential, dumbbell_graph, random_connected_graph,
                      write_graph, write_measure)
@@ -123,7 +123,7 @@ def light_whisker():
 
 
 def large_whisker():
-    # 303 terminals: the one pinned game at or above game.RITZ_MIN_TERMINALS,
+    # 303 terminals: the one pinned game at or above spectral.RITZ_MIN_TERMINALS,
     # whose psi checks the Ritz bound screens
     return whiskered_cycles(300, 0)
 
@@ -366,8 +366,9 @@ def test_potentials_match_dense_oracle(make):
         want = []
         for t, rec in enumerate(game.rounds):
             state = ActiveState(frozenset(rec.active_before) - rec.removed, game_mu)
-            walk = WalkOperator([r.matching for r in game.rounds[:t + 1]], delta, state)
-            want.append(dense_walk_and_potential(walk, limit=g.vertex_count)[1])
+            matchings = [r.matching for r in game.rounds[:t + 1]]
+            walk = WalkOperator(matchings, delta, state)
+            want.append(dense_walk_and_potential(walk, matchings, limit=g.vertex_count)[1])
         assert potentials(game.rounds, game_mu, delta) == pytest.approx(want, rel=1e-9, abs=1e-12)
         checked += len(want)
     assert checked

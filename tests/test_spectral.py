@@ -1,10 +1,11 @@
 import gc
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mucut import Graph, VertexMeasure
+from mucut import Graph, VertexMeasure, spectral
 from mucut.errors import InvariantViolation
 from mucut.graph import tolerance
 from mucut.spectral import (TIMES_BLOCK, ActiveState, LazyFactor, StochasticMatching,
@@ -317,7 +318,7 @@ def test_walk_agrees_with_dense_materialization():
         matchings = synthetic_matchings(rng, mu, rounds=3)
         for delta in (1, 2, 4):
             w = WalkOperator(matchings, delta, state)
-            dense_w, _ = dense_walk_and_potential(w)
+            dense_w, _ = dense_walk_and_potential(w, matchings)
             for _ in range(4):
                 x = rng.standard_normal(9)
                 y = w.apply(x)
@@ -367,10 +368,10 @@ def test_walk_product_agrees_with_chain():
         for delta in (1, 2, 4):
             w = WalkOperator([], delta, state)
             for t, m in enumerate(matchings, 1):
-                w.extend(m)
+                w.extend(m, math.inf)
                 for _ in range(3):
                     x = rng.standard_normal(12)
-                    got, want = w.apply(x), reference_walk_apply(w, x)
+                    got, want = w.apply(x), reference_walk_apply(w, matchings[:t], x)
                     if w.product is None:
                         assert got.tobytes() == want.tobytes()
                     else:
@@ -402,7 +403,7 @@ def test_walk_switches_to_product_at_k_squared():
             assert below.product is None and len(below.factors) == at - 1
             w = WalkOperator([], delta, state)
             for t, m in enumerate(matchings, 1):
-                w.extend(m)
+                w.extend(m, math.inf)
                 assert (w.product is None) == (t < at)
                 assert holds_lazy_factor(w) == (t < at)
             built = WalkOperator(matchings, delta, state)
@@ -429,9 +430,51 @@ def test_multiply_out_forms_the_chain_product_once():
             assert w.product is first and w.product_round == early
             assert not holds_lazy_factor(w)
             for m in matchings[early:]:
-                w.extend(m)
+                w.extend(m, math.inf)
             assert w.product is first and w.product_round == early
             assert w.product.tobytes() == chain.product.tobytes()
+
+
+def test_walk_forms_its_product_at_the_first_low_estimate(monkeypatch):
+    # an estimate at most 64 tau multiplies the walk out before the chain-size
+    # rule would; past PSI_MAX_TERMINALS only that rule does
+    rng = np.random.default_rng(35)
+    mu = random_measure(rng, 14, zero_frac=0.3)
+    state = ActiveState(range(14), mu)
+    k = len(mu.support)
+    matchings = synthetic_matchings(rng, mu, rounds=14)
+    at = switch_round(matchings, mu, 2)
+    assert at > 3
+    w = WalkOperator([], 2, state)
+    assert w.tau == 1.0 / (16 * k * k)
+    w.extend(matchings[0], math.inf)
+    w.extend(matchings[1], 64 * w.tau * (1 + 1e-12))
+    assert w.product is None
+    w.extend(matchings[2], 64 * w.tau)
+    assert w.product_round == 3
+    monkeypatch.setattr(spectral, "PSI_MAX_TERMINALS", k - 1)
+    w = WalkOperator([], 2, state)
+    for t, m in enumerate(matchings, 1):
+        w.extend(m, 0.0)
+        assert (w.product is None) == (t < at)
+
+
+def test_mixed_checks_psi_only_on_a_product_within_the_limit(monkeypatch):
+    # K4 with every pair at weight 1/3 is a perfect mixer at delta 1: psi is
+    # 3/81 after one round, above tau = 1/256, and 3/81^2 after two
+    state, mu = uniform_state(4)
+    m = StochasticMatching.from_pairs(mu.values, [(u, v, 1 / 3) for u in range(4)
+                                                   for v in range(u + 1, 4)])
+    w = WalkOperator([], 1, state)
+    assert w.product is None and not w.mixed() and w.psi_checks == 0
+    w.extend(m, math.inf)  # its 4 + 12 entries fill the chain's k^2: the walk multiplies out
+    assert w.product_round == 1
+    assert not w.mixed() and w.psi_checks == 1
+    assert potential(w.product, state, 1) == pytest.approx(3 / 81)
+    w.extend(m, math.inf)
+    assert w.mixed() and w.psi_checks == 2
+    monkeypatch.setattr(spectral, "PSI_MAX_TERMINALS", 3)
+    assert not w.mixed() and w.psi_checks == 2
 
 
 def test_times_matches_apply_per_column_in_blocks_and_in_place():
@@ -524,13 +567,13 @@ def test_projections_of_sqrt_mu_direction_vanish():
 def test_psi_zero_round_identities():
     # all vertices terminal
     state, mu = uniform_state(9)
-    _, psi = dense_walk_and_potential(WalkOperator([], 1, state))
+    _, psi = dense_walk_and_potential(WalkOperator([], 1, state), [])
     assert psi == pytest.approx(9 - 1, abs=1e-9)
     # restricted support
     vals = [1.0] * 4 + [0.0] * 5
     mu = VertexMeasure(vals)
     state = ActiveState(range(9), mu)
-    _, psi = dense_walk_and_potential(WalkOperator([], 2, state))
+    _, psi = dense_walk_and_potential(WalkOperator([], 2, state), [])
     assert psi == pytest.approx(4 - 1, abs=1e-9)
 
 
@@ -541,11 +584,11 @@ def test_psi_drops_after_perfect_matching_round():
     mu = VertexMeasure([1.0] * 4)
     state = ActiveState(range(4), mu)
     m = StochasticMatching.from_pairs(mu.values, [(0, 1, 1.0), (2, 3, 1.0)])
-    _, psi0_lazy = dense_walk_and_potential(WalkOperator([], 2, state))
-    _, psi1_lazy = dense_walk_and_potential(WalkOperator([m], 2, state))
+    _, psi0_lazy = dense_walk_and_potential(WalkOperator([], 2, state), [])
+    _, psi1_lazy = dense_walk_and_potential(WalkOperator([m], 2, state), [m])
     assert psi1_lazy < psi0_lazy
-    _, psi0 = dense_walk_and_potential(WalkOperator([], 1, state))
-    _, psi1 = dense_walk_and_potential(WalkOperator([m], 1, state))
+    _, psi0 = dense_walk_and_potential(WalkOperator([], 1, state), [])
+    _, psi1 = dense_walk_and_potential(WalkOperator([m], 1, state), [m])
     assert psi1 <= psi0 + 1e-12
 
 
@@ -553,15 +596,15 @@ def test_dense_oracle_rejects_large_instances():
     mu = VertexMeasure([1.0] * 70)
     state = ActiveState(range(70), mu)
     with pytest.raises(ValueError):
-        dense_walk_and_potential(WalkOperator([], 1, state))
+        dense_walk_and_potential(WalkOperator([], 1, state), [])
 
 
 def test_dense_flow_matrix_properties():
     rng = np.random.default_rng(18)
     mu = random_measure(rng, 10, zero_frac=0.2)
     state = ActiveState(range(10), mu)
-    w = WalkOperator(synthetic_matchings(rng, mu, rounds=4), 2, state)
-    f = dense_flow_matrix(w)
+    matchings = synthetic_matchings(rng, mu, rounds=4)
+    f = dense_flow_matrix(WalkOperator(matchings, 2, state), matchings)
     assert np.abs(f - f.T).max() < 1e-9
     assert np.abs(f.sum(axis=1) - mu.values).max() < 1e-8
     off_support = ~mu.support_mask
@@ -621,7 +664,7 @@ def test_potentials_match_dense_oracle_as_the_active_set_shrinks(delta):
                                           removed=removed))
             active = active - removed
             walk = WalkOperator(matchings[:t + 1], delta, ActiveState(active, mu))
-            want.append(dense_walk_and_potential(walk)[1])
+            want.append(dense_walk_and_potential(walk, matchings[:t + 1])[1])
         assert potentials(rounds, mu, delta) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -648,10 +691,11 @@ def test_potential_bound_is_below_psi_for_any_block(delta):
         state = ActiveState(set(range(12)) - set(dropped), mu)
         if state.mu_active_total <= 0:
             continue
-        walk = WalkOperator(synthetic_matchings(rng, mu, rounds=4), delta, state)
+        matchings = synthetic_matchings(rng, mu, rounds=4)
+        walk = WalkOperator(matchings, delta, state)
         walk.multiply_out()
         psi = potential(walk.product, state, delta)
-        dense_w, dense = dense_walk_and_potential(walk)
+        dense_w, dense = dense_walk_and_potential(walk, matchings)
         rank = np.linalg.matrix_rank(dense_w)
         k = len(walk.support)
         for width in range(1, k + 1):
