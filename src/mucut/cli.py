@@ -12,7 +12,8 @@ again line by line only to name its first bad line as path:lineno.
 from the games' round records; the potential column is filled for every
 game whose walk runs a stop test (see ``spectral.potentials``).  Output
 files are opened before any input is read, as shell redirection opens
-them: an unwritable one fails before any game, a failed run leaves it empty.
+them, so none may share another file flag's path: an unwritable one fails
+before any game, a failed run leaves it empty.
 
 Each subcommand registers only the flags it reads, so a flag it would
 ignore is malformed input.  Exit codes: 0 success, 2 malformed input
@@ -215,11 +216,15 @@ def _check_args(args) -> None:
         for flag in ("--phi", "--check-level", "--verify-max-n"):
             if given[flag[2:].replace("-", "_")] is not None:
                 raise GraphInputError(f"verify {flag} applies only with --partition")
-    # outputs are opened for writing first: a shared path would empty the
-    # input or interleave the two outputs
-    files = [given[dest] for dest in ("partition", "json_out", "trace") if given.get(dest)]
-    if len({os.path.realpath(f) for f in files}) < len(files):
-        raise GraphInputError("--partition, --json-out and --trace must name different files")
+    # outputs are opened for writing first: an output that shares a path with
+    # another file flag would empty that input or interleave the two outputs
+    files = {flag: os.path.realpath(given[flag[2:].replace("-", "_")])
+             for flag in ("--graph", "--mu", "--partition", "--json-out", "--trace")
+             if given.get(flag[2:].replace("-", "_"))}
+    for out in ("--json-out", "--trace"):
+        clash = [flag for flag, path in files.items() if flag != out and path == files.get(out)]
+        if clash:
+            raise GraphInputError(f"{out} and {clash[0]} must name different files")
 
 
 def cmd_decompose(args) -> int:
@@ -308,8 +313,10 @@ def _verification(args) -> dict:
         weight = data.get("inter_cluster_edge_weight")
         if type(weight) not in (int, float):
             raise GraphInputError(f"{args.partition}: 'inter_cluster_edge_weight' must be a number")
-        phi = args.phi if args.phi is not None else data.get("phi", 0.1)
-        if type(phi) not in (int, float) or not 0.0 < phi < math.inf:
+        phi = args.phi if args.phi is not None else data.get("phi")
+        if phi is None and args.check_level is None:
+            raise GraphInputError(f"{args.partition}: no 'phi', --phi or --check-level to check")
+        if phi is not None and (type(phi) not in (int, float) or not 0.0 < phi < math.inf):
             raise GraphInputError(f"{args.partition}: 'phi' must be positive and finite")
         loaded = SimpleNamespace(clusters=[tuple(c) for c in clusters],
                                  inter_cluster_edge_weight=float(weight))

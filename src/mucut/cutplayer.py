@@ -64,20 +64,11 @@ def _mass_prefix(ids, mu, target_mass):
     """Take (id, weight) pairs in the given order at full weight until
     `target_mass` is reached; the last one may be taken partially.
     Returns (picks, partial_id)."""
-    picks = []
-    partial = None
-    acc = 0.0
-    floor = tolerance(target_mass)
-    for v, m in zip(ids, mu):
-        remaining = target_mass - acc
-        if remaining <= floor:
-            break
-        take = min(m, remaining)
-        picks.append((v, take))
-        if take < m:
-            partial = v
-        acc += take
-    return picks, partial
+    remaining = target_mass - np.concatenate(([0.0], np.cumsum(mu)))[:len(mu)]
+    stop = int(np.count_nonzero(remaining > tolerance(target_mass)))  # remaining falls
+    take = np.minimum(mu[:stop], remaining[:stop])
+    partial = int(ids[stop - 1]) if stop and take[-1] < mu[stop - 1] else None
+    return list(zip(ids[:stop].tolist(), take.tolist())), partial
 
 
 def rst_partition(state: ActiveState, u) -> WeightedBipartition:
@@ -135,7 +126,7 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
     else:
         # up to an eighth of the active measure, ties broken by vertex id
         order = src_idx[np.lexsort((ids[src_idx], key[src_idx]))]
-        picks, partial = _mass_prefix(ids[order].tolist(), mu_t[order].tolist(), eighth)
+        picks, partial = _mass_prefix(ids[order], mu_t[order], eighth)
         sources = tuple(sorted(picks))
 
     bip = WeightedBipartition(

@@ -254,7 +254,8 @@ def vertex_sums(n: int, us, vs, ws) -> np.ndarray:
 
 
 class VertexMeasure:
-    """Non-negative vertex measure with its support (terminal) set.
+    """Non-negative vertex measure with its support: the terminals' sorted
+    ids ``support``, a read-only ``intp`` array, and ``support_mask``.
 
     Precomputes the masked square roots and pseudo-inverses used by the
     walk operator: coordinates outside the support map to zero rather than
@@ -275,13 +276,14 @@ class VertexMeasure:
         mask = vals > 0.0
         self.values = vals
         self.support_mask = mask
-        self.support = frozenset(int(v) for v in np.flatnonzero(mask))
+        self.support = np.flatnonzero(mask)
         self.total = float(vals.sum())
         self.sqrt = np.where(mask, np.sqrt(vals), 0.0)
         with np.errstate(divide="ignore", over="ignore"):
             self.inv_sqrt = np.where(mask, 1.0 / np.sqrt(np.where(mask, vals, 1.0)), 0.0)
             self.pseudo_inv = np.where(mask, 1.0 / np.where(mask, vals, 1.0), 0.0)
-        for arr in (self.values, self.sqrt, self.inv_sqrt, self.pseudo_inv):
+        for arr in (self.values, self.support, self.support_mask, self.sqrt, self.inv_sqrt,
+                    self.pseudo_inv):
             arr.setflags(write=False)
 
     @classmethod
@@ -304,7 +306,7 @@ class VertexMeasure:
 
     def spread(self) -> float | None:
         """max/min over the support; None when the support is empty."""
-        if not self.support:
+        if not self.support.size:
             return None
         on = self.values[self.support_mask]
         return float(on.max() / on.min())

@@ -12,10 +12,11 @@ from the active sqrt measure, the walk after t rounds is
 
     W = (P . Nbar_{t-1} ... Nbar_0 . I_supp . Nbar_0 ... Nbar_{t-1} . P)^delta
 
-where I_supp restricts to the measure's support.  The operator is only
-ever applied to vectors, and it runs in the support's coordinates: every
-factor is zero off the support, so a vector of length k = |supp mu| is
-carried through and scattered back to all n vertices once, at the end.
+where I_supp restricts to the measure's support.  Every factor is zero
+off it, so the walk runs in the k coordinates of ``VertexMeasure.support``:
+a vector is cut to length k, carried through, and scattered back to all n
+vertices once, at the end; :func:`_project` applies P there to vectors and
+blocks alike.
 Each matching's normalized lazy factor is fused once, when the matching is
 added to the walk, into a diagonal plus symmetric pair triples; applying it
 is one product and one ``np.bincount``.  Once the walk holds the k x k
@@ -152,9 +153,13 @@ class ActiveState:
 
     ``order`` lists the active vertices in increasing order; the game builds
     one state per active set, so its round records share that tuple.
+    ``mask`` marks the active terminals among all n vertices; ``sup_mask``
+    and ``sup_sqrt``, the active terminals and their sqrt(mu) (0 elsewhere)
+    on the k coordinates of ``measure.support``, are what P reads.
     """
 
-    __slots__ = ("active", "order", "measure", "mask", "sqrt_mu", "mu_active_total")
+    __slots__ = ("active", "order", "measure", "mask", "sup_mask", "sup_sqrt",
+                 "mu_active_total")
 
     def __init__(self, active: Iterable[int], measure: VertexMeasure):
         mask = vertex_mask(len(measure.values), active)
@@ -164,9 +169,10 @@ class ActiveState:
         mask &= measure.support_mask
         mask.setflags(write=False)
         self.mask = mask
-        sq = np.where(mask, measure.sqrt, 0.0)
-        sq.setflags(write=False)
-        self.sqrt_mu = sq
+        self.sup_mask = mask[measure.support]
+        self.sup_sqrt = np.where(self.sup_mask, measure.sqrt[measure.support], 0.0)
+        for arr in (self.sup_mask, self.sup_sqrt):
+            arr.setflags(write=False)
         self.mu_active_total = float(measure.values[mask].sum())
 
     def __repr__(self):
@@ -184,12 +190,17 @@ def sample_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
             return x / norm
 
 
-def _project(mask, sqrt_mu, total, x) -> np.ndarray:
-    if total <= 0.0:
+def _project(state: ActiveState, x: np.ndarray) -> np.ndarray:
+    """P x for a vector x of length k, or each column of a block of k rows, in
+    support coordinates: x on the active terminals less its sqrt(mu) part."""
+    if state.mu_active_total <= 0.0:
         raise ValueError("active set carries no measure; projection undefined")
-    restricted = np.where(mask, x, 0.0)
-    coeff = float(sqrt_mu @ restricted) / total
-    return restricted - coeff * sqrt_mu
+    s = state.sup_sqrt
+    b = (state.sup_mask if x.ndim == 1 else state.sup_mask[:, None]) * x
+    o = np.multiply.outer(s, s @ x)
+    o /= state.mu_active_total
+    b -= o
+    return b
 
 
 class LazyFactor:
@@ -197,7 +208,7 @@ class LazyFactor:
 
     Nbar = ((delta-1)/delta) I_supp + D^{-1/2} M D^{-1/2} / delta vanishes
     off the measure's support, so it is stored on the k support vertices
-    (in increasing vertex order) as a diagonal ``dg`` plus the pair entries
+    (in the order of ``mu.support``) as a diagonal ``dg`` plus the pair entries
     ``(rows, cols, vals)``, each pair in both orientations.  Pairs with an
     endpoint off the support meet a zero of the pseudo-inverse and are
     dropped.
@@ -206,15 +217,14 @@ class LazyFactor:
     __slots__ = ("dg", "rows", "cols", "vals")
 
     def __init__(self, m: StochasticMatching, mu: VertexMeasure, delta: int):
-        support = np.flatnonzero(mu.support_mask)
-        pos = np.full(len(mu.values), -1, dtype=np.intp)
-        pos[support] = np.arange(len(support))
+        support = mu.support
         self.dg = (delta - 1.0) / delta + m.diagonal[support] * mu.pseudo_inv[support] / delta
         keep = mu.support_mask[m._us] & mu.support_mask[m._vs]
         us, vs = m._us[keep], m._vs[keep]
         vals = m._ws[keep] * mu.inv_sqrt[us] * mu.inv_sqrt[vs] / delta
-        self.rows = np.concatenate((pos[us], pos[vs]))
-        self.cols = np.concatenate((pos[vs], pos[us]))
+        rows, cols = np.searchsorted(support, us), np.searchsorted(support, vs)
+        self.rows = np.concatenate((rows, cols))
+        self.cols = np.concatenate((cols, rows))
         self.vals = np.concatenate((vals, vals))
 
     def apply(self, y: np.ndarray) -> np.ndarray:
@@ -253,12 +263,7 @@ def potential(c: np.ndarray, state: ActiveState, delta: int) -> float:
     G^delta taken by log2(delta) squarings.  :meth:`WalkOperator.mixed`
     and :func:`potentials` both call this, so their values agree bit for bit.
     """
-    b = _project_columns(state, c)
-    g = b.T @ b
-    del b
-    for _ in range(int(delta).bit_length() - 1):
-        g = g @ g
-    return float(np.vdot(g, g))
+    return _power_norm(_project(state, c), delta)
 
 
 def potential_bound(c: np.ndarray, state: ActiveState, delta: int,
@@ -274,14 +279,21 @@ def potential_bound(c: np.ndarray, state: ActiveState, delta: int,
     against 2 k^3 and more for psi, all of them matrix products: LAPACK's
     QR or SVD would page in about 1 MB of library code.
     """
-    b = _project_columns(state, c @ v)
-    h = b.T @ b
-    for _ in range(int(delta).bit_length() - 1):
-        h = h @ h
-    bound = float(np.vdot(h, h))
+    b = _project(state, c @ v)
+    bound = _power_norm(b, delta)
     if bound > 0.0:  # else v or P C v is zero, and 0 is the bound
         bound /= float(np.abs(v.T @ v).sum(axis=1).max()) ** (2 * int(delta))
     return bound, _orthonormal(c.T @ b)
+
+
+def _power_norm(b: np.ndarray, delta: int) -> float:
+    """||(b^T b)^delta||_F^2 by log2(delta) squarings.  A b passed as a
+    temporary is freed first, so two matrices of b's width are the peak."""
+    g = b.T @ b
+    del b
+    for _ in range(int(delta).bit_length() - 1):
+        g = g @ g
+    return float(np.vdot(g, g))
 
 
 def _orthonormal(y: np.ndarray) -> np.ndarray:
@@ -297,19 +309,6 @@ def _orthonormal(y: np.ndarray) -> np.ndarray:
         if norm > 0.0:
             q[:, j] = x / norm
     return q
-
-
-def _project_columns(state: ActiveState, x: np.ndarray) -> np.ndarray:
-    """P x for a matrix x of k rows in support coordinates, built in place."""
-    if state.mu_active_total <= 0.0:
-        raise ValueError("active set carries no measure; projection undefined")
-    support = np.flatnonzero(state.measure.support_mask)
-    mask, sqrt_mu = state.mask[support], state.sqrt_mu[support]
-    b = mask[:, None] * x
-    o = np.outer(sqrt_mu, sqrt_mu @ x)
-    o /= state.mu_active_total
-    b -= o
-    return b
 
 
 def potentials(rounds, measure: VertexMeasure, delta: int) -> list[float | None]:
@@ -357,7 +356,7 @@ class WalkOperator:
         self.delta = int(delta)
         self.state = state
         self.measure = state.measure
-        self.support = np.flatnonzero(self.measure.support_mask)
+        self.support = self.measure.support
         k = max(len(self.support), 1)
         self.tau = 1.0 / (16.0 * k * k)  # the mixing threshold; see ``game``
         self.rounds = self.chain_size = self.psi_checks = 0
@@ -413,14 +412,13 @@ class WalkOperator:
 
     def apply(self, x) -> np.ndarray:
         state, sup, c = self.state, self.support, self.product
-        mask, sqrt_mu, total = state.mask[sup], state.sqrt_mu[sup], state.mu_active_total
         x = np.asarray(x, dtype=float)
         n = len(self.measure.values)
         if x.shape != (n,):
             raise ValueError(f"walk on {n} vertices given a vector of shape {x.shape}")
         y = x[sup]
         for _ in range(self.delta):
-            y = _project(mask, sqrt_mu, total, y)
+            y = _project(state, y)
             if c is not None:
                 y = c @ (c.T @ y)
             else:
@@ -428,7 +426,7 @@ class WalkOperator:
                     y = f.apply(y)
                 for f in self.factors:
                     y = f.apply(y)
-            y = _project(mask, sqrt_mu, total, y)
+            y = _project(state, y)
         out = np.zeros(n)
         out[sup] = y
         return out

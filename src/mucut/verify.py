@@ -174,7 +174,7 @@ class ValidationReport:
     all_passed: bool
 
 
-def validate_partition(g: Graph, mu: VertexMeasure, result, phi: float,
+def validate_partition(g: Graph, mu: VertexMeasure, result, phi: Optional[float],
                        check_level: Optional[float] = None,
                        max_n: int = DEFAULT_VERIFY_MAX_N) -> ValidationReport:
     """Re-derive every claim of a decomposition result from scratch.

@@ -47,11 +47,12 @@ give the same arc ids, capacities and adjacency lists.
 `reference_from_pairs` is `StochasticMatching.from_pairs` as it was before
 it merged pairs without converting each one: the matchings must be equal
 bit for bit.  The dense oracles (`dense_matching`, `matching_row_sums`,
-`apply_projection`, `dense_flow_matrix`, `dense_projection_matrix` and
-`dense_walk_and_potential`, limited to `DENSE_LIMIT` vertices) materialize
-a matching, the projection and the walk as n x n arrays, as the library did
-before its trace replayed the potential through one k x k product:
-`spectral.potentials` must agree with them within rounding.
+`apply_projection`, `active_sqrt`, `dense_flow_matrix`,
+`dense_projection_matrix` and `dense_walk_and_potential`, limited to
+`DENSE_LIMIT` vertices) materialize a matching, the projection and the
+walk as n x n arrays, as the library did before its trace replayed the
+potential through one k x k product: `spectral.potentials` must agree
+with them within rounding.
 """
 
 from __future__ import annotations
@@ -384,15 +385,14 @@ def reference_walk_apply(walk: WalkOperator, matchings, x) -> np.ndarray:
     was extended by."""
     state, sup = walk.state, walk.support
     factors = [LazyFactor(m, walk.measure, walk.delta) for m in matchings]
-    mask, sqrt_mu, total = state.mask[sup], state.sqrt_mu[sup], state.mu_active_total
     y = np.asarray(x, dtype=float)[sup]
     for _ in range(walk.delta):
-        y = _project(mask, sqrt_mu, total, y)
+        y = _project(state, y)
         for f in reversed(factors):
             y = f.apply(y)
         for f in factors:
             y = f.apply(y)
-        y = _project(mask, sqrt_mu, total, y)
+        y = _project(state, y)
     out = np.zeros(len(walk.measure.values))
     out[sup] = y
     return out
@@ -795,9 +795,17 @@ def apply_projection(state: ActiveState, x) -> np.ndarray:
     """Project onto the orthogonal complement of the active sqrt measure.
 
     Coordinates outside the active support are zeroed first; the map is
-    idempotent.
+    idempotent.  `x` and the result have all n coordinates.
     """
-    return _project(state.mask, state.sqrt_mu, state.mu_active_total, np.asarray(x, dtype=float))
+    sup = state.measure.support
+    out = np.zeros(len(state.measure.values))
+    out[sup] = _project(state, np.asarray(x, dtype=float)[sup])
+    return out
+
+
+def active_sqrt(state: ActiveState) -> np.ndarray:
+    """sqrt(mu) on the active terminals and 0 elsewhere, on all n vertices."""
+    return np.where(state.mask, state.measure.sqrt, 0.0)
 
 
 def dense_flow_matrix(w: WalkOperator, matchings) -> np.ndarray:
@@ -819,7 +827,8 @@ def dense_projection_matrix(state: ActiveState) -> np.ndarray:
     if state.mu_active_total <= 0.0:
         raise ValueError("active set carries no measure")
     i_t = np.diag(state.mask.astype(float))
-    return i_t - np.outer(state.sqrt_mu, state.sqrt_mu) / state.mu_active_total
+    s = active_sqrt(state)
+    return i_t - np.outer(s, s) / state.mu_active_total
 
 
 def dense_walk_and_potential(w: WalkOperator, matchings,

@@ -287,6 +287,40 @@ def test_files_must_differ(dumbbell_file, tmp_path, monkeypatch, capsys, argv, f
     assert part.read_text().startswith('{"clusters"')
 
 
+@pytest.mark.parametrize("argv, output, source", [
+    (["decompose", "--phi", "0.1"], "--json-out", "--graph"),
+    (["decompose", "--phi", "0.1"], "--trace", "--mu"),
+    (["sparse-cut", "--phi", "0.1"], "--json-out", "--mu"),
+    (["sparse-cut", "--phi", "0.1"], "--trace", "--graph"),
+    (["verify"], "--json-out", "--graph"),
+    (["verify"], "--json-out", "--mu"),
+], ids=["decompose-json-graph", "decompose-trace-mu", "sparse-cut-json-mu",
+        "sparse-cut-trace-graph", "verify-json-graph", "verify-json-mu"])
+def test_an_output_may_not_name_an_input(dumbbell_file, tmp_path, monkeypatch, capsys,
+                                         argv, output, source):
+    # the early open would empty the input: a graph left with no vertices,
+    # or a measure read as all zeros and a run that exits 0
+    for name in ("decompose", "balanced_or_expander", "validate_partition",
+                 "brute_force_expansion"):
+        monkeypatch.setattr(cli, name, refuse)
+    mu = tmp_path / "mu.txt"
+    mu.write_text("".join(f"{v} 1.0\n" for v in range(16)))
+    inputs = {"--graph": dumbbell_file, "--mu": str(mu)}
+    before = {flag: Path(path).read_bytes() for flag, path in inputs.items()}
+    same = str(Path(inputs[source]).parent / "." / Path(inputs[source]).name)
+    files = [arg for flag, path in inputs.items() for arg in (flag, path)]
+    assert main(argv + files + [output, same]) == 2
+    assert f"{output} and {source} must name different files" in capsys.readouterr().err
+    assert {flag: Path(path).read_bytes() for flag, path in inputs.items()} == before
+
+
+def test_inputs_may_share_a_path(tmp_path):
+    # a file may hold the graph's edges and the measure's lines alike
+    both = tmp_path / "both.txt"
+    both.write_text("0 1\n1 2\n")
+    assert main(["verify", "--graph", str(both), "--mu", str(both)]) == 0
+
+
 def test_under_certified_cluster_exits_3(tmp_path, capsys):
     # two 4-cliques joined by two light edges: the game certifies the whole
     # graph at seed 0, but its brute-forced expansion is below phi/6
@@ -421,6 +455,19 @@ def test_verify_partition_roundtrip(dumbbell_file, tmp_path):
                  "--phi", "0.05", "--json-out", str(report)]) == 0
     data = json.loads(report.read_text())
     assert data["partition_exact"] and data["all_passed"]
+
+
+def test_verify_partition_needs_a_level(k8_file, tmp_path, capsys):
+    # with no --phi and no 'phi' in the file there is no phi/6 to check
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"clusters": [list(range(8))], "inter_cluster_edge_weight": 0.0}))
+    argv = ["verify", "--graph", k8_file, "--partition", str(part)]
+    assert main(argv) == 2
+    assert "no 'phi', --phi or --check-level" in capsys.readouterr().err
+    assert main(argv + ["--check-level", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["check_level"] == 0.5
+    assert main(argv + ["--phi", "0.6"]) == 0
+    assert json.loads(capsys.readouterr().out)["check_level"] == pytest.approx(0.1)
 
 
 def test_verify_size_cap_exits_2(tmp_path):

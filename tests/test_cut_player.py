@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from mucut import VertexMeasure
-from mucut.cutplayer import WeightedBipartition, check_bipartition, rst_partition
+from mucut.cutplayer import WeightedBipartition, _mass_prefix, check_bipartition, rst_partition
 from mucut.errors import InvariantViolation
 from mucut.graph import EPS
 from mucut.spectral import ActiveState
 
-from helpers import (orthogonalized_projection, random_measure, reference_check_bipartition,
-                     reference_rst_partition)
+from helpers import (_reference_mass_prefix, orthogonalized_projection, random_measure,
+                     reference_check_bipartition, reference_rst_partition)
 
 
 def make_state(values, active=None):
@@ -304,3 +304,32 @@ def test_partition_and_check_match_reference():
                 seen.add(prop)
     assert seen >= {"case one", "case two", "flipped", "partial source", "zero measure",
                     "subset", "separation", "capacity", "mass", "margin", "energy"}
+
+
+def test_mass_prefix_matches_the_loop():
+    # the array prefix takes the same picks, weights (by hex) and partial
+    # vertex as the vertex-by-vertex loop, on targets that fall between
+    # running sums, on them, within their rounding, and past the total
+    rng = np.random.default_rng(43)
+    seen = set()
+    for trial in range(3000):
+        n = int(rng.integers(0, 10))
+        ids = rng.permutation(30)[:n].astype(np.intp)
+        mu = rng.uniform(0.01, 3.0, n) * 10.0 ** int(rng.integers(-6, 7))
+        if trial % 3 == 0:
+            mu = np.round(mu * 4.0) / 4.0 + 0.25  # exact sums
+        sums = np.cumsum(mu)
+        pick = rng.random()
+        if n and pick < 0.4:  # on a running sum, or within half its rounding
+            target = float(sums[rng.integers(n)])
+            if pick < 0.1:
+                target *= 1.0 + float(rng.choice([-1.0, 1.0])) * EPS / 2
+        else:
+            target = float(rng.uniform(0.0, 1.2) * (sums[-1] if n else 1.0))
+        got = _mass_prefix(ids, mu, target)
+        want = _reference_mass_prefix(ids, mu, range(n), target)
+        assert [(v, w.hex()) for v, w in got[0]] == [(v, w.hex()) for v, w in want[0]]
+        assert got[1] == want[1]
+        seen.add("partial" if got[1] is not None else
+                 "none" if not got[0] else "all" if len(got[0]) == n else "whole")
+    assert seen == {"partial", "none", "all", "whole"}

@@ -206,7 +206,9 @@ def test_measure_additivity(values, data):
 
 def test_measure_support_and_spread():
     mu = VertexMeasure([0.0, 2.0, 0.5, 0.0])
-    assert mu.support == {1, 2}
+    assert mu.support.tolist() == [1, 2]
+    assert mu.support.dtype == np.intp
+    assert not (mu.support.flags.writeable or mu.support_mask.flags.writeable)
     assert mu.spread() == pytest.approx(4.0)
     assert VertexMeasure([0.0, 0.0]).spread() is None
 

@@ -12,10 +12,10 @@ from mucut.spectral import (TIMES_BLOCK, ActiveState, LazyFactor, StochasticMatc
                             WalkOperator, default_delta, is_power_of_two, potential,
                             potential_bound, potentials, projections, sample_unit_vector)
 
-from helpers import (apply_projection, clique_edges, dense_flow_matrix, dense_matching,
-                     dense_projection_matrix, dense_walk_and_potential, matching_row_sums,
-                     random_connected_graph, random_measure, reference_from_pairs,
-                     reference_walk_apply)
+from helpers import (active_sqrt, apply_projection, clique_edges, dense_flow_matrix,
+                     dense_matching, dense_projection_matrix, dense_walk_and_potential,
+                     matching_row_sums, random_connected_graph, random_measure,
+                     reference_from_pairs, reference_walk_apply)
 
 
 def uniform_state(n, active=None):
@@ -75,7 +75,7 @@ def test_sample_unit_vector_sphere_statistics():
 
 def test_projection_kills_sqrt_mu_and_fixes_orthogonal():
     state, mu = uniform_state(6)
-    z = apply_projection(state, state.sqrt_mu)
+    z = apply_projection(state, active_sqrt(state))
     assert np.abs(z).max() < 1e-12
     x = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
     assert np.allclose(apply_projection(state, x), x, atol=1e-12)
@@ -301,7 +301,7 @@ def test_walk_kills_sqrt_mu():
     mu = random_measure(rng, 8, zero_frac=0.0)
     state = ActiveState(range(8), mu)
     w = WalkOperator(synthetic_matchings(rng, mu, rounds=3), 2, state)
-    assert np.abs(w.apply(state.sqrt_mu)).max() < 1e-9
+    assert np.abs(w.apply(active_sqrt(state))).max() < 1e-9
 
 
 def test_walk_agrees_with_dense_materialization():
@@ -658,7 +658,7 @@ def test_potentials_match_dense_oracle_as_the_active_set_shrinks(delta):
         matchings = synthetic_matchings(rng, mu, rounds=6, delta=delta)
         active, rounds, want = frozenset(range(n)), [], []
         for t, m in enumerate(matchings):
-            keep = sorted(active & mu.support)
+            keep = sorted(active & set(mu.support.tolist()))
             removed = frozenset(v for v in active if v not in keep[:2] and rng.random() < 0.1)
             rounds.append(SimpleNamespace(matching=m, active_before=tuple(sorted(active)),
                                           removed=removed))
