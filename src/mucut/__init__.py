@@ -5,7 +5,7 @@ from .graph import (Graph, INFINITE, Infinite, VertexMeasure, connected_componen
 from .spectral import (ActiveState, StochasticMatching, WalkOperator, default_delta,
                        potentials, projections, sample_unit_vector)
 from .cutplayer import WeightedBipartition, check_bipartition, rst_partition
-from .flow import FlowNetwork, FlowSolution, decompose_paths, edge_network, max_flow
+from .flow import FlowNetwork, FlowSolution, Terminals, decompose_paths, edge_network, max_flow
 from .matching import RoundRecord, build_pi_problem, solve_matching_round
 from .game import CutMatchingOutcome, GameParams, Variant, run_cut_matching
 from .trimming import trim

@@ -216,11 +216,14 @@ def _check_args(args) -> None:
         for flag in ("--phi", "--check-level", "--verify-max-n"):
             if given[flag[2:].replace("-", "_")] is not None:
                 raise GraphInputError(f"verify {flag} applies only with --partition")
-    # outputs are opened for writing first: an output that shares a path with
-    # another file flag would empty that input or interleave the two outputs
-    files = {flag: os.path.realpath(given[flag[2:].replace("-", "_")])
-             for flag in ("--graph", "--mu", "--partition", "--json-out", "--trace")
-             if given.get(flag[2:].replace("-", "_"))}
+    # outputs are opened for writing first: an output that is another file flag's
+    # file (by device and inode, if it exists) would empty that input or mix two outputs
+    files = {}
+    for flag in ("--graph", "--mu", "--partition", "--json-out", "--trace"):
+        path = given.get(flag[2:].replace("-", "_"))
+        if path:
+            st = os.stat(path) if os.path.exists(path) else None
+            files[flag] = (st.st_dev, st.st_ino) if st else os.path.realpath(path)
     for out in ("--json-out", "--trace"):
         clash = [flag for flag, path in files.items() if flag != out and path == files.get(out)]
         if clash:

@@ -17,26 +17,22 @@ The sign of u is flipped first if needed so the negative side is the
 lighter one; reported eta is in the caller's sign convention.  At most one
 source carries a partial weight.
 
-Both sides are built from arrays over the active ids: those are in vertex
-order, so the (id, weight) tuples come out sorted with no Python loop over
-the active set, and only a source side cut short at an eighth of the
-measure is scanned in Python and sorted back.  The output check, run on
-every bipartition, reads the tuples back into id and weight arrays and
-tests each of its five properties with one array expression.  The
-bipartition caches its two masses, which the check and the matching player
-both read.
+Each side is a :class:`flow.Terminals`, cut from arrays over the state's
+active ids, which are in vertex order; only a source side cut short at an
+eighth of the measure is put back in order, by an argsort of its ids.  The
+output check tests each of its five properties with one array expression
+on the same arrays, which the matching player reads as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import EPS, ordered_sum, tolerance
+from .flow import Terminals
+from .graph import EPS, tolerance
 from .spectral import ActiveState
 
 
@@ -44,31 +40,22 @@ from .spectral import ActiveState
 class WeightedBipartition:
     """Sources and targets with weights, plus the separation value eta."""
 
-    sources: tuple[tuple[int, float], ...]
-    targets: tuple[tuple[int, float], ...]
+    sources: Terminals
+    targets: Terminals
     eta: float
     case_two: bool
     flipped: bool
     partial_vertex: int | None
 
-    @cached_property
-    def source_mass(self) -> float:
-        return ordered_sum(w for _, w in self.sources)
-
-    @cached_property
-    def target_mass(self) -> float:
-        return ordered_sum(w for _, w in self.targets)
-
 
 def _mass_prefix(ids, mu, target_mass):
-    """Take (id, weight) pairs in the given order at full weight until
-    `target_mass` is reached; the last one may be taken partially.
-    Returns (picks, partial_id)."""
+    """(ids, weights, partial_id): the ids in the given order at full weight
+    until `target_mass` is reached, the last one maybe taken partially."""
     remaining = target_mass - np.concatenate(([0.0], np.cumsum(mu)))[:len(mu)]
     stop = int(np.count_nonzero(remaining > tolerance(target_mass)))  # remaining falls
     take = np.minimum(mu[:stop], remaining[:stop])
     partial = int(ids[stop - 1]) if stop and take[-1] < mu[stop - 1] else None
-    return list(zip(ids[:stop].tolist(), take.tolist())), partial
+    return ids[:stop], take, partial
 
 
 def rst_partition(state: ActiveState, u) -> WeightedBipartition:
@@ -90,7 +77,7 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
     if abs(balance) > tolerance(max(scale, np.sqrt(state.mu_active_total))):
         raise ValueError(f"projection vector is not measure-balanced: sum mu*u = {balance}")
 
-    ids = np.flatnonzero(state.mask)
+    ids = state.ids
     mu_t = mu_vals[ids]
     u_orig = u[ids]
 
@@ -122,16 +109,17 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
     eighth = total / 8.0
     partial = None
     if float(mu_t[src_idx].sum()) <= eighth:
-        sources = tuple(zip(ids[src_idx].tolist(), mu_t[src_idx].tolist()))
+        sources = Terminals(ids[src_idx], mu_t[src_idx])
     else:
         # up to an eighth of the active measure, ties broken by vertex id
         order = src_idx[np.lexsort((ids[src_idx], key[src_idx]))]
-        picks, partial = _mass_prefix(ids[order], mu_t[order], eighth)
-        sources = tuple(sorted(picks))
+        picks, take, partial = _mass_prefix(ids[order], mu_t[order], eighth)
+        by_id = np.argsort(picks)  # the ids are distinct
+        sources = Terminals(picks[by_id], take[by_id])
 
     bip = WeightedBipartition(
         sources=sources,
-        targets=tuple(zip(ids[tgt].tolist(), mu_t[tgt].tolist())),
+        targets=Terminals(ids[tgt], mu_t[tgt]),
         eta=-eta_w if flipped else eta_w,
         case_two=case_two,
         flipped=flipped,
@@ -139,12 +127,6 @@ def rst_partition(state: ActiveState, u) -> WeightedBipartition:
     )
     check_bipartition(state, u, bip)
     return bip
-
-
-def _columns(pairs):
-    """The ids and the weights of (id, weight) pairs, as two arrays."""
-    return (np.fromiter(map(itemgetter(0), pairs), np.intp, len(pairs)),
-            np.fromiter(map(itemgetter(1), pairs), float, len(pairs)))
 
 
 def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
@@ -162,8 +144,8 @@ def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
     u = np.asarray(u, dtype=float)
     mu_vals = state.measure.values
     total = state.mu_active_total
-    src, src_w = _columns(bip.sources)
-    tgt, tgt_w = _columns(bip.targets)
+    src, src_w = bip.sources.ids, bip.sources.caps
+    tgt, tgt_w = bip.targets.ids, bip.targets.caps
     src_u = u[src]
 
     if len(src) and len(tgt):
@@ -182,9 +164,9 @@ def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
         raise InvariantViolation(
             f"capacity: combined weight at {listed[over[0]]} exceeds its measure")
 
-    if bip.target_mass < total / 2.0 - tolerance(total):
+    if bip.targets.mass < total / 2.0 - tolerance(total):
         raise InvariantViolation("mass: target weight below half the active measure")
-    if bip.source_mass > total / 8.0 + tolerance(total):
+    if bip.sources.mass > total / 8.0 + tolerance(total):
         raise InvariantViolation("mass: source weight above an eighth of the active measure")
 
     src_mu = mu_vals[src]
@@ -192,8 +174,7 @@ def check_bipartition(state: ActiveState, u, bip: WeightedBipartition) -> None:
     if len(close):
         raise InvariantViolation(f"margin: source {src[close[0]]} sits too close to eta")
 
-    ids = np.flatnonzero(state.mask)
-    p_all = float((mu_vals[ids] * u[ids] ** 2).sum())
+    p_all = float((mu_vals[state.ids] * u[state.ids] ** 2).sum())
     # summed source by source, in the listed order
     captured = float(np.cumsum(src_w * src_u ** 2)[-1]) if len(src) else 0.0
     if captured < p_all / 80.0 - EPS:

@@ -39,15 +39,14 @@ Both flow problems the algorithm poses on a vertex subset, the matching
 player's and trimming's, share one layout: :func:`edge_network` is the
 :class:`FlowNetwork` constructor on the subset's edge columns, on the
 graph's ids plus a source and a sink, and the caller adds its terminal
-arcs, (vertex, capacity) pairs from the source and to the sink, with
+arcs, a :class:`Terminals` from the source and one to the sink, with
 :meth:`FlowNetwork.with_terminals`.  That returns a new network with the
 terminal arcs ahead of the edge arcs in every adjacency list, so the
-matching player builds the edge network once per active set and shares it
-between rounds.  It fills the new arcs' slots by slice assignment and
-rebuilds only the terminals' adjacency lists, so its Python work is per
-terminal.  Arc ids are therefore not those of one build with the terminal
-arcs first, while each vertex's adjacency order is, and the solver and the
-path stripper read arcs only in adjacency order.
+matching player shares one edge network between the rounds on an active
+set.  It fills the new arcs' slots by slice assignment and rebuilds only
+the terminals' adjacency lists: arc ids are not those of one build with
+the terminal arcs first, but each vertex's adjacency order is, and the
+solver and the path stripper read arcs only in that order.
 """
 
 from __future__ import annotations
@@ -85,6 +84,26 @@ def _check(node_count: int, ids: np.ndarray, caps: np.ndarray, name, barred=()) 
         raise ValueError(f"{name(i)}: capacity must be non-negative and finite, got {caps[i]}")
 
 
+class Terminals:
+    """One side's terminal arcs, ``len`` of them: read-only copies of their
+    vertex ``ids`` and ``caps``, and ``mass``, the caps added in order from
+    0.0.  Empty, it has integer ids, so it combines with the other side's."""
+
+    __slots__ = ("ids", "caps", "mass")
+
+    def __init__(self, ids, caps):
+        ids, caps = np.array(ids), np.array(caps, dtype=float)  # the caller's stay writable
+        if not (ids.ndim == 1 and ids.shape == caps.shape):
+            raise ValueError("terminal ids and capacities must be flat and of one length")
+        self.ids, self.caps = ids if len(ids) else ids.astype(np.intp), caps
+        self.ids.setflags(write=False)
+        caps.setflags(write=False)
+        self.mass = float(np.cumsum(caps)[-1]) if len(caps) else 0.0
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 class FlowNetwork:
     """Directed arc-list network with residual twins, laid out once from arc
     columns and never changed after.  Arc 2i runs tails[i] -> heads[i] at
@@ -115,10 +134,10 @@ class FlowNetwork:
         bounds = np.cumsum(np.bincount(ends, minlength=node_count)).tolist()
         self.adj = [order[a:b] for a, b in zip([0] + bounds, bounds)]
 
-    def with_terminals(self, sources, targets) -> "FlowNetwork":
-        """A new network: an arc source -> v for each (v, capacity) in
-        `sources`, then an arc v -> sink for each in `targets`, at the ids
-        after this network's, each with its zero-capacity twin.
+    def with_terminals(self, sources: Terminals, targets: Terminals) -> "FlowNetwork":
+        """A new network: an arc source -> v for each vertex v of `sources`
+        at its capacity, then an arc v -> sink for each of `targets`, at the
+        ids after this network's, each with its zero-capacity twin.
 
         Every vertex lists its new arcs and twins, in the order given, ahead
         of its old ones, as the constructor lists them when they come first.
@@ -127,13 +146,12 @@ class FlowNetwork:
         changed: its lists are copied (``adj`` shallowly, with a new list
         only for the vertices the new arcs touch).
         """
-        s, t = self.source, self.sink
-        src = [v for v, _ in sources]
-        tgt = [v for v, _ in targets]
-        caps = [float(c) for _, c in sources] + [float(c) for _, c in targets]
-        _check(self.node_count, np.array(src + tgt), np.array(caps),
-               lambda i: (f"source arc {i} ({s} -> {src[i]})" if i < len(src) else
-                          f"sink arc {i - len(src)} ({tgt[i - len(src)]} -> {t})"), barred=(s, t))
+        s, t, k = self.source, self.sink, len(sources)
+        caps = np.concatenate((sources.caps, targets.caps))
+        _check(self.node_count, np.concatenate((sources.ids, targets.ids)), caps,
+               lambda i: (f"source arc {i} ({s} -> {sources.ids[i]})" if i < k else
+                          f"sink arc {i - k} ({targets.ids[i - k]} -> {t})"), barred=(s, t))
+        src, tgt, caps = sources.ids.tolist(), targets.ids.tolist(), caps.tolist()
         base = len(self.to)
         mid = base + 2 * len(src)  # the first sink arc
         end = base + 2 * len(caps)

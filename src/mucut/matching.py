@@ -20,12 +20,12 @@ diagonal alone.
 Only the terminal arcs change from round to round, and the edge arcs only
 when a cut shrinks A.  So the game builds the edge arcs once per active
 set, with :func:`flow.edge_network`, and each round's :func:`build_pi_problem`
-adds just its source and sink arcs with :meth:`flow.FlowNetwork.with_terminals`,
-ahead of the edge arcs in every terminal's adjacency.  Up to arc ids, the
-network is then the constructor's build of all the round's arcs at once
-(terminal arcs first, then the edges in g.edges order): every vertex lists
-the same arcs in the same order, so the flow, the cut and the paths are
-the same bits.
+adds the cut player's two :class:`flow.Terminals`, as they come, with
+:meth:`flow.FlowNetwork.with_terminals`, ahead of the edge arcs in every
+terminal's adjacency.  Up to arc ids, the network is then the constructor's
+build of all the round's arcs at once (terminal arcs first, then the edges
+in g.edges order): every vertex lists the same arcs in the same order, so
+the flow, the cut and the paths are the same bits.
 
 All ids here are the caller's graph ids: vertices outside A stay in the
 network as isolated nodes, so nothing is relabeled.  A round's cut is
@@ -78,9 +78,9 @@ def build_pi_problem(edges: FlowNetwork, state: ActiveState,
     arcs, but every adjacency order is.
     """
     total = state.mu_active_total
-    if bip.target_mass < total / 2.0 - tolerance(total):
+    if bip.targets.mass < total / 2.0 - tolerance(total):
         raise ValueError("target mass below half the active measure")
-    if bip.source_mass > total / 8.0 + tolerance(total):
+    if bip.sources.mass > total / 8.0 + tolerance(total):
         raise ValueError("source mass above an eighth of the active measure")
     return edges.with_terminals(bip.sources, bip.targets)
 
@@ -100,7 +100,7 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
     mu = state.measure
     net = build_pi_problem(edges, state, bip)
     sol = max_flow(net)
-    source_total = bip.source_mass
+    source_total = bip.sources.mass
     if sol.value >= source_total - tolerance(source_total):
         removed: frozenset = frozenset()
     else:
@@ -122,25 +122,26 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
             raise InvariantViolation("a surviving path crosses back into the removed side")
         kept.append((interior[0], interior[-1], w, interior))
 
-    source_weights = dict(bip.sources)
-    target_set = {v for v, _ in bip.targets}
-    sent: dict[int, float] = {}
+    src = bip.sources.ids.tolist()
+    sent = dict.fromkeys(src, 0.0)
+    target_set = set(bip.targets.ids.tolist())
     for a, b, w, _ in kept:
-        if a not in source_weights:
+        if a not in sent:
             raise InvariantViolation(f"path starts at non-source vertex {a}")
         if b not in target_set:
             raise InvariantViolation(f"path ends at non-target vertex {b}")
-        sent[a] = sent.get(a, 0.0) + w
-    for v, m in bip.sources:
+        sent[a] += w
+    for v, m in zip(src, bip.sources.caps.tolist()):
         if v in removed:
             continue
-        got = sent.get(v, 0.0)
+        got = sent[v]
         # flow rounds at the scale of the round's source mass, even for a light source
         if abs(got - m) > tolerance(source_total):
             raise InvariantViolation(f"source {v} routed {got} instead of {m}")
 
-    matched_weight = ordered_sum(w for _, _, w, _ in kept)
-    matching = StochasticMatching.from_pairs(mu.values, [(a, b, w) for a, b, w, _ in kept])
+    us, vs, ws, _ = zip(*kept) if kept else ((),) * 4
+    matched_weight = ordered_sum(ws)
+    matching = StochasticMatching(us, vs, ws, mu.values)
 
     cut_expansion = None
     if removed:

@@ -116,12 +116,6 @@ class StochasticMatching:
             raise InvariantViolation(
                 f"matched weight exceeds the measure at some vertex by {-slack.min()}")
 
-    @classmethod
-    def from_pairs(cls, mu_values, pairs: Iterable[Sequence]) -> "StochasticMatching":
-        """Build the completed matrix from raw endpoint pairs (u, v, w), as
-        the constructor builds it from their columns."""
-        return cls(*(tuple(zip(*pairs)) or ((), (), ())), mu_values)
-
     def _slack(self) -> np.ndarray:
         """mu - row sums of the pairs, the row sums accumulated in sorted pair order."""
         return self.mu_values - vertex_sums(len(self.mu_values), self._us, self._vs, self._ws)
@@ -153,12 +147,13 @@ class ActiveState:
 
     ``order`` lists the active vertices in increasing order; the game builds
     one state per active set, so its round records share that tuple.
-    ``mask`` marks the active terminals among all n vertices; ``sup_mask``
-    and ``sup_sqrt``, the active terminals and their sqrt(mu) (0 elsewhere)
-    on the k coordinates of ``measure.support``, are what P reads.
+    ``mask`` marks the active terminals among all n vertices and ``ids``
+    lists them; ``sup_mask`` and ``sup_sqrt``, the active terminals and their
+    sqrt(mu) (0 elsewhere) on the k coordinates of ``measure.support``, are
+    what P reads.  All four are read-only.
     """
 
-    __slots__ = ("active", "order", "measure", "mask", "sup_mask", "sup_sqrt",
+    __slots__ = ("active", "order", "measure", "mask", "ids", "sup_mask", "sup_sqrt",
                  "mu_active_total")
 
     def __init__(self, active: Iterable[int], measure: VertexMeasure):
@@ -170,8 +165,9 @@ class ActiveState:
         mask.setflags(write=False)
         self.mask = mask
         self.sup_mask = mask[measure.support]
+        self.ids = measure.support[self.sup_mask]
         self.sup_sqrt = np.where(self.sup_mask, measure.sqrt[measure.support], 0.0)
-        for arr in (self.sup_mask, self.sup_sqrt):
+        for arr in (self.ids, self.sup_mask, self.sup_sqrt):
             arr.setflags(write=False)
         self.mu_active_total = float(measure.values[mask].sum())
 

@@ -8,12 +8,13 @@ form an expander at a sixth of the target level (provided the input set
 was a near-expander at the full level).
 
 The network is the matching player's layout (:func:`flow.edge_network` on
-the set, at 3/phi) with the boundary and sink arcs added ahead of the edge
-arcs by :meth:`flow.FlowNetwork.with_terminals`: one source arc per
-boundary edge, to its inside endpoint, then one sink arc per vertex of the
-set.  One crossing mask over the graph's edge arrays gives both the boundary
-weight and the boundary arcs, in ``g.edges`` order.  The min cut read off the solver is the minimal one, which every
-maximum flow shares, so the trimmed set does not depend on the arc order.
+the set, at 3/phi) with two :class:`flow.Terminals` added ahead of the edge
+arcs by :meth:`flow.FlowNetwork.with_terminals`: a source arc per boundary
+edge, to its inside endpoint, and a sink arc per vertex of the set.  One
+crossing mask over the graph's edge arrays gives both the boundary weight
+and the boundary arcs, in ``g.edges`` order.  The solver's min cut is the
+minimal one, which every maximum flow shares, so the trimmed set does not
+depend on the arc order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvariantViolation
-from .flow import edge_network, max_flow
+from .flow import Terminals, edge_network, max_flow
 from .graph import Graph, VertexMeasure, cut_weight, selected_weight, tolerance, vertex_mask
 
 
@@ -62,9 +63,8 @@ def trim(g: Graph, mu: VertexMeasure, a: Iterable[int], phi: float) -> frozenset
     edges = edge_network(g, ids, cap_edge)
     us = g.us[crossing]
     ends = np.where(inside[us], us, g.vs[crossing])  # each boundary edge's inside end
-    sources = list(zip(ends.tolist(), (cap_edge * g.ws[crossing]).tolist()))
-    sinks = list(zip(ids.tolist(), mu.values[ids].tolist()))
-    sol = max_flow(edges.with_terminals(sources, sinks))
+    sources = Terminals(ends, cap_edge * g.ws[crossing])
+    sol = max_flow(edges.with_terminals(sources, Terminals(ids, mu.values[ids])))
     trimmed = a_set - sol.min_cut_side
     if not trimmed:
         raise InvariantViolation("trimming removed the whole set despite the precondition")

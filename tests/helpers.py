@@ -44,15 +44,18 @@ bipartition must match bit for bit, and its check must pass, fail and name
 the first failure alike.  `reference_with_arcs_first` is the terminal-arc
 builder as it was before it filled its lists in bulk: `with_terminals` must
 give the same arc ids, capacities and adjacency lists.
-`reference_from_pairs` is `StochasticMatching.from_pairs` as it was before
-it merged pairs without converting each one: the matchings must be equal
-bit for bit.  The dense oracles (`dense_matching`, `matching_row_sums`,
-`apply_projection`, `active_sqrt`, `dense_flow_matrix`,
-`dense_projection_matrix` and `dense_walk_and_potential`, limited to
-`DENSE_LIMIT` vertices) materialize a matching, the projection and the
-walk as n x n arrays, as the library did before its trace replayed the
-potential through one k x k product: `spectral.potentials` must agree
-with them within rounding.
+`reference_from_pairs` is the former `StochasticMatching.from_pairs` as it
+was before it merged pairs without converting each one: `matching_of`, the
+constructor on the pairs' columns, must give an equal matching bit for bit.
+A round's sides are `flow.Terminals`: `terminals` builds one from (id,
+capacity) pairs and `pairs_of` reads one back as such pairs, which is how
+the tests and the tuple-built oracles compare them.  The dense oracles
+(`dense_matching`, `matching_row_sums`, `apply_projection`, `active_sqrt`,
+`dense_flow_matrix`, `dense_projection_matrix` and
+`dense_walk_and_potential`, limited to `DENSE_LIMIT` vertices) materialize a
+matching, the projection and the walk as n x n arrays, as the library did
+before its trace replayed the potential through one k x k product:
+`spectral.potentials` must agree with them within rounding.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ import numpy as np
 from mucut import Graph, VertexMeasure
 from mucut.cutplayer import WeightedBipartition
 from mucut.errors import GraphInputError, InvariantViolation
-from mucut.flow import FlowNetwork, FlowSolution
-from mucut.graph import EPS, tolerance, vertex_mask
+from mucut.flow import FlowNetwork, FlowSolution, Terminals
+from mucut.graph import EPS, ordered_sum, tolerance, vertex_mask
 from mucut.spectral import ActiveState, LazyFactor, StochasticMatching, WalkOperator, _project
 
 
@@ -303,14 +306,14 @@ def reference_build_pi_problem(g: Graph, state: ActiveState, bip: WeightedBipart
     if not 0 < c < math.inf:
         raise ValueError(f"edge capacity factor c must be positive and finite, got {c}")
     total = state.mu_active_total
-    if bip.target_mass < total / 2.0 - tolerance(total):
+    if ordered_sum(bip.targets.caps.tolist()) < total / 2.0 - tolerance(total):
         raise ValueError("target mass below half the active measure")
-    if bip.source_mass > total / 8.0 + tolerance(total):
+    if ordered_sum(bip.sources.caps.tolist()) > total / 8.0 + tolerance(total):
         raise ValueError("source mass above an eighth of the active measure")
     n = g.vertex_count
     active = state.active
-    arcs = [(n, v, m, 0.0) for v, m in bip.sources]
-    arcs += [(v, n + 1, mb, 0.0) for v, mb in bip.targets]
+    arcs = [(n, v, m, 0.0) for v, m in pairs_of(bip.sources)]
+    arcs += [(v, n + 1, mb, 0.0) for v, mb in pairs_of(bip.targets)]
     arcs += [(u, v, c * w, c * w) for u, v, w in g.edges if u in active and v in active]
     return reference_network(n + 2, n, n + 1, arcs)
 
@@ -356,6 +359,21 @@ def reference_from_pairs(mu_values, pairs) -> StochasticMatching:
     vs = np.array([v for _, v in keys], dtype=np.intp)
     ws = np.array([merged[k] for k in keys], dtype=float)
     return StochasticMatching(us, vs, ws, mu_values)
+
+
+def matching_of(mu_values, pairs) -> StochasticMatching:
+    """The matching of raw (u, v, w) pairs, built from their columns."""
+    return StochasticMatching(*(tuple(zip(*pairs)) or ((), (), ())), mu_values)
+
+
+def terminals(pairs) -> Terminals:
+    """One side's terminal arcs from (vertex, capacity) pairs."""
+    return Terminals([v for v, _ in pairs], [c for _, c in pairs])
+
+
+def pairs_of(side: Terminals) -> tuple:
+    """One side's terminal arcs as (vertex, capacity) pairs of Python numbers."""
+    return tuple(zip(side.ids.tolist(), side.caps.tolist()))
 
 
 def reference_trim_network(g: Graph, mu: VertexMeasure, a, phi: float) -> FlowNetwork:
@@ -635,8 +653,8 @@ def reference_rst_partition(state: ActiveState, u) -> WeightedBipartition:
         sources, partial = _reference_mass_prefix(ids, mu_t, order, eighth)
 
     bip = WeightedBipartition(
-        sources=tuple(sorted((v, wt) for v, wt in sources if wt > 0.0)),
-        targets=tuple(sorted((v, wt) for v, wt in targets if wt > 0.0)),
+        sources=terminals(sorted((v, wt) for v, wt in sources if wt > 0.0)),
+        targets=terminals(sorted((v, wt) for v, wt in targets if wt > 0.0)),
         eta=-eta_w if flipped else eta_w,
         case_two=case_two,
         flipped=flipped,
@@ -657,10 +675,11 @@ def reference_check_bipartition(state: ActiveState, u, bip: WeightedBipartition)
     u = np.asarray(u, dtype=float)
     mu_vals = state.measure.values
     total = state.mu_active_total
+    sources, targets = pairs_of(bip.sources), pairs_of(bip.targets)
 
-    if bip.sources and bip.targets:
-        src_u = [u[v] for v, _ in bip.sources]
-        tgt_u = [u[v] for v, _ in bip.targets]
+    if sources and targets:
+        src_u = [u[v] for v, _ in sources]
+        tgt_u = [u[v] for v, _ in targets]
         root = np.sqrt(total)
         below = root * (max(src_u) - bip.eta) <= EPS and root * (bip.eta - min(tgt_u)) <= EPS
         above = root * (bip.eta - min(src_u)) <= EPS and root * (max(tgt_u) - bip.eta) <= EPS
@@ -668,27 +687,27 @@ def reference_check_bipartition(state: ActiveState, u, bip: WeightedBipartition)
             raise InvariantViolation("separation: eta does not separate sources from targets")
 
     combined: dict[int, float] = {}
-    for v, wt in bip.sources:
+    for v, wt in sources:
         combined[v] = combined.get(v, 0.0) + wt
-    for v, wt in bip.targets:
+    for v, wt in targets:
         combined[v] = combined.get(v, 0.0) + wt
     for v, wt in combined.items():
         if wt > mu_vals[v] + tolerance(mu_vals[v]):
             raise InvariantViolation(f"capacity: combined weight at {v} exceeds its measure")
 
-    if bip.target_mass < total / 2.0 - tolerance(total):
+    if ordered_sum(wt for _, wt in targets) < total / 2.0 - tolerance(total):
         raise InvariantViolation("mass: target weight below half the active measure")
-    if bip.source_mass > total / 8.0 + tolerance(total):
+    if ordered_sum(wt for _, wt in sources) > total / 8.0 + tolerance(total):
         raise InvariantViolation("mass: source weight above an eighth of the active measure")
 
-    for v, _ in bip.sources:
+    for v, _ in sources:
         gap = (u[v] - bip.eta) ** 2
         if mu_vals[v] * gap < mu_vals[v] * u[v] ** 2 / 9.0 - EPS:
             raise InvariantViolation(f"margin: source {v} sits too close to eta")
 
     ids = np.flatnonzero(state.mask)
     p_all = float((mu_vals[ids] * u[ids] ** 2).sum())
-    captured = float(sum(wt * u[v] ** 2 for v, wt in bip.sources))
+    captured = float(sum(wt * u[v] ** 2 for v, wt in sources))
     if captured < p_all / 80.0 - EPS:
         raise InvariantViolation(
             f"energy: sources capture {captured:g} < {p_all / 80.0:g} of the projection energy")

@@ -314,6 +314,18 @@ def test_an_output_may_not_name_an_input(dumbbell_file, tmp_path, monkeypatch, c
     assert {flag: Path(path).read_bytes() for flag, path in inputs.items()} == before
 
 
+@pytest.mark.parametrize("output", ["--json-out", "--trace"])
+def test_an_output_may_not_be_a_hard_link_to_an_input(dumbbell_file, tmp_path, capsys, output):
+    # a second name for the graph's file resolves to a path of its own, so
+    # only the file's device and inode show that it is the input
+    link = tmp_path / "link.txt"
+    os.link(dumbbell_file, link)
+    before = Path(dumbbell_file).read_bytes()
+    assert main(["decompose", "--graph", dumbbell_file, "--phi", "0.1", output, str(link)]) == 2
+    assert f"{output} and --graph must name different files" in capsys.readouterr().err
+    assert Path(dumbbell_file).read_bytes() == before
+
+
 def test_inputs_may_share_a_path(tmp_path):
     # a file may hold the graph's edges and the measure's lines alike
     both = tmp_path / "both.txt"

@@ -6,11 +6,12 @@ import pytest
 from mucut import VertexMeasure
 from mucut.cutplayer import WeightedBipartition, _mass_prefix, check_bipartition, rst_partition
 from mucut.errors import InvariantViolation
+from mucut.flow import Terminals
 from mucut.graph import EPS
 from mucut.spectral import ActiveState
 
-from helpers import (_reference_mass_prefix, orthogonalized_projection, random_measure,
-                     reference_check_bipartition, reference_rst_partition)
+from helpers import (_reference_mass_prefix, orthogonalized_projection, pairs_of, random_measure,
+                     reference_check_bipartition, reference_rst_partition, terminals)
 
 
 def make_state(values, active=None):
@@ -25,11 +26,11 @@ def test_hand_traced_two_vertex_case():
     # negative side holds half the energy: eta 0, target side full, source
     # side capped at an eighth of the total measure
     assert bip.eta == 0.0
-    assert bip.targets == ((1, 1.0),)
-    assert bip.sources == ((0, 0.25),)
+    assert pairs_of(bip.targets) == ((1, 1.0),)
+    assert pairs_of(bip.sources) == ((0, 0.25),)
     assert not bip.case_two
     # energy: 0.25 * 1 >= (1/80) * 2
-    assert bip.source_mass * 1.0 >= 2.0 / 80.0
+    assert bip.sources.mass * 1.0 >= 2.0 / 80.0
 
 
 def test_all_zero_projection_is_legal():
@@ -37,8 +38,8 @@ def test_all_zero_projection_is_legal():
     bip = rst_partition(state, np.zeros(3))
     assert bip.eta == 0.0
     assert not bip.case_two
-    assert bip.sources == ()
-    assert bip.target_mass == pytest.approx(6.0)
+    assert not bip.sources
+    assert bip.targets.mass == pytest.approx(6.0)
 
 
 def test_balance_precondition_enforced():
@@ -68,9 +69,9 @@ def test_source_mass_exact_when_left_side_heavy():
     u = np.array([-3.0, -2.0, -1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
     u = u - float((vals * u).sum()) / float(vals.sum())
     bip = rst_partition(state, u)
-    assert bip.source_mass == pytest.approx(10.0 / 8.0, abs=1e-9)
+    assert bip.sources.mass == pytest.approx(10.0 / 8.0, abs=1e-9)
     assert bip.partial_vertex == 0
-    assert bip.sources == ((0, pytest.approx(1.25)),)
+    assert pairs_of(bip.sources) == ((0, pytest.approx(1.25)),)
 
 
 def test_determinism_and_id_tiebreaks():
@@ -78,9 +79,9 @@ def test_determinism_and_id_tiebreaks():
     u = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
     a = rst_partition(state, u)
     b = rst_partition(state, u)
-    assert a == b
+    assert bits(a) == bits(b)
     # ties in u resolve toward smaller vertex ids in the prefix scan
-    assert [v for v, _ in a.sources] == sorted(v for v, _ in a.sources)
+    assert a.sources.ids.tolist() == sorted(a.sources.ids.tolist())
 
 
 def case_two_instance():
@@ -99,7 +100,7 @@ def test_case_two_triggers_on_heavy_positive_tail():
     assert bip.case_two
     assert not bip.flipped
     assert bip.eta > 0
-    assert bip.sources == ((5, pytest.approx(0.02)),)
+    assert pairs_of(bip.sources) == ((5, pytest.approx(0.02)),)
     # case-2 internal inequality: measure above eta within the non-negative
     # side is at most half that side's measure
     above = sum(mu_vals[i] for i in range(6) if u[i] >= 0 and u[i] > bip.eta)
@@ -118,7 +119,7 @@ def test_flip_reports_eta_in_original_sign():
     assert bip.flipped
     assert bip.case_two
     assert bip.eta < 0
-    assert bip.sources == ((5, pytest.approx(0.02)),)
+    assert pairs_of(bip.sources) == ((5, pytest.approx(0.02)),)
     check_bipartition(state, u, bip)
 
 
@@ -137,7 +138,7 @@ def test_random_inputs_satisfy_all_five_properties(seed):
         w = u[ids] if not bip.flipped else -u[ids]
         mu_left = float(mu.values[ids][w < 0].sum())
         if not bip.case_two and mu_left > state.mu_active_total / 8.0 + 1e-9:
-            assert bip.source_mass == pytest.approx(state.mu_active_total / 8.0, rel=1e-9)
+            assert bip.sources.mass == pytest.approx(state.mu_active_total / 8.0, rel=1e-9)
 
 
 def _one_source_bipartition(scale, source_u, eta):
@@ -146,8 +147,9 @@ def _one_source_bipartition(scale, source_u, eta):
     state = make_state([scale] * 8)
     root = np.sqrt(scale)
     u = np.array([source_u] + [1.0] * 7) / root
-    bip = WeightedBipartition(sources=((0, scale),), targets=tuple((v, scale) for v in range(1, 8)),
-                              eta=eta / root, case_two=False, flipped=False, partial_vertex=None)
+    bip = WeightedBipartition(sources=Terminals([0], [scale]),
+                              targets=Terminals(range(1, 8), [scale] * 7), eta=eta / root,
+                              case_two=False, flipped=False, partial_vertex=None)
     return state, u, bip
 
 
@@ -174,8 +176,7 @@ def test_partial_weight_vertex_is_unique_and_recorded():
         state = ActiveState(range(n), mu)
         u = orthogonalized_projection(rng, mu)
         bip = rst_partition(state, u)
-        full = {v: w for v, w in bip.sources}
-        partials = [v for v, w in bip.sources
+        partials = [v for v, w in pairs_of(bip.sources)
                     if w < mu.values[v] - 1e-12 * max(1.0, mu.values[v])]
         assert len(partials) <= 1
         if partials:
@@ -195,7 +196,7 @@ def test_subset_active_state():
     for v in active:
         u[v] -= shift
     bip = rst_partition(state, u)
-    touched = {v for v, _ in bip.sources} | {v for v, _ in bip.targets}
+    touched = set(bip.sources.ids.tolist()) | set(bip.targets.ids.tolist())
     assert touched <= active
 
 
@@ -231,8 +232,8 @@ def random_partition_input(rng):
 
 
 def bits(bip):
-    return (tuple((v, w.hex()) for v, w in bip.sources),
-            tuple((v, w.hex()) for v, w in bip.targets),
+    return (tuple((v, w.hex()) for v, w in pairs_of(bip.sources)),
+            tuple((v, w.hex()) for v, w in pairs_of(bip.targets)),
             bip.eta.hex(), bip.case_two, bip.flipped, bip.partial_vertex)
 
 
@@ -249,30 +250,31 @@ def corruptions(state, u, bip):
     """The bipartition broken in each of the five properties, one at a time,
     as (property, bipartition) pairs."""
     mu = state.measure.values
+    sources, targets = pairs_of(bip.sources), pairs_of(bip.targets)
     out = []
-    if bip.sources and bip.targets:
+    if sources and targets:
         # eta past every vertex: neither side is below or above it
         out.append(("separation", dataclasses.replace(bip, eta=bip.eta + 1e3 + abs(u).max())))
         # the source nearest eta sits on it, which still separates
-        near = max if u[bip.sources[0][0]] <= bip.eta else min
+        near = max if u[sources[0][0]] <= bip.eta else min
         out.append(("margin", dataclasses.replace(
-            bip, eta=float(near(u[v] for v, _ in bip.sources)))))
+            bip, eta=float(near(u[v] for v, _ in sources)))))
         # a thousandth of each source weight captures too little energy
         out.append(("energy", dataclasses.replace(
-            bip, sources=tuple((v, w * 1e-3) for v, w in bip.sources))))
-    if bip.targets:
+            bip, sources=terminals([(v, w * 1e-3) for v, w in sources]))))
+    if targets:
         # targets listed twice hold twice their measure; the first is named
         out.append(("capacity", dataclasses.replace(
-            bip, targets=bip.targets + (bip.targets[0], bip.targets[-1]))))
+            bip, targets=terminals(targets + (targets[0], targets[-1])))))
         # a target weight just past its measure's rounding allowance
-        (v, w), *rest = bip.targets
+        (v, w), *rest = targets
         out.append(("capacity", dataclasses.replace(
-            bip, targets=((v, w * (1.0 + 1.5 * EPS)), *rest))))
-        out.append(("mass", dataclasses.replace(bip, targets=bip.targets[:1])))
+            bip, targets=terminals([(v, w * (1.0 + 1.5 * EPS)), *rest]))))
+        out.append(("mass", dataclasses.replace(bip, targets=terminals(targets[:1]))))
     if bip.partial_vertex is not None:
         # the partial source at its full measure overshoots the eighth
-        out.append(("mass", dataclasses.replace(bip, sources=tuple(
-            (v, float(mu[v]) if v == bip.partial_vertex else w) for v, w in bip.sources))))
+        out.append(("mass", dataclasses.replace(bip, sources=terminals(
+            [(v, float(mu[v]) if v == bip.partial_vertex else w) for v, w in sources]))))
     return out
 
 
@@ -326,10 +328,11 @@ def test_mass_prefix_matches_the_loop():
                 target *= 1.0 + float(rng.choice([-1.0, 1.0])) * EPS / 2
         else:
             target = float(rng.uniform(0.0, 1.2) * (sums[-1] if n else 1.0))
-        got = _mass_prefix(ids, mu, target)
+        picks, take, partial = _mass_prefix(ids, mu, target)
         want = _reference_mass_prefix(ids, mu, range(n), target)
-        assert [(v, w.hex()) for v, w in got[0]] == [(v, w.hex()) for v, w in want[0]]
-        assert got[1] == want[1]
-        seen.add("partial" if got[1] is not None else
-                 "none" if not got[0] else "all" if len(got[0]) == n else "whole")
+        assert [(v, w.hex()) for v, w in zip(picks.tolist(), take.tolist())] == \
+            [(v, w.hex()) for v, w in want[0]]
+        assert partial == want[1]
+        seen.add("partial" if partial is not None else
+                 "none" if not len(picks) else "all" if len(picks) == n else "whole")
     assert seen == {"partial", "none", "all", "whole"}

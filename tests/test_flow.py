@@ -6,14 +6,14 @@ import pytest
 import mucut.flow
 import mucut.matching
 from mucut import Graph, VertexMeasure, run_cut_matching
-from mucut.flow import (FlowNetwork, _strip_paths as strip_paths, decompose_paths, edge_network,
-                        max_flow)
+from mucut.flow import (FlowNetwork, Terminals, _strip_paths as strip_paths, decompose_paths,
+                        edge_network, max_flow)
 from mucut.graph import ordered_sum
 
 from helpers import (arcs_of, assert_fair, conservation_errors, enumerate_min_cut, network,
                      path_flows, paths_hex, pooled_caps, random_connected_graph,
                      reference_decompose_paths, reference_edge_network, reference_max_flow,
-                     reference_network, reference_with_arcs_first)
+                     reference_network, reference_with_arcs_first, terminals)
 
 
 @pytest.fixture
@@ -227,9 +227,9 @@ def test_source_sink_validation():
         net = network(4, 0, 3, [(1, 2, 1.0, 1.0)])
         before = (list(net.to), list(net.cap), [list(arcs) for arcs in net.adj])
         with pytest.raises(ValueError, match="capacity"):
-            net.with_terminals([(1, 1.0), (2, bad)], [(2, 1.0)])
+            net.with_terminals(terminals([(1, 1.0), (2, bad)]), terminals([(2, 1.0)]))
         with pytest.raises(ValueError, match="capacity"):
-            net.with_terminals([(1, 1.0)], [(1, 1.0), (2, bad)])
+            net.with_terminals(terminals([(1, 1.0)]), terminals([(1, 1.0), (2, bad)]))
         assert (net.to, net.cap, net.adj) == before
 
 
@@ -258,7 +258,7 @@ def test_bad_vertex_ids_are_rejected_at_build_time(arcs, sources, targets, named
         return
     net = network(4, 0, 3, rows)
     with pytest.raises(ValueError, match=message + " other than the source 0 and the sink 3$"):
-        net.with_terminals(sources, targets)
+        net.with_terminals(terminals(sources), terminals(targets))
 
 
 def random_layout_arcs(rng, n):
@@ -327,7 +327,7 @@ def test_with_terminals_matches_arcs_first_reference():
         before = (list(edges.to), list(edges.cap), [list(arcs) for arcs in edges.adj])
         sources = random_terminals(rng, vertices)
         targets = random_terminals(rng, vertices)
-        net = edges.with_terminals(sources, targets)
+        net = edges.with_terminals(terminals(sources), terminals(targets))
         s, t = edges.source, edges.sink
         ref = reference_with_arcs_first(
             edges, [(s, v, c) for v, c in sources] + [(v, t, c) for v, c in targets])
@@ -349,6 +349,31 @@ def test_with_terminals_matches_arcs_first_reference():
             seen.add("on both sides")
     assert seen == {"no sources", "no targets", "repeated sources", "repeated targets",
                     "zero capacity", "on both sides"}
+
+
+def test_terminals_count_their_arcs_and_leave_the_callers_arrays():
+    ids, caps = np.array([2, 1, 2]), np.array([0.5, 1.0, 0.25])
+    side = Terminals(ids, caps)
+    assert len(side) == 3 and side
+    assert len(Terminals([], [])) == 0 and not Terminals(np.array([], np.intp), np.array([]))
+    assert not (side.ids.flags.writeable or side.caps.flags.writeable)
+    # the caller's arrays stay writable, and writing them changes no arc
+    ids[0], caps[0] = 9, 9.0
+    assert side.ids.tolist() == [2, 1, 2] and side.caps.tolist() == [0.5, 1.0, 0.25]
+    for bad in (([1, 2], [1.0]), ([1], [1.0, 2.0]), ([[1]], [[1.0]]), (1, 1.0)):
+        with pytest.raises(ValueError, match="flat and of one length"):
+            Terminals(*bad)
+
+
+def test_an_empty_side_given_as_lists_combines_with_integer_ids():
+    # numpy reads an empty list as floats, which would turn the other side's
+    # ids into floats too, and the id check rejects those
+    net = network(4, 0, 3, [(1, 2, 1.0, 1.0)])
+    empty = Terminals([], [])
+    for sources, targets in ((empty, Terminals([2], [1.0])), (Terminals([1], [1.0]), empty)):
+        out = net.with_terminals(sources, targets)
+        assert out.arc_count == net.arc_count + 2
+        assert max_flow(out).value == 0.0
 
 
 def test_flows_only_on_pushed_arcs_survive_a_cancellation(strips):

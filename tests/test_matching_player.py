@@ -3,18 +3,20 @@ import pytest
 
 from mucut import Graph, VertexMeasure, induced_subgraph
 from mucut.cutplayer import WeightedBipartition, rst_partition
-from mucut.flow import _strip_paths as strip_paths, decompose_paths, edge_network, max_flow
+from mucut.flow import (Terminals, _strip_paths as strip_paths, decompose_paths, edge_network,
+                        max_flow)
 from mucut.matching import build_pi_problem, solve_matching_round
 from mucut.spectral import ActiveState
 from mucut.verify import check_embedding_congestion
 
 from helpers import (arcs_of, clique_edges, matching_row_sums, orthogonalized_projection,
-                     paths_hex, random_connected_graph, random_measure,
-                     reference_build_pi_problem, reference_decompose_paths, reference_max_flow)
+                     pairs_of, paths_hex, random_connected_graph, random_measure,
+                     reference_build_pi_problem, reference_decompose_paths, reference_max_flow,
+                     terminals)
 
 
 def manual_bip(sources, targets, eta=0.0, case_two=False):
-    return WeightedBipartition(sources=tuple(sources), targets=tuple(targets),
+    return WeightedBipartition(sources=terminals(sources), targets=terminals(targets),
                                eta=eta, case_two=case_two, flipped=False,
                                partial_vertex=None)
 
@@ -36,7 +38,7 @@ def test_build_pi_arc_arithmetic():
     capacity_arcs = [a for a in arcs_of(net) if a[2] > 0]
     assert len(capacity_arcs) == 1 + 3 + 2 * 6
     source_caps = [c for (u, v, c) in arcs_of(net) if u == net.source]
-    assert sum(source_caps) == pytest.approx(bip.source_mass)
+    assert sum(source_caps) == pytest.approx(bip.sources.mass)
 
 
 def test_build_pi_respects_mass_preconditions():
@@ -151,13 +153,13 @@ def test_tiny_partial_source_is_routed_beside_heavy_edges(scale):
     mu = VertexMeasure([scale] * 8)
     bip = manual_bip([(0, 0.5 * scale), (1, 4e-9 * scale)],
                      [(v, scale) for v in range(4, 8)])
-    res = solve_round(g, ActiveState(range(8), mu), bip, c=1e4 * bip.source_mass / scale)
+    res = solve_round(g, ActiveState(range(8), mu), bip, c=1e4 * bip.sources.mass / scale)
     assert res.feasible and not res.removed
     sent = {}
     for a, _, w, _ in res.paths:
         sent[a] = sent.get(a, 0.0) + w
     assert sent[1] == pytest.approx(4e-9 * scale)
-    assert res.matched_weight == pytest.approx(bip.source_mass)
+    assert res.matched_weight == pytest.approx(bip.sources.mass)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -182,8 +184,8 @@ def test_random_round_contract(seed):
         assert np.abs(matching_row_sums(res.matching) - mu.values).max() < 1e-9
 
         # off-diagonal support within surviving sources x targets
-        sources = {v for v, _ in bip.sources} - res.removed
-        targets = {v for v, _ in bip.targets} - res.removed
+        sources = set(bip.sources.ids.tolist()) - res.removed
+        targets = set(bip.targets.ids.tolist()) - res.removed
         for a, b, w in res.matching.off_diagonal:
             assert (a in sources and b in targets) or (b in sources and a in targets)
 
@@ -191,7 +193,7 @@ def test_random_round_contract(seed):
         sent = {}
         for a, b, w, _ in res.paths:
             sent[a] = sent.get(a, 0.0) + w
-        for v, m in bip.sources:
+        for v, m in pairs_of(bip.sources):
             if v not in res.removed:
                 assert sent.get(v, 0.0) == pytest.approx(m, abs=1e-9)
 
@@ -211,8 +213,8 @@ def round_on_induced_subgraph(g, state, bip, c, round_index):
     sub, order = induced_subgraph(g, state.active)
     local = {v: i for i, v in enumerate(order)}
     sub_mu = VertexMeasure(state.measure.values[list(order)])
-    sub_bip = manual_bip([(local[v], w) for v, w in bip.sources],
-                         [(local[v], w) for v, w in bip.targets])
+    sub_bip = manual_bip([(local[v], w) for v, w in pairs_of(bip.sources)],
+                         [(local[v], w) for v, w in pairs_of(bip.targets)])
     res = solve_round(sub, ActiveState(range(len(order)), sub_mu), sub_bip, c, round_index)
     diagonal = state.measure.values.copy()
     diagonal[list(order)] = res.matching.diagonal
@@ -306,9 +308,8 @@ def random_bip(rng, state):
 def with_parallel_terminals(bip):
     """The first source split into two parallel arcs, the first target listed
     twice, and the first source also a target."""
-    (v, m), rest = bip.sources[0], bip.sources[1:]
-    return manual_bip(((v, m / 2), (v, m / 2)) + rest,
-                      bip.targets + (bip.targets[0], (v, 2.0 * m)))
+    ((v, m), *rest), targets = pairs_of(bip.sources), pairs_of(bip.targets)
+    return manual_bip([(v, m / 2), (v, m / 2), *rest], [*targets, targets[0], (v, 2.0 * m)])
 
 
 def test_round_network_matches_arc_by_arc_reference():
@@ -326,7 +327,7 @@ def test_round_network_matches_arc_by_arc_reference():
         for b in (bip, with_parallel_terminals(bip)):
             sol = assert_network_matches_reference(
                 build_pi_problem(edges, state, b), reference_build_pi_problem(g, state, b, c))
-            seen.add("routed" if sol.value >= b.source_mass - 1e-9 * b.source_mass else "cut")
+            seen.add("routed" if sol.value >= b.sources.mass - 1e-9 * b.sources.mass else "cut")
         if len(state.active) < g.vertex_count:
             seen.add("strict subset")
         if bip.partial_vertex is not None:
@@ -344,7 +345,8 @@ def test_one_edge_network_serves_successive_rounds():
         if np.count_nonzero(state.mask) < 2:
             continue
         bips = [random_bip(rng, state) for _ in range(2)]
-        if not all(b.sources for b in bips) or bips[0] == bips[1]:
+        sides = [(pairs_of(b.sources), pairs_of(b.targets)) for b in bips]
+        if not all(b.sources for b in bips) or sides[0] == sides[1]:
             continue
         c = float(rng.integers(1, 5))
         edges = edge_network(g, state.active, c)
@@ -369,7 +371,15 @@ LIGHT_TAIL = [1.0] + [1e-16] * 10  # 1.0 added ten times 1e-16, one at a time, i
 def test_masses_add_one_at_a_time_in_order():
     # a compensated sum (builtin sum from Python 3.12) would give 1.000000000000001
     bip = manual_bip(list(enumerate(LIGHT_TAIL)), [(11 + i, w) for i, w in enumerate(LIGHT_TAIL)])
-    assert bip.source_mass.hex() == bip.target_mass.hex() == (1.0).hex()
+    assert bip.sources.mass.hex() == bip.targets.mass.hex() == (1.0).hex()
+    # and on capacities over 17 orders of magnitude, the mass is a plain loop's
+    rng = np.random.default_rng(4300)
+    for n in range(12):
+        caps = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+        loop = 0.0
+        for c in caps.tolist():
+            loop += c
+        assert Terminals(range(n), caps).mass.hex() == loop.hex()
 
 
 def test_matched_weight_adds_paths_one_at_a_time_in_order(monkeypatch):

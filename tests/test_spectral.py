@@ -14,7 +14,7 @@ from mucut.spectral import (TIMES_BLOCK, ActiveState, LazyFactor, StochasticMatc
 
 from helpers import (active_sqrt, apply_projection, clique_edges, dense_flow_matrix,
                      dense_matching, dense_projection_matrix, dense_walk_and_potential,
-                     matching_row_sums, random_connected_graph, random_measure,
+                     matching_of, matching_row_sums, random_connected_graph, random_measure,
                      reference_from_pairs, reference_walk_apply)
 
 
@@ -38,7 +38,7 @@ def synthetic_matchings(rng, mu, rounds=3, delta=1):
                 pairs.append((u, v, w))
                 budget[u] -= w
                 budget[v] -= w
-        out.append(StochasticMatching.from_pairs(mu.values, pairs))
+        out.append(matching_of(mu.values, pairs))
     return out
 
 
@@ -117,7 +117,7 @@ def apply_factor(m, mu, delta, x):
 
 def test_normalized_matching_diagonal_is_support_identity():
     mu = VertexMeasure([1.0, 2.0, 0.0, 0.5])
-    m = StochasticMatching.from_pairs(mu.values, [])
+    m = matching_of(mu.values, [])
     x = np.array([1.0, -2.0, 3.0, 4.0])
     for delta in (1, 2, 4):
         assert LazyFactor(m, mu, delta).rows.size == 0
@@ -168,14 +168,16 @@ def test_matching_diagonal_independent_of_pair_order():
     # sums run in sorted pair order, so the diagonal bytes do not
     mu = VertexMeasure([1.0] * 4)
     pairs = [(0, 1, 0.1), (0, 2, 0.2), (0, 3, 0.3)]
-    forward = StochasticMatching.from_pairs(mu.values, pairs)
-    backward = StochasticMatching.from_pairs(mu.values, pairs[::-1])
+    forward = matching_of(mu.values, pairs)
+    backward = matching_of(mu.values, pairs[::-1])
     assert forward.diagonal.tobytes() == backward.diagonal.tobytes()
 
 
 def test_from_pairs_matches_reference():
-    # merging without per-pair conversions sums each pair's weights in the
-    # order given, as the former merge did: the same pairs, the same bits
+    # the constructor on the pairs' columns, as the matching round builds it,
+    # merges without per-pair conversions and sums each pair's weights in
+    # the order given, as the former from_pairs did: the same pairs, the
+    # same bits
     rng = np.random.default_rng(13)
     seen = set()
     for _ in range(300):
@@ -193,7 +195,7 @@ def test_from_pairs_matches_reference():
         np.add.at(row, us, ws)
         np.add.at(row, vs, ws)
         mu = row + rng.uniform(0.0, 1.0, size=n)  # room for every row
-        got = StochasticMatching.from_pairs(mu, pairs)
+        got = matching_of(mu, pairs)
         want = reference_from_pairs(mu, pairs)
         assert [(u, v, w.hex()) for u, v, w in got.off_diagonal] == \
             [(u, v, w.hex()) for u, v, w in want.off_diagonal]
@@ -215,7 +217,7 @@ def test_from_pairs_matches_reference():
 
 def test_matching_constructor_takes_sorted_pair_arrays():
     # sorted, merged u < v columns, and any other pair columns, which it
-    # merges as from_pairs merges their rows
+    # merges as the former from_pairs merged their rows
     diag = [0.5, 0.0, 0.25, 0.0]
     mu = [1.0, 1.0, 0.75, 1.0]  # diag plus the row sums of the two pairs
     m = StochasticMatching([0, 1], [2, 3], [0.5, 1.0], mu)
@@ -229,7 +231,7 @@ def test_matching_constructor_takes_sorted_pair_arrays():
                        (np.array([1, 0], np.int32), np.array([3, 2], np.uint8),
                         np.array([1.0, 0.5]))):                    # numpy ids
         got = StochasticMatching(us, vs, ws, mu)
-        for want in (StochasticMatching.from_pairs(mu, zip(us, vs, ws)),
+        for want in (matching_of(mu, zip(us, vs, ws)),
                      reference_from_pairs(mu, zip(us, vs, ws)), m):
             assert got.off_diagonal == want.off_diagonal
             assert all(type(x) is int for u, v, _ in got.off_diagonal for x in (u, v))
@@ -272,19 +274,19 @@ def test_matching_diagonal_is_measure_minus_row_sums():
 
 def test_matching_copies_a_writable_measure():
     values = np.array([1.0, 2.0, 1.5])
-    m = StochasticMatching.from_pairs(values, [(0, 1, 0.75)])
+    m = matching_of(values, [(0, 1, 0.75)])
     want = m.diagonal.tobytes()
     values[:] = 9.0
     assert m.diagonal.tobytes() == want
     assert m.mu_values is not values
     mu = VertexMeasure([1.0, 2.0, 1.5])
-    assert StochasticMatching.from_pairs(mu.values, [(0, 1, 0.75)]).mu_values is mu.values
+    assert matching_of(mu.values, [(0, 1, 0.75)]).mu_values is mu.values
 
 
 def test_matching_rejects_overfull_rows():
     mu = VertexMeasure([1.0, 1.0])
     with pytest.raises(InvariantViolation):
-        StochasticMatching.from_pairs(mu.values, [(0, 1, 2.0)])
+        matching_of(mu.values, [(0, 1, 2.0)])
 
 
 def test_walk_t0_is_projection():
@@ -386,7 +388,7 @@ def test_walk_product_agrees_with_chain():
 def test_walk_switches_to_product_at_k_squared():
     # factors without pairs add exactly k = 4 each: the chain reaches 16 at round 4
     state, mu = uniform_state(4)
-    idle = StochasticMatching.from_pairs(mu.values, [])
+    idle = matching_of(mu.values, [])
     for t in range(1, 7):
         w = WalkOperator([idle] * t, 2, state)
         assert (w.product is None) == (t < 4)
@@ -463,7 +465,7 @@ def test_mixed_checks_psi_only_on_a_product_within_the_limit(monkeypatch):
     # K4 with every pair at weight 1/3 is a perfect mixer at delta 1: psi is
     # 3/81 after one round, above tau = 1/256, and 3/81^2 after two
     state, mu = uniform_state(4)
-    m = StochasticMatching.from_pairs(mu.values, [(u, v, 1 / 3) for u in range(4)
+    m = matching_of(mu.values, [(u, v, 1 / 3) for u in range(4)
                                                    for v in range(u + 1, 4)])
     w = WalkOperator([], 1, state)
     assert w.product is None and not w.mixed() and w.psi_checks == 0
@@ -485,7 +487,7 @@ def test_times_matches_apply_per_column_in_blocks_and_in_place():
     k = int(mu.support_mask.sum())
     assert 2 * TIMES_BLOCK < k < 3 * TIMES_BLOCK
     matchings = synthetic_matchings(rng, mu, rounds=3)
-    matchings.append(StochasticMatching.from_pairs(mu.values, []))
+    matchings.append(matching_of(mu.values, []))
     for delta in (1, 2):
         c = np.eye(k)
         for m in matchings:
@@ -583,7 +585,7 @@ def test_psi_drops_after_perfect_matching_round():
     # the drop strict
     mu = VertexMeasure([1.0] * 4)
     state = ActiveState(range(4), mu)
-    m = StochasticMatching.from_pairs(mu.values, [(0, 1, 1.0), (2, 3, 1.0)])
+    m = matching_of(mu.values, [(0, 1, 1.0), (2, 3, 1.0)])
     _, psi0_lazy = dense_walk_and_potential(WalkOperator([], 2, state), [])
     _, psi1_lazy = dense_walk_and_potential(WalkOperator([m], 2, state), [m])
     assert psi1_lazy < psi0_lazy
@@ -670,7 +672,7 @@ def test_potentials_match_dense_oracle_as_the_active_set_shrinks(delta):
 
 def test_potentials_reject_an_active_set_without_measure():
     mu = VertexMeasure([1.0, 1.0, 0.0])
-    m = StochasticMatching.from_pairs(mu.values, [(0, 1, 0.5)])
+    m = matching_of(mu.values, [(0, 1, 0.5)])
     rec = SimpleNamespace(matching=m, active_before=(0, 1, 2), removed=frozenset({0, 1}))
     with pytest.raises(ValueError, match="no measure"):
         potentials([rec], mu, 1)
