@@ -36,9 +36,10 @@ from .graph import EPS, tolerance
 from .spectral import ActiveState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedBipartition:
-    """Sources and targets with weights, plus the separation value eta."""
+    """Sources and targets with weights, plus the separation value eta;
+    equal only to itself, as its `Terminals` are."""
 
     sources: Terminals
     targets: Terminals

@@ -107,8 +107,8 @@ GAME_CERTIFIES_FROM_N = 20
 
 def _certificate(g: Graph, mu: VertexMeasure, cluster: tuple[int, ...], kind: str,
                  max_n: int, phi: float) -> ClusterCertificate:
-    """Brute-force the expansion of a cluster of at most max_n vertices, and
-    of a game-certified one below GAME_CERTIFIES_FROM_N vertices.
+    """Brute-force G[cluster] in g's ids, with no subgraph built: a cluster of
+    at most max_n vertices, and a game-certified one below GAME_CERTIFIES_FROM_N.
 
     A cluster the game certified must expand by at least phi/6; one that
     falls short is a broken guarantee, not an answer.
@@ -118,8 +118,7 @@ def _certificate(g: Graph, mu: VertexMeasure, cluster: tuple[int, ...], kind: st
         return ClusterCertificate(kind, INFINITE)
     if len(cluster) <= max_n or (kind == "certified-by-game"
                                  and len(cluster) < GAME_CERTIFIES_FROM_N):
-        sub, order = induced_subgraph(g, cluster)
-        value, _ = brute_force_expansion(sub, mu.restrict(order))
+        value, _ = brute_force_expansion(g, mu, cluster)
         floor = phi / 6.0
         if kind == "certified-by-game" and value < floor - tolerance(floor):
             raise InvariantViolation(

@@ -1,8 +1,12 @@
 """Brute-force oracles and checkers: the ground truth for everything else.
 
-Cut enumeration is exhaustive (vertex 0 pinned to one side to halve the
-space) and vectorized over bitmask chunks so the size-20 cap stays under
-seconds.  Nothing here shares code with the algorithms it validates.
+Cut enumeration is exhaustive and vectorized over bitmask chunks so the
+size-20 cap stays under seconds.  One enumerator, :func:`_ratios`, serves
+both oracles on a vertex set in the caller's ids: `brute_force_expansion`
+pins the set's smallest id to one side to halve the space, and
+`brute_force_near_expansion` also counts the edges that leave the set.  A
+cut counts only when each side holds a terminal (a vertex of positive
+measure).  Nothing here shares code with the algorithms it validates.
 """
 
 from __future__ import annotations
@@ -13,146 +17,109 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import GraphInputError
-from .graph import (Graph, Infinite, INFINITE, VertexMeasure, induced_subgraph,
-                    mu_expansion_of_cut, tolerance)
+from .graph import (Graph, Infinite, INFINITE, VertexMeasure, selected_weight, tolerance,
+                    vertex_mask)
 
 MAX_ENUM_N = 20
 DEFAULT_VERIFY_MAX_N = 16  # the default size cap of brute-forced certificates and checks
 _CHUNK = 1 << 16
 
 
-def _members_from_mask(mask: int, offset: int = 1) -> tuple[int, ...]:
-    out = []
-    v = offset
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
+def _ratios(g: Graph, mu: VertexMeasure, inside: np.ndarray, near: bool):
+    """Yield each chunk of the cut masks of the set `inside` with their
+    ratios w(S, rest) / min(mu(S), mu(rest)); np.inf where a side holds no
+    terminal or the rounded denominator is not positive.
+
+    Bit j of a mask is the set's j-th smallest id, counted from 0, or for
+    expansion, which pins the smallest id to the rest, from 1.  The
+    numerator adds the edges inside the set that the cut splits, then, for
+    near-expansion, the edges that leave the set from S.
+    """
+    order = np.flatnonzero(inside)
+    pinned = 0 if near else 1
+    free = len(order) - pinned
+    bit = np.zeros(len(inside), dtype=np.int64)
+    bit[order] = np.roll(np.arange(len(order)), pinned)  # the pinned id's bit is never set
+    terminals = int((1 << bit[order[mu.values[order] > 0.0]]).sum())
+    values = mu.values[order[pinned:]]
+    total = float(mu.values[order].sum())
+    cols = np.arange(free, dtype=np.int64)
+    us, vs, ws = g.us, g.vs, g.ws
+    inner = inside[us] & inside[vs]
+    iu, iv, iw = bit[us[inner]], bit[vs[inner]], ws[inner]
+    out = (inside[us] != inside[vs]) & near
+    ends, ow = bit[np.where(inside[us], us, vs)[out]], ws[out]
+    end = (1 << free) - 1 if near else 1 << free  # the rest is nonempty: not all of `a`, or pinned
+    for start in range(1, end, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, end), dtype=np.int64)
+        rows = masks[:, None]
+        mu_side = ((rows >> cols) & 1) @ values
+        denom = np.minimum(mu_side, total - mu_side)
+        crossing = ((((rows >> iu) & 1) != ((rows >> iv) & 1)) * iw).sum(axis=1)
+        crossing += (((rows >> ends) & 1) * ow).sum(axis=1)
+        valid = (denom > 0.0) & ((masks & terminals) != 0) & ((~masks & terminals) != 0)
+        yield masks, np.where(valid, crossing / np.where(valid, denom, 1.0), np.inf)
 
 
-def brute_force_expansion(g: Graph, mu: VertexMeasure):
-    """Exact minimum expansion over all proper cuts with positive measure
-    on both sides, and a witness side as a sorted tuple; (INFINITE, None)
-    when no such cut exists.
+def _first_side(masks: np.ndarray) -> int:
+    """The mask whose bit positions, as an ascending tuple, sort first:
+    the lowest first bit wins, then the lowest next, and a prefix wins."""
+    rest = masks
+    while len(masks) > 1 and rest.all():
+        low = rest & -rest
+        keep = low == low.min()
+        masks, rest = masks[keep], (rest ^ low)[keep]
+    return int(masks[np.argmin(rest)])
+
+
+def brute_force_expansion(g: Graph, mu: VertexMeasure, vertices: Optional[Iterable[int]] = None):
+    """Exact minimum expansion over all proper cuts of G[vertices] (default:
+    all of g) with a terminal on both sides, and a witness side as a sorted
+    tuple of g's ids; (INFINITE, None) when no such cut exists.
 
     Ties resolve to the lexicographically smallest witness side (the side
-    not containing vertex 0).  The returned value is recomputed directly
-    on the witness so it reproduces exactly.
+    not containing the set's smallest id).  The returned value is
+    recomputed directly on the witness so it reproduces exactly.
     """
     n = g.vertex_count
-    if not (2 <= n <= MAX_ENUM_N):
-        raise ValueError(f"brute force supports 2 <= n <= {MAX_ENUM_N}, got {n}")
-    us, vs, ws = g.us, g.vs, g.ws
-    tail = mu.values[1:]
-    total_mu = mu.total
-    bits = np.arange(n - 1, dtype=np.int64)
-
-    best_ratio = None
-    best_mask = None
-    for start in range(1, 1 << (n - 1), _CHUNK):
-        stop = min(start + _CHUNK, 1 << (n - 1))
-        masks = np.arange(start, stop, dtype=np.int64)
-        membership = (masks[:, None] >> bits[None, :]) & 1
-        mu_side = membership @ tail
-        denom = np.minimum(mu_side, total_mu - mu_side)
-        if len(us):
-            in_u = np.where(us[None, :] == 0, 0, (masks[:, None] >> np.maximum(us - 1, 0)[None, :]) & 1)
-            in_v = np.where(vs[None, :] == 0, 0, (masks[:, None] >> np.maximum(vs - 1, 0)[None, :]) & 1)
-            crossing = ((in_u != in_v) * ws[None, :]).sum(axis=1)
-        else:
-            crossing = np.zeros(len(masks))
-        valid = denom > 0.0
-        if not valid.any():
+    inside = np.ones(n, dtype=bool) if vertices is None else vertex_mask(n, vertices)
+    order = np.flatnonzero(inside)
+    if not (2 <= len(order) <= MAX_ENUM_N):
+        raise ValueError(f"brute force supports 2 <= n <= {MAX_ENUM_N}, got {len(order)}")
+    best, witness = np.inf, 0
+    for masks, ratio in _ratios(g, mu, inside, near=False):
+        lo = ratio.min()
+        if lo == np.inf or lo > best:
             continue
-        ratio = np.where(valid, crossing / np.where(valid, denom, 1.0), np.inf)
-        lo = float(ratio.min())
-        if not np.isfinite(lo):
-            continue
-        if best_ratio is None or lo < best_ratio or lo == best_ratio:
-            tie_idx = np.flatnonzero(ratio == lo)
-            candidate = None
-            for i in tie_idx:
-                members = _members_from_mask(int(masks[i]))
-                if candidate is None or members < candidate:
-                    candidate = members
-            if best_ratio is None or lo < best_ratio or (lo == best_ratio and candidate < best_mask):
-                best_ratio = lo
-                best_mask = candidate
-
-    if best_ratio is None:
+        ties = masks[ratio == lo]
+        best, witness = lo, _first_side(np.append(ties, witness) if lo == best else ties)
+    if best == np.inf:
         return INFINITE, None
-    return mu_expansion_of_cut(g, mu, best_mask), best_mask
+    side = order[1:][(witness >> np.arange(len(order) - 1)) & 1 == 1]
+    in_side = vertex_mask(n, side)
+    crossing = selected_weight(g, inside[g.us] & inside[g.vs] & (in_side[g.us] != in_side[g.vs]))
+    mu_side = mu.of(side)
+    denom = min(mu_side, mu.of(order) - mu_side)
+    return (crossing / denom if denom > 0.0 else INFINITE), tuple(side.tolist())
 
 
 def brute_force_near_expansion(g: Graph, mu: VertexMeasure, a: Iterable[int]):
-    """Exact near-expansion of `a`: minimum over splits S of `a` of the
-    weight leaving S in the whole graph over min(mu(S), mu(a minus S)).
+    """Exact near-expansion of `a`: minimum over splits S of `a` with a
+    terminal on both sides of the weight leaving S in the whole graph over
+    min(mu(S), mu(a minus S)).
 
-    Edges escaping `a` count toward every numerator.  INFINITE when no
-    split has positive measure on both sides.
+    The edges from S that leave `a` count in the numerator too.  INFINITE
+    when no such split exists.
     """
-    order = tuple(sorted(int(v) for v in set(a)))
-    k = len(order)
+    inside = vertex_mask(g.vertex_count, a)
+    k = int(inside.sum())
     if k == 0:
         raise ValueError("near-expansion of an empty set is undefined")
-    if order[0] < 0 or order[-1] >= g.vertex_count:
-        raise GraphInputError(f"vertex id out of range for n={g.vertex_count}")
     if k > MAX_ENUM_N:
         raise ValueError(f"brute force supports |a| <= {MAX_ENUM_N}, got {k}")
-    if k == 1:
-        return INFINITE
-    local = {v: i for i, v in enumerate(order)}
-    mu_local = mu.values[list(order)]
-    total_local = float(mu_local.sum())
-
-    inner_u, inner_v, inner_w = [], [], []
-    escape_vert, escape_w = [], []
-    for u, v, w in g.edges:
-        iu = local.get(u)
-        iv = local.get(v)
-        if iu is not None and iv is not None:
-            inner_u.append(iu)
-            inner_v.append(iv)
-            inner_w.append(w)
-        elif iu is not None:
-            escape_vert.append(iu)
-            escape_w.append(w)
-        elif iv is not None:
-            escape_vert.append(iv)
-            escape_w.append(w)
-    inner_u = np.array(inner_u, dtype=np.int64)
-    inner_v = np.array(inner_v, dtype=np.int64)
-    inner_w = np.array(inner_w, dtype=float)
-    escape_vert = np.array(escape_vert, dtype=np.int64)
-    escape_w = np.array(escape_w, dtype=float)
-    bits = np.arange(k, dtype=np.int64)
-
-    best = None
-    for start in range(1, (1 << k) - 1, _CHUNK):
-        stop = min(start + _CHUNK, (1 << k) - 1)
-        masks = np.arange(start, stop, dtype=np.int64)
-        membership = (masks[:, None] >> bits[None, :]) & 1
-        mu_side = membership @ mu_local
-        denom = np.minimum(mu_side, total_local - mu_side)
-        crossing = np.zeros(len(masks))
-        if len(inner_u):
-            in_u = (masks[:, None] >> inner_u[None, :]) & 1
-            in_v = (masks[:, None] >> inner_v[None, :]) & 1
-            crossing += ((in_u != in_v) * inner_w[None, :]).sum(axis=1)
-        if len(escape_vert):
-            in_e = (masks[:, None] >> escape_vert[None, :]) & 1
-            crossing += (in_e * escape_w[None, :]).sum(axis=1)
-        valid = denom > 0.0
-        if not valid.any():
-            continue
-        ratio = np.where(valid, crossing / np.where(valid, denom, 1.0), np.inf)
-        lo = float(ratio.min())
-        if np.isfinite(lo) and (best is None or lo < best):
-            best = lo
-    return INFINITE if best is None else best
+    best = min((float(ratio.min()) for _, ratio in _ratios(g, mu, inside, near=True)),
+               default=math.inf)
+    return INFINITE if best == math.inf else best
 
 
 @dataclass(frozen=True)
@@ -217,8 +184,7 @@ def validate_partition(g: Graph, mu: VertexMeasure, result, phi: Optional[float]
         if len(cl) > max_n:
             checks.append(ClusterCheck(i, len(cl), None, None))
             continue
-        sub, order = induced_subgraph(g, cl)
-        value, _ = brute_force_expansion(sub, mu.restrict(order))
+        value, _ = brute_force_expansion(g, mu, cl)
         passed = bool(value >= level) if not isinstance(value, Infinite) else True
         all_ok = all_ok and passed
         checks.append(ClusterCheck(i, len(cl), value, passed))

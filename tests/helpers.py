@@ -775,6 +775,28 @@ def conductance_enumerator(g: Graph):
     return best
 
 
+def near_expansion_enumerator(g: Graph, mu: VertexMeasure, a):
+    """Independent near-expansion of `a`: plain loops over the splits S of
+    `a` and over `g.edges`, each side's measure added on its own; None when
+    no split has measure on both sides."""
+    a = sorted(set(a))
+    vals = mu.values.tolist()
+    best = None
+    for mask in range(1, (1 << len(a)) - 1):
+        side = {v for i, v in enumerate(a) if (mask >> i) & 1}
+        denom = min(sum(vals[v] for v in side), sum(vals[v] for v in a if v not in side))
+        if denom <= 0:
+            continue
+        crossing = 0.0
+        for u, v, w in g.edges:
+            if (u in side) != (v in side):
+                crossing += w
+        value = crossing / denom
+        if best is None or value < best:
+            best = value
+    return best
+
+
 def conservation_errors(net: FlowNetwork, sol: FlowSolution) -> float:
     """Largest conservation violation of the solution's paths at any
     interior node."""

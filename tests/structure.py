@@ -3,8 +3,9 @@
 Each source file is parsed and walked once.  `RULES` maps each rule to the
 modules that own what it guards, which it skips, and to a test on one
 syntax node; `found(name)` lists a module's lines per rule.
-* edges: only `verify.py`, whose oracles share no code with the
-  algorithms, reads a graph's `.edges`, an O(m) pass on each read.
+* edges: only `verify.py` reads a graph's `.edges`, an O(m) pass on each
+  read, and there only `validate_partition`'s recount, which shares no
+  code with the algorithms it checks.
 * layout: only `flow.py` stores to a `.to`, `.cap` or `.adj`.
 * stop: only `spectral.py` names `STOP_NAMES` or reads `.product`;
   the game asks `WalkOperator.mixed()` and the trace `potentials`.
@@ -12,8 +13,13 @@ syntax node; `found(name)` lists a module's lines per rule.
 * active: no module takes `flatnonzero` of a `.mask`, an n-long scan;
   the cut player reads `ActiveState.ids`, built once per active set.
 * retired: no module defines a name in `RETIRED`: there is one projection,
-  a side's mass is `flow.Terminals.mass`, and matchings take pair columns.
+  a side's mass is `flow.Terminals.mass`, matchings take pair columns, and
+  a witness is chosen among masks, not member tuples.
 * projection: counted, not barred: `spectral.py` defines `_project` once.
+* enumerator: counted: one function of `verify.py` reads `_CHUNK`, the
+  mask loop both oracles reduce.
+* relabel: a call of `induced_subgraph` or `.restrict`; `verify.py` makes
+  none and `decompose._certificate` none: the oracle takes g's own ids.
 """
 
 import ast
@@ -23,14 +29,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "mucut"
 STOP_NAMES = {"PSI_MAX_TERMINALS", "RITZ_MIN_TERMINALS", "RITZ_BLOCK", "RITZ_WARMUP",
               "BOUND_SLACK", "potential_bound"}
-RETIRED = {"_project_columns", "_columns", "from_pairs", "source_mass", "target_mass"}
+RETIRED = {"_project_columns", "_columns", "from_pairs", "source_mass", "target_mass",
+           "_members_from_mask"}
+
+
+def _called(node):
+    """The name a call calls: its function's `.attr` or its id."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
 
 
 def _flatnonzero_of(attr):
     """A test for a `flatnonzero` call whose first argument is an `.attr`."""
     return lambda node: (isinstance(node, ast.Call) and bool(node.args)
-                         and getattr(node.func, "attr", getattr(node.func, "id", None))
-                         == "flatnonzero" and getattr(node.args[0], "attr", None) == attr)
+                         and _called(node) == "flatnonzero"
+                         and getattr(node.args[0], "attr", None) == attr)
 
 
 def _layout_store(node):
@@ -41,6 +53,13 @@ def _layout_store(node):
     return (isinstance(node, (ast.Attribute, ast.Subscript))
             and isinstance(node.ctx, (ast.Store, ast.Del))
             and isinstance(target, ast.Attribute) and target.attr in {"to", "cap", "adj"})
+
+
+def _reads_chunk(node):
+    """A function that reads `_CHUNK` anywhere in its body."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(n, ast.Name) and n.id == "_CHUNK" and isinstance(n.ctx, ast.Load)
+        for n in ast.walk(node))
 
 
 def _stop_test_use(node):
@@ -62,6 +81,9 @@ RULES = {
                 and node.name in RETIRED),
     "projection": (set(), lambda node: isinstance(node, ast.FunctionDef)
                    and node.name == "_project"),
+    "enumerator": (set(), _reads_chunk),
+    "relabel": (set(), lambda node: isinstance(node, ast.Call)
+                and _called(node) in {"induced_subgraph", "restrict"}),
 }
 
 
@@ -84,3 +106,10 @@ def lines(rule: str, source: str) -> list[int]:
 def outside(rule: str) -> list[str]:
     """The source modules a rule scans: all but its owners."""
     return sorted(p.name for p in SRC.glob("*.py") if p.name not in RULES[rule][0])
+
+
+def span(name: str, function: str) -> range:
+    """The lines of a module's top-level function."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return range(node.lineno, node.end_lineno + 1)

@@ -80,6 +80,8 @@ def test_determinism_and_id_tiebreaks():
     a = rst_partition(state, u)
     b = rst_partition(state, u)
     assert bits(a) == bits(b)
+    # equality is identity, stated rather than generated over identity-equal sides
+    assert WeightedBipartition.__eq__ is object.__eq__
     # ties in u resolve toward smaller vertex ids in the prefix scan
     assert a.sources.ids.tolist() == sorted(a.sources.ids.tolist())
 

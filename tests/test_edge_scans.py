@@ -1,14 +1,19 @@
-"""Only `verify.py` scans edges and only `flow.py` lays out networks: two
-rules of `structure.py`, which says why."""
+"""Only `verify.py`'s recount scans edges and only `flow.py` lays out
+networks: two rules of `structure.py`, which says why."""
 
 import pytest
 
-from structure import found, lines, outside
+from structure import found, lines, outside, span
 
 
 @pytest.mark.parametrize("name", outside("edges"))
 def test_module_does_not_scan_edges(name):
     assert found(name)["edges"] == []
+
+
+def test_in_verify_only_the_recount_scans_edges():
+    recount = span("verify.py", "validate_partition")
+    assert [line for line in found("verify.py")["edges"] if line not in recount] == []
 
 
 def test_check_catches_an_edge_scan():

@@ -55,6 +55,7 @@ def test_check_catches_a_retired_definition():
                             "    def source_mass(self):\n        pass\n    @classmethod\n"
                             "    def from_pairs(cls):\n        pass\n    def target_mass(self):\n"
                             "        pass\n") == [1, 5, 8, 10]
+    assert lines("retired", "def _members_from_mask(mask, offset=1):\n    pass\n") == [1]
     assert lines("retired", "def _project(state, x):\n    pass\nb = _project_columns(state, c)\n"
                             "def _edge_columns(path):\n    pass\ng = Graph.from_columns(n)\n"
                             "m = bip.sources.mass\n") == []

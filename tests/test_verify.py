@@ -10,8 +10,21 @@ from mucut.graph import Infinite, INFINITE
 from mucut.verify import (brute_force_expansion, brute_force_near_expansion,
                           check_embedding_congestion, validate_partition)
 
-from helpers import (clique_edges, conductance_enumerator, random_connected_graph,
-                     random_measure, write_graph)
+from helpers import (clique_edges, conductance_enumerator, near_expansion_enumerator,
+                     random_connected_graph, random_measure, write_graph, write_measure)
+
+# A path 1-2-3-4-5-6 with a light edge 4-5, and vertex 0 isolated: 0 and 4
+# have measure 0.  The cut S = {1, ..., 6} leaves vertex 0 alone, so the
+# rest holds no terminal, yet mu(V) - mu(S) rounds to a positive residue
+# when mu(S) is a matrix product; such a cut has ratio 0 and must not count.
+ZERO_ALONE_MU = [0.0, 1.0424281357482064, 1.2341522804213403, 1.2564322410958773, 0.0,
+                 1.5262115441246182, 1.6263834235330643]
+ZERO_ALONE_EDGES = [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 0.001), (5, 6, 1.0)]
+ZERO_ALONE_VALUE = 0.001 / (ZERO_ALONE_MU[5] + ZERO_ALONE_MU[6])  # the cut {5, 6}: 3.17e-4
+
+
+def _hex(value):
+    return value if isinstance(value, Infinite) else float(value).hex()
 
 
 def test_k4_uniform():
@@ -83,7 +96,8 @@ def test_near_expansion_singleton_infinite():
 def test_near_expansion_rejects_out_of_range_ids():
     g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     mu = VertexMeasure.from_degrees(g)
-    for a in ([-1, 0], [4], [0, 1, 4]):
+    # ids are read as every vertex set is: floats are not truncated, bools not cast
+    for a in ([-1, 0], [4], [0, 1, 4], [0.7, 1.2, 2.9], [True, False, True]):
         with pytest.raises(GraphInputError):
             brute_force_near_expansion(g, mu, a)
 
@@ -99,9 +113,55 @@ def test_near_expansion_dominates_induced_expansion():
         a = sorted(int(v) for v in rng.choice(n, size=size, replace=False))
         near = brute_force_near_expansion(g, mu, a)
         sub, order = induced_subgraph(g, a)
-        inner, _ = brute_force_expansion(sub, mu.restrict(order)) if len(order) >= 2 \
-            else (INFINITE, None)
+        inner, witness = brute_force_expansion(sub, mu.restrict(order))
         assert near >= inner or near == pytest.approx(inner, rel=1e-12)
+        # the same enumeration in g's ids, with no subgraph built: the same bits
+        direct, side = brute_force_expansion(g, mu, a)
+        assert _hex(direct) == _hex(inner)
+        assert side == (None if witness is None else tuple(order[i] for i in witness))
+
+
+def test_near_expansion_matches_plain_loops():
+    # sets with edges leaving them (the graph is connected) and a zero-measure member
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        n = int(rng.integers(4, 12))
+        g = random_connected_graph(rng, n, extra=1.0, weighted=True)
+        a = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(2, min(n, 10))),
+                                               replace=False))
+        vals = random_measure(rng, n, zero_frac=0.3).values.copy()
+        vals[a[int(rng.integers(len(a)))]] = 0.0
+        mu = VertexMeasure(vals)
+        want = near_expansion_enumerator(g, mu, a)
+        got = brute_force_near_expansion(g, mu, a)
+        if want is None:
+            assert got is INFINITE
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_a_side_without_a_terminal_is_no_cut():
+    g, mu = Graph(7, ZERO_ALONE_EDGES), VertexMeasure(ZERO_ALONE_MU)
+    value, witness = brute_force_expansion(g, mu)
+    assert value == pytest.approx(ZERO_ALONE_VALUE, rel=1e-12)
+    assert mu_expansion_of_cut(g, mu, witness) == value
+    # the same set inside a larger graph, given in its ids
+    bigger = Graph(9, [(u + 2, v + 2, w) for u, v, w in ZERO_ALONE_EDGES] + [(0, 8, 1.0)])
+    value, witness = brute_force_expansion(bigger, VertexMeasure([1.0, 1.0] + ZERO_ALONE_MU),
+                                           range(2, 9))
+    assert value == pytest.approx(ZERO_ALONE_VALUE, rel=1e-12)
+    assert witness in ((3, 4, 5, 6), (7, 8))
+
+
+def test_near_expansion_ignores_a_split_that_isolates_a_zero_measure_vertex():
+    g, mu = Graph(7, ZERO_ALONE_EDGES), VertexMeasure(ZERO_ALONE_MU)
+    assert brute_force_near_expansion(g, mu, range(7)) == pytest.approx(ZERO_ALONE_VALUE,
+                                                                        rel=1e-12)
+    # an edge leaving the set at 6 adds to the splits whose S holds 6
+    out = Graph(8, ZERO_ALONE_EDGES + [(6, 7, 1.0)])
+    mu = VertexMeasure(ZERO_ALONE_MU + [1.0])
+    assert brute_force_near_expansion(out, mu, range(7)) == pytest.approx(ZERO_ALONE_VALUE,
+                                                                          rel=1e-12)
 
 
 def test_conductance_specialization_matches_enumerator():
@@ -198,6 +258,24 @@ def test_validate_partition_rejects_a_size_cap_out_of_range(cap):
     res = FakeResult([tuple(range(22))], 0.0)
     with pytest.raises(ValueError, match="max_n"):
         validate_partition(g, VertexMeasure.from_degrees(g), res, phi=0.05, max_n=cap)
+
+
+def test_validate_partition_fails_a_cluster_whose_zero_measure_vertex_is_alone():
+    g, mu = Graph(7, ZERO_ALONE_EDGES), VertexMeasure(ZERO_ALONE_MU)
+    report = validate_partition(g, mu, FakeResult([tuple(range(7))], 0.0), phi=None,
+                                check_level=1.0)
+    assert report.partition_exact and report.weight_matches
+    assert report.clusters[0].expansion == pytest.approx(ZERO_ALONE_VALUE, rel=1e-12)
+    assert report.clusters[0].passed is False and not report.all_passed
+
+
+def test_verify_graph_prints_the_finite_expansion(tmp_path, capsys):
+    g, mu = Graph(7, ZERO_ALONE_EDGES), VertexMeasure(ZERO_ALONE_MU)
+    assert main(["verify", "--graph", write_graph(tmp_path / "g.txt", g),
+                 "--mu", write_measure(tmp_path / "mu.txt", mu)]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["expansion"] == pytest.approx(ZERO_ALONE_VALUE, rel=1e-12)
+    assert mu_expansion_of_cut(g, mu, d["witness"]) == d["expansion"]
 
 
 def test_validate_partition_serializes(tmp_path, capsys):
