@@ -5,7 +5,8 @@ funnels its cut and expansion queries through this module, so the
 conventions live here: edge weights are strictly positive reals, parallel
 edges merge by weight summation, and the expansion of a cut whose lighter
 side carries no measure is the ``INFINITE`` sentinel rather than a float
-infinity.  All types are immutable after construction.
+infinity.  A side's measure is summed, never taken as a total minus a part.
+All types are immutable after construction.
 
 A graph is built from columns (``Graph(n, edges)`` pads its tuples and
 hands over theirs): :func:`merge_pairs` checks them in bulk and merges
@@ -355,20 +356,20 @@ def cut_weight(g: Graph, side: Iterable[int]) -> float:
     return selected_weight(g, inside[g.us] != inside[g.vs])
 
 
-def mu_expansion_of_cut(g: Graph, mu: VertexMeasure, side: Iterable[int]):
-    """Expansion |E(S, S-bar)| / min(mu(S), mu(S-bar)) of a proper cut side S.
-
-    Returns ``INFINITE`` when the lighter side carries no measure.
-    """
-    side = np.flatnonzero(vertex_mask(g.vertex_count, side))
-    if not 0 < len(side) < g.vertex_count:
-        raise GraphInputError("cut side must be a nonempty proper subset")
-    crossing = cut_weight(g, side)
-    inside = mu.of(side)
-    denom = min(inside, mu.total - inside)
-    if denom <= 0.0:
-        return INFINITE
-    return crossing / denom
+def mu_expansion_of_cut(g: Graph, mu: VertexMeasure, side: Iterable[int],
+                        vertices: Iterable[int] | None = None):
+    """Expansion w(S, A-S) / min(mu(S), mu(A-S)) of a proper cut side S of
+    A = `vertices` (default: all of g) over the edges inside A, each side's
+    measure summed on its own; ``INFINITE`` when a side holds no terminal."""
+    n = g.vertex_count
+    inside = np.ones(n, dtype=bool) if vertices is None else vertex_mask(n, vertices)
+    cut = vertex_mask(n, side)
+    rest = inside & ~cut
+    if not (cut.any() and rest.any()) or (cut & ~inside).any():
+        raise GraphInputError("cut side must be a nonempty proper subset of the vertex set")
+    crossing = selected_weight(g, inside[g.us] & inside[g.vs] & (cut[g.us] != cut[g.vs]))
+    denom = min(float(mu.values[cut].sum()), float(mu.values[rest].sum()))
+    return crossing / denom if denom > 0.0 else INFINITE
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

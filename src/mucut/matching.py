@@ -29,9 +29,9 @@ the flow, the cut and the paths are the same bits.
 
 All ids here are the caller's graph ids: vertices outside A stay in the
 network as isolated nodes, so nothing is relabeled.  A round's cut is
-weighed over the edges with both ends in A and one in the removed side,
-selected by :func:`graph.vertex_mask` masks over the graph's edge arrays
-and added in ``g.edges`` order.
+:func:`graph.mu_expansion_of_cut` of the removed side inside A: the edges
+with both ends in A and one in the removed side, over the lighter side's
+measure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from .cutplayer import WeightedBipartition
 from .errors import InvariantViolation
 from .flow import FlowNetwork, decompose_paths, max_flow
-from .graph import Graph, ordered_sum, selected_weight, tolerance, vertex_mask
+from .graph import Graph, Infinite, mu_expansion_of_cut, ordered_sum, tolerance
 from .spectral import ActiveState, StochasticMatching
 
 
@@ -123,7 +123,9 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
         kept.append((interior[0], interior[-1], w, interior))
 
     src = bip.sources.ids.tolist()
-    sent = dict.fromkeys(src, 0.0)
+    sent, need = dict.fromkeys(src, 0.0), dict.fromkeys(src, 0.0)
+    for v, m in zip(src, bip.sources.caps.tolist()):
+        need[v] += m  # a source listed twice: its arcs' capacities, added in order
     target_set = set(bip.targets.ids.tolist())
     for a, b, w, _ in kept:
         if a not in sent:
@@ -131,13 +133,10 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
         if b not in target_set:
             raise InvariantViolation(f"path ends at non-target vertex {b}")
         sent[a] += w
-    for v, m in zip(src, bip.sources.caps.tolist()):
-        if v in removed:
-            continue
-        got = sent[v]
+    for v, m in need.items():
         # flow rounds at the scale of the round's source mass, even for a light source
-        if abs(got - m) > tolerance(source_total):
-            raise InvariantViolation(f"source {v} routed {got} instead of {m}")
+        if v not in removed and abs(sent[v] - m) > tolerance(source_total):
+            raise InvariantViolation(f"source {v} routed {sent[v]} instead of {m}")
 
     us, vs, ws, _ = zip(*kept) if kept else ((),) * 4
     matched_weight = ordered_sum(ws)
@@ -147,19 +146,16 @@ def solve_matching_round(g: Graph, state: ActiveState, edges: FlowNetwork,
     if removed:
         # edges into vertices removed in earlier rounds are not part of
         # this round's cut, so only active-active edges count
-        active = vertex_mask(g.vertex_count, state.order)
-        cut = vertex_mask(g.vertex_count, removed)
-        crossing = selected_weight(g, active[g.us] & active[g.vs] & (cut[g.us] != cut[g.vs]))
-        total = state.mu_active_total
-        mu_rest = mu.of(state.active - removed)
-        mu_removed = mu.of(removed)
-        denom = min(mu_removed, mu_rest)
-        if denom <= 0.0:
+        if not removed < state.active:
+            raise InvariantViolation("flow cut side is not a proper subset of the active set")
+        cut_expansion = mu_expansion_of_cut(g, mu, removed, state.order)
+        if isinstance(cut_expansion, Infinite):
             raise InvariantViolation("cut side with zero measure returned by the flow step")
-        cut_expansion = crossing / denom
         if cut_expansion > 7.0 / c + tolerance(7.0 / c):
             raise InvariantViolation(
                 f"round cut expansion {cut_expansion} exceeds 7/c = {7.0 / c}")
+        total = state.mu_active_total
+        mu_rest = mu.of(state.active - removed)
         if mu_rest < total / 3.0 - tolerance(total):
             raise InvariantViolation(
                 f"surviving measure {mu_rest} below a third of {total}")

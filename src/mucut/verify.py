@@ -6,7 +6,8 @@ both oracles on a vertex set in the caller's ids: `brute_force_expansion`
 pins the set's smallest id to one side to halve the space, and
 `brute_force_near_expansion` also counts the edges that leave the set.  A
 cut counts only when each side holds a terminal (a vertex of positive
-measure).  Nothing here shares code with the algorithms it validates.
+measure).  The enumerator shares no code with the algorithms it
+validates; a witness's value is :func:`graph.mu_expansion_of_cut`.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graph import (Graph, Infinite, INFINITE, VertexMeasure, selected_weight, tolerance,
+from .graph import (Graph, Infinite, INFINITE, VertexMeasure, mu_expansion_of_cut, tolerance,
                     vertex_mask)
 
 MAX_ENUM_N = 20
 DEFAULT_VERIFY_MAX_N = 16  # the default size cap of brute-forced certificates and checks
-_CHUNK = 1 << 16
+_CHUNK = 1 << 19  # cells per chunk of the enumeration: masks x (edges counted + bits)
 
 
 def _ratios(g: Graph, mu: VertexMeasure, inside: np.ndarray, near: bool):
@@ -50,8 +51,10 @@ def _ratios(g: Graph, mu: VertexMeasure, inside: np.ndarray, near: bool):
     out = (inside[us] != inside[vs]) & near
     ends, ow = bit[np.where(inside[us], us, vs)[out]], ws[out]
     end = (1 << free) - 1 if near else 1 << free  # the rest is nonempty: not all of `a`, or pinned
-    for start in range(1, end, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, end), dtype=np.int64)
+    # a power of two, >= 16: a mask keeps its place in the product's row blocks, and its bits
+    step = 1 << max(4, (_CHUNK // (len(iw) + len(ow) + free)).bit_length() - 1)
+    for start in range(1, end, step):
+        masks = np.arange(start, min(start + step, end), dtype=np.int64)
         rows = masks[:, None]
         mu_side = ((rows >> cols) & 1) @ values
         denom = np.minimum(mu_side, total - mu_side)
@@ -96,11 +99,7 @@ def brute_force_expansion(g: Graph, mu: VertexMeasure, vertices: Optional[Iterab
     if best == np.inf:
         return INFINITE, None
     side = order[1:][(witness >> np.arange(len(order) - 1)) & 1 == 1]
-    in_side = vertex_mask(n, side)
-    crossing = selected_weight(g, inside[g.us] & inside[g.vs] & (in_side[g.us] != in_side[g.vs]))
-    mu_side = mu.of(side)
-    denom = min(mu_side, mu.of(order) - mu_side)
-    return (crossing / denom if denom > 0.0 else INFINITE), tuple(side.tolist())
+    return mu_expansion_of_cut(g, mu, side, order), tuple(side.tolist())
 
 
 def brute_force_near_expansion(g: Graph, mu: VertexMeasure, a: Iterable[int]):

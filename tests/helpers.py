@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: the cut
 recount walks CSR incidence lists, the min-cut enumerator sums arc capacities
-over explicit subsets, and the conductance enumerator is plain Python.
+over explicit subsets, and the conductance enumerator is plain Python;
+`exact_expansion_of_cut` is a cut's mu-expansion in exact rationals.
 `reference_graph` is `Graph.__init__` as it was before graphs were built
 from columns (each edge checked on its own, a dict merge, per-vertex
 adjacency tuples), with `reference_edge_id` and `reference_components`
@@ -65,6 +66,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import index
 from types import SimpleNamespace
 
@@ -773,6 +775,18 @@ def conductance_enumerator(g: Graph):
         if best is None or value < best:
             best = value
     return best
+
+
+def exact_expansion_of_cut(g: Graph, mu: VertexMeasure, side, vertices):
+    """w(S, A - S) / min(mu(S), mu(A - S)) of a side S of A = `vertices` as
+    an exact `Fraction`, by plain loops over A and `g.edges`; None when a
+    side carries no measure."""
+    a, side = set(vertices), set(side)
+    vals = mu.values.tolist()
+    denom = min(sum(Fraction(vals[v]) for v in side), sum(Fraction(vals[v]) for v in a - side))
+    crossing = sum(Fraction(w) for u, v, w in g.edges
+                   if u in a and v in a and (u in side) != (v in side))
+    return crossing / denom if denom > 0 else None
 
 
 def near_expansion_enumerator(g: Graph, mu: VertexMeasure, a):

@@ -20,6 +20,9 @@ syntax node; `found(name)` lists a module's lines per rule.
   mask loop both oracles reduce.
 * relabel: a call of `induced_subgraph` or `.restrict`; `verify.py` makes
   none and `decompose._certificate` none: the oracle takes g's own ids.
+* difference: no module subtracts from a `.total` or a `.of(...)`: a
+  side's measure is summed on its own, since a total minus a part leaves a
+  rounding residue where the rest holds no terminal.
 """
 
 import ast
@@ -62,6 +65,14 @@ def _reads_chunk(node):
         for n in ast.walk(node))
 
 
+def _difference(node):
+    """A subtraction from a `.total` attribute or a `.of(...)` call."""
+    left = getattr(node, "left", None)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and (getattr(left, "attr", None) == "total"
+                 or isinstance(left, ast.Call) and _called(left) == "of"))
+
+
 def _stop_test_use(node):
     if isinstance(node, ast.Name):
         return node.id in STOP_NAMES
@@ -84,6 +95,7 @@ RULES = {
     "enumerator": (set(), _reads_chunk),
     "relabel": (set(), lambda node: isinstance(node, ast.Call)
                 and _called(node) in {"induced_subgraph", "restrict"}),
+    "difference": (set(), _difference),
 }
 
 

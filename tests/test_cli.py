@@ -378,6 +378,22 @@ def test_trace_csv(dumbbell_file, tmp_path):
     float(first[4])  # psi recorded: the game has at most PSI_MAX_TERMINALS terminals
 
 
+def test_trace_skips_a_game_without_rounds(dumbbell_file, tmp_path):
+    # a path 16-17-18 beside the dumbbell, with one terminal: its game
+    # certifies at once and adds no row
+    traces = []
+    for extra, terminals in (("", 16), ("16 17\n17 18\n", 17)):
+        graph, mu = tmp_path / "g.txt", tmp_path / "mu.txt"
+        graph.write_text(Path(dumbbell_file).read_text() + extra)
+        mu.write_text("".join(f"{v} 1.0\n" for v in range(terminals)))
+        trace = tmp_path / f"trace{len(traces)}.csv"
+        assert main(["decompose", "--graph", str(graph), "--mu", str(mu), "--phi", "0.05",
+                     "--seed", "7", "--json-out", str(tmp_path / "out.json"),
+                     "--trace", str(trace)]) == 0
+        traces.append(trace.read_text())
+    assert traces[0] == traces[1] and traces[0].count("\n") > 1
+
+
 def test_trace_leaves_psi_empty_past_the_terminal_limit(dumbbell_file, tmp_path, monkeypatch):
     # no walk on more than PSI_MAX_TERMINALS terminals runs a stop test, and
     # the trace reports no psi for it
@@ -441,6 +457,10 @@ def test_sparse_cut_command(dumbbell_file, k8_file, tmp_path):
     assert main(["sparse-cut", "--graph", k8_file, "--phi", "0.01",
                  "--json-out", str(out)]) == 0
     assert json.loads(out.read_text())["case"] == "certified"
+    apart = tmp_path / "apart.txt"
+    apart.write_text("0 1\n2 3\n")
+    assert main(["sparse-cut", "--graph", str(apart), "--phi", "0.3",
+                 "--json-out", str(out)]) == 2
 
 
 def test_sparse_cut_single_vertex(tmp_path):
@@ -516,10 +536,15 @@ def test_verify_single_vertex_exits_2(tmp_path):
     {"clusters": [list(range(8))], "inter_cluster_edge_weight": "0"},
     {"clusters": [list(range(8))], "inter_cluster_edge_weight": 0.0, "phi": -1},
     [[0, 1]],
+    b'{"clusters": [[0, 1]',  # written as it is: not JSON
+    None,  # no file
 ])
 def test_verify_malformed_partition_exits_2(k8_file, tmp_path, content):
     part = tmp_path / "part.json"
-    part.write_text(json.dumps(content))
+    if isinstance(content, bytes):
+        part.write_bytes(content)
+    elif content is not None:
+        part.write_text(json.dumps(content))
     assert main(["verify", "--graph", k8_file, "--partition", str(part)]) == 2
 
 

@@ -10,6 +10,7 @@ from mucut import (GameParams, Graph, VertexMeasure, cut_weight, decompose,
                    induced_subgraph, mu_expansion_of_cut, run_cut_matching)
 from mucut.decompose import BalanceOutcome, DecomposeConfig, OutcomeKind, balanced_or_expander
 from mucut.errors import InvariantViolation
+from mucut.game import CutMatchingOutcome, Variant
 from mucut.graph import Infinite
 from mucut.verify import brute_force_expansion, validate_partition
 
@@ -35,6 +36,29 @@ def test_balanced_or_expander_on_dumbbell(seed):
     # either way the returned cut is sparse: at most twice the round bound
     value = mu_expansion_of_cut(g, mu, out.rest)
     assert value <= 2 * 7.0 / out.game.params.capacity_c + 1e-9
+
+
+def test_a_trimmed_side_beside_a_heavy_rest_is_a_balanced_cut(monkeypatch):
+    # a game that removes the dumbbell's right clique as a small side: the
+    # left clique trims to itself, and the rest holds half of mu(V)
+    driver = importlib.import_module("mucut.decompose")
+    g = dumbbell_graph(8)
+    mu = VertexMeasure.from_degrees(g)
+    left, right = frozenset(range(8)), frozenset(range(8, 16))
+    monkeypatch.setattr(driver, "run_cut_matching", lambda g, mu, phi, rng: CutMatchingOutcome(
+        Variant.NEAR_EXPANDER_CUT, left, right, (), None, GameParams.for_graph(g, mu, phi)))
+    out = balanced_or_expander(g, mu, 0.3, np.random.default_rng(0))
+    assert (out.kind, out.expander_side, out.rest, out.trimmed) == \
+        (OutcomeKind.BALANCED_CUT, left, right, True)
+
+
+def test_measure_length_must_match_the_graph():
+    g = Graph(4, clique_edges(range(4)))
+    short = VertexMeasure([1.0] * 3)
+    with pytest.raises(ValueError, match="measure length"):
+        decompose(g, short, 0.1, rng=0)
+    with pytest.raises(ValueError, match="measure length"):
+        run_cut_matching(g, short, 0.1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("phi", [0.0, -0.1, float("inf"), float("nan")])

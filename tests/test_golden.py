@@ -238,7 +238,7 @@ def test_pinned_outputs(make):
 LARGE_GOLDEN = (
     "14081bd72839aa30341464f7501e5e57764a8ccaa8ac7048dc1bdcca4c9c693e", 57, 47,
     "ff341405f57d4f6c13a5df7650ee7470f451f542bb711367f2a71f2b069506a9",
-    "1abe7591724e2b4a6c03f9bfe80636a6e9ab9bbdd9c2183cd20eb6581d57073e")
+    "5fbd442cad3d96ea7d1fb5493f4e2bb2b4464c55424fcc8deb59542f9b81d6b9")
 
 
 def test_pinned_large_game():
@@ -267,7 +267,7 @@ DECOMPOSE_GOLDEN = {
         "5c3e9a5da03bc70d3f94a0d38e9466ac5510c3941ee5cae4607e62311180e704",
         "a31de7dbc925dbd77cdb4a00fa7b89d8b3f09ffbcec4027f88992080a1faeae6", 1),
     light_whisker: (
-        "a059e2d6b796ca09634514c1d37b1d58c1a03ac8bded2d1f2032be784100ac42",
+        "531e223494d805bc16d7f6b736c1da0bc10dfd56c3a7202f0d7c3932622f6239",
         "a3cb3869bc433f45c36430f843df74d4e69c99354495ffd823750fe798a8382b", 2),
 }
 
@@ -314,7 +314,7 @@ def test_rounds_take_the_solvers_paths(make, monkeypatch):
 # reads its measure file, planted_blocks the default measure (weighted degrees)
 CLI_GOLDEN = {
     (light_whisker, "decompose", ("--mu",)): (
-        "dc8b3cdcbe18ee0a7eaf909899cffb502e21555b870bb091fc751f263a21246b",
+        "e9e70c8437d56ff09979958a8ba1b537c947a47ad0599300d41a555911d1db31",
         "19ace41a157015243e449dfdc16f1335c40d6b1c25b6ba85e7210ffabeb2df27"),
     (light_whisker, "sparse-cut", ("--mu",)): (
         "2373ea6fbc3003e0ccaaf86e72e67c60b8134b5e83a46a363d8b9f6674bf8416",

@@ -77,6 +77,7 @@ def path4():
 SET_QUERIES = {
     "cut_weight": lambda g, mu, s: cut_weight(g, s),
     "mu_expansion_of_cut": lambda g, mu, s: mu_expansion_of_cut(g, mu, s),
+    "mu_expansion_of_cut vertices": lambda g, mu, s: mu_expansion_of_cut(g, mu, [0], s),
     "connected_components": lambda g, mu, s: connected_components(g, s),
     "induced_subgraph": lambda g, mu, s: induced_subgraph(g, s),
     "edge_network": lambda g, mu, s: edge_network(g, s, 1.0),
@@ -125,6 +126,9 @@ def test_mu_expansion_path_examples():
     g = path3()
     assert mu_expansion_of_cut(g, VertexMeasure([1, 1, 1]), {0}) == 1.0
     assert mu_expansion_of_cut(g, VertexMeasure([0, 1, 1]), {0}) is INFINITE
+    # mu(V) - mu(S) would leave 1.1e-16 for a rest that holds no terminal
+    path8 = Graph(8, [(v, v + 1, 1.0) for v in range(7)])
+    assert mu_expansion_of_cut(path8, VertexMeasure([0.1] * 7 + [0.0]), range(7)) is INFINITE
 
 
 def test_mu_expansion_k4_pairs():
@@ -141,6 +145,9 @@ def test_mu_expansion_rejects_improper_cuts():
         mu_expansion_of_cut(g, mu, [])
     with pytest.raises(GraphInputError):
         mu_expansion_of_cut(g, mu, range(3))
+    for side in ([2], [0, 2], [0, 1]):  # reaches outside the vertex set, or is all of it
+        with pytest.raises(GraphInputError):
+            mu_expansion_of_cut(g, mu, side, [0, 1])
 
 
 def test_graph_rejects_self_loops_and_bad_weights():
@@ -216,6 +223,8 @@ def test_measure_support_and_spread():
 def test_measure_rejects_negative():
     with pytest.raises(GraphInputError):
         VertexMeasure([1.0, -0.1])
+    with pytest.raises(GraphInputError, match="flat"):
+        VertexMeasure([[1.0, 2.0]])
 
 
 def test_degree_measure_matches_conductance_formula():

@@ -3,8 +3,9 @@ import pytest
 
 from mucut import Graph, VertexMeasure, induced_subgraph
 from mucut.cutplayer import WeightedBipartition, rst_partition
-from mucut.flow import (Terminals, _strip_paths as strip_paths, decompose_paths, edge_network,
-                        max_flow)
+from mucut.errors import InvariantViolation
+from mucut.flow import (FlowSolution, Terminals, _strip_paths as strip_paths, decompose_paths,
+                        edge_network, max_flow)
 from mucut.matching import build_pi_problem, solve_matching_round
 from mucut.spectral import ActiveState
 from mucut.verify import check_embedding_congestion
@@ -132,6 +133,21 @@ def test_removed_source_path_to_a_surviving_target_is_dropped(monkeypatch):
     assert res.paths and all(a == 10 for a, _, _, _ in res.paths)
     assert all(not {u, v} & res.removed for u, v, _ in res.matching.off_diagonal)
     assert res.matched_weight == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("cut", [range(4), (0, 4), (0,)],
+                         ids=["whole active set", "outside it", "no terminal"])
+def test_an_improper_flow_cut_is_a_broken_guarantee(cut, monkeypatch):
+    # the round's expansion is graph.mu_expansion_of_cut inside A: a cut side
+    # that is all of A, reaches outside it or holds no terminal must not
+    # surface as bad input
+    monkeypatch.setattr("mucut.matching.max_flow",
+                        lambda net: FlowSolution(0.0, frozenset([net.source, *cut]), ()))
+    g = Graph(5, clique_edges(range(5)))
+    mu = VertexMeasure([0.0, 1.0, 1.0, 1.0, 1.0])
+    bip = manual_bip([(0, 0.25)], [(1, 1.0), (2, 1.0)])
+    with pytest.raises(InvariantViolation, match="cut side"):
+        solve_round(g, ActiveState(range(4), mu), bip, c=1.0)
 
 
 def test_self_pairs_fold_into_the_diagonal():
@@ -328,6 +344,15 @@ def test_round_network_matches_arc_by_arc_reference():
             sol = assert_network_matches_reference(
                 build_pi_problem(edges, state, b), reference_build_pi_problem(g, state, b, c))
             seen.add("routed" if sol.value >= b.sources.mass - 1e-9 * b.sources.mass else "cut")
+        # the round judges a source listed twice on its arcs' combined capacity
+        # (with_parallel_terminals may overfill a vertex, so only the source is split)
+        (v, m), *rest = pairs_of(bip.sources)
+        split = manual_bip([(v, m / 2), (v, m / 2), *rest], pairs_of(bip.targets))
+        rec = solve_matching_round(g, state, edges, split, c)
+        for u, cap in pairs_of(bip.sources):
+            if u not in rec.removed:
+                sent = sum(w for a, _, w, _ in rec.paths if a == u)
+                assert sent == pytest.approx(cap, abs=1e-9 * bip.sources.mass)
         if len(state.active) < g.vertex_count:
             seen.add("strict subset")
         if bip.partial_vertex is not None:
